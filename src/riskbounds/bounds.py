@@ -7,7 +7,8 @@ admit closed-form maximizers (`maximize_rho`); everything else falls back
 to a deterministic coarse-grid scan refined by golden section.
 
 Vacuous bounds (penalty >= 1 everywhere, or an infinite divergence) are
-reported as value 0 with the ``vacuous`` flag set instead of raising.
+reported as value 0 with the ``vacuous`` flag set instead of raising; a
+NaN divergence or bound value raises `NanValue`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceInfinite, EtaOutOfRange, InverseDomainError
+from .errors import DivergenceInfinite, EtaOutOfRange, InverseDomainError, NanValue
 from .quadrature import golden_section_max
 
 __all__ = [
@@ -80,6 +81,8 @@ class BoundResult:
     vacuous: bool = False
 
     def __post_init__(self):
+        if math.isnan(self.value):
+            raise NanValue(f"{self.method} bound value is NaN")
         if self.value < 0:
             raise ValueError("bound values are clamped at 0, got negative")
 
@@ -170,6 +173,14 @@ def _sup_over_rho(g, rho_max: float, method: str, params: dict) -> BoundResult:
     return BoundResult(float(val), float(rho), method, params, evals)
 
 
+def _check_divergence(value: float) -> None:
+    """Reject NaN and negative divergence inputs; +inf passes (vacuous)."""
+    if math.isnan(value):
+        raise NanValue("divergence input is NaN")
+    if value < 0:
+        raise ValueError("divergence input must be non-negative")
+
+
 def _closed_form_result(obj: RhoObjective, method: str, params: dict,
                         evals: int = 1) -> BoundResult:
     rho_star, value = maximize_rho(obj)
@@ -182,8 +193,7 @@ def sibson_bound(i_alpha: float, alpha: float, L: SmallBallFn) -> BoundResult:
     """sup over rho of rho*(1 - exp(((alpha-1)/alpha)*(I_alpha + log L(rho))))."""
     if alpha <= 1.0:
         raise ValueError("Sibson bound requires alpha > 1")
-    if i_alpha < 0:
-        raise ValueError("divergence input must be non-negative")
+    _check_divergence(i_alpha)
     t = (alpha - 1.0) / alpha
     params = {"alpha": alpha}
     if L.form == "linear":
@@ -200,8 +210,7 @@ def sibson_bound(i_alpha: float, alpha: float, L: SmallBallFn) -> BoundResult:
 
 def ml_bound(ml: float, L: SmallBallFn) -> BoundResult:
     """Maximal-leakage bound: the exponent is exp(ML) * L(rho), linear in L."""
-    if ml < 0:
-        raise ValueError("maximal leakage must be non-negative")
+    _check_divergence(ml)
     if L.form == "linear":
         c = math.exp(ml) * L.coefficient if math.isfinite(ml) else math.inf
         return _closed_form_result(RhoObjective(c=c, t=1.0), "ml", {})
@@ -318,8 +327,7 @@ def hellinger_bound(h_p: float, p: float, L: SmallBallFn) -> BoundResult:
     """sup over rho of rho*(1 - L(rho)^((p-1)/p) * ((p-1)*H_p + 1)^(1/p))."""
     if p <= 1.0:
         raise ValueError("Hellinger order must exceed 1")
-    if h_p < 0:
-        raise ValueError("divergence input must be non-negative")
+    _check_divergence(h_p)
     t = (p - 1.0) / p
     params = {"p": p}
     moment = (p - 1.0) * h_p + 1.0
@@ -338,8 +346,7 @@ def hockey_stick_bound(e_value: float, gamma: float, zeta: float,
     """sup over rho of rho*(1 - (E + gamma*L(rho) + max(0, zeta-gamma))/zeta)."""
     if zeta <= 0 or gamma < 0:
         raise ValueError("requires zeta > 0 and gamma >= 0")
-    if e_value < 0:
-        raise ValueError("divergence input must be non-negative")
+    _check_divergence(e_value)
     params = {"gamma": gamma, "zeta": zeta}
     b = (e_value + max(0.0, zeta - gamma)) / zeta
     if b >= 1.0 or not math.isfinite(b):
@@ -362,8 +369,7 @@ def hockey_stick_bound(e_value: float, gamma: float, zeta: float,
 def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
     """Mutual-information baseline sup over rho of
     rho*(1 - (I + log 2)/log(1/L(rho))), maximized by golden section."""
-    if i_value < 0:
-        raise ValueError("mutual information must be non-negative")
+    _check_divergence(i_value)
     numerator = i_value + math.log(2.0)
 
     def g(rho):
@@ -374,56 +380,42 @@ def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
             return -math.inf
         return rho * (1.0 - numerator / (-math.log(lval)))
 
-    rho_max = _rho_search_limit(L)
-    result = _sup_over_rho(g, rho_max, "mi", {})
-    return result
+    return _sup_over_rho(g, _rho_search_limit(L), "mi", {})
+
+
+# method -> bound(divergence, L, **params); both optimize_bound and the
+# closed-form families of sdpi_bound dispatch through this one table
+_METHODS = {
+    "sibson": lambda value, L, alpha: sibson_bound(value, alpha, L),
+    "hellinger": lambda value, L, p: hellinger_bound(value, p, L),
+    "egz": lambda value, L, gamma, zeta: hockey_stick_bound(value, gamma, zeta, L),
+    "ml": lambda value, L: ml_bound(value, L),
+    "mi": lambda value, L: mi_baseline_bound(value, L),
+}
+_FAMILY_METHODS = {"hellinger": "hellinger", "hockey-stick": "egz"}
 
 
 def sdpi_bound(i_phi: float, eta: float, phi: PhiSpec, L: SmallBallFn) -> BoundResult:
-    """Generator bound with the divergence contracted by a factor eta."""
+    """Generator bound with the divergence contracted by a factor eta
+    (at eta = 0 nothing passes: the contracted divergence is 0)."""
     if not 0.0 <= eta <= 1.0:
         raise EtaOutOfRange(f"eta={eta!r} outside [0, 1]")
-    if i_phi < 0:
-        raise ValueError("divergence input must be non-negative")
-    scaled = eta * i_phi
-    if phi.family == "hellinger":
-        inner = hellinger_bound(scaled, phi.params["p"], L)
-    elif phi.family == "hockey-stick":
-        inner = hockey_stick_bound(scaled, phi.params["gamma"], phi.params["zeta"], L)
-    else:
+    _check_divergence(i_phi)
+    scaled = eta * i_phi if eta > 0.0 else 0.0
+    method = _FAMILY_METHODS.get(phi.family)
+    if method is None:
         point = (phi_bound_increasing if phi.direction == "increasing"
                  else phi_bound_decreasing)
 
         def g(rho):
             return point(scaled, phi, L(rho), rho)
 
-        inner = _sup_over_rho(g, _rho_search_limit(L), "sdpi",
-                              {"eta": eta, "phi": phi.name})
-        return inner
+        return _sup_over_rho(g, _rho_search_limit(L), "sdpi",
+                             {"eta": eta, "phi": phi.name})
+    inner = _METHODS[method](scaled, L, **phi.params)
     return BoundResult(inner.value, inner.rho_star, "sdpi",
                        dict(inner.params, eta=eta), inner.evaluations,
                        inner.vacuous)
-
-
-_METHODS = ("sibson", "hellinger", "egz", "ml", "mi")
-
-
-def _evaluate_method(method: str, callback, params: dict, L: SmallBallFn):
-    try:
-        value = callback(**params)
-    except DivergenceInfinite:
-        return BoundResult(0.0, 0.0, method, dict(params), 1, vacuous=True)
-    if method == "sibson":
-        return sibson_bound(value, params["alpha"], L)
-    if method == "hellinger":
-        return hellinger_bound(value, params["p"], L)
-    if method == "egz":
-        return hockey_stick_bound(value, params["gamma"], params["zeta"], L)
-    if method == "ml":
-        return ml_bound(value, L)
-    if method == "mi":
-        return mi_baseline_bound(value, L)
-    raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
 
 
 def optimize_bound(callback, method: str, param_grid: dict,
@@ -438,7 +430,17 @@ def optimize_bound(callback, method: str, param_grid: dict,
     output is deterministic.
     """
     if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {tuple(_METHODS)}")
+    bound = _METHODS[method]
+
+    def evaluate(params):
+        try:
+            value = callback(**params)
+        except DivergenceInfinite:
+            return BoundResult(0.0, 0.0, method, dict(params), 1, vacuous=True)
+        return bound(value, L, **params)
+
     names = sorted(param_grid)
     for name in names:
         if len(param_grid[name]) == 0:
@@ -452,7 +454,7 @@ def optimize_bound(callback, method: str, param_grid: dict,
 
     def consider(params, index=None):
         nonlocal best, best_index, evals
-        result = _evaluate_method(method, callback, params, L)
+        result = evaluate(params)
         evals += result.evaluations
         if best is None or result.value > best.value:
             best = result
@@ -491,7 +493,7 @@ def optimize_bound(callback, method: str, param_grid: dict,
             def h(x, name=name, fixed=fixed):
                 pt = dict(fixed)
                 pt[name] = float(x)
-                return _evaluate_method(method, callback, pt, L).value
+                return evaluate(pt).value
 
             x, _, used = golden_section_max(h, lo, hi, tol=1e-6)
             evals += used

@@ -1,30 +1,39 @@
 """Command-line front end: figure-data tables as CSV/JSON plus validation.
 
 Subcommands: bernoulli, noisy-bernoulli, gaussian, hide-and-seek, validate.
-One CSV row is emitted per sample count n; a JSON sidecar next to --out
-records the optimizing parameters per point.  RISKBOUNDS_THREADS caps the
-number of worker threads used for the per-n sweep.
+Each estimation setting is one `Setting` record, from which its flags and
+its rows are built; fixed-parameter and --optimize rows alike go through
+`bounds.optimize_bound`.  One CSV row is emitted per sample count n; a
+JSON sidecar next to --out records the optimizing parameters per point.
+Float flags must be finite.  RISKBOUNDS_THREADS caps the number of worker
+threads used for the per-n sweep.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
 import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import bounds, measures, models, oracle, sdpi
 from .distributions import DiscreteJoint, DivergenceKind, DivergenceSpec, MarkovKernel
 
+_METHOD_ORDER = ("mi", "ml", "sibson", "hellinger", "egz", "sdpi")
+
 EST_HEADER = ("n,bound_mi,bound_ml,bound_sibson,bound_hellinger,bound_egz,"
               "bound_sdpi,upper_bound,mc_risk,best_method")
 HNS_HEADER = "n,bound_ml,bound_nips,bound_mi,best_method"
-
-_METHOD_ORDER = ("mi", "ml", "sibson", "hellinger", "egz", "sdpi")
+# the row keys of the header columns
+EST_KEYS = ("n", *_METHOD_ORDER, "upper", "mc", "best")
+HNS_KEYS = ("n", "ml", "nips", "mi", "best")
 
 
 def default_alpha_grid():
@@ -51,129 +60,182 @@ def _parse_n_range(text: str) -> list[int]:
     return sorted(set(values))
 
 
+def _finite_float(text: str) -> float:
+    """The type of every float flag: NaN and infinities are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, (int, str)):
+        return str(x)
     return f"{x:.12g}"
 
 
-def _best(named_values: dict[str, float | None]) -> str:
+def _best(named_values: dict[str, float | None], order=_METHOD_ORDER) -> str:
+    """The largest of the named values, the first in ``order`` on ties."""
     best_name = ""
     best_val = -math.inf
-    for name in _METHOD_ORDER:
+    for name in order:
         val = named_values.get(name)
         if val is not None and val > best_val:
             best_name, best_val = name, val
     return best_name
 
 
-def _sibson_i_alpha(n: int, alpha: float) -> float:
-    return alpha / (alpha - 1.0) * math.log(models.bernoulli_sibson(n, alpha))
+# ----------------------------------------------------------------------
+# estimation settings
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Column:
+    """One bound column: ``divergence(model, **params)`` feeds the `bounds`
+    method ``method``; ``params`` names the flags that fix the parameters,
+    ``grid(args)`` gives the values searched under --optimize and ``fixed``
+    pins those without a flag.  ``bound(model)`` replaces all of these for
+    a column that computes its own `BoundResult`."""
+
+    method: str
+    divergence: Callable | None = None
+    params: tuple[str, ...] = ()
+    grid: Callable | None = None
+    fixed: dict = field(default_factory=dict)
+    bound: Callable | None = None
 
 
-def _hellinger_div(n: int, p: float) -> float:
-    return (models.bernoulli_hellinger(n, p) - 1.0) / (p - 1.0)
+@dataclass(frozen=True)
+class Setting:
+    """One estimation setting: ``model(n, args)`` builds the model, which
+    ``small_ball`` and ``upper`` map to the small-ball function and the
+    risk upper bound; ``estimator`` is the Monte-Carlo reference
+    estimator; ``defaults`` maps each float flag's dest to its default;
+    ``notes`` explain in the sidecar the columns left empty.
+
+    The callables look up `models` functions when called, so that
+    wrappers installed on the module take effect."""
+
+    name: str
+    help: str
+    model: Callable
+    small_ball: Callable
+    upper: Callable
+    estimator: str
+    columns: tuple[Column, ...]
+    defaults: dict
+    notes: dict = field(default_factory=dict)
 
 
-def _bernoulli_point(n: int, args) -> tuple[dict, dict]:
-    L = models.bernoulli_small_ball()
-    info: dict = {}
+def _alpha_grid(name):
+    return lambda args: {name: default_alpha_grid()}
 
-    mi_res = bounds.mi_baseline_bound(models.bernoulli_mutual_information(n), L)
-    ml_res = bounds.ml_bound(models.bernoulli_ml(n).upper, L)
-    if args.optimize:
-        grid = default_alpha_grid()
-        sib_res = bounds.optimize_bound(
-            lambda alpha: _sibson_i_alpha(n, alpha), "sibson", {"alpha": grid}, L)
-        hel_res = bounds.optimize_bound(
-            lambda p: _hellinger_div(n, p), "hellinger", {"p": grid}, L)
-        gam, zet = default_gamma_zeta_grid()
-        egz_res = bounds.optimize_bound(
-            lambda gamma, zeta: models.bernoulli_e_gamma_zeta(n, gamma, zeta),
-            "egz", {"gamma": gam, "zeta": zet}, L)
+
+def _bernoulli_sibson(model, alpha: float) -> float:
+    return alpha / (alpha - 1.0) * math.log(models.bernoulli_sibson(model.n, alpha))
+
+
+def _bernoulli_hellinger(model, p: float) -> float:
+    return (models.bernoulli_hellinger(model.n, p) - 1.0) / (p - 1.0)
+
+
+BERNOULLI = Setting(
+    name="bernoulli",
+    help="uniform-prior Bernoulli bias",
+    model=lambda n, args: models.BernoulliUniformModel(n),
+    small_ball=lambda model: models.bernoulli_small_ball(),
+    upper=lambda model: models.bernoulli_upper_bound(model.n),
+    estimator="posterior-median",
+    columns=(
+        Column("mi", lambda model: models.bernoulli_mutual_information(model.n)),
+        Column("ml", lambda model: models.bernoulli_ml(model.n).upper),
+        Column("sibson", _bernoulli_sibson, ("alpha",), _alpha_grid("alpha")),
+        Column("hellinger", _bernoulli_hellinger, ("p",), _alpha_grid("p")),
+        Column("egz",
+               lambda model, gamma, zeta:
+                   models.bernoulli_e_gamma_zeta(model.n, gamma, zeta),
+               ("gamma", "zeta"),
+               lambda args: dict(zip(("gamma", "zeta"), default_gamma_zeta_grid()))),
+    ),
+    defaults={"alpha": 2.0, "p": 2.0, "gamma": 3.0, "zeta": 1.5},
+)
+
+NOISY_BERNOULLI = Setting(
+    name="noisy-bernoulli",
+    help="Bernoulli bias through a BSC with crossover probability --lambda",
+    model=lambda n, args: models.NoisyBernoulliModel(n, args.lam),
+    small_ball=lambda model: models.bernoulli_small_ball(),
+    upper=lambda model: models.noisy_bernoulli_upper_bound(model),
+    estimator="posterior-median",
+    columns=(
+        # the clean-sample chi-square bound that the contraction refines
+        Column("hellinger", _bernoulli_hellinger, fixed={"p": 2.0}),
+        Column("sdpi", bound=lambda model: models.noisy_bernoulli_bound(model, p=2.0)),
+    ),
+    defaults={"lam": 0.25},
+)
+
+GAUSSIAN = Setting(
+    name="gaussian",
+    help="Gaussian mean with Gaussian prior",
+    model=lambda n, args: models.GaussianModel(n, args.sigma_w2, args.sigma2),
+    small_ball=lambda model: models.gaussian_small_ball(model),
+    upper=lambda model: models.gaussian_upper_bound(model),
+    estimator="posterior-mean",
+    columns=(
+        Column("mi", lambda model: models.gaussian_mutual_information(model)),
+        Column("sibson", lambda model, alpha: models.gaussian_sibson(model, alpha),
+               ("alpha",), _alpha_grid("alpha")),
+        Column("hellinger",
+               lambda model, p: (models.gaussian_hellinger(model, p) - 1.0) / (p - 1.0),
+               ("p",), _alpha_grid("p")),
+        # the figure protocol: gamma optimized, zeta held at its flag
+        Column("egz",
+               lambda model, gamma, zeta:
+                   models.gaussian_e_gamma_zeta(model, gamma, zeta),
+               ("gamma", "zeta"),
+               lambda args: {"gamma": default_gamma_zeta_grid()[0],
+                             "zeta": [args.zeta]}),
+    ),
+    defaults={"alpha": 2.0, "p": 1.5, "gamma": 2.0, "zeta": 1.5,
+              "sigma_w2": 1.0, "sigma2": 2.0},
+    notes={"ml": "maximal leakage is infinite for a Gaussian parameter"},
+)
+
+SETTINGS = {s.name: s for s in (BERNOULLI, NOISY_BERNOULLI, GAUSSIAN)}
+
+_FLAG_NAMES = {"lam": "--lambda", "sigma_w2": "--sigma-w2"}  # others: "--" + dest
+
+
+def _column_bound(column: Column, model, L, args) -> bounds.BoundResult:
+    if column.bound is not None:
+        return column.bound(model)
+    if getattr(args, "optimize", False) and column.grid is not None:
+        grid = column.grid(args)
     else:
-        sib_res = bounds.sibson_bound(_sibson_i_alpha(n, args.alpha), args.alpha, L)
-        hel_res = bounds.hellinger_bound(_hellinger_div(n, args.p), args.p, L)
-        egz_res = bounds.hockey_stick_bound(
-            models.bernoulli_e_gamma_zeta(n, args.gamma, args.zeta),
-            args.gamma, args.zeta, L)
+        grid = {name: [getattr(args, name)] for name in column.params}
+    grid.update((name, [value]) for name, value in column.fixed.items())
+    return bounds.optimize_bound(functools.partial(column.divergence, model),
+                                 column.method, grid, L)
 
+
+def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
+    """The table row and the sidecar entry of one sample count n."""
+    model = setting.model(n, args)
+    L = setting.small_ball(model)
+    row = dict.fromkeys(_METHOD_ORDER)
+    info = {name: {"note": note} for name, note in setting.notes.items()}
+    for column in setting.columns:
+        res = _column_bound(column, model, L, args)
+        row[column.method] = res.value
+        info[column.method] = dict(res.params, rho=res.rho_star, value=res.value,
+                                   vacuous=res.vacuous)
     mc = None
     if args.trials:
-        mc = oracle.mc_risk(models.BernoulliUniformModel(n), "posterior-median",
-                            args.trials, args.seed).mean
-    values = {"mi": mi_res.value, "ml": ml_res.value, "sibson": sib_res.value,
-              "hellinger": hel_res.value, "egz": egz_res.value}
-    row = dict(values, n=n, sdpi=None, upper=models.bernoulli_upper_bound(n),
-               mc=mc, best=_best(values))
-    for name, res in (("mi", mi_res), ("ml", ml_res), ("sibson", sib_res),
-                      ("hellinger", hel_res), ("egz", egz_res)):
-        info[name] = dict(res.params, rho=res.rho_star, value=res.value,
-                          vacuous=res.vacuous)
-    return row, info
-
-
-def _noisy_point(n: int, args) -> tuple[dict, dict]:
-    model = models.NoisyBernoulliModel(n, args.lam)
-    L = models.bernoulli_small_ball()
-    hel_res = bounds.hellinger_bound(_hellinger_div(n, 2.0), 2.0, L)
-    sdpi_res = models.noisy_bernoulli_bound(model, p=2.0)
-    mc = None
-    if args.trials:
-        mc = oracle.mc_risk(model, "posterior-median", args.trials, args.seed).mean
-    values = {"hellinger": hel_res.value, "sdpi": sdpi_res.value}
-    row = dict(n=n, mi=None, ml=None, sibson=None, hellinger=hel_res.value,
-               egz=None, sdpi=sdpi_res.value,
-               upper=models.noisy_bernoulli_upper_bound(model),
-               mc=mc, best=_best(values))
-    info = {"hellinger": dict(hel_res.params, rho=hel_res.rho_star),
-            "sdpi": dict(sdpi_res.params, rho=sdpi_res.rho_star)}
-    return row, info
-
-
-def _gaussian_point(n: int, args) -> tuple[dict, dict]:
-    model = models.GaussianModel(n, args.sigma_w2, args.sigma2)
-    L = models.gaussian_small_ball(model)
-    info: dict = {}
-
-    mi_res = bounds.mi_baseline_bound(models.gaussian_mutual_information(model), L)
-    if args.optimize:
-        grid = default_alpha_grid()
-        sib_res = bounds.optimize_bound(
-            lambda alpha: models.gaussian_sibson(model, alpha),
-            "sibson", {"alpha": grid}, L)
-        hel_res = bounds.optimize_bound(
-            lambda p: (models.gaussian_hellinger(model, p) - 1.0) / (p - 1.0),
-            "hellinger", {"p": grid}, L)
-        gam, _ = default_gamma_zeta_grid()
-        # match the figure protocol: gamma optimized, zeta held fixed
-        egz_res = bounds.optimize_bound(
-            lambda gamma, zeta: models.gaussian_e_gamma_zeta(model, gamma, zeta),
-            "egz", {"gamma": gam, "zeta": np.array([args.zeta])}, L)
-    else:
-        sib_res = bounds.sibson_bound(
-            models.gaussian_sibson(model, args.alpha), args.alpha, L)
-        hel_res = bounds.hellinger_bound(
-            (models.gaussian_hellinger(model, args.p) - 1.0) / (args.p - 1.0),
-            args.p, L)
-        egz_res = bounds.hockey_stick_bound(
-            models.gaussian_e_gamma_zeta(model, args.gamma, args.zeta),
-            args.gamma, args.zeta, L)
-
-    mc = None
-    if args.trials:
-        mc = oracle.mc_risk(model, "posterior-mean", args.trials, args.seed).mean
-    values = {"mi": mi_res.value, "sibson": sib_res.value,
-              "hellinger": hel_res.value, "egz": egz_res.value}
-    row = dict(n=n, mi=mi_res.value, ml=None, sibson=sib_res.value,
-               hellinger=hel_res.value, egz=egz_res.value, sdpi=None,
-               upper=models.gaussian_upper_bound(model), mc=mc,
-               best=_best(values))
-    for name, res in (("mi", mi_res), ("sibson", sib_res),
-                      ("hellinger", hel_res), ("egz", egz_res)):
-        info[name] = dict(res.params, rho=res.rho_star, value=res.value,
-                          vacuous=res.vacuous)
-    info["ml"] = {"note": "maximal leakage is infinite for a Gaussian parameter"}
+        mc = oracle.mc_risk(model, setting.estimator, args.trials, args.seed).mean
+    row.update(n=n, upper=setting.upper(model), mc=mc, best=_best(row))
     return row, info
 
 
@@ -193,33 +255,20 @@ def _hide_and_seek_point(n: int, args) -> tuple[dict, dict] | None:
     model = models.HideAndSeekModel(d=args.d, m=args.m, b=args.b,
                                     theta=theta, n=n)
     hb = models.hide_and_seek_bounds(model)
-    values = {"ml": hb.ml, "mi": hb.mi}
-    best = "ml" if hb.ml >= max(hb.nips, hb.mi) else (
-        "nips" if hb.nips >= hb.mi else "mi")
-    row = dict(n=n, ml=hb.ml, nips=hb.nips, mi=hb.mi, best=best)
+    row = dict(n=n, ml=hb.ml, nips=hb.nips, mi=hb.mi)
+    row["best"] = _best(row, ("ml", "nips", "mi"))
     info = {"theta": theta, "nips_valid": hb.nips_valid, "mi_valid": hb.mi_valid,
             "leakage": models.hide_and_seek_leakage(model)}
     return row, info
 
 
-def _emit(rows, infos, header, args, setting):
-    lines = [header]
-    for row in rows:
-        if header is EST_HEADER:
-            lines.append(",".join([
-                str(row["n"]), _fmt(row["mi"]), _fmt(row["ml"]),
-                _fmt(row["sibson"]), _fmt(row["hellinger"]), _fmt(row["egz"]),
-                _fmt(row["sdpi"]), _fmt(row["upper"]), _fmt(row["mc"]),
-                row["best"]]))
-        else:
-            lines.append(",".join([
-                str(row["n"]), _fmt(row["ml"]), _fmt(row["nips"]),
-                _fmt(row["mi"]), row["best"]]))
+def _emit(rows, infos, header, keys, args, setting):
     if args.format == "json":
         payload = json.dumps({"setting": setting, "rows": rows}, indent=2,
                              sort_keys=True, default=float)
         text = payload + "\n"
     else:
+        lines = [header] + [",".join(_fmt(row[key]) for key in keys) for row in rows]
         text = "\n".join(lines) + "\n"
     if args.out and args.out != "-":
         with open(args.out, "w", newline="") as fh:
@@ -232,32 +281,29 @@ def _emit(rows, infos, header, args, setting):
         sys.stdout.write(text)
 
 
-def _sweep(point_fn, n_values, args, setting, header):
+def _sweep(point_fn, n_values, args, setting, header, keys):
     workers = int(os.environ.get("RISKBOUNDS_THREADS", "0")) or (os.cpu_count() or 1)
     rows: dict[int, dict] = {}
     infos: dict[int, dict] = {}
 
     def one(n):
-        return n, point_fn(n, args)
+        try:
+            return n, point_fn(n, args), None
+        except Exception as exc:  # reported below with the n that raised it
+            return n, None, exc
 
-    try:
-        if workers > 1 and len(n_values) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                for n, result in pool.map(one, n_values):
-                    if result is not None:
-                        rows[n], infos[n] = result
-        else:
-            for n in n_values:
-                result = point_fn(n, args)
-                if result is not None:
-                    rows[n], infos[n] = result
-    except Exception as exc:  # identify the failing point for exit code 3
-        done = set(rows)
-        pending = [n for n in n_values if n not in done]
-        print(f"numerical failure near n={pending[0] if pending else '?'}: {exc}",
-              file=sys.stderr)
-        return 3
-    _emit([rows[n] for n in sorted(rows)], infos, header, args, setting)
+    if workers > 1 and len(n_values) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, n_values))
+    else:
+        results = map(one, n_values)  # lazy: stops at the first failure
+    for n, result, exc in results:
+        if exc is not None:  # exit code 3 names the failing point
+            print(f"numerical failure near n={n}: {exc}", file=sys.stderr)
+            return 3
+        if result is not None:
+            rows[n], infos[n] = result
+    _emit([rows[n] for n in sorted(rows)], infos, header, keys, args, setting)
     return 0
 
 
@@ -324,53 +370,30 @@ def _suite_oracle_agreement(seed: int, rounds: int) -> tuple[bool, str]:
 
 
 def _suite_sandwich(seed: int, trials: int, n_values) -> tuple[bool, str]:
+    """Every bound column of each setting's default fixed-parameter row."""
     worst = -math.inf
-    for n in n_values:
-        L = models.bernoulli_small_ball()
-        risk = oracle.mc_risk(models.BernoulliUniformModel(n), "posterior-median",
-                              trials, seed)
-        limit = risk.mean + 3.0 * risk.std_error
-        for value in (
-            bounds.ml_bound(models.bernoulli_ml(n).upper, L).value,
-            bounds.sibson_bound(_sibson_i_alpha(n, 2.0), 2.0, L).value,
-            bounds.hellinger_bound(_hellinger_div(n, 2.0), 2.0, L).value,
-            bounds.hockey_stick_bound(
-                models.bernoulli_e_gamma_zeta(n, 3.0, 1.5), 3.0, 1.5, L).value,
-        ):
-            worst = max(worst, value - limit)
-        gm = models.GaussianModel(n, 1.0, 2.0)
-        g_risk = oracle.mc_risk(gm, "posterior-mean", trials, seed)
-        g_limit = g_risk.mean + 3.0 * g_risk.std_error
-        gl = models.gaussian_small_ball(gm)
-        for value in (
-            bounds.sibson_bound(models.gaussian_sibson(gm, 2.0), 2.0, gl).value,
-            models.gaussian_hellinger_closed_form_bound(gm),
-        ):
-            worst = max(worst, value - g_limit)
-        nm = models.NoisyBernoulliModel(n, 0.25)
-        n_risk = oracle.mc_risk(nm, "posterior-median", trials, seed)
-        worst = max(worst, models.noisy_bernoulli_bound(nm).value
-                    - (n_risk.mean + 3.0 * n_risk.std_error))
+    for setting in SETTINGS.values():
+        args = build_parser().parse_args([setting.name])
+        for n in n_values:
+            row, _ = _estimation_point(setting, n, args)
+            risk = oracle.mc_risk(setting.model(n, args), setting.estimator,
+                                  trials, seed)
+            limit = risk.mean + 3.0 * risk.std_error
+            for method in _METHOD_ORDER:
+                if row[method] is not None:
+                    worst = max(worst, row[method] - limit)
     ok = worst <= 0.0
     return ok, f"max bound excess over MC risk + 3se: {worst:.3e}"
 
 
 def _suite_ordering(n_values) -> tuple[bool, str]:
     worst = -math.inf
-    L = models.bernoulli_small_ball()
-    grid = default_alpha_grid()
-    gam, zet = default_gamma_zeta_grid()
+    args = build_parser().parse_args(["bernoulli", "--optimize"])
     for n in n_values:
-        mi_v = bounds.mi_baseline_bound(models.bernoulli_mutual_information(n), L).value
-        sib_v = bounds.optimize_bound(
-            lambda alpha: _sibson_i_alpha(n, alpha), "sibson", {"alpha": grid}, L).value
-        hel_v = bounds.optimize_bound(
-            lambda p: _hellinger_div(n, p), "hellinger", {"p": grid}, L).value
-        egz_v = bounds.optimize_bound(
-            lambda gamma, zeta: models.bernoulli_e_gamma_zeta(n, gamma, zeta),
-            "egz", {"gamma": gam, "zeta": zet}, L).value
-        worst = max(worst, sib_v - egz_v, hel_v - sib_v, mi_v - hel_v,
-                    egz_v - models.bernoulli_upper_bound(n))
+        row, _ = _estimation_point(BERNOULLI, n, args)
+        worst = max(worst, row["sibson"] - row["egz"],
+                    row["hellinger"] - row["sibson"], row["mi"] - row["hellinger"],
+                    row["egz"] - row["upper"])
     ok = worst <= 1e-9
     return ok, f"max ordering violation: {worst:.3e}"
 
@@ -411,19 +434,11 @@ def _cmd_validate(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_common(sub, defaults):
+def _add_table_flags(sub, n_default: str) -> None:
     sub.add_argument("--config", default=None,
                      help="JSON file with defaults; explicit flags win")
-    sub.add_argument("--n", default=defaults.get("n", "1..50"),
+    sub.add_argument("--n", default=n_default,
                      help="sample counts, e.g. '1..50' or '1,2,5'")
-    sub.add_argument("--optimize", action="store_true",
-                     help="optimize bound parameters over the default grids")
-    sub.add_argument("--alpha", type=float, default=defaults.get("alpha", 2.0))
-    sub.add_argument("--p", type=float, default=defaults.get("p", 2.0))
-    sub.add_argument("--gamma", type=float, default=defaults.get("gamma", 3.0))
-    sub.add_argument("--zeta", type=float, default=defaults.get("zeta", 1.5))
-    sub.add_argument("--trials", type=int, default=0,
-                     help="Monte-Carlo trials for the mc_risk column (0 = skip)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default="-", help="output path ('-' = stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -434,55 +449,58 @@ def build_parser() -> argparse.ArgumentParser:
         prog="riskbounds",
         description="Lower bounds on Bayesian estimation risk as CSV tables.")
     subs = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for setting in SETTINGS.values():
+        sub = commands[setting.name] = subs.add_parser(setting.name,
+                                                       help=setting.help)
+        _add_table_flags(sub, "1..50")
+        if any(column.grid is not None for column in setting.columns):
+            sub.add_argument("--optimize", action="store_true",
+                             help="optimize bound parameters over the default grids")
+        for dest, default in setting.defaults.items():
+            sub.add_argument(_FLAG_NAMES.get(dest, "--" + dest), dest=dest,
+                             type=_finite_float, default=default)
+        sub.add_argument("--trials", type=int, default=0,
+                         help="Monte-Carlo trials for the mc_risk column (0 = skip)")
 
-    b = subs.add_parser("bernoulli", help="uniform-prior Bernoulli bias")
-    _add_common(b, {})
-
-    nb = subs.add_parser("noisy-bernoulli", help="Bernoulli bias through a BSC")
-    _add_common(nb, {})
-    nb.add_argument("--lambda", dest="lam", type=float, default=0.25,
-                    help="BSC crossover probability")
-
-    g = subs.add_parser("gaussian", help="Gaussian mean with Gaussian prior")
-    _add_common(g, {"alpha": 2.0, "p": 1.5, "gamma": 2.0, "zeta": 1.5})
-    g.add_argument("--sigma-w2", dest="sigma_w2", type=float, default=1.0)
-    g.add_argument("--sigma2", dest="sigma2", type=float, default=2.0)
-
-    h = subs.add_parser("hide-and-seek", help="distributed biased-coordinate detection")
-    h.add_argument("--config", default=None,
-                   help="JSON file with defaults; explicit flags win")
-    h.add_argument("--n", default="1..100")
+    h = commands["hide-and-seek"] = subs.add_parser(
+        "hide-and-seek", help="distributed biased-coordinate detection")
+    _add_table_flags(h, "1..100")
     h.add_argument("--d", type=int, default=512)
     h.add_argument("--m", type=int, default=10)
-    h.add_argument("--b", type=float, default=1536.0)
+    h.add_argument("--b", type=_finite_float, default=1536.0)
     h.add_argument("--theta-rule", dest="theta_rule", default="n^-2",
                    help="bias rule: a float, or 'n^-2' style power laws")
-    h.add_argument("--seed", type=int, default=0)
-    h.add_argument("--out", default="-")
-    h.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    v = subs.add_parser("validate", help="run the numerical validation suites")
+    v = commands["validate"] = subs.add_parser(
+        "validate", help="run the numerical validation suites")
     v.add_argument("--quick", action="store_true")
     v.add_argument("--seed", type=int, default=0)
-    parser._command_parsers = {"bernoulli": b, "noisy-bernoulli": nb,
-                               "gaussian": g, "hide-and-seek": h,
-                               "validate": v}
+    parser._command_parsers = commands
     return parser
 
 
 def _apply_config_file(parser, args, argv):
-    """Re-parse with file values as defaults: flags > config > defaults."""
+    """Re-parse with file values as defaults: flags > config > defaults.
+
+    File values pass through the same types as the flags they set.
+    """
     try:
         with open(args.config) as fh:
             loaded = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.exit(2, f"configuration error: cannot read {args.config}: {exc}\n")
     sub = parser._command_parsers[args.command]
-    known = {action.dest for action in sub._actions}
-    unknown = set(loaded) - known
+    actions = {action.dest: action for action in sub._actions}
+    unknown = set(loaded) - set(actions)
     if unknown:
         parser.exit(2, f"configuration error: unknown config keys {sorted(unknown)}\n")
-    sub.set_defaults(**loaded)
+    try:
+        sub.set_defaults(**{
+            key: actions[key].type(str(value)) if actions[key].type else value
+            for key, value in loaded.items()})
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        parser.exit(2, f"configuration error: {exc}\n")
     return parser.parse_args(argv)
 
 
@@ -491,27 +509,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         args = _apply_config_file(parser, args, argv)
+    setting = SETTINGS.get(args.command)
     try:
         if args.command == "validate":
             return _cmd_validate(args)
         n_values = _parse_n_range(str(args.n))
-        # surface bad model parameters as configuration errors up front
-        if args.command == "noisy-bernoulli":
-            models.NoisyBernoulliModel(n_values[0], args.lam)
-        elif args.command == "gaussian":
-            models.GaussianModel(n_values[0], args.sigma_w2, args.sigma2)
+        if setting is not None:
+            # surface bad model parameters as configuration errors up front
+            setting.model(n_values[0], args)
     except ValueError as exc:
         parser.exit(2, f"configuration error: {exc}\n")
-    if args.command == "bernoulli":
-        return _sweep(_bernoulli_point, n_values, args, "bernoulli", EST_HEADER)
-    if args.command == "noisy-bernoulli":
-        return _sweep(_noisy_point, n_values, args, "noisy-bernoulli", EST_HEADER)
-    if args.command == "gaussian":
-        return _sweep(_gaussian_point, n_values, args, "gaussian", EST_HEADER)
-    if args.command == "hide-and-seek":
+    if setting is None:
         return _sweep(_hide_and_seek_point, n_values, args, "hide-and-seek",
-                      HNS_HEADER)
-    parser.exit(2, f"unknown command {args.command!r}\n")
+                      HNS_HEADER, HNS_KEYS)
+    return _sweep(functools.partial(_estimation_point, setting), n_values, args,
+                  setting.name, EST_HEADER, EST_KEYS)
 
 
 if __name__ == "__main__":

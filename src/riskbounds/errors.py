@@ -41,6 +41,10 @@ class DivergenceInfinite(RiskboundsError, ArithmeticError):
     """Closed form is only finite inside its stated parameter region."""
 
 
+class NanValue(RiskboundsError, ValueError):
+    """A divergence input or a bound value is NaN."""
+
+
 class UnsupportedEstimator(RiskboundsError, ValueError):
     """The requested reference estimator is not defined for this model."""
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, gammaln, ndtr, xlogy
+from scipy.special import betainc, gammaln, logsumexp, ndtr, xlogy
 
 from . import measures, sdpi
 from .bounds import BoundResult, SmallBallFn, hellinger_phi, sdpi_bound
@@ -144,7 +144,7 @@ def bernoulli_ml(n: int) -> MlValue:
     log_terms = (
         _log_binom(n, k) + xlogy(k, k / n) + xlogy(n - k, 1.0 - k / n)
     )
-    exact = _logsumexp(log_terms)
+    exact = logsumexp(log_terms)
     upper = math.log(2.0 + math.sqrt(math.pi * n / 2.0))
     return MlValue(exact=float(exact), upper=upper)
 
@@ -162,7 +162,7 @@ def bernoulli_sibson(n: int, alpha: float) -> float:
         + gammaln((n - k) * alpha + 1.0)
         - gammaln(n * alpha + 2.0)
     )
-    return float(np.exp(_logsumexp(_log_binom(n, k) + log_beta / alpha)).item())
+    return float(np.exp(logsumexp(_log_binom(n, k) + log_beta / alpha)).item())
 
 
 def bernoulli_hellinger(n: int, p: float) -> float:
@@ -179,7 +179,7 @@ def bernoulli_hellinger(n: int, p: float) -> float:
         + gammaln((n - k) * p + 1.0)
         - gammaln(n * p + 2.0)
     )
-    return float(np.exp(_logsumexp(log_terms)).item())
+    return float(np.exp(logsumexp(log_terms)).item())
 
 
 def bernoulli_e_gamma_zeta(n: int, gamma: float, zeta: float) -> float:
@@ -288,12 +288,6 @@ def _binomial_count_joint(n: int, mean_map) -> MixedJoint:
 
 def _log_binom(n, k):
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-
-
-def _logsumexp(values):
-    values = np.asarray(values, dtype=float)
-    peak = np.max(values)
-    return peak + np.log(np.sum(np.exp(values - peak)))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Numerical integration helpers: adaptive Simpson and Gauss-Hermite rules."""
+"""Numerical helpers: adaptive Simpson integration and golden-section search."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .errors import QuadratureFailure
 __all__ = [
     "QuadraturePolicy",
     "adaptive_simpson",
-    "gauss_hermite_expectation",
     "golden_section_max",
 ]
 
@@ -44,17 +43,10 @@ def golden_section_max(f, lo, hi, tol=1e-12):
 
 @dataclass(frozen=True)
 class QuadraturePolicy:
-    """Integration settings carried by mixed joints.
+    """Adaptive-Simpson settings carried by mixed joints."""
 
-    rule: 'adaptive-simpson' on compact supports, 'gauss-hermite' for
-    Gaussian-weighted integrands (with adaptive fallback on a truncated
-    window of ``truncation_sigmas`` standard deviations).
-    """
-
-    rule: str = "adaptive-simpson"
     atol: float = 1e-9
     rtol: float = 1e-8
-    truncation_sigmas: float = 8.0
     initial_panels: int = 16
     max_depth: int = 48
 
@@ -86,7 +78,6 @@ def adaptive_simpson(f, a, b, *, atol=1e-9, rtol=1e-8, points=(),
     f_hi = f(hi)
     coarse = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
 
-    total = float(np.sum(coarse))
     width = b - a
     result = 0.0
     depth = 0
@@ -124,18 +115,6 @@ def adaptive_simpson(f, a, b, *, atol=1e-9, rtol=1e-8, points=(),
         f_hi = np.concatenate([f_mid_old, f_hi])
         f_mid = np.concatenate([f_lmid, f_rmid])
         coarse = np.concatenate([left, right])
-        total = result + float(np.sum(coarse))
         depth += 1
     return result
 
-
-_HERMITE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def gauss_hermite_expectation(f, mean, sigma, nodes=64):
-    """E[f(X)] for X ~ N(mean, sigma^2) via Gauss-Hermite quadrature."""
-    if nodes not in _HERMITE_CACHE:
-        _HERMITE_CACHE[nodes] = np.polynomial.hermite.hermgauss(nodes)
-    x, w = _HERMITE_CACHE[nodes]
-    pts = mean + np.sqrt(2.0) * sigma * x
-    return float(np.sum(w * f(pts)) / np.sqrt(np.pi))

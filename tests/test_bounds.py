@@ -8,7 +8,7 @@ import pytest
 from riskbounds import bounds as B
 from riskbounds import models, oracle
 from riskbounds.distributions import DiscreteJoint
-from riskbounds.errors import EtaOutOfRange, InverseDomainError
+from riskbounds.errors import EtaOutOfRange, InverseDomainError, RiskboundsError
 from riskbounds.quadrature import golden_section_max
 
 L2 = B.SmallBallFn.linear(2.0)
@@ -284,6 +284,32 @@ class TestSdpiBound:
     def test_eta_out_of_range(self):
         with pytest.raises(EtaOutOfRange):
             B.sdpi_bound(1.0, 1.5, B.hellinger_phi(2.0), L2)
+
+
+NUMERIC_L = B.SmallBallFn(lambda rho: 2.0 * rho)  # linear, but searched numerically
+
+BOUND_FUNCTIONS = {
+    "sibson": lambda x, L: B.sibson_bound(x, 2.0, L),
+    "ml": lambda x, L: B.ml_bound(x, L),
+    "hellinger": lambda x, L: B.hellinger_bound(x, 2.0, L),
+    "egz": lambda x, L: B.hockey_stick_bound(x, 3.0, 1.5, L),
+    "mi": lambda x, L: B.mi_baseline_bound(x, L),
+    "sdpi": lambda x, L: B.sdpi_bound(x, 0.5, B.hellinger_phi(2.0), L),
+}
+
+
+class TestNonFiniteDivergence:
+    @pytest.mark.parametrize("L", [L2, NUMERIC_L], ids=["linear", "numeric"])
+    @pytest.mark.parametrize("name", sorted(BOUND_FUNCTIONS))
+    def test_nan_raises_and_inf_is_vacuous(self, name, L):
+        with pytest.raises(RiskboundsError):
+            BOUND_FUNCTIONS[name](math.nan, L)
+        res = BOUND_FUNCTIONS[name](math.inf, L)
+        assert res.value == 0.0 and res.vacuous
+
+    def test_bound_result_rejects_nan(self):
+        with pytest.raises(RiskboundsError):
+            B.BoundResult(math.nan, 0.0, "mi")
 
 
 class TestOptimizeBound:

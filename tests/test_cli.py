@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from riskbounds import cli, models
+from riskbounds import bounds, cli, models
 
 
 class TestParsing:
@@ -64,6 +64,41 @@ class TestParsing:
         assert cli.main(["bernoulli", "--n", "1,2"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_numerical_failure_names_the_failing_n(self, threads, monkeypatch,
+                                                   capsys):
+        # n = 1 is skipped (theta = 1), so the first pending n is not the culprit
+        real = models.hide_and_seek_bounds
+
+        def fail_at_three(model):
+            if model.n == 3:
+                raise ArithmeticError("synthetic blow-up")
+            return real(model)
+
+        monkeypatch.setenv("RISKBOUNDS_THREADS", threads)
+        monkeypatch.setattr(cli.models, "hide_and_seek_bounds", fail_at_three)
+        assert cli.main(["hide-and-seek", "--n", "1..4"]) == 3
+        assert "numerical failure near n=3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bernoulli", "--n", "2", "--gamma", "nan"],
+        ["gaussian", "--n", "1", "--zeta", "nan"],
+        ["noisy-bernoulli", "--n", "1", "--lambda", "inf"],
+        ["hide-and-seek", "--n", "2", "--b", "nan"],
+        ["bernoulli", "--n", "2", "--alpha", "two"],
+    ])
+    def test_non_finite_float_flag_exit_code(self, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+
+    def test_non_finite_config_value_exit_code(self, tmp_path):
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"gamma": NaN}')
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bernoulli", "--n", "2", "--config", str(cfg)])
+        assert err.value.code == 2
+
 
 class TestBernoulliCommand:
     def test_schema_and_determinism(self, tmp_path):
@@ -93,6 +128,13 @@ class TestBernoulliCommand:
         assert math.isclose(float(row[2]), ml_expect, rel_tol=1e-10)
         chi_expect = (2.0 / 27.0) / models.bernoulli_hellinger(4, 2.0)
         assert math.isclose(float(row[4]), chi_expect, rel_tol=1e-10)
+        L = models.bernoulli_small_ball()
+        i2 = 2.0 * math.log(models.bernoulli_sibson(4, 2.0))
+        assert math.isclose(float(row[3]), bounds.sibson_bound(i2, 2.0, L).value,
+                            rel_tol=1e-10)
+        egz = bounds.hockey_stick_bound(
+            models.bernoulli_e_gamma_zeta(4, 3.0, 1.5), 3.0, 1.5, L)
+        assert math.isclose(float(row[5]), egz.value, rel_tol=1e-10)
 
 
 class TestOptimizedRuns:
@@ -124,6 +166,30 @@ class TestOtherCommands:
             cells = line.split(",")
             assert float(cells[6]) > float(cells[4])  # sdpi beats plain
             assert cells[-1] == "sdpi"
+
+    @pytest.mark.parametrize("flag", ["--optimize", "--alpha=9", "--p=1.5",
+                                      "--gamma=7", "--zeta=2"])
+    def test_noisy_rejects_the_flags_it_does_not_read(self, flag):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["noisy-bernoulli", "--n", "1", flag])
+        assert err.value.code == 2
+
+    def test_noisy_rejects_config_keys_it_does_not_read(self, tmp_path):
+        cfg = tmp_path / "noisy.json"
+        cfg.write_text(json.dumps({"gamma": 7.0}))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["noisy-bernoulli", "--n", "1", "--config", str(cfg)])
+        assert err.value.code == 2
+
+    def test_gaussian_infinite_hellinger_is_vacuous(self, tmp_path):
+        # p = 3 leaves the finite region at n = 50, as under --optimize
+        out = tmp_path / "g50.csv"
+        assert cli.main(["gaussian", "--n", "50", "--p", "3",
+                         "--out", str(out)]) == 0
+        row = out.read_text().strip().split("\n")[1].split(",")
+        assert row[4] == "0"
+        sidecar = json.loads((tmp_path / "g50.csv.params.json").read_text())
+        assert sidecar["points"]["50"]["hellinger"]["vacuous"] is True
 
     def test_gaussian_fixed_parameter_table(self, tmp_path):
         out = tmp_path / "gauss.csv"

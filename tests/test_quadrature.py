@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from riskbounds.errors import QuadratureFailure
-from riskbounds.quadrature import (
-    adaptive_simpson,
-    gauss_hermite_expectation,
-    golden_section_max,
-)
+from riskbounds.quadrature import adaptive_simpson, golden_section_max
 
 
 def test_polynomial_exact():
@@ -42,13 +38,6 @@ def test_narrow_bump_with_points_hint():
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         adaptive_simpson(lambda x: x, 1.0, 1.0)
-
-
-def test_gauss_hermite_moments():
-    assert math.isclose(gauss_hermite_expectation(lambda x: x ** 2, 0.0, 2.0),
-                        4.0, rel_tol=1e-12)
-    assert math.isclose(gauss_hermite_expectation(lambda x: x, 1.5, 0.7),
-                        1.5, rel_tol=1e-12)
 
 
 def test_golden_section_on_parabola():
