@@ -46,6 +46,12 @@ def default_gamma_zeta_grid():
     return g, g.copy()
 
 
+def default_ratio_grid():
+    """The 95 ratios gamma/zeta of `default_gamma_zeta_grid`, log-spaced."""
+    g, _ = default_gamma_zeta_grid()
+    return np.geomspace(g[0] / g[-1], g[-1] / g[0], 2 * g.size - 1)
+
+
 def _parse_n_range(text: str) -> list[int]:
     values: list[int] = []
     for part in text.split(","):
@@ -58,6 +64,15 @@ def _parse_n_range(text: str) -> list[int]:
     if not values or any(v < 1 for v in values):
         raise ValueError(f"invalid sample-count range {text!r}")
     return sorted(set(values))
+
+
+def _trials(text: str) -> int:
+    """The type of --trials: 0 (no Monte-Carlo column) or at least 10^4."""
+    value = int(text)
+    if value != 0 and value < 10 ** 4:
+        raise argparse.ArgumentTypeError(
+            f"expected 0 or at least 10^4 trials, got {text!r}")
+    return value
 
 
 def _finite_float(text: str) -> float:
@@ -153,11 +168,13 @@ BERNOULLI = Setting(
         Column("ml", lambda model: models.bernoulli_ml(model.n).upper),
         Column("sibson", _bernoulli_sibson, ("alpha",), _alpha_grid("alpha")),
         Column("hellinger", _bernoulli_hellinger, ("p",), _alpha_grid("p")),
+        # the bound depends on gamma/zeta alone (linear L), so --optimize
+        # searches the ratio with zeta = 1
         Column("egz",
                lambda model, gamma, zeta:
                    models.bernoulli_e_gamma_zeta(model.n, gamma, zeta),
                ("gamma", "zeta"),
-               lambda args: dict(zip(("gamma", "zeta"), default_gamma_zeta_grid()))),
+               lambda args: {"gamma": default_ratio_grid(), "zeta": [1.0]}),
     ),
     defaults={"alpha": 2.0, "p": 2.0, "gamma": 3.0, "zeta": 1.5},
 )
@@ -231,7 +248,7 @@ def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
         res = _column_bound(column, model, L, args)
         row[column.method] = res.value
         info[column.method] = dict(res.params, rho=res.rho_star, value=res.value,
-                                   vacuous=res.vacuous)
+                                   vacuous=res.vacuous, evals=res.evaluations)
     mc = None
     if args.trials:
         mc = oracle.mc_risk(model, setting.estimator, args.trials, args.seed).mean
@@ -242,8 +259,12 @@ def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
 def _theta_for(rule: str, n: int) -> float:
     rule = rule.strip()
     if rule.startswith("n^"):
-        return float(n) ** float(rule[2:])
-    return float(rule)
+        theta = float(n) ** float(rule[2:])
+    else:
+        theta = float(rule)
+    if not math.isfinite(theta):
+        raise ValueError(f"bias rule {rule!r} gives theta={theta:g} at n={n}")
+    return theta
 
 
 def _hide_and_seek_point(n: int, args) -> tuple[dict, dict] | None:
@@ -460,8 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
         for dest, default in setting.defaults.items():
             sub.add_argument(_FLAG_NAMES.get(dest, "--" + dest), dest=dest,
                              type=_finite_float, default=default)
-        sub.add_argument("--trials", type=int, default=0,
-                         help="Monte-Carlo trials for the mc_risk column (0 = skip)")
+        sub.add_argument("--trials", type=_trials, default=0,
+                         help="Monte-Carlo trials for the mc_risk column "
+                              "(0 = skip, else at least 10^4)")
 
     h = commands["hide-and-seek"] = subs.add_parser(
         "hide-and-seek", help="distributed biased-coordinate detection")
@@ -514,9 +536,14 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         n_values = _parse_n_range(str(args.n))
+        # surface bad model parameters as configuration errors up front
         if setting is not None:
-            # surface bad model parameters as configuration errors up front
             setting.model(n_values[0], args)
+        else:
+            _theta_for(args.theta_rule, n_values[0])
+            # theta = 0 always lies in range; the rule's value may skip this n
+            models.HideAndSeekModel(d=args.d, m=args.m, b=args.b, theta=0.0,
+                                    n=n_values[0])
     except ValueError as exc:
         parser.exit(2, f"configuration error: {exc}\n")
     if setting is None:

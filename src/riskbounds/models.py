@@ -186,9 +186,15 @@ def bernoulli_e_gamma_zeta(n: int, gamma: float, zeta: float) -> float:
     """Hockey-stick dependence of bias and weight, by exact interval algebra.
 
     The density ratio at weight k is the Beta(k+1, n-k+1) pdf, which is
-    unimodal, so {ratio > gamma/zeta} is an interval found by bisection;
-    the integral over it reduces to regularized incomplete Beta values.
-    The generic quadrature path (measures.e_gamma_zeta on the sufficient
+    unimodal, so {ratio >= t}, t = gamma/zeta, is an interval around the
+    mode k/n; the integral over it reduces to regularized incomplete Beta
+    values.  One 60-step bisection over a stacked array of length 2(n+1)
+    finds both ends: entry k seeks the left end of weight k on [0, mode],
+    where the ratio increases, entry n+1+k the right end on [mode, 1],
+    where it decreases; an end stays at 0 or 1 where the ratio there
+    already reaches t.  The value is zeta*H(t) - max(0, zeta - gamma) with
+    H(t) = sum max(0, p - t*q), so scaling gamma and zeta scales it.  The
+    generic quadrature path (measures.e_gamma_zeta on the sufficient
     joint) computes the same number and serves as its oracle in tests.
     """
     if n < 1:
@@ -200,42 +206,30 @@ def bernoulli_e_gamma_zeta(n: int, gamma: float, zeta: float) -> float:
     k = np.arange(n + 1)
     a_par = k + 1.0
     b_par = n - k + 1.0
-    log_norm = gammaln(n + 2.0) - gammaln(a_par) - gammaln(b_par)
-    mode = k / n
+    right_side = np.repeat([False, True], n + 1)
+    k2 = np.tile(k, 2)
+    log_norm = np.tile(gammaln(n + 2.0) - gammaln(a_par) - gammaln(b_par), 2)
+    mode = k2 / n
 
     def log_ratio(w):
-        return log_norm + xlogy(k, w) + xlogy(n - k, 1.0 - w)
+        return log_norm + xlogy(k2, w) + xlogy(n - k2, 1.0 - w)
 
     log_t = math.log(gamma / zeta)
-    peak = log_ratio(mode)
-    exists = peak >= log_t
-
-    # left endpoint: ratio is increasing on [0, mode]
-    left = np.zeros(n + 1)
-    need = exists & (log_ratio(np.zeros(n + 1)) < log_t)
-    lo = np.zeros(n + 1)
-    hi = mode.copy()
+    exists = log_ratio(mode) >= log_t
+    edge = right_side.astype(float)
+    need = exists & (log_ratio(edge) < log_t)
+    lo = np.where(right_side, mode, 0.0)
+    hi = np.where(right_side, 1.0, mode)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        below = log_ratio(mid) < log_t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    left[need] = hi[need]
-
-    # right endpoint: ratio is decreasing on [mode, 1]
-    right = np.ones(n + 1)
-    need = exists & (log_ratio(np.ones(n + 1)) < log_t)
-    lo = mode.copy()
-    hi = np.ones(n + 1)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        above = log_ratio(mid) >= log_t
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    right[need] = lo[need]
+        move_lo = (log_ratio(mid) < log_t) != right_side
+        lo = np.where(move_lo, mid, lo)
+        hi = np.where(move_lo, hi, mid)
+    ends = np.where(need, np.where(right_side, lo, hi), edge)
+    left, right = ends[:n + 1], ends[n + 1:]
 
     mass = betainc(a_par, b_par, right) - betainc(a_par, b_par, left)
-    contrib = np.where(exists, zeta * mass - gamma * (right - left), 0.0)
+    contrib = np.where(exists[:n + 1], zeta * mass - gamma * (right - left), 0.0)
     total = float(np.sum(contrib)) / (n + 1.0)
     return max(0.0, total - max(0.0, zeta - gamma))
 

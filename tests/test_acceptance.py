@@ -32,26 +32,14 @@ def _report(criterion: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def optimized_bernoulli():
-    """Optimized bound values for n = 1..50, shared by criteria 4 and 5."""
-    alpha_grid = cli.default_alpha_grid()
-    gamma_grid, zeta_grid = cli.default_gamma_zeta_grid()
+    """The rows of `bernoulli --optimize` for n = 1..50, shared by
+    criteria 4 and 5."""
+    args = cli.build_parser().parse_args(["bernoulli", "--optimize"])
     start = time.monotonic()
     table = {}
     for n in range(1, 51):
-        mi_v = bounds.mi_baseline_bound(
-            models.bernoulli_mutual_information(n), L2).value
-        sib = bounds.optimize_bound(
-            lambda alpha: alpha / (alpha - 1.0)
-            * math.log(models.bernoulli_sibson(n, alpha)),
-            "sibson", {"alpha": alpha_grid}, L2)
-        hel = bounds.optimize_bound(
-            lambda p: (models.bernoulli_hellinger(n, p) - 1.0) / (p - 1.0),
-            "hellinger", {"p": alpha_grid}, L2)
-        egz = bounds.optimize_bound(
-            lambda gamma, zeta: models.bernoulli_e_gamma_zeta(n, gamma, zeta),
-            "egz", {"gamma": gamma_grid, "zeta": zeta_grid}, L2)
-        table[n] = {"mi": mi_v, "sibson": sib.value, "hellinger": hel.value,
-                    "egz": egz.value}
+        row, _ = cli._estimation_point(cli.BERNOULLI, n, args)
+        table[n] = {name: row[name] for name in ("mi", "sibson", "hellinger", "egz")}
     return table, time.monotonic() - start
 
 

@@ -26,6 +26,11 @@ class TestParsing:
         assert cli._theta_for("n^-1.5", 9) == 9.0 ** -1.5
         assert cli._theta_for("0.01", 33) == 0.01
 
+    @pytest.mark.parametrize("rule", ["nan", "n^nan", "inf", "n^inf"])
+    def test_non_finite_theta_rule_rejected(self, rule):
+        with pytest.raises(ValueError):
+            cli._theta_for(rule, 2)
+
     def test_config_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["bernoulli", "--n", "0..3"])
@@ -92,9 +97,30 @@ class TestParsing:
             cli.main(argv)
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["hide-and-seek", "--n", "2..4", "--theta-rule", "nan"],
+        ["hide-and-seek", "--n", "2..4", "--theta-rule", "n^nan"],
+        ["hide-and-seek", "--n", "2", "--theta-rule", "half"],
+        ["hide-and-seek", "--n", "2", "--d", "1"],
+        ["hide-and-seek", "--n", "2", "--b", "-1"],
+        ["bernoulli", "--n", "2", "--trials", "-5"],
+        ["gaussian", "--n", "2", "--trials", "9999"],
+    ])
+    def test_bad_configuration_exit_code(self, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+
     def test_non_finite_config_value_exit_code(self, tmp_path):
         cfg = tmp_path / "nan.json"
         cfg.write_text('{"gamma": NaN}')
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bernoulli", "--n", "2", "--config", str(cfg)])
+        assert err.value.code == 2
+
+    def test_too_few_trials_in_config_exit_code(self, tmp_path):
+        cfg = tmp_path / "trials.json"
+        cfg.write_text('{"trials": 5}')
         with pytest.raises(SystemExit) as err:
             cli.main(["bernoulli", "--n", "2", "--config", str(cfg)])
         assert err.value.code == 2
@@ -118,6 +144,10 @@ class TestBernoulliCommand:
         sidecar = json.loads((tmp_path / "a.csv.params.json").read_text())
         assert sidecar["setting"] == "bernoulli"
         assert "1" in sidecar["points"]
+        # fixed parameters and a closed-form radius: one evaluation; the mi
+        # bound counts each step of its numerical radius search
+        evals = {name: entry["evals"] for name, entry in sidecar["points"]["1"].items()}
+        assert evals.pop("mi") > 1 and set(evals.values()) == {1}
 
     def test_row_values_match_direct_computation(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RISKBOUNDS_THREADS", "1")
@@ -145,7 +175,24 @@ class TestOptimizedRuns:
         for line in out.read_text().strip().split("\n")[1:]:
             assert line.split(",")[-1] == "egz"
         sidecar = json.loads((tmp_path / "opt.csv.params.json").read_text())
-        assert "gamma" in sidecar["points"]["1"]["egz"]
+        egz = sidecar["points"]["1"]["egz"]
+        assert egz["zeta"] == 1.0 and egz["gamma"] > 0.0  # (t*, 1)
+        # the 95 ratios plus one golden-section refinement
+        ratios = cli.default_ratio_grid().size
+        assert ratios < egz["evals"] < 2 * ratios
+        assert sidecar["points"]["1"]["sibson"]["evals"] > len(cli.default_alpha_grid())
+
+    @pytest.mark.parametrize("n", [1, 10, 50])
+    def test_bernoulli_ratio_search_dominates_the_full_grid(self, n):
+        # the (gamma, zeta) product grid is the oracle of the ratio search
+        args = cli.build_parser().parse_args(["bernoulli", "--optimize"])
+        row, _ = cli._estimation_point(cli.BERNOULLI, n, args)
+        gamma_grid, zeta_grid = cli.default_gamma_zeta_grid()
+        full = bounds.optimize_bound(
+            lambda gamma, zeta: models.bernoulli_e_gamma_zeta(n, gamma, zeta),
+            "egz", {"gamma": gamma_grid, "zeta": zeta_grid},
+            models.bernoulli_small_ball())
+        assert row["egz"] >= full.value * (1.0 - 1e-12)
 
     def test_gaussian_optimized_runs(self, tmp_path):
         out = tmp_path / "gopt.csv"

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import comb
 
 from riskbounds import measures, models
+from riskbounds.bounds import hockey_stick_bound
 from riskbounds.distributions import DivergenceKind, DivergenceSpec
 from riskbounds.errors import DivergenceInfinite
 
@@ -121,6 +124,23 @@ class TestBernoulliHockeyStick:
 
     def test_gamma_zero_is_zero(self):
         assert models.bernoulli_e_gamma_zeta(6, 0.0, 2.0) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 50), gamma=st.floats(1e-2, 32.0),
+           zeta=st.floats(1e-2, 32.0),
+           scale=st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x))
+    def test_scaling_gamma_and_zeta_scales_the_value(self, n, gamma, zeta, scale):
+        # the invariance behind the ratio search of `bernoulli --optimize`;
+        # the tolerances absorb the last bit of (scale*gamma)/(scale*zeta)
+        e = models.bernoulli_e_gamma_zeta(n, gamma, zeta)
+        e_scaled = models.bernoulli_e_gamma_zeta(n, scale * gamma, scale * zeta)
+        assert math.isclose(e_scaled, scale * e,
+                            abs_tol=1e-13 * scale * max(gamma, zeta))
+        L = models.bernoulli_small_ball()
+        bound = hockey_stick_bound(e, gamma, zeta, L).value
+        bound_scaled = hockey_stick_bound(e_scaled, scale * gamma,
+                                          scale * zeta, L).value
+        assert math.isclose(bound_scaled, bound, rel_tol=1e-9, abs_tol=1e-15)
 
 
 class TestBernoulliUpperBound:
