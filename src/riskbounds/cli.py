@@ -5,8 +5,9 @@ Each estimation setting is one `Setting` record, from which its flags and
 its rows are built; fixed-parameter and --optimize rows alike go through
 `bounds.optimize_bound`.  One CSV row is emitted per sample count n; a
 JSON sidecar next to --out records the optimizing parameters per point.
-Float flags must be finite.  RISKBOUNDS_THREADS caps the number of worker
-threads used for the per-n sweep.
+Float flags must be finite and seeds non-negative.  A table with a
+Monte-Carlo column (--trials) sweeps its n on a pool of RISKBOUNDS_THREADS
+threads (default: one per CPU); other tables sweep in the calling thread.
 """
 
 from __future__ import annotations
@@ -72,6 +73,15 @@ def _trials(text: str) -> int:
     if value != 0 and value < 10 ** 4:
         raise argparse.ArgumentTypeError(
             f"expected 0 or at least 10^4 trials, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """The type of every --seed: a Philox key, an integer in [0, 2^128)."""
+    value = int(text)
+    if not 0 <= value < 2 ** 128:
+        raise argparse.ArgumentTypeError(
+            f"expected a seed in [0, 2^128), got {text!r}")
     return value
 
 
@@ -251,7 +261,10 @@ def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
                                    vacuous=res.vacuous, evals=res.evaluations)
     mc = None
     if args.trials:
-        mc = oracle.mc_risk(model, setting.estimator, args.trials, args.seed).mean
+        risk = oracle.mc_risk(model, setting.estimator, args.trials, args.seed)
+        mc = risk.mean
+        info["mc"] = {"mean": risk.mean, "se": risk.std_error,
+                      "trials": risk.samples}
     row.update(n=n, upper=setting.upper(model), mc=mc, best=_best(row))
     return row, info
 
@@ -259,7 +272,10 @@ def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
 def _theta_for(rule: str, n: int) -> float:
     rule = rule.strip()
     if rule.startswith("n^"):
-        theta = float(n) ** float(rule[2:])
+        try:
+            theta = float(n) ** float(rule[2:])
+        except OverflowError:
+            raise ValueError(f"bias rule {rule!r} overflows at n={n}") from None
     else:
         theta = float(rule)
     if not math.isfinite(theta):
@@ -303,7 +319,12 @@ def _emit(rows, infos, header, keys, args, setting):
 
 
 def _sweep(point_fn, n_values, args, setting, header, keys):
-    workers = int(os.environ.get("RISKBOUNDS_THREADS", "0")) or (os.cpu_count() or 1)
+    # only the Monte-Carlo oracle gains from threads; elsewhere the
+    # interpreter lock makes the pool cost more than it saves
+    workers = 1
+    if getattr(args, "trials", 0):
+        workers = (int(os.environ.get("RISKBOUNDS_THREADS", "0"))
+                   or os.cpu_count() or 1)
     rows: dict[int, dict] = {}
     infos: dict[int, dict] = {}
 
@@ -460,7 +481,7 @@ def _add_table_flags(sub, n_default: str) -> None:
                      help="JSON file with defaults; explicit flags win")
     sub.add_argument("--n", default=n_default,
                      help="sample counts, e.g. '1..50' or '1,2,5'")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--out", default="-", help="output path ('-' = stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -497,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = commands["validate"] = subs.add_parser(
         "validate", help="run the numerical validation suites")
     v.add_argument("--quick", action="store_true")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     parser._command_parsers = commands
     return parser
 
@@ -540,7 +561,8 @@ def main(argv=None) -> int:
         if setting is not None:
             setting.model(n_values[0], args)
         else:
-            _theta_for(args.theta_rule, n_values[0])
+            for n in n_values:
+                _theta_for(args.theta_rule, n)
             # theta = 0 always lies in range; the rule's value may skip this n
             models.HideAndSeekModel(d=args.d, m=args.m, b=args.b, theta=0.0,
                                     n=n_values[0])

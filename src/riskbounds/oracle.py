@@ -4,7 +4,9 @@ The Monte-Carlo driver uses the counter-based Philox generator: trials are
 split into fixed-size blocks, block ``i`` draws from ``Philox(key=seed)``
 jumped ``i`` times, and the reduction sums block totals in block order.
 Results are therefore bit-for-bit reproducible for a given seed no matter
-how blocks would be scheduled across workers.
+how blocks would be scheduled across workers.  The Bernoulli estimators
+see a sample only through its count k, so each call tabulates the
+estimate over k = 0..n once and indexes the table per sample.
 
 `brute_force_divergence` transcribes each divergence definition as plain
 per-cell loops; it deliberately shares no code with the vectorized
@@ -70,55 +72,59 @@ def posterior_median_bernoulli(k, n: int):
     return beta_quantile(k + 1.0, n - k + 1.0, 0.5)
 
 
-def _simulate_block(model, estimator: str, size: int, rng) -> np.ndarray:
+def _estimate_table(model, estimator: str) -> np.ndarray:
+    """The estimate of w after k = 0..n successes, for each k.
+
+    A discrete model's estimate depends on its sample through the count k
+    alone, so `mc_risk` computes it once per call and indexes this table
+    with the sampled counts.  Each entry does the arithmetic the estimate
+    of a single sample would do, so the risk is the same to the last bit.
+    """
     if isinstance(model, BernoulliUniformModel):
         n = model.n
-        w = rng.random(size)
-        k = rng.binomial(n, w)
+        k = np.arange(n + 1)
         if estimator == "sample-mean":
-            w_hat = k / n
-        elif estimator == "posterior-median":
-            w_hat = posterior_median_bernoulli(k, n)
-        elif estimator == "posterior-mean":
-            w_hat = (k + 1.0) / (n + 2.0)
-        else:
-            raise UnsupportedEstimator(f"{estimator!r} for Bernoulli model")
-        return np.abs(w - w_hat)
+            return k / n
+        if estimator == "posterior-median":
+            return posterior_median_bernoulli(k, n)
+        if estimator == "posterior-mean":
+            return (k + 1.0) / (n + 2.0)
+        raise UnsupportedEstimator(f"{estimator!r} for Bernoulli model")
 
     if isinstance(model, NoisyBernoulliModel):
         n, lam = model.n, model.lam
         u_span = 1.0 - 2.0 * lam
-        w = rng.random(size)
-        k = rng.binomial(n, lam + u_span * w)
-        a = k + 1.0
-        b = n - k + 1.0
-        if estimator == "posterior-median":
-            if u_span == 0.0:
-                w_hat = np.full(size, 0.5)
-            else:
-                f_lo = betainc(a, b, lam)
-                f_hi = betainc(a, b, 1.0 - lam)
-                u_star = beta_quantile(a, b, 0.5 * (f_lo + f_hi))
-                w_hat = (u_star - lam) / u_span
-        elif estimator == "posterior-mean":
-            if u_span == 0.0:
-                w_hat = np.full(size, 0.5)
-            else:
-                f_lo = betainc(a, b, lam)
-                f_hi = betainc(a, b, 1.0 - lam)
-                g_lo = betainc(a + 1.0, b, lam)
-                g_hi = betainc(a + 1.0, b, 1.0 - lam)
-                mean_u = (a / (n + 2.0)) * (g_hi - g_lo) / (f_hi - f_lo)
-                w_hat = (mean_u - lam) / u_span
-        elif estimator == "sample-mean":
+        k = np.arange(n + 1)
+        if estimator == "sample-mean":
             if u_span == 0.0:
                 raise UnsupportedEstimator(
                     "sample-mean is undefined at crossover 1/2")
-            w_hat = np.clip((k / n - lam) / u_span, 0.0, 1.0)
-        else:
+            return np.clip((k / n - lam) / u_span, 0.0, 1.0)
+        if estimator not in ("posterior-median", "posterior-mean"):
             raise UnsupportedEstimator(f"{estimator!r} for noisy Bernoulli model")
-        return np.abs(w - w_hat)
+        if u_span == 0.0:
+            return np.full(n + 1, 0.5)
+        # the posterior of u = lam + u_span * w is Beta(a, b) cut to
+        # [lam, 1 - lam]
+        a = k + 1.0
+        b = n - k + 1.0
+        f_lo = betainc(a, b, lam)
+        f_hi = betainc(a, b, 1.0 - lam)
+        if estimator == "posterior-median":
+            u_hat = beta_quantile(a, b, 0.5 * (f_lo + f_hi))
+        else:
+            g_lo = betainc(a + 1.0, b, lam)
+            g_hi = betainc(a + 1.0, b, 1.0 - lam)
+            u_hat = (a / (n + 2.0)) * (g_hi - g_lo) / (f_hi - f_lo)
+        return (u_hat - lam) / u_span
 
+    if isinstance(model, HideAndSeekModel):
+        raise UnsupportedEstimator(
+            "the distributed detection setting exposes formulas only")
+    raise TypeError(f"unknown model type {type(model).__name__!r}")
+
+
+def _simulate_block(model, estimator: str, table, size: int, rng) -> np.ndarray:
     if isinstance(model, GaussianModel):
         if model.n < 1:
             raise ValueError("simulation needs at least one sample")
@@ -134,10 +140,12 @@ def _simulate_block(model, estimator: str, size: int, rng) -> np.ndarray:
             raise UnsupportedEstimator(f"{estimator!r} for Gaussian model")
         return np.abs(w - w_hat)
 
-    if isinstance(model, HideAndSeekModel):
-        raise UnsupportedEstimator(
-            "the distributed detection setting exposes formulas only")
-    raise TypeError(f"unknown model type {type(model).__name__!r}")
+    w = rng.random(size)
+    if isinstance(model, NoisyBernoulliModel):
+        k = rng.binomial(model.n, model.lam + (1.0 - 2.0 * model.lam) * w)
+    else:
+        k = rng.binomial(model.n, w)
+    return np.abs(w - table[k])
 
 
 def mc_risk(model, estimator: str, trials: int = 10 ** 5,
@@ -148,6 +156,9 @@ def mc_risk(model, estimator: str, trials: int = 10 ** 5,
     """
     if trials < 10 ** 4:
         raise ValueError("at least 10^4 trials are required")
+    table = None
+    if not isinstance(model, GaussianModel):
+        table = _estimate_table(model, estimator)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -156,7 +167,7 @@ def mc_risk(model, estimator: str, trials: int = 10 ** 5,
     while done < trials:
         size = min(_BLOCK, trials - done)
         rng = np.random.Generator(base.jumped(block_index))
-        losses = _simulate_block(model, estimator, size, rng)
+        losses = _simulate_block(model, estimator, table, size, rng)
         total += float(np.sum(losses))
         total_sq += float(np.sum(losses * losses))
         done += size

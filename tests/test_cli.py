@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import pytest
 
@@ -26,7 +27,7 @@ class TestParsing:
         assert cli._theta_for("n^-1.5", 9) == 9.0 ** -1.5
         assert cli._theta_for("0.01", 33) == 0.01
 
-    @pytest.mark.parametrize("rule", ["nan", "n^nan", "inf", "n^inf"])
+    @pytest.mark.parametrize("rule", ["nan", "n^nan", "inf", "n^inf", "n^1e10"])
     def test_non_finite_theta_rule_rejected(self, rule):
         with pytest.raises(ValueError):
             cli._theta_for(rule, 2)
@@ -48,6 +49,7 @@ class TestParsing:
         sidecar = json.loads((tmp_path / "cfg.csv.params.json").read_text())
         assert sidecar["points"]["2"]["egz"]["gamma"] == 3.0
         assert sidecar["points"]["2"]["egz"]["zeta"] == 2.0
+        assert "mc" not in sidecar["points"]["2"]  # no --trials
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -69,21 +71,34 @@ class TestParsing:
         assert cli.main(["bernoulli", "--n", "1,2"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_numerical_failure_names_the_failing_n(self, threads, monkeypatch,
-                                                   capsys):
-        # n = 1 is skipped (theta = 1), so the first pending n is not the culprit
-        real = models.hide_and_seek_bounds
+    # n = 1 is skipped (theta = 1), so the first pending n is not the culprit
+    HNS = (["hide-and-seek", "--n", "1..4"], "hide_and_seek_bounds")
+    # --trials puts the sweep on the thread pool
+    MC = (["bernoulli", "--n", "1..4", "--trials", "10000"], "bernoulli_upper_bound")
 
-        def fail_at_three(model):
-            if model.n == 3:
+    @pytest.mark.parametrize("threads, argv, target", [
+        pytest.param("1", *HNS, id="1"),
+        pytest.param("2", *HNS, id="2"),
+        pytest.param("1", *MC, id="trials-1"),
+        pytest.param("2", *MC, id="trials-2"),
+    ])
+    def test_numerical_failure_names_the_failing_n(self, threads, argv, target,
+                                                   monkeypatch, capsys):
+        real = getattr(models, target)
+        failed_on = []
+
+        def fail_at_three(arg):
+            if getattr(arg, "n", arg) == 3:
+                failed_on.append(threading.current_thread())
                 raise ArithmeticError("synthetic blow-up")
-            return real(model)
+            return real(arg)
 
         monkeypatch.setenv("RISKBOUNDS_THREADS", threads)
-        monkeypatch.setattr(cli.models, "hide_and_seek_bounds", fail_at_three)
-        assert cli.main(["hide-and-seek", "--n", "1..4"]) == 3
+        monkeypatch.setattr(cli.models, target, fail_at_three)
+        assert cli.main(argv) == 3
         assert "numerical failure near n=3:" in capsys.readouterr().err
+        pooled = threads == "2" and "--trials" in argv
+        assert (failed_on[0] is not threading.main_thread()) == pooled
 
     @pytest.mark.parametrize("argv", [
         ["bernoulli", "--n", "2", "--gamma", "nan"],
@@ -105,6 +120,12 @@ class TestParsing:
         ["hide-and-seek", "--n", "2", "--b", "-1"],
         ["bernoulli", "--n", "2", "--trials", "-5"],
         ["gaussian", "--n", "2", "--trials", "9999"],
+        ["hide-and-seek", "--n", "1..3", "--theta-rule", "n^1e10"],
+        ["bernoulli", "--n", "2", "--trials", "10000", "--seed", "-1"],
+        ["bernoulli", "--n", "2", "--seed", "-1"],
+        ["hide-and-seek", "--n", "2", "--seed", "-1"],
+        ["gaussian", "--n", "2", "--trials", "10000", "--seed", str(2 ** 128)],
+        ["validate", "--quick", "--seed", "-1"],
     ])
     def test_bad_configuration_exit_code(self, argv):
         with pytest.raises(SystemExit) as err:
@@ -125,6 +146,18 @@ class TestParsing:
             cli.main(["bernoulli", "--n", "2", "--config", str(cfg)])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", str(2 ** 128)])
+    def test_bad_seed_in_config_exit_code(self, tmp_path, seed):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(f'{{"seed": {seed}}}')
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bernoulli", "--n", "2", "--config", str(cfg)])
+        assert err.value.code == 2
+
+    def test_largest_seed_is_accepted(self, capsys):
+        assert cli.main(["bernoulli", "--n", "1", "--trials", "10000",
+                         "--seed", str(2 ** 128 - 1)]) == 0
+
 
 class TestBernoulliCommand:
     def test_schema_and_determinism(self, tmp_path):
@@ -144,9 +177,14 @@ class TestBernoulliCommand:
         sidecar = json.loads((tmp_path / "a.csv.params.json").read_text())
         assert sidecar["setting"] == "bernoulli"
         assert "1" in sidecar["points"]
+        point = sidecar["points"]["1"]
+        # the Monte-Carlo cell: the row's mc_risk, its standard error, trials
+        mc = point.pop("mc")
+        assert mc["trials"] == 10000 and mc["se"] > 0.0
+        assert cli._fmt(mc["mean"]) == first[-2]
         # fixed parameters and a closed-form radius: one evaluation; the mi
         # bound counts each step of its numerical radius search
-        evals = {name: entry["evals"] for name, entry in sidecar["points"]["1"].items()}
+        evals = {name: entry["evals"] for name, entry in point.items()}
         assert evals.pop("mi") > 1 and set(evals.values()) == {1}
 
     def test_row_values_match_direct_computation(self, tmp_path, monkeypatch):

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import betainc, betaincinv
 
 from riskbounds import measures, models, oracle
 from riskbounds.distributions import (
@@ -33,8 +36,69 @@ class TestPosteriorMedian:
         ref = stats.beta.ppf(0.5, k + 1, 12 - k + 1)
         assert np.allclose(ours, ref, atol=1e-10)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 200))
+    def test_matches_betaincinv(self, data, n):
+        k = data.draw(st.integers(0, n))
+        ours = oracle.posterior_median_bernoulli(k, n)
+        assert abs(ours - betaincinv(k + 1.0, n - k + 1.0, 0.5)) <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 200),
+           lam=st.floats(0.0, 0.49))
+    def test_noisy_median_halves_the_cut_posterior(self, data, n, lam):
+        # u* is the median of Beta(a, b) cut to [lam, 1 - lam]
+        k = data.draw(st.integers(0, n))
+        a, b = k + 1.0, n - k + 1.0
+        target = 0.5 * (betainc(a, b, lam) + betainc(a, b, 1.0 - lam))
+        u_star = oracle.beta_quantile(a, b, target)
+        # 50 halvings leave u* within 2^-51 of the root; betainc itself
+        # errs by up to ~1e-14 at these parameters
+        slack = 2.0 ** -50 * stats.beta.pdf(u_star, a, b) + 1e-13
+        assert abs(betainc(a, b, u_star) - target) <= slack
+
+
+def _per_sample_risk(n, trials, seed):
+    """The Bernoulli posterior-median risk with the estimate computed per
+    sample from the same Philox blocks: the oracle of the per-k table."""
+    total = total_sq = 0.0
+    base = np.random.Philox(key=seed)
+    for index, start in enumerate(range(0, trials, oracle._BLOCK)):
+        rng = np.random.Generator(base.jumped(index))
+        w = rng.random(min(oracle._BLOCK, trials - start))
+        losses = np.abs(w - oracle.posterior_median_bernoulli(rng.binomial(n, w), n))
+        total += float(np.sum(losses))
+        total_sq += float(np.sum(losses * losses))
+    mean = total / trials
+    var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+    return mean, math.sqrt(var / trials)
+
 
 class TestMcRisk:
+    @pytest.mark.parametrize("model, estimator, seed, mean, se", [
+        (models.BernoulliUniformModel(50), "posterior-median", 1,
+         0.04352855143815396, 0.00011430150589289389),
+        (models.BernoulliUniformModel(1), "posterior-median", 3,
+         0.19529428232727722, 0.00043832705272802184),
+        (models.NoisyBernoulliModel(13, 0.25), "posterior-median", 2,
+         0.15396539262307124, 0.000377750200876044),
+        (models.NoisyBernoulliModel(7, 0.1), "posterior-mean", 0,
+         0.13534116184635242, 0.00031910788543195644),
+        (models.NoisyBernoulliModel(5, 0.5), "posterior-median", 0,
+         0.2500374282175888, 0.00045575336653773705),
+    ])
+    def test_pinned_values(self, model, estimator, seed, mean, se):
+        # pinned bit-for-bit at 10^5 trials; the per-k table must not move them
+        est = oracle.mc_risk(model, estimator, 10 ** 5, seed)
+        assert (est.mean, est.std_error) == (mean, se)
+
+    @pytest.mark.parametrize("n, trials, seed", [(1, 10 ** 4, 0), (12, 70000, 4),
+                                                 (50, 40000, 9)])
+    def test_table_matches_per_sample_estimates(self, n, trials, seed):
+        est = oracle.mc_risk(models.BernoulliUniformModel(n), "posterior-median",
+                             trials, seed)
+        assert (est.mean, est.std_error) == _per_sample_risk(n, trials, seed)
+
     def test_reproducible_bit_for_bit(self):
         m = models.BernoulliUniformModel(4)
         a = oracle.mc_risk(m, "posterior-median", 10 ** 4, seed=42)
@@ -76,7 +140,12 @@ class TestMcRisk:
         sm = oracle.mc_risk(m, "sample-mean", 10 ** 5, seed=6)
         assert med.mean <= sm.mean + 3.0 * sm.std_error
 
-    def test_unsupported_estimators(self):
+    def test_unsupported_estimators(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the estimator was checked")
+
+        # the discrete models reject an estimator while tabulating it
+        monkeypatch.setattr(oracle, "_simulate_block", no_sampling)
         with pytest.raises(UnsupportedEstimator):
             oracle.mc_risk(models.BernoulliUniformModel(2), "map", 10 ** 4)
         with pytest.raises(UnsupportedEstimator):
