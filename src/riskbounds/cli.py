@@ -5,19 +5,16 @@ Each estimation setting is one `Setting` record, from which its flags and
 its rows are built; fixed-parameter and --optimize rows alike go through
 `bounds.optimize_bound`.  One CSV row is emitted per sample count n; a
 JSON sidecar next to --out records the optimizing parameters per point.
-Float flags must be finite and seeds non-negative.  A table with a
-Monte-Carlo column (--trials) sweeps its n on a pool of RISKBOUNDS_THREADS
-threads (default: one per CPU); other tables sweep in the calling thread.
+Float flags must be finite and seeds non-negative.  Every table sweeps its
+n in the calling thread, in order, and stops at the first n that fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -319,28 +316,12 @@ def _emit(rows, infos, header, keys, args, setting):
 
 
 def _sweep(point_fn, n_values, args, setting, header, keys):
-    # only the Monte-Carlo oracle gains from threads; elsewhere the
-    # interpreter lock makes the pool cost more than it saves
-    workers = 1
-    if getattr(args, "trials", 0):
-        workers = (int(os.environ.get("RISKBOUNDS_THREADS", "0"))
-                   or os.cpu_count() or 1)
     rows: dict[int, dict] = {}
     infos: dict[int, dict] = {}
-
-    def one(n):
+    for n in n_values:
         try:
-            return n, point_fn(n, args), None
-        except Exception as exc:  # reported below with the n that raised it
-            return n, None, exc
-
-    if workers > 1 and len(n_values) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, n_values))
-    else:
-        results = map(one, n_values)  # lazy: stops at the first failure
-    for n, result, exc in results:
-        if exc is not None:  # exit code 3 names the failing point
+            result = point_fn(n, args)
+        except Exception as exc:  # exit code 3 names the failing point
             print(f"numerical failure near n={n}: {exc}", file=sys.stderr)
             return 3
         if result is not None:

@@ -247,10 +247,12 @@ class MixedJoint:
         Compact interval carrying the prior.
     observations : sequence
         Labels of the finite observation alphabet.
-    likelihood : callable, vectorized
-        Maps an ndarray of parameter values ``w`` (shape (m,)) to the
-        conditional pmf matrix of shape (n_obs, m); each column must sum
-        to 1.
+    likelihood : callable, elementwise
+        ``likelihood(k, w)`` is P(observation index k | parameter w), with
+        ``k`` and ``w`` broadcast against each other like a ufunc's
+        arguments; ``likelihood(k[:, None], w[None, :])`` with
+        ``k = arange(n_obs)`` is the conditional pmf matrix, whose columns
+        must each sum to 1.
     policy : QuadraturePolicy
         Rule and tolerances used for all integrals against the prior.
     """
@@ -258,7 +260,7 @@ class MixedJoint:
     density: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
     observations: tuple
-    likelihood: Callable[[np.ndarray], np.ndarray]
+    likelihood: Callable[[np.ndarray, np.ndarray], np.ndarray]
     policy: QuadraturePolicy = field(default_factory=QuadraturePolicy)
 
     def __post_init__(self):
@@ -273,18 +275,23 @@ class MixedJoint:
         if abs(mass - 1.0) > max(100 * self.policy.atol, 1e-7):
             raise ValueError(f"prior density integrates to {mass!r}, not 1")
         nodes = np.linspace(a, b, 129)
-        rows = np.asarray(self.likelihood(nodes), dtype=float)
-        if rows.shape != (len(self.observations), nodes.size):
-            raise ValueError("likelihood must return an (n_obs, n_nodes) matrix")
+        k = np.arange(len(self.observations))
+        rows = np.asarray(self.likelihood(k[:, None], nodes[None, :]), dtype=float)
+        if rows.shape != (k.size, nodes.size):
+            raise ValueError("likelihood(k, w) must broadcast k against w")
         col_sums = rows.sum(axis=0)
         if np.any(np.abs(col_sums - 1.0) > 1e-9):
             worst = float(np.max(np.abs(col_sums - 1.0)))
             raise ValueError(f"likelihood columns deviate from 1 by {worst!r}")
 
-    def integrate(self, f, points=()):
-        """Integral of ``f`` against Lebesgue measure on the support."""
+    def integrate(self, f, points=(), rows=None):
+        """Integral of ``f`` against Lebesgue measure on the support.
+
+        ``rows`` batches integrands as in
+        :func:`~riskbounds.quadrature.adaptive_simpson`.
+        """
         a, b = self.support
-        return adaptive_simpson(f, a, b,
+        return adaptive_simpson(f, a, b, rows=rows,
                                 atol=self.policy.atol, rtol=self.policy.rtol,
                                 points=points,
                                 initial_panels=self.policy.initial_panels,
@@ -292,11 +299,8 @@ class MixedJoint:
 
     def observation_marginal(self) -> np.ndarray:
         """Marginal pmf of the observation, computed by quadrature."""
-        out = np.empty(len(self.observations))
-        for i in range(len(self.observations)):
-            out[i] = self.integrate(
-                lambda w, i=i: self.density(w) * np.asarray(self.likelihood(w))[i]
-            )
+        out = self.integrate(lambda k, w: self.density(w) * self.likelihood(k, w),
+                             rows=len(self.observations))
         total = out.sum()
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"observation marginal sums to {total!r}")
@@ -305,7 +309,7 @@ class MixedJoint:
     def log_likelihood_row(self, index: int):
         """Vectorized log P(x_index | w) with -inf where the mass is 0."""
         def row(w):
-            vals = np.asarray(self.likelihood(np.atleast_1d(w)))[index]
+            vals = np.asarray(self.likelihood(index, np.atleast_1d(w)))
             with np.errstate(divide="ignore"):
                 return np.where(vals > 0, np.log(np.where(vals > 0, vals, 1.0)),
                                 -math.inf)

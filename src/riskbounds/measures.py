@@ -166,13 +166,12 @@ def e_gamma_zeta(joint, gamma: float, zeta: float) -> float:
         )
         return max(0.0, value - offset)
     marginal = joint.observation_marginal()
-    total = 0.0
-    for i, px in enumerate(marginal):
-        def integrand(w, i=i, px=px):
-            lik = np.asarray(joint.likelihood(np.atleast_1d(w)))[i]
-            return joint.density(w) * np.maximum(0.0, zeta * lik - gamma * px)
 
-        total += joint.integrate(integrand)
+    def integrand(k, w):
+        lik = joint.likelihood(k, w)
+        return joint.density(w) * np.maximum(0.0, zeta * lik - gamma * marginal[k])
+
+    total = _sum_in_order(joint.integrate(integrand, rows=marginal.size))
     return max(0.0, total - offset)
 
 
@@ -186,20 +185,27 @@ def mutual_information(joint) -> float:
             return math.inf
         return max(0.0, float(np.sum(m[mask] * np.log(m[mask] / prod[mask]))))
     marginal = joint.observation_marginal()
+    # libm's log, not np.log, whose vectorised loop may round the last bit
+    # differently; the pinned values in the tests were made with libm
+    log_px = np.array([math.log(px) for px in marginal.tolist()])
+
+    def integrand(k, w):
+        lik = joint.likelihood(k, w)
+        with np.errstate(divide="ignore"):
+            log_lik = np.where(lik > 0, np.log(np.where(lik > 0, lik, 1.0)), 0.0)
+        return joint.density(w) * np.where(
+            lik > 0, lik * (log_lik - log_px[k]), 0.0
+        )
+
+    return max(0.0, _sum_in_order(joint.integrate(integrand, rows=marginal.size)))
+
+
+def _sum_in_order(values) -> float:
+    """Left-to-right float sum (``sum()`` compensates from Python 3.12)."""
     total = 0.0
-    for i, px in enumerate(marginal):
-        log_px = math.log(px)
-
-        def integrand(w, i=i, log_px=log_px):
-            lik = np.asarray(joint.likelihood(np.atleast_1d(w)))[i]
-            with np.errstate(divide="ignore"):
-                log_lik = np.where(lik > 0, np.log(np.where(lik > 0, lik, 1.0)), 0.0)
-            return joint.density(w) * np.where(
-                lik > 0, lik * (log_lik - log_px), 0.0
-            )
-
-        total += joint.integrate(integrand)
-    return max(0.0, total)
+    for value in values.tolist():
+        total += value
+    return total
 
 
 def _log_scaled_integral(joint: MixedJoint, log_f) -> float:
@@ -254,14 +260,15 @@ def _mixed_moment(joint: MixedJoint, order: float) -> float:
 def _mixed_max_leakage(joint: MixedJoint) -> float:
     a, b = joint.support
     grid = np.linspace(a, b, 4097)
-    rows = np.asarray(joint.likelihood(grid), dtype=float)
+    obs = np.arange(len(joint.observations))
+    rows = np.asarray(joint.likelihood(obs[:, None], grid[None, :]), dtype=float)
     total = 0.0
-    for i in range(rows.shape[0]):
+    for i in obs.tolist():
         k = int(np.argmax(rows[i]))
         lo = grid[max(k - 1, 0)]
         hi = grid[min(k + 1, grid.size - 1)]
         _, peak, _ = golden_section_max(
-            lambda w, i=i: float(np.asarray(joint.likelihood(np.array([w])))[i, 0]),
+            lambda w, i=i: float(np.asarray(joint.likelihood(i, np.array([w])))[0]),
             lo, hi)
         total += peak
     return max(0.0, math.log(total))

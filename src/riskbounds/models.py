@@ -261,15 +261,12 @@ def noisy_bernoulli_joint(model: NoisyBernoulliModel) -> MixedJoint:
 
 
 def _binomial_count_joint(n: int, mean_map) -> MixedJoint:
-    k = np.arange(n + 1)
-    log_binom = _log_binom(n, k)
+    log_binom = _log_binom(n, np.arange(n + 1))
 
-    def likelihood(w):
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        mu = np.clip(mean_map(w), 0.0, 1.0)
-        log_pmf = log_binom[:, None] + xlogy(k[:, None], mu[None, :]) \
-            + xlogy((n - k)[:, None], 1.0 - mu[None, :])
-        return np.exp(log_pmf)
+    def likelihood(k, w):
+        mu = np.clip(mean_map(np.asarray(w, dtype=float)), 0.0, 1.0)
+        k = np.asarray(k)
+        return np.exp(log_binom[k] + xlogy(k, mu) + xlogy(n - k, 1.0 - mu))
 
     return MixedJoint(
         density=lambda w: np.ones_like(np.atleast_1d(np.asarray(w, float))),

@@ -73,9 +73,9 @@ class TestParsing:
 
     # n = 1 is skipped (theta = 1), so the first pending n is not the culprit
     HNS = (["hide-and-seek", "--n", "1..4"], "hide_and_seek_bounds")
-    # --trials puts the sweep on the thread pool
     MC = (["bernoulli", "--n", "1..4", "--trials", "10000"], "bernoulli_upper_bound")
 
+    # the thread count in the environment is ignored: there is no pool
     @pytest.mark.parametrize("threads, argv, target", [
         pytest.param("1", *HNS, id="1"),
         pytest.param("2", *HNS, id="2"),
@@ -97,8 +97,7 @@ class TestParsing:
         monkeypatch.setattr(cli.models, target, fail_at_three)
         assert cli.main(argv) == 3
         assert "numerical failure near n=3:" in capsys.readouterr().err
-        pooled = threads == "2" and "--trials" in argv
-        assert (failed_on[0] is not threading.main_thread()) == pooled
+        assert failed_on == [threading.main_thread()]
 
     @pytest.mark.parametrize("argv", [
         ["bernoulli", "--n", "2", "--gamma", "nan"],
@@ -187,8 +186,7 @@ class TestBernoulliCommand:
         evals = {name: entry["evals"] for name, entry in point.items()}
         assert evals.pop("mi") > 1 and set(evals.values()) == {1}
 
-    def test_row_values_match_direct_computation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RISKBOUNDS_THREADS", "1")
+    def test_row_values_match_direct_computation(self, tmp_path):
         out = tmp_path / "one.csv"
         assert cli.main(["bernoulli", "--n", "4", "--out", str(out)]) == 0
         row = out.read_text().strip().split("\n")[1].split(",")

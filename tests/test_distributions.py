@@ -106,7 +106,7 @@ class TestMixedJoint:
                 density=lambda w: 2.0 * np.ones_like(np.atleast_1d(w)),
                 support=(0.0, 1.0),
                 observations=(0,),
-                likelihood=lambda w: np.ones((1, np.atleast_1d(w).size)),
+                likelihood=lambda k, w: np.ones(np.broadcast(k, w).shape),
             )
 
     def test_bad_likelihood_rejected(self):
@@ -117,8 +117,5 @@ class TestMixedJoint:
                 density=lambda w: np.ones_like(np.atleast_1d(w)),
                 support=(0.0, 1.0),
                 observations=(0, 1),
-                likelihood=lambda w: np.vstack([
-                    0.6 * np.ones(np.atleast_1d(w).size),
-                    0.6 * np.ones(np.atleast_1d(w).size),
-                ]),
+                likelihood=lambda k, w: np.full(np.broadcast(k, w).shape, 0.6),
             )

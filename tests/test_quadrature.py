@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbounds.errors import QuadratureFailure
 from riskbounds.quadrature import adaptive_simpson, golden_section_max
@@ -33,6 +35,48 @@ def test_narrow_bump_with_points_hint():
     with pytest.raises(QuadratureFailure):
         adaptive_simpson(lambda x: np.abs(x - 0.1234567) ** -0.5 + 0 * x,
                          0.0, 1.0, atol=1e-15, rtol=1e-15, max_depth=4)
+
+
+def _bumps(height, center, width, slope, kink):
+    """Batch of integrands: row r is a Gaussian bump plus a kinked ramp."""
+    def f(r, w):
+        return (height[r] * np.exp(-((w - center[r]) / width[r]) ** 2)
+                + slope[r] * np.abs(w - kink[r]))
+    return f
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.lists(st.tuples(st.floats(-2.0, 2.0), _unit, st.floats(0.01, 1.0),
+                                 st.floats(-1.0, 1.0), _unit),
+                       min_size=1, max_size=40),
+       atol=st.floats(-13.0, -6.0).map(lambda x: 10.0 ** x),
+       rtol=st.floats(-12.0, -5.0).map(lambda x: 10.0 ** x),
+       points=st.lists(st.floats(-0.5, 1.5), max_size=3))
+def test_batch_rows_equal_one_row_integrals(params, atol, rtol, points):
+    f = _bumps(*(np.array(column) for column in zip(*params)))
+    options = dict(atol=atol, rtol=rtol, points=points)
+    batch = adaptive_simpson(f, 0.0, 1.0, rows=len(params), **options)
+    alone = [adaptive_simpson(lambda w, r=r: f(r, w), 0.0, 1.0, **options)
+             for r in range(len(params))]
+    assert batch.tolist() == alone
+
+
+def test_one_singular_row_fails_the_batch():
+    def f(r, w):
+        return np.where(r == 3, np.abs(w - 0.1234567) ** -0.5, w ** 2)
+
+    options = dict(atol=1e-12, rtol=1e-12, max_depth=8)
+    with pytest.raises(QuadratureFailure):
+        adaptive_simpson(f, 0.0, 1.0, rows=5, **options)
+    with pytest.raises(QuadratureFailure):
+        adaptive_simpson(lambda w: f(3, w), 0.0, 1.0, **options)
+    # the other rows converge under the same budget
+    square = adaptive_simpson(lambda w: w ** 2, 0.0, 1.0, **options)
+    assert math.isclose(square, 1.0 / 3.0, rel_tol=1e-15)
+    assert adaptive_simpson(f, 0.0, 1.0, rows=3, **options).tolist() == [square] * 3
 
 
 def test_empty_interval_rejected():
