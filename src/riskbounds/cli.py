@@ -118,8 +118,10 @@ class Column:
     """One bound column: ``divergence(model, **params)`` feeds the `bounds`
     method ``method``; ``params`` names the flags that fix the parameters,
     ``grid(args)`` gives the values searched under --optimize and ``fixed``
-    pins those without a flag.  ``bound(model)`` replaces all of these for
-    a column that computes its own `BoundResult`."""
+    pins those without a flag; ``vectorized`` declares that ``divergence``
+    takes arrays of parameters (see `bounds.optimize_bound`).
+    ``bound(model)`` replaces all of these for a column that computes its
+    own `BoundResult`."""
 
     method: str
     divergence: Callable | None = None
@@ -127,6 +129,7 @@ class Column:
     grid: Callable | None = None
     fixed: dict = field(default_factory=dict)
     bound: Callable | None = None
+    vectorized: bool = False
 
 
 @dataclass(frozen=True)
@@ -215,13 +218,15 @@ GAUSSIAN = Setting(
         Column("hellinger",
                lambda model, p: (models.gaussian_hellinger(model, p) - 1.0) / (p - 1.0),
                ("p",), _alpha_grid("p")),
-        # the figure protocol: gamma optimized, zeta held at its flag
+        # the figure protocol: gamma optimized, zeta held at its flag; the
+        # kernel integrates a whole array of gammas in one quadrature pass
         Column("egz",
                lambda model, gamma, zeta:
                    models.gaussian_e_gamma_zeta(model, gamma, zeta),
                ("gamma", "zeta"),
                lambda args: {"gamma": default_gamma_zeta_grid()[0],
-                             "zeta": [args.zeta]}),
+                             "zeta": [args.zeta]},
+               vectorized=True),
     ),
     defaults={"alpha": 2.0, "p": 1.5, "gamma": 2.0, "zeta": 1.5,
               "sigma_w2": 1.0, "sigma2": 2.0},
@@ -242,7 +247,8 @@ def _column_bound(column: Column, model, L, args) -> bounds.BoundResult:
         grid = {name: [getattr(args, name)] for name in column.params}
     grid.update((name, [value]) for name, value in column.fixed.items())
     return bounds.optimize_bound(functools.partial(column.divergence, model),
-                                 column.method, grid, L)
+                                 column.method, grid, L,
+                                 vectorized=column.vectorized)
 
 
 def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
@@ -507,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(parser, args, argv):
     """Re-parse with file values as defaults: flags > config > defaults.
 
-    File values pass through the same types as the flags they set.
+    File values pass through the same types and choices as the flags they
+    set; an on/off flag such as --optimize takes a JSON true or false.
     """
     try:
         with open(args.config) as fh:
@@ -515,17 +522,32 @@ def _apply_config_file(parser, args, argv):
     except (OSError, json.JSONDecodeError) as exc:
         parser.exit(2, f"configuration error: cannot read {args.config}: {exc}\n")
     sub = parser._command_parsers[args.command]
-    actions = {action.dest: action for action in sub._actions}
+    # --help and --config itself are no settings a file could carry
+    actions = {action.dest: action for action in sub._actions
+               if action.dest not in ("help", "config")}
     unknown = set(loaded) - set(actions)
     if unknown:
         parser.exit(2, f"configuration error: unknown config keys {sorted(unknown)}\n")
     try:
-        sub.set_defaults(**{
-            key: actions[key].type(str(value)) if actions[key].type else value
-            for key, value in loaded.items()})
+        sub.set_defaults(**{key: _config_value(actions[key], value)
+                            for key, value in loaded.items()})
     except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.exit(2, f"configuration error: {exc}\n")
     return parser.parse_args(argv)
+
+
+def _config_value(action, value):
+    """A config file value checked as the flag ``action`` checks its own."""
+    if action.nargs == 0:  # an on/off flag
+        if not isinstance(value, bool):
+            raise ValueError(f"{action.dest} must be true or false, got {value!r}")
+        return value
+    if action.type:
+        value = action.type(str(value))
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{action.dest} must be one of {list(action.choices)}, "
+                         f"got {value!r}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -367,19 +367,27 @@ def gaussian_hellinger_closed_form_bound(model: GaussianModel) -> float:
     return 81.0 * math.sqrt(2.0 * math.pi) / 2048.0 * gaussian_upper_bound(model)
 
 
-def gaussian_e_gamma_zeta(model: GaussianModel, gamma: float, zeta: float) -> float:
+def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta):
     """Hockey-stick dependence of the mean and the sample average.
 
     The inner integral over the parameter has Gaussian closed form on the
     interval where the density ratio clears gamma/zeta; the outer integral
     runs adaptively on an 8-sigma window split at the interval-birth kinks.
+
+    ``gamma`` and ``zeta`` broadcast against each other.  Every pair with
+    gamma > 0 is one row of a single batched `adaptive_simpson` call, split
+    at its own kinks, so an array of gammas costs one quadrature pass, and
+    each value is ``==`` to the call with that pair alone.  Scalar
+    arguments are the one-row case and return a float; otherwise an
+    ndarray of the broadcast shape is returned.
     """
-    if zeta <= 0 or gamma < 0:
+    gammas, zetas = np.broadcast_arrays(np.asarray(gamma, dtype=float),
+                                        np.asarray(zeta, dtype=float))
+    pairs = list(zip(gammas.ravel().tolist(), zetas.ravel().tolist()))
+    if any(z <= 0 or g < 0 for g, z in pairs):
         raise ValueError("requires zeta > 0 and gamma >= 0")
     if model.n < 1:
         raise ValueError("n must be at least 1")
-    if gamma == 0.0:
-        return 0.0
     sw2 = model.sigma_w_sq
     s2 = model.sigma_sq / model.n
     sx2 = sw2 + s2
@@ -388,31 +396,41 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma: float, zeta: float) -> fl
     sw = math.sqrt(sw2)
     sx = math.sqrt(sx2)
     sv = math.sqrt(v)
-
-    log_t = math.log(gamma / zeta)
     coeff = s2 / sx2
-    const = s2 * math.log(sx2 / s2) - 2.0 * s2 * log_t
 
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
-        disc = coeff * x * x + const
+    # one row per pair with gamma > 0 (gamma = 0 gives 0); the per-row
+    # constants use libm's log, as a scalar call always has
+    live = [i for i, (g, _) in enumerate(pairs) if g != 0.0]
+    g_row = np.array([pairs[i][0] for i in live])
+    z_row = np.array([pairs[i][1] for i in live])
+    const = np.array([s2 * math.log(sx2 / s2) - 2.0 * s2 * math.log(g / z)
+                      for g, z in zip(g_row.tolist(), z_row.tolist())])
+
+    def integrand(r, x):
+        disc = coeff * x * x + const[r]
         has = disc > 0.0
         root = np.sqrt(np.where(has, disc, 0.0))
         w_hi = x + root
         w_lo = x - root
         post_mass = ndtr((w_hi - kappa * x) / sv) - ndtr((w_lo - kappa * x) / sv)
         prior_mass = ndtr(w_hi / sw) - ndtr(w_lo / sw)
-        inner = zeta * post_mass - gamma * prior_mass
+        inner = z_row[r] * post_mass - g_row[r] * prior_mass
         pdf_x = np.exp(-0.5 * (x / sx) ** 2) / (sx * math.sqrt(2.0 * math.pi))
         return np.where(has, pdf_x * inner, 0.0)
 
-    kinks = ()
-    if const < 0.0:
-        x0 = math.sqrt(-const / coeff)
-        kinks = (-x0, x0)
-    total = adaptive_simpson(integrand, -8.0 * sx, 8.0 * sx,
-                             atol=1e-10, rtol=1e-9, points=kinks)
-    return max(0.0, total - max(0.0, zeta - gamma))
+    roots = [math.sqrt(-c / coeff) if c < 0.0 else None for c in const.tolist()]
+    kinks = [() if x0 is None else (-x0, x0) for x0 in roots]
+    totals = []
+    if live:
+        totals = adaptive_simpson(integrand, -8.0 * sx, 8.0 * sx, rows=len(live),
+                                  atol=1e-10, rtol=1e-9, points=kinks).tolist()
+    values = [0.0] * len(pairs)
+    for i, total in zip(live, totals):
+        g, z = pairs[i]
+        values[i] = max(0.0, total - max(0.0, z - g))
+    if gammas.ndim == 0:
+        return values[0]
+    return np.array(values).reshape(gammas.shape)
 
 
 # ----------------------------------------------------------------------

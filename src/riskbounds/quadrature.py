@@ -61,11 +61,15 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
     elementwise, with the int row labels ``r`` broadcast against ``w``;
     every row is integrated in one panel array, and an ndarray of the R
     integrals is returned.  Each row's integral is ``==`` to integrating
-    that row alone: its converged panels are summed in the order a one-row
-    run keeps them, and its depth sums are added in the same order.
+    that row alone (with that row's ``points``): its converged panels are
+    summed in the order a one-row run keeps them, and its depth sums are
+    added in the same order.
     ``points`` are interior locations (kinks) where panels are split up
-    front.  Raises QuadratureFailure when the depth budget is exhausted
-    before the local error criterion is met on some row.
+    front; locations outside (a, b) are ignored.  With ``rows=R`` they are
+    either one sequence shared by every row or R sequences, one per row,
+    so that each row starts from its own edges.  Raises QuadratureFailure
+    when the depth budget is exhausted before the local error criterion is
+    met on some row.
     """
     a = float(a)
     b = float(b)
@@ -73,17 +77,24 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
         raise ValueError(f"empty integration interval [{a}, {b}]")
     batch = 1 if rows is None else rows
     g = (lambda r, w: f(w)) if rows is None else f
+    per_row = rows is not None and len(points) > 0 and not np.isscalar(points[0])
+    if per_row and len(points) != rows:
+        raise ValueError(f"{len(points)} point sequences for {rows} rows")
 
-    edges = np.linspace(a, b, initial_panels + 1)
-    interior = [p for p in points if a < p < b]
-    if interior:
-        edges = np.unique(np.concatenate([edges, np.asarray(interior, float)]))
+    base = np.linspace(a, b, initial_panels + 1)
+    edges = [_split_edges(base, a, b, p) for p in points] if per_row else \
+        [_split_edges(base, a, b, points)] * batch
 
     # row-major panels: each row's subsequence is the one-row panel order.
-    # One row keeps a single label that broadcasts and is never split.
-    row = np.repeat(np.arange(batch), edges.size - 1) if batch > 1 else np.zeros(1, int)
-    lo = np.tile(edges[:-1], batch)
-    hi = np.tile(edges[1:], batch)
+    # One row keeps a single 0-d label that broadcasts and is never split;
+    # indexing a per-row table with it gives a scalar, as cheap as a float.
+    if batch > 1:
+        row = np.repeat(np.arange(batch), [e.size - 1 for e in edges])
+        lo = np.concatenate([e[:-1] for e in edges])
+        hi = np.concatenate([e[1:] for e in edges])
+    else:
+        row = np.zeros((), int)
+        lo, hi = edges[0][:-1], edges[0][1:]
     mid = 0.5 * (lo + hi)
     f_lo = g(row, lo)
     f_mid = g(row, mid)
@@ -97,7 +108,7 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
         if depth > max_depth:
             raise QuadratureFailure(
                 f"adaptive Simpson: depth {max_depth} exhausted on "
-                f"{lo.size} panel(s), e.g. [{lo[0]!r}, {hi[0]!r}] of row {row[0]}"
+                f"{lo.size} panel(s), e.g. [{lo[0]!r}, {hi[0]!r}] of row {row.flat[0]}"
             )
         lmid = 0.5 * (lo + mid)
         rmid = 0.5 * (mid + hi)
@@ -136,6 +147,14 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
     if rows is None:
         return result[0]
     return np.array(result)
+
+
+def _split_edges(edges, a, b, points):
+    """``edges`` with the ``points`` inside (a, b) added, sorted."""
+    interior = [p for p in points if a < p < b]
+    if not interior:
+        return edges
+    return np.unique(np.concatenate([edges, np.asarray(interior, float)]))
 
 
 def _add_row_sums(result, row, values):

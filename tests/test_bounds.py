@@ -1,14 +1,18 @@
 """Bound formulas against grid-search oracles and hand-derived constants."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbounds import bounds as B
 from riskbounds import models, oracle
 from riskbounds.distributions import DiscreteJoint
-from riskbounds.errors import EtaOutOfRange, InverseDomainError, RiskboundsError
+from riskbounds.errors import (DivergenceInfinite, EtaOutOfRange, InverseDomainError,
+                               RiskboundsError)
 from riskbounds.quadrature import golden_section_max
 
 L2 = B.SmallBallFn.linear(2.0)
@@ -367,6 +371,84 @@ class TestOptimizeBound:
         opt = B.optimize_bound(callback, "hellinger",
                                {"p": [1.5, 2.0, 8.0]}, models.gaussian_small_ball(g))
         assert opt.value > 0.0
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_infinite_divergence_everywhere_is_vacuous(self, vectorized):
+        grid = [1.5, 2.0, 8.0]
+        if vectorized:
+            def callback(p):
+                return np.full(p.shape, math.inf)
+        else:
+            def callback(p):
+                raise DivergenceInfinite(f"order {p}")
+        res = B.optimize_bound(callback, "hellinger", {"p": grid}, L2,
+                               vectorized=vectorized)
+        # every point is vacuous with one evaluation, so the first grid point
+        # stays best through the grid and the golden pass on [1.5, 2]
+        golden = golden_section_max(lambda x: 0.0, 1.5, 2.0, tol=1e-6)[2]
+        assert res == B.BoundResult(0.0, 0.0, "hellinger", {"p": 1.5},
+                                    len(grid) + golden + 1, vacuous=True)
+
+
+def _bound_at(method, callback, params, L):
+    """The bound at one parameter point, 0 where the divergence is infinite."""
+    try:
+        value = callback(**params)
+    except DivergenceInfinite:
+        return 0.0
+    if method == "sibson":
+        return B.sibson_bound(value, params["alpha"], L).value
+    if method == "hellinger":
+        return B.hellinger_bound(value, params["p"], L).value
+    return B.hockey_stick_bound(value, params["gamma"], params["zeta"], L).value
+
+
+def _divergence(setting, n, method):
+    """The divergence callback of ``method`` at n, and the small-ball function."""
+    if setting == "bernoulli":
+        callbacks = {
+            "sibson": lambda alpha: alpha / (alpha - 1.0)
+            * math.log(models.bernoulli_sibson(n, alpha)),
+            "hellinger": lambda p: (models.bernoulli_hellinger(n, p) - 1.0) / (p - 1.0),
+            "egz": lambda gamma, zeta: models.bernoulli_e_gamma_zeta(n, gamma, zeta),
+        }
+        return callbacks[method], models.bernoulli_small_ball()
+    g = models.GaussianModel(n, 1.0, 2.0)
+    callbacks = {
+        "sibson": lambda alpha: models.gaussian_sibson(g, alpha),
+        # infinite from p = 2 + 1/snr on: raises DivergenceInfinite
+        "hellinger": lambda p: (models.gaussian_hellinger(g, p) - 1.0) / (p - 1.0),
+        "egz": lambda gamma, zeta: models.gaussian_e_gamma_zeta(g, gamma, zeta),
+    }
+    return callbacks[method], models.gaussian_small_ball(g)
+
+
+_orders = st.lists(st.floats(-2.0, math.log10(63.0)).map(lambda x: 1.0 + 10.0 ** x),
+                   min_size=1, max_size=6, unique=True)
+_scales = st.lists(st.floats(-2.0, 1.5).map(lambda x: 10.0 ** x),
+                   min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(setting=st.sampled_from(["bernoulli", "gaussian"]), n=st.integers(1, 50),
+       method=st.sampled_from(["sibson", "hellinger", "egz"]), orders=_orders,
+       gammas=_scales, zetas=_scales, vectorized=st.booleans())
+def test_optimize_bound_dominates_its_grid(setting, n, method, orders, gammas, zetas,
+                                           vectorized):
+    callback, L = _divergence(setting, n, method)
+    if method == "egz":
+        grid = {"gamma": sorted(gammas), "zeta": sorted(zetas)}
+    else:
+        grid = {"alpha" if method == "sibson" else "p": sorted(orders)}
+    # only the Gaussian kernel takes arrays
+    vectorized = vectorized and setting == "gaussian" and method == "egz"
+    res = B.optimize_bound(callback, method, grid, L, vectorized=vectorized)
+    names = sorted(grid)
+    points = [dict(zip(names, values))
+              for values in itertools.product(*(grid[name] for name in names))]
+    for params in points:
+        assert res.value >= _bound_at(method, callback, params, L)
+    assert res.evaluations >= len(points)
 
 
 class TestSibsonDominatesHellinger:

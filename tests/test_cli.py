@@ -1,5 +1,6 @@
 """Command-line behaviour: schemas, determinism, exit codes, validation."""
 
+import functools
 import json
 import math
 import threading
@@ -125,11 +126,29 @@ class TestParsing:
         ["hide-and-seek", "--n", "2", "--seed", "-1"],
         ["gaussian", "--n", "2", "--trials", "10000", "--seed", str(2 ** 128)],
         ["validate", "--quick", "--seed", "-1"],
+        # a dict stands for a --config file with that content
+        ["bernoulli", "--n", "1", "--config", {"format": "xml"}],
+        ["gaussian", "--n", "1", "--config", {"optimize": "false"}],
+        ["gaussian", "--n", "1", "--config", {"optimize": 1}],
+        ["bernoulli", "--n", "1", "--config", {"optimize": None}],
+        ["bernoulli", "--n", "1", "--config", {"help": True}],
+        ["bernoulli", "--n", "1", "--config", {"config": "other.json"}],
     ])
-    def test_bad_configuration_exit_code(self, argv):
+    def test_bad_configuration_exit_code(self, argv, tmp_path):
+        cfg = tmp_path / "run.json"
+        for item in argv:
+            if isinstance(item, dict):
+                cfg.write_text(json.dumps(item))
+        argv = [str(cfg) if isinstance(item, dict) else item for item in argv]
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2
+
+    def test_config_choice_and_flag_values(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": "1", "format": "json", "optimize": False}))
+        assert cli.main(["gaussian", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["setting"] == "gaussian"
 
     def test_non_finite_config_value_exit_code(self, tmp_path):
         cfg = tmp_path / "nan.json"
@@ -229,6 +248,21 @@ class TestOptimizedRuns:
             "egz", {"gamma": gamma_grid, "zeta": zeta_grid},
             models.bernoulli_small_ball())
         assert row["egz"] >= full.value * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 10, 50])
+    def test_gaussian_batched_grid_equals_scalar_search(self, n):
+        # the vectorized egz column and the plain per-point search agree
+        args = cli.build_parser().parse_args(["gaussian", "--optimize"])
+        model = cli.GAUSSIAN.model(n, args)
+        L = cli.GAUSSIAN.small_ball(model)
+        column = next(c for c in cli.GAUSSIAN.columns if c.method == "egz")
+        assert column.vectorized
+        callback = functools.partial(column.divergence, model)
+        scalar = bounds.optimize_bound(callback, "egz", column.grid(args), L)
+        batched = bounds.optimize_bound(callback, "egz", column.grid(args), L,
+                                        vectorized=True)
+        assert batched == scalar
+        assert cli._column_bound(column, model, L, args) == scalar
 
     def test_gaussian_optimized_runs(self, tmp_path):
         out = tmp_path / "gopt.csv"

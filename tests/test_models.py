@@ -292,6 +292,22 @@ class TestGaussian:
         assert math.isclose(models.gaussian_e_gamma_zeta(g, gamma, zeta),
                             expected, abs_tol=1e-9)
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 200), sw2=st.floats(0.05, 20.0), s2=st.floats(0.05, 20.0),
+           zeta=st.floats(0.1, 4.0),
+           ratios=st.lists(st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x), max_size=6))
+    def test_hockey_stick_batch_equals_scalar_calls(self, n, sw2, s2, zeta, ratios):
+        g = models.GaussianModel(n, sw2, s2)
+        edge = math.sqrt(1.0 + g.snr)  # a row has kinks where gamma/zeta > edge
+        gammas = np.array([0.0, 0.5 * edge * zeta, 2.0 * edge * zeta]
+                          + [t * zeta for t in ratios])
+        alone = [models.gaussian_e_gamma_zeta(g, gamma, zeta) for gamma in gammas.tolist()]
+        assert all(type(value) is float for value in alone)
+        assert alone[0] == 0.0
+        assert models.gaussian_e_gamma_zeta(g, gammas, zeta).tolist() == alone
+        zetas = np.full(gammas.size, zeta)
+        assert models.gaussian_e_gamma_zeta(g, gammas, zetas).tolist() == alone
+
 
 class TestNoisyBernoulli:
     def test_clean_channel_recovers_plain_bound(self):

@@ -64,6 +64,37 @@ def test_batch_rows_equal_one_row_integrals(params, atol, rtol, points):
     assert batch.tolist() == alone
 
 
+# each row's kinks: some inside [0, 1], some on or beyond its ends
+_row_points = st.lists(st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0]), max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.lists(st.tuples(st.floats(-2.0, 2.0), _unit, st.floats(0.01, 1.0),
+                                 st.floats(-1.0, 1.0), _unit, _row_points),
+                       min_size=1, max_size=40),
+       atol=st.floats(-13.0, -6.0).map(lambda x: 10.0 ** x),
+       rtol=st.floats(-12.0, -5.0).map(lambda x: 10.0 ** x),
+       kink_points=st.booleans())
+def test_batch_rows_with_own_points_equal_one_row_integrals(params, atol, rtol,
+                                                           kink_points):
+    *columns, points = zip(*params)
+    f = _bumps(*(np.array(column) for column in columns))
+    if kink_points:  # split each row at its own kink, as a caller that knows it
+        points = [[*row_points, kink] for row_points, kink in zip(points, columns[4])]
+    options = dict(atol=atol, rtol=rtol)
+    batch = adaptive_simpson(f, 0.0, 1.0, rows=len(params), points=points, **options)
+    alone = [adaptive_simpson(lambda w, r=r: f(r, w), 0.0, 1.0, points=points[r],
+                              **options)
+             for r in range(len(params))]
+    assert batch.tolist() == alone
+
+
+def test_per_row_points_must_match_the_rows():
+    with pytest.raises(ValueError):
+        adaptive_simpson(lambda r, w: w + 0 * r, 0.0, 1.0, rows=3,
+                         points=[(0.5,), ()])
+
+
 def test_one_singular_row_fails_the_batch():
     def f(r, w):
         return np.where(r == 3, np.abs(w - 0.1234567) ** -0.5, w ** 2)
