@@ -3,8 +3,9 @@
 Each bound evaluates sup over the radius rho of an expression
 ``rho * (1 - penalty(rho))`` where the penalty combines a dependence
 measure with the small-ball probability.  Linear small-ball functions
-admit closed-form maximizers (`maximize_rho`); everything else falls back
-to a deterministic coarse-grid scan refined by golden section.
+admit closed-form maximizers (`maximize_rho`, and the MI baseline's own
+radius); everything else falls back to a deterministic coarse-grid scan
+refined by Brent's method.
 
 Vacuous bounds (penalty >= 1 everywhere, or an infinite divergence) are
 reported as value 0 with the ``vacuous`` flag set instead of raising; a
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceInfinite, EtaOutOfRange, InverseDomainError, NanValue
-from .quadrature import golden_section_max
+from .quadrature import brent_max
 
 __all__ = [
     "SmallBallFn",
@@ -48,8 +49,9 @@ class SmallBallFn:
     """Upper bound on the small-ball probability as a function of rho.
 
     ``form`` is 'linear' (L(rho) = min(c*rho, 1), closed forms apply),
-    'exact' or 'numeric'.  Values are clamped to [0, 1]; ``rho_cap``
-    optionally restricts the radius search (e.g. to 1 for 0-1 losses).
+    'exact' or 'numeric'.  Values are clamped to [0, 1], and a NaN value
+    raises `NanValue`; ``rho_cap`` optionally restricts the radius search
+    (e.g. to 1 for 0-1 losses).
     """
 
     fn: Callable[[float], float]
@@ -60,12 +62,17 @@ class SmallBallFn:
     def __call__(self, rho: float) -> float:
         if rho <= 0.0:
             return 0.0
-        return min(1.0, max(0.0, float(self.fn(rho))))
+        value = float(self.fn(rho))
+        if math.isnan(value):
+            raise NanValue(f"small-ball value at rho={rho!r} is NaN")
+        return min(1.0, max(0.0, value))
 
     @classmethod
     def linear(cls, c: float, rho_cap: float | None = None) -> "SmallBallFn":
-        if c < 0:
-            raise ValueError("small-ball slope must be non-negative")
+        if math.isnan(c):
+            raise NanValue("small-ball slope is NaN")
+        if not 0.0 <= c < math.inf:
+            raise ValueError("small-ball slope must be finite and non-negative")
         return cls(fn=lambda rho: c * rho, form="linear", coefficient=c,
                    rho_cap=rho_cap)
 
@@ -153,7 +160,7 @@ def _rho_search_limit(L: SmallBallFn) -> float:
 
 
 def _sup_over_rho(g, rho_max: float, method: str, params: dict) -> BoundResult:
-    """Deterministic coarse scan plus golden refinement of g on (0, rho_max]."""
+    """Deterministic coarse scan plus Brent refinement of g on (0, rho_max]."""
     if not math.isfinite(rho_max):
         rho_max = 2.0 ** 40
     grid = np.unique(np.concatenate([
@@ -165,7 +172,7 @@ def _sup_over_rho(g, rho_max: float, method: str, params: dict) -> BoundResult:
     evals = grid.size
     lo = grid[best - 1] if best > 0 else grid[0] * 0.5
     hi = grid[best + 1] if best + 1 < grid.size else rho_max
-    rho, val, extra = golden_section_max(g, lo, hi, tol=1e-12 * rho_max)
+    rho, val, extra = brent_max(g, lo, hi, tol=1e-12 * rho_max)
     evals += extra
     if values[best] > val:
         rho, val = float(grid[best]), float(values[best])
@@ -293,13 +300,12 @@ def phi_bound_increasing(i_phi: float, phi: PhiSpec, l_val: float, rho: float) -
     non-decreasing generators, clamped below at 0."""
     if phi.direction != "increasing":
         raise ValueError("generator is not non-decreasing")
+    _check_divergence(i_phi)
     if rho <= 0:
         return 0.0
     if l_val <= 0.0:
         return rho  # limit of a vanishing small-ball term
     l_val = min(1.0, l_val)
-    if not math.isfinite(i_phi):
-        return 0.0
     arg = (i_phi + (1.0 - l_val) * phi.star0) / l_val
     if not math.isfinite(arg):
         return 0.0
@@ -311,12 +317,11 @@ def phi_bound_decreasing(i_phi: float, phi: PhiSpec, l_val: float, rho: float) -
     non-increasing generators; returns 0 at L = 1."""
     if phi.direction != "decreasing":
         raise ValueError("generator is not non-increasing")
+    _check_divergence(i_phi)
     if rho <= 0:
         return 0.0
     l_val = min(1.0, max(0.0, l_val))
     if l_val >= 1.0:
-        return 0.0
-    if not math.isfinite(i_phi):
         return 0.0
     arg = (i_phi + l_val * phi.star0) / (1.0 - l_val)
     if not math.isfinite(arg):
@@ -369,7 +374,17 @@ def hockey_stick_bound(e_value: float, gamma: float, zeta: float,
 
 def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
     """Mutual-information baseline sup over rho of
-    rho*(1 - (I + log 2)/log(1/L(rho))), maximized by golden section."""
+    rho*(1 - (I + log 2)/log(1/L(rho))).
+
+    For a linear L = min(c*rho, 1) with c > 0, write a = I + log 2 and
+    u = log(1/(c*rho)); the objective is exp(-u)/c * (1 - a/u), whose
+    derivative in u vanishes where u^2 - a*u - a = 0.  So
+    u* = (a + sqrt(a^2 + 4a))/2, rho* = exp(-u*)/c, and the value is
+    rho*(1 - a/u*) = rho* * a/u*^2 (as u* - a = a/u*), in one evaluation.
+    The objective rises on (0, rho*) and falls after, so a ``rho_cap``
+    below rho* moves the radius to the cap.  Any other L is searched
+    numerically.
+    """
     _check_divergence(i_value)
     numerator = i_value + math.log(2.0)
 
@@ -381,6 +396,18 @@ def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
             return -math.inf
         return rho * (1.0 - numerator / (-math.log(lval)))
 
+    if L.form == "linear" and L.coefficient > 0.0:
+        if numerator == math.inf:
+            return BoundResult(0.0, 0.0, "mi", {}, 1, vacuous=True)
+        u = 0.5 * (numerator + math.sqrt(numerator * (numerator + 4.0)))
+        rho = math.exp(-u) / L.coefficient
+        value = rho * numerator / (u * u)
+        if L.rho_cap is not None and L.rho_cap < rho:
+            rho = L.rho_cap
+            value = g(rho)
+        if not value > 0.0:
+            return BoundResult(0.0, 0.0, "mi", {}, 1, vacuous=True)
+        return BoundResult(value, rho, "mi", {}, 1)
     return _sup_over_rho(g, _rho_search_limit(L), "mi", {})
 
 
@@ -421,7 +448,7 @@ def sdpi_bound(i_phi: float, eta: float, phi: PhiSpec, L: SmallBallFn) -> BoundR
 
 def optimize_bound(callback, method: str, param_grid: dict,
                    L: SmallBallFn, *, vectorized: bool = False) -> BoundResult:
-    """Maximize a bound over a parameter grid, then refine by golden section.
+    """Maximize a bound over a parameter grid, then refine by Brent's method.
 
     ``callback(**params)`` must return the divergence the method consumes
     (I_alpha, H_p, E_{gamma,zeta}, maximal leakage, or mutual information)
@@ -430,17 +457,22 @@ def optimize_bound(callback, method: str, param_grid: dict,
     as an ndarray of the same length, and the callback returns the
     divergence at each of those points, with +inf where it is infinite:
     the grid is one call over the whole product grid, in sweep order, and
-    each golden-section step is a call of length 1.  A plain callback is
+    each Brent step is a call of length 1.  A plain callback is
     called once per point, as the loop that lifts it to that form.  The
     CLI vectorizes only the Gaussian E_{gamma,zeta} column, whose kernel
     integrates an array of gammas in one quadrature pass; the Bernoulli
     kernel stays scalar, as the benchmark's trace hook reads its gamma
     and zeta as floats.
 
-    The grid maximum is never lost: the result value dominates every
-    evaluated grid point.  Ties keep the first-found (lowest) parameter,
-    and parameters are swept in sorted order (the last name varying
-    fastest), so the output is deterministic.
+    After the grid, each parameter with two or more grid values gets one
+    Brent pass (``tol=1e-6``) between the grid neighbours of the best
+    point, the other parameters held at the best point's values.  Every
+    point evaluated, on the grid or by Brent, is a candidate, so the
+    result value dominates all of them, and ``evaluations`` sums the
+    evaluations of every bound computed.  Ties keep the first-found
+    parameter, and parameters are swept in sorted order (the last name
+    varying fastest), so the output is deterministic.  Grid values must
+    be finite.
     """
     if method not in _METHODS:
         raise ValueError(
@@ -454,6 +486,9 @@ def optimize_bound(callback, method: str, param_grid: dict,
             raise ValueError(f"empty grid for parameter {name!r}")
     grids = {name: np.sort(np.asarray(param_grid[name], dtype=float))
              for name in names}
+    for name, grid in grids.items():
+        if not np.isfinite(grid).all():
+            raise ValueError(f"non-finite value in the grid of {name!r}")
 
     def evaluate(points):
         """The bound at each parameter point; an infinite divergence
@@ -482,7 +517,7 @@ def optimize_bound(callback, method: str, param_grid: dict,
     for index, result in zip(indices, evaluate(points)):
         consider(result, dict(zip(names, index)))
 
-    # one golden-section pass per continuous parameter around the grid max
+    # one Brent pass per continuous parameter around the grid max
     for name in names:
         g = grids[name]
         if g.size < 2:
@@ -495,13 +530,11 @@ def optimize_bound(callback, method: str, param_grid: dict,
         fixed = dict(best.params)
 
         def h(x, name=name, fixed=fixed):
-            return evaluate([dict(fixed, **{name: float(x)})])[0].value
+            result = evaluate([dict(fixed, **{name: float(x)})])[0]
+            consider(result)
+            return result.value
 
-        x, _, used = golden_section_max(h, lo, hi, tol=1e-6)
-        evals += used
-        refined = dict(best.params)
-        refined[name] = float(x)
-        consider(evaluate([refined])[0])
+        brent_max(h, lo, hi, tol=1e-6)
 
     assert best is not None
     return BoundResult(best.value, best.rho_star, method, best.params,

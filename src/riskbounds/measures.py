@@ -27,7 +27,7 @@ from .distributions import (
     MixedJoint,
 )
 from .errors import AlphaAtMostOne, AlphaOne, NonPositiveAlpha
-from .quadrature import golden_section_max
+from .quadrature import brent_max
 
 __all__ = [
     "renyi_divergence",
@@ -267,7 +267,7 @@ def _mixed_max_leakage(joint: MixedJoint) -> float:
         k = int(np.argmax(rows[i]))
         lo = grid[max(k - 1, 0)]
         hi = grid[min(k + 1, grid.size - 1)]
-        _, peak, _ = golden_section_max(
+        _, peak, _ = brent_max(
             lambda w, i=i: float(np.asarray(joint.likelihood(i, np.array([w])))[0]),
             lo, hi)
         total += peak

@@ -12,8 +12,8 @@ from riskbounds import bounds as B
 from riskbounds import models, oracle
 from riskbounds.distributions import DiscreteJoint
 from riskbounds.errors import (DivergenceInfinite, EtaOutOfRange, InverseDomainError,
-                               RiskboundsError)
-from riskbounds.quadrature import golden_section_max
+                               NanValue, RiskboundsError)
+from riskbounds.quadrature import brent_max
 
 L2 = B.SmallBallFn.linear(2.0)
 
@@ -81,7 +81,7 @@ class TestSibsonBound:
         res = B.sibson_bound(i2, 3.0, L2)
         g = lambda r: r * (1 - math.exp((2 / 3) * (i2 + math.log(2 * r))))
         _, grho = grid_max(g, 0.5)
-        x, _, _ = golden_section_max(g, grho - 1e-6, grho + 1e-6, tol=1e-14)
+        x, _, _ = brent_max(g, grho - 1e-6, grho + 1e-6, tol=1e-14)
         assert abs(res.rho_star - x) / x < 1e-8
 
     def test_infinite_divergence_is_vacuous(self):
@@ -251,6 +251,30 @@ class TestMiBaseline:
         assert base.value < lead.value
 
 
+@settings(max_examples=200, deadline=None)
+@given(i_value=st.floats(0.0, 50.0), c=st.floats(1e-3, 10.0),
+       cap_share=st.one_of(st.none(), st.floats(0.01, 2.0)))
+def test_mi_closed_form_radius_matches_the_scan(i_value, c, cap_share):
+    # the same L searched numerically is the oracle of the closed form
+    cap = None
+    if cap_share is not None:
+        cap = cap_share * B.mi_baseline_bound(i_value, B.SmallBallFn.linear(c)).rho_star
+    closed = B.mi_baseline_bound(i_value, B.SmallBallFn.linear(c, rho_cap=cap))
+    scan = B.mi_baseline_bound(i_value, B.SmallBallFn(lambda rho: c * rho, rho_cap=cap))
+    assert closed.evaluations == 1 and scan.evaluations > 600
+    if cap_share is not None and cap_share < 1.0:
+        assert closed.rho_star == cap
+    # the closed form is the supremum; the scan starts at 1e-9 of the
+    # largest radius, so it cannot see a radius below that, and it
+    # places the radius to 1e-12 of the largest one
+    rho_max = min(1.0 / c, cap or math.inf)
+    assert closed.value >= scan.value * (1.0 - 1e-12)
+    assert closed.value <= scan.value * (1.0 + 1e-12) + 1e-9 * rho_max
+    if closed.rho_star > 1e-9 * rho_max:
+        assert abs(closed.rho_star - scan.rho_star) <= \
+            1e-6 * closed.rho_star + 1e-11 * rho_max
+
+
 class TestSdpiBound:
     def test_eta_one_reduces_to_plain(self):
         h = 0.8
@@ -315,6 +339,33 @@ class TestNonFiniteDivergence:
         with pytest.raises(RiskboundsError):
             B.BoundResult(math.nan, 0.0, "mi")
 
+    def test_nan_small_ball_value_raises(self):
+        # clamping a NaN to 0 would leave the radius search unbounded
+        L = B.SmallBallFn(fn=lambda rho: math.nan)
+        with pytest.raises(NanValue):
+            L(0.5)
+        with pytest.raises(NanValue):
+            B.sibson_bound(0.5, 2.0, L)
+
+    def test_linear_small_ball_rejects_non_finite_slope(self):
+        with pytest.raises(NanValue):
+            B.SmallBallFn.linear(math.nan)
+        with pytest.raises(ValueError):
+            B.SmallBallFn.linear(math.inf)
+
+    @pytest.mark.parametrize("point, phi", [
+        (B.phi_bound_increasing, B.hellinger_phi(2.0)),
+        (B.phi_bound_decreasing, B.PhiSpec(
+            name="exp-decay", direction="decreasing",
+            phi=lambda t: math.exp(-t) - math.exp(-1.0),
+            inverse=lambda y: -math.log(y + math.exp(-1.0)),
+            star0=math.exp(-1.0))),
+    ], ids=["increasing", "decreasing"])
+    def test_pointwise_phi_bounds(self, point, phi):
+        with pytest.raises(NanValue):
+            point(math.nan, phi, 0.2, 0.1)
+        assert point(math.inf, phi, 0.2, 0.1) == 0.0
+
 
 class TestOptimizeBound:
     def test_single_point_grid_equals_direct(self):
@@ -351,6 +402,11 @@ class TestOptimizeBound:
         with pytest.raises(ValueError):
             B.optimize_bound(lambda alpha: 0.0, "sibson", {"alpha": []}, L2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            B.optimize_bound(lambda alpha: 0.5, "sibson", {"alpha": [2.0, bad]}, L2)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             B.optimize_bound(lambda: 0.0, "bogus", {}, L2)
@@ -384,10 +440,10 @@ class TestOptimizeBound:
         res = B.optimize_bound(callback, "hellinger", {"p": grid}, L2,
                                vectorized=vectorized)
         # every point is vacuous with one evaluation, so the first grid point
-        # stays best through the grid and the golden pass on [1.5, 2]
-        golden = golden_section_max(lambda x: 0.0, 1.5, 2.0, tol=1e-6)[2]
+        # stays best through the grid and the Brent pass on [1.5, 2]
+        brent = brent_max(lambda x: 0.0, 1.5, 2.0, tol=1e-6)[2]
         assert res == B.BoundResult(0.0, 0.0, "hellinger", {"p": 1.5},
-                                    len(grid) + golden + 1, vacuous=True)
+                                    len(grid) + brent, vacuous=True)
 
 
 def _bound_at(method, callback, params, L):
@@ -442,13 +498,25 @@ def test_optimize_bound_dominates_its_grid(setting, n, method, orders, gammas, z
         grid = {"alpha" if method == "sibson" else "p": sorted(orders)}
     # only the Gaussian kernel takes arrays
     vectorized = vectorized and setting == "gaussian" and method == "egz"
-    res = B.optimize_bound(callback, method, grid, L, vectorized=vectorized)
+    seen = []  # every point optimize_bound evaluates, on the grid or by Brent
+
+    def recorded(**params):
+        if vectorized:
+            seen.extend(dict(zip(params, map(float, values)))
+                        for values in zip(*params.values()))
+        else:
+            seen.append(params)
+        return callback(**params)
+
+    res = B.optimize_bound(recorded, method, grid, L, vectorized=vectorized)
     names = sorted(grid)
     points = [dict(zip(names, values))
               for values in itertools.product(*(grid[name] for name in names))]
-    for params in points:
+    assert seen[:len(points)] == points
+    # each bound here is a closed form, one evaluation per point
+    assert res.evaluations == len(seen)
+    for params in seen:
         assert res.value >= _bound_at(method, callback, params, L)
-    assert res.evaluations >= len(points)
 
 
 class TestSibsonDominatesHellinger:
