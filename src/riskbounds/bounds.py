@@ -1,11 +1,11 @@
 """Risk lower bounds driven by divergence values and small-ball functions.
 
-Each bound evaluates sup over the radius rho of an expression
-``rho * (1 - penalty(rho))`` where the penalty combines a dependence
-measure with the small-ball probability.  Linear small-ball functions
-admit closed-form maximizers (`maximize_rho`, and the MI baseline's own
-radius); everything else falls back to a deterministic coarse-grid scan
-refined by Brent's method.
+Each bound is sup over the radius rho of an objective that rises and
+then falls in rho, rho*(1 - b - penalty(L(rho))) with penalty(l) = A*l^t
+for all but the MI baseline.  One radius path (`_radius`) serves them
+all: a linear L uses a closed-form maximizer (`maximize_rho`, or the MI
+baseline's own) moved to ``rho_cap`` when the cap is below it; any other
+L goes to a deterministic scan refined by Brent's method in log rho.
 
 Vacuous bounds (penalty >= 1 everywhere, or an infinite divergence) are
 reported as value 0 with the ``vacuous`` flag set instead of raising; a
@@ -48,14 +48,14 @@ __all__ = [
 class SmallBallFn:
     """Upper bound on the small-ball probability as a function of rho.
 
-    ``form`` is 'linear' (L(rho) = min(c*rho, 1), closed forms apply),
-    'exact' or 'numeric'.  Values are clamped to [0, 1], and a NaN value
-    raises `NanValue`; ``rho_cap`` optionally restricts the radius search
-    (e.g. to 1 for 0-1 losses).
+    A ``coefficient`` c marks the linear L(rho) = min(c*rho, 1), whose
+    bounds have closed-form radii; any other L is searched numerically.
+    Values are clamped to [0, 1], and a NaN value raises `NanValue`;
+    ``rho_cap`` optionally restricts the radius of every bound, closed
+    form or searched (e.g. to 1 for 0-1 losses).
     """
 
     fn: Callable[[float], float]
-    form: str = "numeric"
     coefficient: float | None = None
     rho_cap: float | None = None
 
@@ -73,8 +73,7 @@ class SmallBallFn:
             raise NanValue("small-ball slope is NaN")
         if not 0.0 <= c < math.inf:
             raise ValueError("small-ball slope must be finite and non-negative")
-        return cls(fn=lambda rho: c * rho, form="linear", coefficient=c,
-                   rho_cap=rho_cap)
+        return cls(fn=lambda rho: c * rho, coefficient=c, rho_cap=rho_cap)
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def maximize_rho(obj: RhoObjective) -> tuple[float, float]:
 def _rho_search_limit(L: SmallBallFn) -> float:
     """Smallest rho with L(rho) = 1, bisected when L is not linear."""
     cap = L.rho_cap if L.rho_cap is not None else math.inf
-    if L.form == "linear":
+    if L.coefficient is not None:
         limit = math.inf if L.coefficient == 0 else 1.0 / L.coefficient
         return min(limit, cap)
     hi = 1.0
@@ -160,19 +159,23 @@ def _rho_search_limit(L: SmallBallFn) -> float:
 
 
 def _sup_over_rho(g, rho_max: float, method: str, params: dict) -> BoundResult:
-    """Deterministic coarse scan plus Brent refinement of g on (0, rho_max]."""
+    """Deterministic coarse scan plus Brent refinement of g on (0, rho_max]:
+    512 even steps and one radius per decade from 1e-300 of rho_max (at
+    least the smallest normal double), then Brent's method in log rho."""
     if not math.isfinite(rho_max):
         rho_max = 2.0 ** 40
     grid = np.unique(np.concatenate([
         np.linspace(0.0, rho_max, 513)[1:],
-        np.geomspace(rho_max * 1e-9, rho_max, 129),
+        np.geomspace(max(rho_max * 1e-300, np.finfo(float).tiny), rho_max, 301),
     ]))
     values = np.array([g(r) for r in grid])
     best = int(np.argmax(values))
     evals = grid.size
     lo = grid[best - 1] if best > 0 else grid[0] * 0.5
     hi = grid[best + 1] if best + 1 < grid.size else rho_max
-    rho, val, extra = brent_max(g, lo, hi, tol=1e-12 * rho_max)
+    log_rho, val, extra = brent_max(lambda x: g(math.exp(x)), math.log(lo),
+                                    math.log(hi), tol=1e-12)
+    rho = math.exp(log_rho)
     evals += extra
     if values[best] > val:
         rho, val = float(grid[best]), float(values[best])
@@ -189,45 +192,59 @@ def _check_divergence(value: float) -> None:
         raise ValueError("divergence input must be non-negative")
 
 
-def _closed_form_result(obj: RhoObjective, method: str, params: dict,
-                        evals: int = 1) -> BoundResult:
-    rho_star, value = maximize_rho(obj)
+def _radius(g, divergence: float, L: SmallBallFn, method: str, params: dict,
+            closed=None) -> BoundResult:
+    """sup over rho of an objective g that rises and then falls in rho.
+
+    A NaN divergence raises `NanValue`; +inf, or a penalty beyond the
+    largest double (a bound below ~1e-308), is vacuous.  For a linear L,
+    ``closed(slope)`` gives the uncapped ``(rho*, value)``, and a
+    ``rho_cap`` below rho* gives the cap and g(cap).  Any other L, or no
+    ``closed``, is scanned.
+    """
+    _check_divergence(divergence)
+    value = 0.0
+    if divergence < math.inf:
+        try:
+            if closed is None or L.coefficient is None:
+                return _sup_over_rho(g, _rho_search_limit(L), method, params)
+            rho, value = closed(L.coefficient)
+            if L.rho_cap is not None and L.rho_cap < rho:
+                rho, value = L.rho_cap, g(L.rho_cap)
+        except OverflowError:
+            value = 0.0
     if value <= 0.0:
-        return BoundResult(0.0, 0.0, method, params, evals, vacuous=True)
-    return BoundResult(value, rho_star, method, params, evals)
+        return BoundResult(0.0, 0.0, method, params, 1, vacuous=True)
+    return BoundResult(value, rho, method, params)
+
+
+def _power_bound(divergence: float, t: float, b: float, penalty, L: SmallBallFn,
+                 method: str, params: dict) -> BoundResult:
+    """sup over rho of rho*(1 - b - penalty(L(rho))), penalty(l) = A*l^t;
+    for a linear L, `maximize_rho` with c = penalty(slope)."""
+    def g(rho):
+        return rho * (1.0 - b - penalty(L(rho)))
+
+    def closed(slope):
+        if b >= 1.0:  # no radius has a positive value
+            return 0.0, 0.0
+        return maximize_rho(RhoObjective(c=penalty(slope), t=t, b=b))
+
+    return _radius(g, divergence, L, method, params, closed)
 
 
 def sibson_bound(i_alpha: float, alpha: float, L: SmallBallFn) -> BoundResult:
-    """sup over rho of rho*(1 - exp(((alpha-1)/alpha)*(I_alpha + log L(rho))))."""
+    """sup over rho of rho*(1 - (exp(I_alpha)*L(rho))^((alpha-1)/alpha))."""
     if alpha <= 1.0:
         raise ValueError("Sibson bound requires alpha > 1")
-    _check_divergence(i_alpha)
     t = (alpha - 1.0) / alpha
-    params = {"alpha": alpha}
-    if L.form == "linear":
-        c = (math.exp(i_alpha) * L.coefficient) ** t if math.isfinite(i_alpha) else math.inf
-        return _closed_form_result(RhoObjective(c=c, t=t), "sibson", params)
-
-    def g(rho):
-        lval = L(rho)
-        log_l = math.log(lval) if lval > 0 else -math.inf
-        return rho * (1.0 - math.exp(t * (i_alpha + log_l)))
-
-    return _sup_over_rho(g, _rho_search_limit(L), "sibson", params)
+    return _power_bound(i_alpha, t, 0.0, lambda l: (math.exp(i_alpha) * l) ** t,
+                        L, "sibson", {"alpha": alpha})
 
 
 def ml_bound(ml: float, L: SmallBallFn) -> BoundResult:
     """Maximal-leakage bound: the exponent is exp(ML) * L(rho), linear in L."""
-    _check_divergence(ml)
-    if L.form == "linear":
-        c = math.exp(ml) * L.coefficient if math.isfinite(ml) else math.inf
-        return _closed_form_result(RhoObjective(c=c, t=1.0), "ml", {})
-
-    def g(rho):
-        lval = L(rho)
-        return rho * (1.0 - math.exp(ml) * lval)
-
-    return _sup_over_rho(g, _rho_search_limit(L), "ml", {})
+    return _power_bound(ml, 1.0, 0.0, lambda l: math.exp(ml) * l, L, "ml", {})
 
 
 @dataclass(frozen=True)
@@ -333,18 +350,10 @@ def hellinger_bound(h_p: float, p: float, L: SmallBallFn) -> BoundResult:
     """sup over rho of rho*(1 - L(rho)^((p-1)/p) * ((p-1)*H_p + 1)^(1/p))."""
     if p <= 1.0:
         raise ValueError("Hellinger order must exceed 1")
-    _check_divergence(h_p)
     t = (p - 1.0) / p
-    params = {"p": p}
     moment = (p - 1.0) * h_p + 1.0
-    if L.form == "linear":
-        c = L.coefficient ** t * moment ** (1.0 / p) if math.isfinite(moment) else math.inf
-        return _closed_form_result(RhoObjective(c=c, t=t), "hellinger", params)
-
-    def g(rho):
-        return rho * (1.0 - L(rho) ** t * moment ** (1.0 / p))
-
-    return _sup_over_rho(g, _rho_search_limit(L), "hellinger", params)
+    return _power_bound(h_p, t, 0.0, lambda l: l ** t * moment ** (1.0 / p),
+                        L, "hellinger", {"p": p})
 
 
 def hockey_stick_bound(e_value: float, gamma: float, zeta: float,
@@ -352,24 +361,9 @@ def hockey_stick_bound(e_value: float, gamma: float, zeta: float,
     """sup over rho of rho*(1 - (E + gamma*L(rho) + max(0, zeta-gamma))/zeta)."""
     if zeta <= 0 or gamma < 0:
         raise ValueError("requires zeta > 0 and gamma >= 0")
-    _check_divergence(e_value)
-    params = {"gamma": gamma, "zeta": zeta}
     b = (e_value + max(0.0, zeta - gamma)) / zeta
-    if b >= 1.0 or not math.isfinite(b):
-        return BoundResult(0.0, 0.0, "egz", params, 1, vacuous=True)
-    if L.form == "linear":
-        if gamma == 0.0 or L.coefficient == 0.0:
-            # objective degenerates to a line; supremum sits at the radius cap
-            return _sup_over_rho(
-                lambda rho: rho * (1.0 - b - gamma * L(rho) / zeta),
-                _rho_search_limit(L), "egz", params)
-        c = gamma * L.coefficient / zeta
-        return _closed_form_result(RhoObjective(c=c, t=1.0, b=b), "egz", params)
-
-    def g(rho):
-        return rho * (1.0 - (e_value + gamma * L(rho) + max(0.0, zeta - gamma)) / zeta)
-
-    return _sup_over_rho(g, _rho_search_limit(L), "egz", params)
+    return _power_bound(e_value, 1.0, b, lambda l: gamma * l / zeta, L, "egz",
+                        {"gamma": gamma, "zeta": zeta})
 
 
 def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
@@ -381,11 +375,9 @@ def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
     derivative in u vanishes where u^2 - a*u - a = 0.  So
     u* = (a + sqrt(a^2 + 4a))/2, rho* = exp(-u*)/c, and the value is
     rho*(1 - a/u*) = rho* * a/u*^2 (as u* - a = a/u*), in one evaluation.
-    The objective rises on (0, rho*) and falls after, so a ``rho_cap``
-    below rho* moves the radius to the cap.  Any other L is searched
-    numerically.
+    At c = 0 the objective is rho itself, unbounded.  Any other L is
+    searched numerically.
     """
-    _check_divergence(i_value)
     numerator = i_value + math.log(2.0)
 
     def g(rho):
@@ -396,19 +388,14 @@ def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
             return -math.inf
         return rho * (1.0 - numerator / (-math.log(lval)))
 
-    if L.form == "linear" and L.coefficient > 0.0:
-        if numerator == math.inf:
-            return BoundResult(0.0, 0.0, "mi", {}, 1, vacuous=True)
+    def closed(slope):
+        if slope == 0.0:
+            return math.inf, math.inf
         u = 0.5 * (numerator + math.sqrt(numerator * (numerator + 4.0)))
-        rho = math.exp(-u) / L.coefficient
-        value = rho * numerator / (u * u)
-        if L.rho_cap is not None and L.rho_cap < rho:
-            rho = L.rho_cap
-            value = g(rho)
-        if not value > 0.0:
-            return BoundResult(0.0, 0.0, "mi", {}, 1, vacuous=True)
-        return BoundResult(value, rho, "mi", {}, 1)
-    return _sup_over_rho(g, _rho_search_limit(L), "mi", {})
+        rho = math.exp(-u) / slope
+        return rho, rho * numerator / (u * u)
+
+    return _radius(g, i_value, L, "mi", {}, closed)
 
 
 # method -> bound(divergence, L, **params); both optimize_bound and the
@@ -438,8 +425,7 @@ def sdpi_bound(i_phi: float, eta: float, phi: PhiSpec, L: SmallBallFn) -> BoundR
         def g(rho):
             return point(scaled, phi, L(rho), rho)
 
-        return _sup_over_rho(g, _rho_search_limit(L), "sdpi",
-                             {"eta": eta, "phi": phi.name})
+        return _radius(g, scaled, L, "sdpi", {"eta": eta, "phi": phi.name})
     inner = _METHODS[method](scaled, L, **phi.params)
     return BoundResult(inner.value, inner.rho_star, "sdpi",
                        dict(inner.params, eta=eta), inner.evaluations,
