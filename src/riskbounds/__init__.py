@@ -48,11 +48,8 @@ from .bounds import (
 from .sdpi import (
     dobrushin_coefficient,
     eta_estimate_by_sampling,
-    eta_hellinger_bsc_upper,
     eta_operator_convex_bsc,
-    ldp_contraction_bound,
     renyi_sdpi_ratio,
-    tensorize_eta,
 )
 from .models import (
     BernoulliUniformModel,

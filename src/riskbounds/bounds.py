@@ -4,8 +4,8 @@ Each bound is sup over the radius rho of an objective that rises and
 then falls in rho, rho*(1 - b - penalty(L(rho))) with penalty(l) = A*l^t
 for all but the MI baseline.  One radius path (`_radius`) serves them
 all: a linear L uses a closed-form maximizer (`maximize_rho`, or the MI
-baseline's own) moved to ``rho_cap`` when the cap is below it; any other
-L goes to a deterministic scan refined by Brent's method in log rho.
+baseline's own); any other L goes to a deterministic scan refined by
+Brent's method in log rho.
 
 Vacuous bounds (penalty >= 1 everywhere, or an infinite divergence) are
 reported as value 0 with the ``vacuous`` flag set instead of raising; a
@@ -50,14 +50,11 @@ class SmallBallFn:
 
     A ``coefficient`` c marks the linear L(rho) = min(c*rho, 1), whose
     bounds have closed-form radii; any other L is searched numerically.
-    Values are clamped to [0, 1], and a NaN value raises `NanValue`;
-    ``rho_cap`` optionally restricts the radius of every bound, closed
-    form or searched (e.g. to 1 for 0-1 losses).
+    Values are clamped to [0, 1], and a NaN value raises `NanValue`.
     """
 
     fn: Callable[[float], float]
     coefficient: float | None = None
-    rho_cap: float | None = None
 
     def __call__(self, rho: float) -> float:
         if rho <= 0.0:
@@ -68,12 +65,12 @@ class SmallBallFn:
         return min(1.0, max(0.0, value))
 
     @classmethod
-    def linear(cls, c: float, rho_cap: float | None = None) -> "SmallBallFn":
+    def linear(cls, c: float) -> "SmallBallFn":
         if math.isnan(c):
             raise NanValue("small-ball slope is NaN")
         if not 0.0 <= c < math.inf:
             raise ValueError("small-ball slope must be finite and non-negative")
-        return cls(fn=lambda rho: c * rho, coefficient=c, rho_cap=rho_cap)
+        return cls(fn=lambda rho: c * rho, coefficient=c)
 
 
 @dataclass(frozen=True)
@@ -138,14 +135,11 @@ def maximize_rho(obj: RhoObjective) -> tuple[float, float]:
 
 def _rho_search_limit(L: SmallBallFn) -> float:
     """Smallest rho with L(rho) = 1, bisected when L is not linear."""
-    cap = L.rho_cap if L.rho_cap is not None else math.inf
     if L.coefficient is not None:
-        limit = math.inf if L.coefficient == 0 else 1.0 / L.coefficient
-        return min(limit, cap)
+        return math.inf if L.coefficient == 0 else 1.0 / L.coefficient
     hi = 1.0
-    while L(hi) < 1.0 and hi < cap and hi < 2.0 ** 40:
+    while L(hi) < 1.0 and hi < 2.0 ** 40:
         hi *= 2.0
-    hi = min(hi, cap)
     if L(hi) < 1.0:
         return hi
     lo = 0.0
@@ -198,8 +192,7 @@ def _radius(g, divergence: float, L: SmallBallFn, method: str, params: dict,
 
     A NaN divergence raises `NanValue`; +inf, or a penalty beyond the
     largest double (a bound below ~1e-308), is vacuous.  For a linear L,
-    ``closed(slope)`` gives the uncapped ``(rho*, value)``, and a
-    ``rho_cap`` below rho* gives the cap and g(cap).  Any other L, or no
+    ``closed(slope)`` gives ``(rho*, value)``.  Any other L, or no
     ``closed``, is scanned.
     """
     _check_divergence(divergence)
@@ -209,8 +202,6 @@ def _radius(g, divergence: float, L: SmallBallFn, method: str, params: dict,
             if closed is None or L.coefficient is None:
                 return _sup_over_rho(g, _rho_search_limit(L), method, params)
             rho, value = closed(L.coefficient)
-            if L.rho_cap is not None and L.rho_cap < rho:
-                rho, value = L.rho_cap, g(L.rho_cap)
         except OverflowError:
             value = 0.0
     if value <= 0.0:
@@ -221,9 +212,11 @@ def _radius(g, divergence: float, L: SmallBallFn, method: str, params: dict,
 def _power_bound(divergence: float, t: float, b: float, penalty, L: SmallBallFn,
                  method: str, params: dict) -> BoundResult:
     """sup over rho of rho*(1 - b - penalty(L(rho))), penalty(l) = A*l^t;
-    for a linear L, `maximize_rho` with c = penalty(slope)."""
+    for a linear L, `maximize_rho` with c = penalty(slope).  A radius
+    with L(rho) = 0 has no penalty, also where A overflowed to inf."""
     def g(rho):
-        return rho * (1.0 - b - penalty(L(rho)))
+        l = L(rho)
+        return rho * (1.0 - b - (penalty(l) if l > 0.0 else 0.0))
 
     def closed(slope):
         if b >= 1.0:  # no radius has a positive value

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import QuadraturePolicy, adaptive_simpson
+from .quadrature import adaptive_simpson
 
 __all__ = [
     "MASS_TOL",
@@ -124,13 +124,6 @@ class DiscreteJoint:
         px = px.weights if isinstance(px, DiscreteDistribution) else _as_weights(px)
         py = py.weights if isinstance(py, DiscreteDistribution) else _as_weights(py)
         return cls(np.outer(px, py))
-
-    def conditional_y_given_x(self) -> np.ndarray:
-        """Row-stochastic P(y|x) on rows with positive marginal."""
-        px = self.x_marginal
-        rows = np.where(px[:, None] > 0, self.matrix, 0.0)
-        safe = np.where(px > 0, px, 1.0)
-        return rows / safe[:, None]
 
 
 @dataclass(frozen=True)
@@ -253,26 +246,20 @@ class MixedJoint:
         arguments; ``likelihood(k[:, None], w[None, :])`` with
         ``k = arange(n_obs)`` is the conditional pmf matrix, whose columns
         must each sum to 1.
-    policy : QuadraturePolicy
-        Rule and tolerances used for all integrals against the prior.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
     observations: tuple
     likelihood: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    policy: QuadraturePolicy = field(default_factory=QuadraturePolicy)
 
     def __post_init__(self):
         object.__setattr__(self, "observations", tuple(self.observations))
         a, b = self.support
         if not b > a:
             raise ValueError("support must be a non-empty interval")
-        mass = adaptive_simpson(self.density, a, b,
-                                atol=self.policy.atol, rtol=self.policy.rtol,
-                                initial_panels=self.policy.initial_panels,
-                                max_depth=self.policy.max_depth)
-        if abs(mass - 1.0) > max(100 * self.policy.atol, 1e-7):
+        mass = adaptive_simpson(self.density, a, b)
+        if abs(mass - 1.0) > 1e-7:
             raise ValueError(f"prior density integrates to {mass!r}, not 1")
         nodes = np.linspace(a, b, 129)
         k = np.arange(len(self.observations))
@@ -291,11 +278,7 @@ class MixedJoint:
         :func:`~riskbounds.quadrature.adaptive_simpson`.
         """
         a, b = self.support
-        return adaptive_simpson(f, a, b, rows=rows,
-                                atol=self.policy.atol, rtol=self.policy.rtol,
-                                points=points,
-                                initial_panels=self.policy.initial_panels,
-                                max_depth=self.policy.max_depth)
+        return adaptive_simpson(f, a, b, rows=rows, points=points)
 
     def observation_marginal(self) -> np.ndarray:
         """Marginal pmf of the observation, computed by quadrature."""

@@ -21,7 +21,7 @@ from . import measures, sdpi
 from .bounds import BoundResult, SmallBallFn, hellinger_phi, sdpi_bound
 from .distributions import MixedJoint
 from .errors import DivergenceInfinite
-from .quadrature import QuadraturePolicy, adaptive_simpson
+from .quadrature import adaptive_simpson
 
 __all__ = [
     "BernoulliUniformModel",
@@ -273,7 +273,6 @@ def _binomial_count_joint(n: int, mean_map) -> MixedJoint:
         support=(0.0, 1.0),
         observations=tuple(range(n + 1)),
         likelihood=likelihood,
-        policy=QuadraturePolicy(),
     )
 
 
@@ -289,17 +288,19 @@ def noisy_bernoulli_bound(model: NoisyBernoulliModel, p: float = 2.0) -> BoundRe
     """Contraction-refined Hellinger bound for privatized flips.
 
     Composes the clean-sample moment, the operator-convex BSC contraction
-    constant, its product-channel tensorization (which preserves the
-    single-letter constant), and the generator bound.  Restricted to
-    1 < p <= 2 where the contraction constant is exact.
+    constant eta = (1 - 2*lam)^2, and the generator bound.  Restricted to
+    1 < p <= 2 where eta is exact.  As the paper's formula does, eta
+    contracts the n-sample divergence, which holds only for a product
+    reference measure; here the law of the n flips is a mixture over the
+    bias, and for n >= 2 the exact noisy chi-square information exceeds
+    eta times the clean one (see `noisy_bernoulli_joint`).
     """
     if not 1.0 < p <= 2.0:
         raise ValueError("contraction constant is only exact for 1 < p <= 2")
     moment = bernoulli_hellinger(model.n, p)
     h_p = (moment - 1.0) / (p - 1.0)
     eta = sdpi.eta_operator_convex_bsc(model.lam)
-    eta_n = sdpi.tensorize_eta(eta, model.n, "max-preserving")
-    return sdpi_bound(h_p, eta_n, hellinger_phi(p), bernoulli_small_ball())
+    return sdpi_bound(h_p, eta, hellinger_phi(p), bernoulli_small_ball())
 
 
 def noisy_bernoulli_upper_bound(model: NoisyBernoulliModel) -> float:

@@ -50,7 +50,7 @@ class RiskEstimate:
             raise ValueError("standard error cannot be negative")
 
 
-def beta_quantile(a, b, q, iterations: int = 50):
+def beta_quantile(a, b, q):
     """Quantiles of Beta(a, b) by bisection on the regularized
     incomplete Beta function; 50 halvings land well inside 1e-10."""
     a = np.asarray(a, dtype=float)
@@ -58,7 +58,7 @@ def beta_quantile(a, b, q, iterations: int = 50):
     q = np.asarray(q, dtype=float)
     lo = np.zeros(np.broadcast(a, b, q).shape)
     hi = np.ones_like(lo)
-    for _ in range(iterations):
+    for _ in range(50):
         mid = 0.5 * (lo + hi)
         below = betainc(a, b, mid) < q
         lo = np.where(below, mid, lo)
@@ -87,8 +87,6 @@ def _estimate_table(model, estimator: str) -> np.ndarray:
             return k / n
         if estimator == "posterior-median":
             return posterior_median_bernoulli(k, n)
-        if estimator == "posterior-mean":
-            return (k + 1.0) / (n + 2.0)
         raise UnsupportedEstimator(f"{estimator!r} for Bernoulli model")
 
     if isinstance(model, NoisyBernoulliModel):
@@ -100,7 +98,7 @@ def _estimate_table(model, estimator: str) -> np.ndarray:
                 raise UnsupportedEstimator(
                     "sample-mean is undefined at crossover 1/2")
             return np.clip((k / n - lam) / u_span, 0.0, 1.0)
-        if estimator not in ("posterior-median", "posterior-mean"):
+        if estimator != "posterior-median":
             raise UnsupportedEstimator(f"{estimator!r} for noisy Bernoulli model")
         if u_span == 0.0:
             return np.full(n + 1, 0.5)
@@ -110,12 +108,7 @@ def _estimate_table(model, estimator: str) -> np.ndarray:
         b = n - k + 1.0
         f_lo = betainc(a, b, lam)
         f_hi = betainc(a, b, 1.0 - lam)
-        if estimator == "posterior-median":
-            u_hat = beta_quantile(a, b, 0.5 * (f_lo + f_hi))
-        else:
-            g_lo = betainc(a + 1.0, b, lam)
-            g_hi = betainc(a + 1.0, b, 1.0 - lam)
-            u_hat = (a / (n + 2.0)) * (g_hi - g_lo) / (f_hi - f_lo)
+        u_hat = beta_quantile(a, b, 0.5 * (f_lo + f_hi))
         return (u_hat - lam) / u_span
 
     if isinstance(model, HideAndSeekModel):
@@ -124,20 +117,14 @@ def _estimate_table(model, estimator: str) -> np.ndarray:
     raise TypeError(f"unknown model type {type(model).__name__!r}")
 
 
-def _simulate_block(model, estimator: str, table, size: int, rng) -> np.ndarray:
+def _simulate_block(model, table, size: int, rng) -> np.ndarray:
     if isinstance(model, GaussianModel):
         if model.n < 1:
             raise ValueError("simulation needs at least one sample")
         w = rng.normal(0.0, math.sqrt(model.sigma_w_sq), size)
         xbar = w + rng.normal(0.0, math.sqrt(model.sigma_sq / model.n), size)
-        if estimator == "sample-mean":
-            w_hat = xbar
-        elif estimator in ("posterior-mean", "posterior-median"):
-            # the posterior is Gaussian, so its mean and median coincide
-            w_hat = xbar * (model.sigma_w_sq / (model.sigma_w_sq
-                                                + model.sigma_sq / model.n))
-        else:
-            raise UnsupportedEstimator(f"{estimator!r} for Gaussian model")
+        w_hat = xbar * (model.sigma_w_sq / (model.sigma_w_sq
+                                            + model.sigma_sq / model.n))
         return np.abs(w - w_hat)
 
     w = rng.random(size)
@@ -152,13 +139,18 @@ def mc_risk(model, estimator: str, trials: int = 10 ** 5,
             seed: int = 0) -> RiskEstimate:
     """Monte-Carlo estimate of the expected loss of a reference estimator.
 
-    Requires ``trials >= 10**4``.  Deterministic in ``seed``.
+    The estimators are ``"posterior-median"`` and ``"sample-mean"`` for the
+    Bernoulli and noisy-Bernoulli models and ``"posterior-mean"`` for the
+    Gaussian one; any other raises `UnsupportedEstimator`.  Requires
+    ``trials >= 10**4``.  Deterministic in ``seed``.
     """
     if trials < 10 ** 4:
         raise ValueError("at least 10^4 trials are required")
     table = None
     if not isinstance(model, GaussianModel):
         table = _estimate_table(model, estimator)
+    elif estimator != "posterior-mean":
+        raise UnsupportedEstimator(f"{estimator!r} for Gaussian model")
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -167,7 +159,7 @@ def mc_risk(model, estimator: str, trials: int = 10 ** 5,
     while done < trials:
         size = min(_BLOCK, trials - done)
         rng = np.random.Generator(base.jumped(block_index))
-        losses = _simulate_block(model, estimator, table, size, rng)
+        losses = _simulate_block(model, table, size, rng)
         total += float(np.sum(losses))
         total_sq += float(np.sum(losses * losses))
         done += size

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureFailure
 
 __all__ = [
-    "QuadraturePolicy",
     "adaptive_simpson",
     "brent_max",
 ]
@@ -87,19 +85,10 @@ def brent_max(f, lo, hi, tol=1e-12):
                 v, fv = u, fu
 
 
-@dataclass(frozen=True)
-class QuadraturePolicy:
-    """Adaptive-Simpson settings carried by mixed joints."""
-
-    atol: float = 1e-9
-    rtol: float = 1e-8
-    initial_panels: int = 16
-    max_depth: int = 48
-
-
 def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
-                     initial_panels=16, max_depth=48):
-    """Integrate ``f`` on [a, b] by adaptive Simpson bisection.
+                     max_depth=48):
+    """Integrate ``f`` on [a, b] by adaptive Simpson bisection, starting
+    from 16 even panels.
 
     With ``rows=None``, ``f`` maps an ndarray of abscissae to an ndarray of
     values and the integral is returned as a float.  With ``rows=R``, ``f``
@@ -127,7 +116,7 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
     if per_row and len(points) != rows:
         raise ValueError(f"{len(points)} point sequences for {rows} rows")
 
-    base = np.linspace(a, b, initial_panels + 1)
+    base = np.linspace(a, b, 17)
     edges = [_split_edges(base, a, b, p) for p in points] if per_row else \
         [_split_edges(base, a, b, points)] * batch
 

@@ -15,15 +15,12 @@ import math
 import numpy as np
 
 from .distributions import DiscreteDistribution, DivergenceKind, DivergenceSpec, MarkovKernel
-from .errors import EtaOutOfRange, LambdaOutOfRange, ZeroDenominator
+from .errors import LambdaOutOfRange, ZeroDenominator
 from . import measures
 
 __all__ = [
     "dobrushin_coefficient",
     "eta_operator_convex_bsc",
-    "eta_hellinger_bsc_upper",
-    "tensorize_eta",
-    "ldp_contraction_bound",
     "renyi_sdpi_ratio",
     "eta_estimate_by_sampling",
 ]
@@ -45,49 +42,6 @@ def eta_operator_convex_bsc(lam: float) -> float:
     if not 0.0 <= lam <= 0.5:
         raise LambdaOutOfRange(f"crossover {lam!r} outside [0, 1/2]")
     return (1.0 - 2.0 * lam) ** 2
-
-
-def eta_hellinger_bsc_upper(lam: float, p: float) -> float:
-    """Upper bound on the BSC contraction constant for Hellinger order ``p``.
-
-    Exact and equal to (1-2*lam)^2 for 1 < p <= 2 (operator-convex range);
-    for p > 2 only the weaker bound |1-2*lam| is returned, and it is an
-    upper bound, not an equality.
-    """
-    if not 0.0 <= lam <= 0.5:
-        raise LambdaOutOfRange(f"crossover {lam!r} outside [0, 1/2]")
-    if p <= 1.0:
-        raise ValueError("Hellinger order must exceed 1")
-    if p <= 2.0:
-        return (1.0 - 2.0 * lam) ** 2
-    return abs(1.0 - 2.0 * lam)
-
-
-def tensorize_eta(eta: float, n: int, mode: str) -> float:
-    """Contraction constant of the n-fold product channel.
-
-    ``max-preserving`` keeps the single-letter constant (valid when the
-    reference measure is itself a product); ``power`` returns the generic
-    operator-convex tensorization 1 - (1-eta)^n.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise EtaOutOfRange(f"eta={eta!r} outside [0, 1]")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if mode == "max-preserving":
-        return eta
-    if mode == "power":
-        return 1.0 - (1.0 - eta) ** n
-    raise ValueError(f"unknown tensorization mode {mode!r}")
-
-
-def ldp_contraction_bound(epsilon: float, delta: float) -> float:
-    """Contraction bound 1-(1-delta)e^{-epsilon} of an (epsilon, delta)-private kernel."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
-    return min(1.0, 1.0 - (1.0 - delta) * math.exp(-epsilon))
 
 
 def renyi_sdpi_ratio(kernel: MarkovKernel, mu, nu, alpha: float) -> float:
@@ -117,13 +71,12 @@ def _pair_divergence(p, q, spec: DivergenceSpec) -> float:
 
 
 def eta_estimate_by_sampling(kernel: MarkovKernel, spec: DivergenceSpec,
-                             n_pairs: int = 200, seed: int = 0,
-                             include_local: bool = True) -> float:
+                             n_pairs: int = 200, seed: int = 0) -> float:
     """Empirical lower estimate of the contraction constant by pair sampling.
 
-    Draws random (mu, nu) pairs, plus (when ``include_local``) small
-    perturbations of each mu, which probe the local regime where the
-    chi-square contraction constant is attained.  Degenerate nu = mu
+    Draws random (mu, nu) pairs, plus a small perturbation of each mu,
+    which probes the local regime where the chi-square contraction
+    constant is attained.  Degenerate nu = mu
     pairs are skipped.
     """
     rng = np.random.default_rng(seed)
@@ -133,13 +86,12 @@ def eta_estimate_by_sampling(kernel: MarkovKernel, spec: DivergenceSpec,
         mu = rng.dirichlet(np.ones(k))
         nu = rng.dirichlet(np.ones(k))
         candidates = [(mu, nu)]
-        if include_local:
-            step = rng.normal(size=k)
-            step -= step.mean()
-            scale = 1e-4 / max(1e-12, float(np.abs(step).max()))
-            shifted = mu + scale * step
-            if np.all(shifted > 0):
-                candidates.append((mu, shifted / shifted.sum()))
+        step = rng.normal(size=k)
+        step -= step.mean()
+        scale = 1e-4 / max(1e-12, float(np.abs(step).max()))
+        shifted = mu + scale * step
+        if np.all(shifted > 0):
+            candidates.append((mu, shifted / shifted.sum()))
         for base, other in candidates:
             denom = _pair_divergence(other, base, spec)
             if not (denom > 0.0) or denom == math.inf:

@@ -51,11 +51,6 @@ class TestDiscreteJoint:
         j = DiscreteJoint.from_prior_and_kernel([0.5, 0.5], MarkovKernel.bsc(0.2))
         assert np.allclose(j.matrix, [[0.4, 0.1], [0.1, 0.4]])
 
-    def test_conditional_rows(self):
-        j = DiscreteJoint([[0.5, 0.0], [0.25, 0.25]])
-        cond = j.conditional_y_given_x()
-        assert np.allclose(cond.sum(axis=1), 1.0)
-
 
 class TestMarkovKernel:
     def test_row_stochastic_enforced(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbounds import measures
 from riskbounds.distributions import (
@@ -237,6 +239,23 @@ class TestDataProcessing:
                 if math.isinf(before):
                     continue
                 assert after <= before + 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 5))
+    def test_contraction_on_generated_triples(self, data, k):
+        def simplex_point():
+            v = np.array(data.draw(st.lists(st.floats(1e-3, 1.0),
+                                            min_size=k, max_size=k)))
+            return v / v.sum()
+
+        p, q = simplex_point(), simplex_point()
+        kernel = MarkovKernel([simplex_point() for _ in range(k)])
+        for spec in self.SPECS:
+            before = self._pair_value(p, q, spec)
+            if math.isinf(before):
+                continue
+            after = self._pair_value(kernel.push(p), kernel.push(q), spec)
+            assert after <= before + 1e-10, spec.kind
 
 
 class TestProbabilityBounds:

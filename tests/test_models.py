@@ -330,6 +330,22 @@ class TestNoisyBernoulli:
         with pytest.raises(ValueError):
             models.noisy_bernoulli_bound(models.NoisyBernoulliModel(3, 0.2), p=3.0)
 
+    def test_single_letter_contraction_fails_past_one_flip(self):
+        # noisy_bernoulli_bound contracts the n-flip chi-square by the
+        # single-letter eta, as the paper's formula does; the exact noisy
+        # chi-square by quadrature is the oracle that shows where it breaks
+        lam = 0.25
+        eta = (1.0 - 2.0 * lam) ** 2
+        spec = DivergenceSpec(DivergenceKind.CHI_SQUARE)
+        exact, contracted = {}, {}
+        for n in (1, 2, 5):
+            joint = models.noisy_bernoulli_joint(models.NoisyBernoulliModel(n, lam))
+            exact[n] = measures.divergence_from_independence(joint, spec)
+            contracted[n] = eta * (models.bernoulli_hellinger(n, 2.0) - 1.0)
+        assert abs(exact[1] - contracted[1]) <= 1e-9
+        assert exact[2] > contracted[2]
+        assert exact[5] > contracted[5]
+
     def test_upper_bound_recovers_clean_case(self):
         clean = models.noisy_bernoulli_upper_bound(models.NoisyBernoulliModel(9, 0.0))
         assert math.isclose(clean, min(models.bernoulli_upper_bound(9), 0.25),

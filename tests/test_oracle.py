@@ -82,8 +82,6 @@ class TestMcRisk:
          0.19529428232727722, 0.00043832705272802184),
         (models.NoisyBernoulliModel(13, 0.25), "posterior-median", 2,
          0.15396539262307124, 0.000377750200876044),
-        (models.NoisyBernoulliModel(7, 0.1), "posterior-mean", 0,
-         0.13534116184635242, 0.00031910788543195644),
         (models.NoisyBernoulliModel(5, 0.5), "posterior-median", 0,
          0.2500374282175888, 0.00045575336653773705),
     ])
@@ -144,17 +142,21 @@ class TestMcRisk:
         def no_sampling(*args):
             raise AssertionError("sampled before the estimator was checked")
 
-        # the discrete models reject an estimator while tabulating it
+        # every model rejects an estimator before its first block, the
+        # discrete ones while tabulating it
         monkeypatch.setattr(oracle, "_simulate_block", no_sampling)
-        with pytest.raises(UnsupportedEstimator):
-            oracle.mc_risk(models.BernoulliUniformModel(2), "map", 10 ** 4)
-        with pytest.raises(UnsupportedEstimator):
-            oracle.mc_risk(models.NoisyBernoulliModel(2, 0.5), "sample-mean",
-                           10 ** 4)
-        with pytest.raises(UnsupportedEstimator):
-            oracle.mc_risk(
-                models.HideAndSeekModel(d=4, m=1, b=1.0, theta=0.1, n=1),
-                "posterior-median", 10 ** 4)
+        for model, estimator in [
+            (models.BernoulliUniformModel(2), "map"),
+            (models.BernoulliUniformModel(2), "posterior-mean"),
+            (models.NoisyBernoulliModel(2, 0.5), "sample-mean"),
+            (models.NoisyBernoulliModel(7, 0.1), "posterior-mean"),
+            (models.GaussianModel(3, 1.0, 2.0), "sample-mean"),
+            (models.GaussianModel(3, 1.0, 2.0), "posterior-median"),
+            (models.HideAndSeekModel(d=4, m=1, b=1.0, theta=0.1, n=1),
+             "posterior-median"),
+        ]:
+            with pytest.raises(UnsupportedEstimator):
+                oracle.mc_risk(model, estimator, 10 ** 4)
 
 
 class TestBruteForce:

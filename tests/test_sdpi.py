@@ -12,7 +12,7 @@ from riskbounds.distributions import (
     DivergenceSpec,
     MarkovKernel,
 )
-from riskbounds.errors import EtaOutOfRange, LambdaOutOfRange, ZeroDenominator
+from riskbounds.errors import LambdaOutOfRange, ZeroDenominator
 
 
 class TestDobrushin:
@@ -43,48 +43,6 @@ class TestBscContraction:
     def test_out_of_range(self):
         with pytest.raises(LambdaOutOfRange):
             sdpi.eta_operator_convex_bsc(0.7)
-
-    def test_hellinger_upper_regimes(self):
-        assert sdpi.eta_hellinger_bsc_upper(0.2, 2.0) == 0.6 ** 2
-        # above order 2 only the total-variation coefficient is claimed
-        assert sdpi.eta_hellinger_bsc_upper(0.2, 3.0) == 0.6
-
-
-class TestTensorization:
-    def test_single_letter(self):
-        assert sdpi.tensorize_eta(0.25, 1, "max-preserving") == 0.25
-        assert sdpi.tensorize_eta(0.25, 1, "power") == 0.25
-
-    def test_power_two(self):
-        assert math.isclose(sdpi.tensorize_eta(0.25, 2, "power"), 0.4375,
-                            rel_tol=1e-14)
-
-    def test_full_contraction_is_fixed(self):
-        for n in (1, 3, 10):
-            assert sdpi.tensorize_eta(1.0, n, "power") == 1.0
-            assert sdpi.tensorize_eta(1.0, n, "max-preserving") == 1.0
-
-    def test_validation(self):
-        with pytest.raises(EtaOutOfRange):
-            sdpi.tensorize_eta(1.2, 2, "power")
-        with pytest.raises(ValueError):
-            sdpi.tensorize_eta(0.5, 0, "power")
-        with pytest.raises(ValueError):
-            sdpi.tensorize_eta(0.5, 2, "meh")
-
-
-class TestLdpBound:
-    def test_values(self):
-        assert sdpi.ldp_contraction_bound(0.0, 0.0) == 0.0
-        assert sdpi.ldp_contraction_bound(2.0, 1.0) == 1.0
-        assert math.isclose(sdpi.ldp_contraction_bound(math.log(3.0), 0.0),
-                            2.0 / 3.0, rel_tol=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sdpi.ldp_contraction_bound(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            sdpi.ldp_contraction_bound(0.1, 1.3)
 
 
 class TestRenyiRatio:
