@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceInfinite, EtaOutOfRange, InverseDomainError, NanValue
+from .errors import EtaOutOfRange, InverseDomainError, NanValue
 from .quadrature import brent_max
 
 __all__ = [
@@ -213,10 +213,14 @@ def _power_bound(divergence: float, t: float, b: float, penalty, L: SmallBallFn,
                  method: str, params: dict) -> BoundResult:
     """sup over rho of rho*(1 - b - penalty(L(rho))), penalty(l) = A*l^t;
     for a linear L, `maximize_rho` with c = penalty(slope).  A radius
-    with L(rho) = 0 has no penalty, also where A overflowed to inf."""
+    with L(rho) = 0 has no penalty, also where A overflowed to inf; at a
+    radius with L(rho) > 0, a penalty that overflows counts as +inf."""
     def g(rho):
         l = L(rho)
-        return rho * (1.0 - b - (penalty(l) if l > 0.0 else 0.0))
+        try:
+            return rho * (1.0 - b - (penalty(l) if l > 0.0 else 0.0))
+        except OverflowError:  # a penalty beyond the largest double
+            return -math.inf
 
     def closed(slope):
         if b >= 1.0:  # no radius has a positive value
@@ -228,7 +232,7 @@ def _power_bound(divergence: float, t: float, b: float, penalty, L: SmallBallFn,
 
 def sibson_bound(i_alpha: float, alpha: float, L: SmallBallFn) -> BoundResult:
     """sup over rho of rho*(1 - (exp(I_alpha)*L(rho))^((alpha-1)/alpha))."""
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise ValueError("Sibson bound requires alpha > 1")
     t = (alpha - 1.0) / alpha
     return _power_bound(i_alpha, t, 0.0, lambda l: (math.exp(i_alpha) * l) ** t,
@@ -263,7 +267,7 @@ class PhiSpec:
 
 def hellinger_phi(p: float) -> PhiSpec:
     """Generator (t^p - 1)/(p - 1) of the order-p Hellinger divergence."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("Hellinger order must exceed 1")
 
     def inverse(y):
@@ -285,7 +289,7 @@ def hellinger_phi(p: float) -> PhiSpec:
 
 def hockey_stick_phi(gamma: float, zeta: float) -> PhiSpec:
     """Generator max(0, zeta*t - gamma) - max(0, zeta - gamma)."""
-    if zeta <= 0 or gamma < 0:
+    if not (zeta > 0 and gamma >= 0):
         raise ValueError("requires zeta > 0 and gamma >= 0")
     offset = max(0.0, zeta - gamma)
 
@@ -341,7 +345,7 @@ def phi_bound_decreasing(i_phi: float, phi: PhiSpec, l_val: float, rho: float) -
 
 def hellinger_bound(h_p: float, p: float, L: SmallBallFn) -> BoundResult:
     """sup over rho of rho*(1 - L(rho)^((p-1)/p) * ((p-1)*H_p + 1)^(1/p))."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("Hellinger order must exceed 1")
     t = (p - 1.0) / p
     moment = (p - 1.0) * h_p + 1.0
@@ -352,7 +356,7 @@ def hellinger_bound(h_p: float, p: float, L: SmallBallFn) -> BoundResult:
 def hockey_stick_bound(e_value: float, gamma: float, zeta: float,
                        L: SmallBallFn) -> BoundResult:
     """sup over rho of rho*(1 - (E + gamma*L(rho) + max(0, zeta-gamma))/zeta)."""
-    if zeta <= 0 or gamma < 0:
+    if not (zeta > 0 and gamma >= 0):
         raise ValueError("requires zeta > 0 and gamma >= 0")
     b = (e_value + max(0.0, zeta - gamma)) / zeta
     return _power_bound(e_value, 1.0, b, lambda l: gamma * l / zeta, L, "egz",
@@ -426,22 +430,16 @@ def sdpi_bound(i_phi: float, eta: float, phi: PhiSpec, L: SmallBallFn) -> BoundR
 
 
 def optimize_bound(callback, method: str, param_grid: dict,
-                   L: SmallBallFn, *, vectorized: bool = False) -> BoundResult:
+                   L: SmallBallFn) -> BoundResult:
     """Maximize a bound over a parameter grid, then refine by Brent's method.
 
-    ``callback(**params)`` must return the divergence the method consumes
-    (I_alpha, H_p, E_{gamma,zeta}, maximal leakage, or mutual information)
-    and must be pure; it may raise DivergenceInfinite, which makes that
-    point's bound vacuous.  With ``vectorized=True`` every parameter comes
-    as an ndarray of the same length, and the callback returns the
-    divergence at each of those points, with +inf where it is infinite:
-    the grid is one call over the whole product grid, in sweep order, and
-    each Brent step is a call of length 1.  A plain callback is
-    called once per point, as the loop that lifts it to that form.  The
-    CLI vectorizes only the Gaussian E_{gamma,zeta} column, whose kernel
-    integrates an array of gammas in one quadrature pass; the Bernoulli
-    kernel stays scalar, as the benchmark's trace hook reads its gamma
-    and zeta as floats.
+    ``callback(**params)`` gets one float64 ndarray per parameter, all of
+    one length (``mi`` and ``ml`` have no parameters and get none), and
+    returns the divergence the method consumes (I_alpha, H_p,
+    E_{gamma,zeta}, maximal leakage, or mutual information) at each
+    point, broadcastable to their number, +inf where it is infinite (a
+    vacuous bound).  It must be pure.  The grid is one call, in sweep
+    order, and each Brent step is a call of length 1.
 
     After the grid, each parameter with two or more grid values gets one
     Brent pass (``tol=1e-6``) between the grid neighbours of the best
@@ -457,7 +455,6 @@ def optimize_bound(callback, method: str, param_grid: dict,
         raise ValueError(
             f"unknown method {method!r}; expected one of {tuple(_METHODS)}")
     bound = _METHODS[method]
-    divergences = callback if vectorized else _lift(callback)
 
     names = sorted(param_grid)
     for name in names:
@@ -472,11 +469,12 @@ def optimize_bound(callback, method: str, param_grid: dict,
     def evaluate(points):
         """The bound at each parameter point; an infinite divergence
         gives the vacuous result."""
-        values = divergences(**{name: np.array([pt[name] for pt in points])
-                                for name in names})
+        values = callback(**{name: np.array([pt[name] for pt in points])
+                             for name in names})
+        values = np.broadcast_to(np.asarray(values, dtype=float), (len(points),))
         return [BoundResult(0.0, 0.0, method, dict(pt), 1, vacuous=True)
                 if value == math.inf else bound(value, L, **pt)
-                for pt, value in zip(points, values)]
+                for pt, value in zip(points, values.tolist())]
 
     evals = 0
     best: BoundResult | None = None
@@ -519,19 +517,3 @@ def optimize_bound(callback, method: str, param_grid: dict,
     return BoundResult(best.value, best.rho_star, method, best.params,
                        evals, best.vacuous)
 
-
-def _lift(callback):
-    """The array form of a plain callback: one call per point, with
-    DivergenceInfinite read as +inf."""
-    def divergences(**arrays):
-        size = len(next(iter(arrays.values()))) if arrays else 1
-        values = []
-        for i in range(size):
-            try:
-                values.append(callback(**{name: float(column[i])
-                                          for name, column in arrays.items()}))
-            except DivergenceInfinite:
-                values.append(math.inf)
-        return values
-
-    return divergences

@@ -234,7 +234,7 @@ class MixedJoint:
 
     Parameters
     ----------
-    density : callable, vectorized
+    density : callable on arrays
         Prior density of the parameter on ``support``.
     support : (low, high)
         Compact interval carrying the prior.

@@ -37,10 +37,6 @@ class ZeroDenominator(RiskboundsError, ZeroDivisionError):
     """Contraction ratio is undefined when the reference divergence is 0."""
 
 
-class DivergenceInfinite(RiskboundsError, ArithmeticError):
-    """Closed form is only finite inside its stated parameter region."""
-
-
 class NanValue(RiskboundsError, ValueError):
     """A divergence input or a bound value is NaN."""
 

@@ -20,7 +20,6 @@ from scipy.special import betainc, gammaln, logsumexp, ndtr, xlogy
 from . import measures, sdpi
 from .bounds import BoundResult, SmallBallFn, hellinger_phi, sdpi_bound
 from .distributions import MixedJoint
-from .errors import DivergenceInfinite
 from .quadrature import adaptive_simpson
 
 __all__ = [
@@ -88,7 +87,7 @@ class GaussianModel:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be non-negative")
-        if self.sigma_w_sq <= 0 or self.sigma_sq <= 0:
+        if not (self.sigma_w_sq > 0 and self.sigma_sq > 0):
             raise ValueError("variances must be positive")
 
     @property
@@ -112,7 +111,7 @@ class HideAndSeekModel:
             raise ValueError("d must be at least 2")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be at least 1")
-        if self.b < 0:
+        if not self.b >= 0:
             raise ValueError("message budget must be non-negative")
         if not 0.0 <= self.theta < 0.5:
             raise ValueError("bias must lie in [0, 1/2)")
@@ -149,28 +148,30 @@ def bernoulli_ml(n: int) -> MlValue:
     return MlValue(exact=float(exact), upper=upper)
 
 
-def bernoulli_sibson(n: int, alpha: float) -> float:
+def bernoulli_sibson(n: int, alpha):
     """Exponential form of the order-alpha dependence: returns
-    exp(((alpha-1)/alpha) * I_alpha), a Gamma-ratio sum over weights."""
+    exp(((alpha-1)/alpha) * I_alpha), a Gamma-ratio sum over weights.
+    An array of R orders is one pass over an (R, n+1) array, each value
+    ``==`` to the call with that order alone; a scalar returns a float."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if alpha <= 1.0:
-        raise ValueError("order must exceed 1")
+    a = _orders(alpha)[..., None]
     k = np.arange(n + 1)
     log_beta = (
-        gammaln(k * alpha + 1.0)
-        + gammaln((n - k) * alpha + 1.0)
-        - gammaln(n * alpha + 2.0)
+        gammaln(k * a + 1.0)
+        + gammaln((n - k) * a + 1.0)
+        - gammaln(n * a + 2.0)
     )
-    return float(np.exp(logsumexp(_log_binom(n, k) + log_beta / alpha)).item())
+    return _float_if_scalar(
+        np.exp(logsumexp(_log_binom(n, k) + log_beta / a, axis=-1)))
 
 
-def bernoulli_hellinger(n: int, p: float) -> float:
-    """Moment form (p-1)*H_p + 1 of the order-p Hellinger dependence."""
+def bernoulli_hellinger(n: int, p):
+    """Moment form (p-1)*H_p + 1 of the order-p Hellinger dependence;
+    ``p`` broadcasts as ``alpha`` does in `bernoulli_sibson`."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if p <= 1.0:
-        raise ValueError("order must exceed 1")
+    p = _orders(p)[..., None]
     k = np.arange(n + 1)
     log_terms = (
         (p - 1.0) * math.log(n + 1.0)
@@ -179,7 +180,26 @@ def bernoulli_hellinger(n: int, p: float) -> float:
         + gammaln((n - k) * p + 1.0)
         - gammaln(n * p + 2.0)
     )
-    return float(np.exp(logsumexp(log_terms)).item())
+    return _float_if_scalar(np.exp(logsumexp(log_terms, axis=-1)))
+
+
+def _orders(order, least: float = 1.0) -> np.ndarray:
+    """``order`` as a float64 array, each entry above ``least`` (NaN fails)."""
+    order = np.asarray(order, dtype=float)
+    if not np.all(order > least):
+        raise ValueError(f"order must exceed {least:g}")
+    return order
+
+
+def _float_if_scalar(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def _libm(fn, orders: np.ndarray):
+    """``fn`` on each order as a Python float, so that each value is the
+    libm result of a scalar call; a 0-d array gives a float."""
+    return _float_if_scalar(np.array([fn(x) for x in orders.ravel().tolist()])
+                            .reshape(orders.shape))
 
 
 def bernoulli_e_gamma_zeta(n: int, gamma: float, zeta: float) -> float:
@@ -199,7 +219,7 @@ def bernoulli_e_gamma_zeta(n: int, gamma: float, zeta: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if zeta <= 0 or gamma < 0:
+    if not (zeta > 0 and gamma >= 0):
         raise ValueError("requires zeta > 0 and gamma >= 0")
     if gamma == 0.0:
         return 0.0
@@ -325,33 +345,31 @@ def gaussian_small_ball(model: GaussianModel) -> SmallBallFn:
     return SmallBallFn.linear(math.sqrt(2.0 / (model.sigma_w_sq * math.pi)))
 
 
-def gaussian_sibson(model: GaussianModel, alpha: float) -> float:
-    """I_alpha = 0.5 * log(1 + alpha * n * sigma_W^2 / sigma^2)."""
-    if alpha <= 0:
-        raise ValueError("order must be positive")
-    return 0.5 * math.log1p(alpha * model.snr)
+def gaussian_sibson(model: GaussianModel, alpha):
+    """I_alpha = 0.5 * log(1 + alpha * n * sigma_W^2 / sigma^2); ``alpha``
+    broadcasts, and a scalar returns a float."""
+    s = model.snr
+    return _libm(lambda a: 0.5 * math.log1p(a * s), _orders(alpha, least=0.0))
 
 
 def gaussian_mutual_information(model: GaussianModel) -> float:
     return gaussian_sibson(model, 1.0)
 
 
-def gaussian_hellinger(model: GaussianModel, p: float) -> float:
+def gaussian_hellinger(model: GaussianModel, p):
     """Moment form (p-1)*H_p + 1 = sqrt((1+s)^p / (1 + (2-p)*p*s)).
 
-    ``s`` is the n-sample signal-to-noise ratio.  Raises
-    DivergenceInfinite when the denominator is non-positive (the moment
-    diverges outside that region).
+    ``s`` is the n-sample signal-to-noise ratio.  The moment is +inf
+    where the denominator is non-positive (it diverges outside that
+    region); ``p`` broadcasts, and a scalar returns a float.
     """
-    if p <= 1.0:
-        raise ValueError("order must exceed 1")
     s = model.snr
-    denom = 1.0 + (2.0 - p) * p * s
-    if denom <= 0.0:
-        raise DivergenceInfinite(
-            f"order {p!r} is outside the finite region at snr {s!r}"
-        )
-    return math.sqrt((1.0 + s) ** p / denom)
+
+    def moment(p):
+        denom = 1.0 + (2.0 - p) * p * s
+        return math.sqrt((1.0 + s) ** p / denom) if denom > 0.0 else math.inf
+
+    return _libm(moment, _orders(p))
 
 
 def gaussian_upper_bound(model: GaussianModel) -> float:
@@ -385,7 +403,7 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta):
     gammas, zetas = np.broadcast_arrays(np.asarray(gamma, dtype=float),
                                         np.asarray(zeta, dtype=float))
     pairs = list(zip(gammas.ravel().tolist(), zetas.ravel().tolist()))
-    if any(z <= 0 or g < 0 for g, z in pairs):
+    if not all(z > 0 and g >= 0 for g, z in pairs):
         raise ValueError("requires zeta > 0 and gamma >= 0")
     if model.n < 1:
         raise ValueError("n must be at least 1")
@@ -429,9 +447,7 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta):
     for i, total in zip(live, totals):
         g, z = pairs[i]
         values[i] = max(0.0, total - max(0.0, z - g))
-    if gammas.ndim == 0:
-        return values[0]
-    return np.array(values).reshape(gammas.shape)
+    return _float_if_scalar(np.array(values).reshape(gammas.shape))
 
 
 # ----------------------------------------------------------------------

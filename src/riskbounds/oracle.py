@@ -9,7 +9,7 @@ see a sample only through its count k, so each call tabulates the
 estimate over k = 0..n once and indexes the table per sample.
 
 `brute_force_divergence` transcribes each divergence definition as plain
-per-cell loops; it deliberately shares no code with the vectorized
+per-cell loops; it deliberately shares no code with the array
 implementations in :mod:`riskbounds.measures` that it validates.
 """
 

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from riskbounds import bounds as B
 from riskbounds import models, oracle
 from riskbounds.distributions import DiscreteJoint
-from riskbounds.errors import (DivergenceInfinite, EtaOutOfRange, InverseDomainError,
-                               NanValue, RiskboundsError)
+from riskbounds.errors import EtaOutOfRange, InverseDomainError, NanValue, RiskboundsError
 from riskbounds.quadrature import brent_max
 
 L2 = B.SmallBallFn.linear(2.0)
@@ -363,6 +362,10 @@ BOUND_FUNCTIONS = {
 }
 
 
+# 0 up to rho = 0.1: every radius there keeps its full value rho
+EMPTY_BALL_L = B.SmallBallFn(lambda rho: max(0.0, rho - 0.1))
+
+
 class TestNonFiniteDivergence:
     @pytest.mark.parametrize("L", [L2, NUMERIC_L], ids=["linear", "numeric"])
     @pytest.mark.parametrize("name", sorted(BOUND_FUNCTIONS))
@@ -383,6 +386,18 @@ class TestNonFiniteDivergence:
             assert res.vacuous
         assert res.vacuous == closed.vacuous
         assert math.isclose(res.value, closed.value, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(BOUND_FUNCTIONS))
+    def test_overflow_counts_only_where_the_ball_has_mass(self, name):
+        # e^1000 overflows, but only at radii with L(rho) > 0: below 0.1
+        # the objective is rho, so the bound is 0.1; egz alone stays
+        # vacuous, as its b = E/zeta >= 1 does not depend on L
+        res = BOUND_FUNCTIONS[name](1e3, EMPTY_BALL_L)
+        if name == "egz":
+            assert res.vacuous and res.value == 0.0
+        else:
+            assert not res.vacuous
+            assert abs(res.value - 0.1) <= 1e-9
 
     def test_overflowed_moment_with_empty_ball_is_not_nan(self):
         # the moment of H_3 = 1e308 overflows to inf; where L(rho) = 0 the
@@ -431,14 +446,14 @@ class TestOptimizeBound:
         direct = B.sibson_bound(i2, 2.0, L2)
         opt = B.optimize_bound(
             lambda alpha: alpha / (alpha - 1.0)
-            * math.log(models.bernoulli_sibson(5, alpha)),
+            * np.log(models.bernoulli_sibson(5, alpha)),
             "sibson", {"alpha": [2.0]}, L2)
         assert math.isclose(opt.value, direct.value, rel_tol=1e-12)
 
     def test_grid_maximum_dominates_members(self):
         grid = 1.0 + np.geomspace(1e-2, 63.0, 40)
         callback = lambda alpha: alpha / (alpha - 1.0) \
-            * math.log(models.bernoulli_sibson(10, alpha))
+            * np.log(models.bernoulli_sibson(10, alpha))
         opt = B.optimize_bound(callback, "sibson", {"alpha": grid}, L2)
         at_two = B.sibson_bound(callback(2.0), 2.0, L2)
         assert opt.value >= at_two.value
@@ -447,9 +462,8 @@ class TestOptimizeBound:
     def test_bernoulli_method_ordering_at_ten_flips(self):
         grid = 1.0 + np.geomspace(1e-2, 63.0, 40)
         gz = np.geomspace(1e-2, 32.0, 48)
-        egz = B.optimize_bound(
-            lambda gamma, zeta: models.bernoulli_e_gamma_zeta(10, gamma, zeta),
-            "egz", {"gamma": gz, "zeta": gz}, L2)
+        egz = B.optimize_bound(_per_point(models.bernoulli_e_gamma_zeta, 10),
+                               "egz", {"gamma": gz, "zeta": gz}, L2)
         hel = B.optimize_bound(
             lambda p: (models.bernoulli_hellinger(10, p) - 1.0) / (p - 1.0),
             "hellinger", {"p": grid}, L2)
@@ -488,15 +502,14 @@ class TestOptimizeBound:
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_infinite_divergence_everywhere_is_vacuous(self, vectorized):
-        grid = [1.5, 2.0, 8.0]
+        # an array callback, or a scalar kernel called once per point
         if vectorized:
             def callback(p):
                 return np.full(p.shape, math.inf)
         else:
-            def callback(p):
-                raise DivergenceInfinite(f"order {p}")
-        res = B.optimize_bound(callback, "hellinger", {"p": grid}, L2,
-                               vectorized=vectorized)
+            callback = _per_point(lambda first, p: math.inf, None)
+        grid = [1.5, 2.0, 8.0]
+        res = B.optimize_bound(callback, "hellinger", {"p": grid}, L2)
         # every point is vacuous with one evaluation, so the first grid point
         # stays best through the grid and the Brent pass on [1.5, 2]
         brent = brent_max(lambda x: 0.0, 1.5, 2.0, tol=1e-6)[2]
@@ -504,11 +517,19 @@ class TestOptimizeBound:
                                     len(grid) + brent, vacuous=True)
 
 
+def _per_point(kernel, first):
+    """The array callback that calls a scalar ``kernel(first, ...)`` once
+    per parameter point."""
+    return lambda **arrays: [kernel(first, *point)
+                             for point in zip(*(a.tolist() for a in arrays.values()))]
+
+
 def _bound_at(method, callback, params, L):
-    """The bound at one parameter point, 0 where the divergence is infinite."""
-    try:
-        value = callback(**params)
-    except DivergenceInfinite:
+    """The bound at one parameter point, from a call of length 1; 0 where
+    the divergence is infinite."""
+    value = np.broadcast_to(callback(**{name: np.array([x])
+                                        for name, x in params.items()}), (1,))[0]
+    if value == math.inf:
         return 0.0
     if method == "sibson":
         return B.sibson_bound(value, params["alpha"], L).value
@@ -522,15 +543,15 @@ def _divergence(setting, n, method):
     if setting == "bernoulli":
         callbacks = {
             "sibson": lambda alpha: alpha / (alpha - 1.0)
-            * math.log(models.bernoulli_sibson(n, alpha)),
+            * np.log(models.bernoulli_sibson(n, alpha)),
             "hellinger": lambda p: (models.bernoulli_hellinger(n, p) - 1.0) / (p - 1.0),
-            "egz": lambda gamma, zeta: models.bernoulli_e_gamma_zeta(n, gamma, zeta),
+            "egz": _per_point(models.bernoulli_e_gamma_zeta, n),
         }
         return callbacks[method], models.bernoulli_small_ball()
     g = models.GaussianModel(n, 1.0, 2.0)
     callbacks = {
         "sibson": lambda alpha: models.gaussian_sibson(g, alpha),
-        # infinite from p = 2 + 1/snr on: raises DivergenceInfinite
+        # +inf from p = 2 + 1/snr on
         "hellinger": lambda p: (models.gaussian_hellinger(g, p) - 1.0) / (p - 1.0),
         "egz": lambda gamma, zeta: models.gaussian_e_gamma_zeta(g, gamma, zeta),
     }
@@ -544,27 +565,21 @@ _scales = st.lists(_scale, min_size=1, max_size=4, unique=True)
 @settings(max_examples=30, deadline=None)
 @given(setting=st.sampled_from(["bernoulli", "gaussian"]), n=st.integers(1, 50),
        method=st.sampled_from(["sibson", "hellinger", "egz"]), orders=_orders,
-       gammas=_scales, zetas=_scales, vectorized=st.booleans())
-def test_optimize_bound_dominates_its_grid(setting, n, method, orders, gammas, zetas,
-                                           vectorized):
+       gammas=_scales, zetas=_scales)
+def test_optimize_bound_dominates_its_grid(setting, n, method, orders, gammas, zetas):
     callback, L = _divergence(setting, n, method)
     if method == "egz":
         grid = {"gamma": sorted(gammas), "zeta": sorted(zetas)}
     else:
         grid = {"alpha" if method == "sibson" else "p": sorted(orders)}
-    # only the Gaussian kernel takes arrays
-    vectorized = vectorized and setting == "gaussian" and method == "egz"
     seen = []  # every point optimize_bound evaluates, on the grid or by Brent
 
     def recorded(**params):
-        if vectorized:
-            seen.extend(dict(zip(params, map(float, values)))
-                        for values in zip(*params.values()))
-        else:
-            seen.append(params)
+        seen.extend(dict(zip(params, values))
+                    for values in zip(*(a.tolist() for a in params.values())))
         return callback(**params)
 
-    res = B.optimize_bound(recorded, method, grid, L, vectorized=vectorized)
+    res = B.optimize_bound(recorded, method, grid, L)
     names = sorted(grid)
     points = [dict(zip(names, values))
               for values in itertools.product(*(grid[name] for name in names))]

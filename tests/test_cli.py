@@ -3,9 +3,13 @@
 import functools
 import json
 import math
+import pathlib
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbounds import bounds, cli, models
 
@@ -244,23 +248,27 @@ class TestOptimizedRuns:
         row, _ = cli._estimation_point(cli.BERNOULLI, n, args)
         gamma_grid, zeta_grid = cli.default_gamma_zeta_grid()
         full = bounds.optimize_bound(
-            lambda gamma, zeta: models.bernoulli_e_gamma_zeta(n, gamma, zeta),
+            functools.partial(cli._bernoulli_e_gamma_zeta, cli.BERNOULLI.model(n, args)),
             "egz", {"gamma": gamma_grid, "zeta": zeta_grid},
             models.bernoulli_small_ball())
         assert row["egz"] >= full.value * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("n", [1, 10, 50])
     def test_gaussian_batched_grid_equals_scalar_search(self, n):
-        # the vectorized egz column and the plain per-point search agree
+        # the egz column's one batched call per grid and a search that
+        # calls the kernel once per point agree
         args = cli.build_parser().parse_args(["gaussian", "--optimize"])
         model = cli.GAUSSIAN.model(n, args)
         L = cli.GAUSSIAN.small_ball(model)
         column = next(c for c in cli.GAUSSIAN.columns if c.method == "egz")
-        assert column.vectorized
-        callback = functools.partial(column.divergence, model)
-        scalar = bounds.optimize_bound(callback, "egz", column.grid(args), L)
-        batched = bounds.optimize_bound(callback, "egz", column.grid(args), L,
-                                        vectorized=True)
+
+        def per_point(gamma, zeta):
+            return [models.gaussian_e_gamma_zeta(model, g, z)
+                    for g, z in zip(gamma.tolist(), zeta.tolist())]
+
+        scalar = bounds.optimize_bound(per_point, "egz", column.grid(args), L)
+        batched = bounds.optimize_bound(functools.partial(column.divergence, model),
+                                        "egz", column.grid(args), L)
         assert batched == scalar
         assert cli._column_bound(column, model, L, args) == scalar
 
@@ -270,6 +278,51 @@ class TestOptimizedRuns:
                          "--out", str(out)]) == 0
         row = out.read_text().strip().split("\n")[1].split(",")
         assert float(row[5]) > 0.0  # hockey-stick column populated
+
+
+_SEARCHED = {f"{setting.name}-{column.method}": (setting, column)
+             for setting in cli.SETTINGS.values() for column in setting.columns
+             if column.params or column.fixed}
+_order = st.floats(-2.0, math.log10(63.0)).map(lambda x: 1.0 + 10.0 ** x)
+_scale = st.floats(-2.0, 1.5).map(lambda x: 10.0 ** x)
+
+
+@pytest.mark.parametrize("name", sorted(_SEARCHED))
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 200), size=st.integers(1, 40), data=st.data())
+def test_column_on_an_array_equals_its_one_element_calls(name, n, size, data):
+    # every searched column takes one array per parameter; each value of an
+    # array call is == to the call on that one-element slice
+    setting, column = _SEARCHED[name]
+    model = setting.model(n, cli.build_parser().parse_args([setting.name]))
+    arrays = {param: np.array(data.draw(st.lists(
+                  _scale if param in ("gamma", "zeta") else _order,
+                  min_size=size, max_size=size)))
+              for param in column.params + tuple(column.fixed)}
+    values = np.asarray(column.divergence(model, **arrays)).tolist()
+    slices = [np.asarray(column.divergence(
+        model, **{param: a[i:i + 1] for param, a in arrays.items()})).item()
+        for i in range(size)]
+    assert values == slices
+
+
+# the CSV each table printed before the array calling convention; a change
+# that moves a value updates its file here and says so in CHANGES.md
+PINNED = pathlib.Path(__file__).parent / "pinned"
+PINNED_TABLES = {
+    "bernoulli": ["bernoulli", "--n", "1,7,50"],
+    "bernoulli-optimize": ["bernoulli", "--optimize", "--n", "1,7,50"],
+    "gaussian": ["gaussian", "--n", "1,7,50"],
+    "gaussian-optimize": ["gaussian", "--optimize", "--n", "1,7,50"],
+    "noisy-bernoulli": ["noisy-bernoulli", "--n", "1,7,50"],
+    "hide-and-seek": ["hide-and-seek", "--n", "1,7,100"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+def test_table_matches_its_pinned_csv(name, capsys):
+    assert cli.main(PINNED_TABLES[name]) == 0
+    assert capsys.readouterr().out == (PINNED / f"{name}.csv").read_text()
 
 
 class TestOtherCommands:

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import comb
 
-from riskbounds import measures, models
+from riskbounds import bounds, measures, models
 from riskbounds.bounds import hockey_stick_bound
 from riskbounds.distributions import DivergenceKind, DivergenceSpec
-from riskbounds.errors import DivergenceInfinite
 
 
 class TestModelValidation:
@@ -34,6 +33,93 @@ class TestModelValidation:
             models.HideAndSeekModel(d=1, m=1, b=1.0, theta=0.1, n=1)
         with pytest.raises(ValueError):
             models.HideAndSeekModel(d=8, m=1, b=1.0, theta=0.5, n=1)
+
+
+_NAN_CALLS = {
+    "sibson_bound": lambda: bounds.sibson_bound(0.1, math.nan, bounds.SmallBallFn.linear(2.0)),
+    "hellinger_bound": lambda: bounds.hellinger_bound(0.1, math.nan,
+                                                      bounds.SmallBallFn.linear(2.0)),
+    "hockey_stick_bound": lambda: bounds.hockey_stick_bound(
+        0.1, math.nan, 1.0, bounds.SmallBallFn.linear(2.0)),
+    "bernoulli_e_gamma_zeta": lambda: models.bernoulli_e_gamma_zeta(5, math.nan, 1.0),
+    "gaussian_e_gamma_zeta": lambda: models.gaussian_e_gamma_zeta(
+        models.GaussianModel(5, 1.0, 2.0), math.nan, 1.0),
+    "bernoulli_sibson": lambda: models.bernoulli_sibson(5, math.nan),
+    "bernoulli_sibson[array]": lambda: models.bernoulli_sibson(5, np.array([2.0, math.nan])),
+    "bernoulli_hellinger": lambda: models.bernoulli_hellinger(5, math.nan),
+    "gaussian_sibson": lambda: models.gaussian_sibson(
+        models.GaussianModel(5, 1.0, 2.0), math.nan),
+    "gaussian_hellinger": lambda: models.gaussian_hellinger(
+        models.GaussianModel(5, 1.0, 2.0), np.array([2.0, math.nan])),
+    "GaussianModel": lambda: models.GaussianModel(5, math.nan, 1.0),
+    "HideAndSeekModel": lambda: models.HideAndSeekModel(d=8, m=1, b=math.nan,
+                                                        theta=0.1, n=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_CALLS))
+def test_nan_parameters_raise(name):
+    # each range check is written so that NaN fails it, instead of turning
+    # into a vacuous bound, a 0 or a NaN value
+    with pytest.raises(ValueError):
+        _NAN_CALLS[name]()
+
+
+# the kernels at the orders below, captured from scalar calls: Gaussian
+# with sigma_W^2 = 1 and sigma^2 = 2, whose Hellinger moment at p = 4 is
+# outside its finite region (1 + (2-p)*p*snr <= 0) for every n here
+_PIN_ORDERS = (1.25, 1.5, 2.0, 4.0)
+_KERNEL_PINS = {
+    1: {"bernoulli_sibson": [1.0454035755774875, 1.0857670466379625,
+                             1.1547005383792515, 1.337480609952844],
+        "bernoulli_hellinger": [1.05707299111353, 1.131370849898476,
+                                1.3333333333333333, 3.2000000000000006],
+        "gaussian_sibson": [0.24275390789085038, 0.27980789396771133,
+                            0.34657359027997264, 0.5493061443340548],
+        "gaussian_hellinger": [1.0631219796071063, 1.1558915668199028, 1.5,
+                               math.inf]},
+    10: {"bernoulli_sibson": [1.2017627440397618, 1.3817612881714754,
+                              1.687395907502963, 2.466604995963822],
+         "bernoulli_hellinger": [1.2592603986078352, 1.633939045913841,
+                                 2.972862019301657, 80.8616969802177],
+         "gaussian_sibson": [0.9905007344332917, 1.0700330817481354,
+                             1.1989476363991853, 1.5222612188617115],
+         "gaussian_hellinger": [1.2849428930186244, 1.7590032139463214, 6.0,
+                                math.inf]},
+    50: {"bernoulli_sibson": [1.3882342155337162, 1.7598966100055977,
+                              2.431344908944245, 4.278299192114763],
+         "bernoulli_hellinger": [1.5086720949117394, 2.3561930198729426,
+                                 6.344457009847843, 1686.0811822370847],
+         "gaussian_sibson": [1.7367590216208908, 1.8253291206468694,
+                             1.9659128163621629, 2.30756025842063],
+         "gaussian_hellinger": [1.549993779024676, 2.590875003491501, 26.0,
+                                math.inf]},
+}
+
+
+@pytest.mark.parametrize("name", ["bernoulli_sibson", "bernoulli_hellinger",
+                                  "gaussian_sibson", "gaussian_hellinger"])
+@pytest.mark.parametrize("n", sorted(_KERNEL_PINS))
+def test_kernels_keep_their_pinned_values(name, n):
+    kernel = getattr(models, name)
+    first = models.GaussianModel(n, 1.0, 2.0) if name.startswith("gaussian") else n
+    expected = _KERNEL_PINS[n][name]
+    scalars = [kernel(first, order) for order in _PIN_ORDERS]
+    assert all(type(value) is float for value in scalars)
+    assert scalars == expected
+    assert kernel(first, np.array(_PIN_ORDERS)).tolist() == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 200), sigma_w2=st.floats(0.1, 10.0),
+       orders=st.lists(st.floats(1.0, 64.0, exclude_min=True), min_size=1,
+                       max_size=40))
+def test_gaussian_hellinger_is_infinite_exactly_outside_its_region(n, sigma_w2, orders):
+    g = models.GaussianModel(n, sigma_w2, 2.0)
+    values = models.gaussian_hellinger(g, np.array(orders)).tolist()
+    for p, value in zip(orders, values):
+        assert (value == math.inf) == (1.0 + (2.0 - p) * p * g.snr <= 0.0)
+        assert value >= 1.0
 
 
 class TestBernoulliSmallBall:
@@ -246,8 +332,7 @@ class TestGaussian:
         for p in np.linspace(1.05, 8.0, 60):
             denom = 1.0 + (2.0 - p) * p * g.snr
             if denom <= 0:
-                with pytest.raises(DivergenceInfinite):
-                    models.gaussian_hellinger(g, float(p))
+                assert models.gaussian_hellinger(g, float(p)) == math.inf
             else:
                 assert models.gaussian_hellinger(g, float(p)) >= 1.0
 
