@@ -168,11 +168,7 @@ def _bernoulli_hellinger(model, p: np.ndarray) -> np.ndarray:
 
 
 def _bernoulli_e_gamma_zeta(model, gamma: np.ndarray, zeta: np.ndarray) -> list:
-    # one scalar kernel call per ratio: the benchmark's trace hook
-    # (perfbench/spans.py) reads the kernel's gamma and zeta as floats, so
-    # batching this kernel waits for a change to the benchmark
-    return [models.bernoulli_e_gamma_zeta(model.n, g, z)
-            for g, z in zip(gamma.tolist(), zeta.tolist())]
+    return models.bernoulli_e_gamma_zeta_batch(model.n, gamma, zeta)
 
 
 BERNOULLI = Setting(

@@ -33,6 +33,7 @@ __all__ = [
     "bernoulli_sibson",
     "bernoulli_hellinger",
     "bernoulli_e_gamma_zeta",
+    "bernoulli_e_gamma_zeta_batch",
     "bernoulli_mutual_information",
     "bernoulli_upper_bound",
     "bernoulli_joint",
@@ -152,10 +153,11 @@ def bernoulli_sibson(n: int, alpha):
     """Exponential form of the order-alpha dependence: returns
     exp(((alpha-1)/alpha) * I_alpha), a Gamma-ratio sum over weights.
     An array of R orders is one pass over an (R, n+1) array, each value
-    ``==`` to the call with that order alone; a scalar returns a float."""
+    ``==`` to the call with that order alone; a scalar returns a float.
+    A non-finite order raises `ValueError`, as the sum has no value there."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    a = _orders(alpha)[..., None]
+    a = _orders(alpha, finite=True)[..., None]
     k = np.arange(n + 1)
     log_beta = (
         gammaln(k * a + 1.0)
@@ -171,7 +173,7 @@ def bernoulli_hellinger(n: int, p):
     ``p`` broadcasts as ``alpha`` does in `bernoulli_sibson`."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    p = _orders(p)[..., None]
+    p = _orders(p, finite=True)[..., None]
     k = np.arange(n + 1)
     log_terms = (
         (p - 1.0) * math.log(n + 1.0)
@@ -183,11 +185,14 @@ def bernoulli_hellinger(n: int, p):
     return _float_if_scalar(np.exp(logsumexp(log_terms, axis=-1)))
 
 
-def _orders(order, least: float = 1.0) -> np.ndarray:
-    """``order`` as a float64 array, each entry above ``least`` (NaN fails)."""
+def _orders(order, least: float = 1.0, finite: bool = False) -> np.ndarray:
+    """``order`` as a float64 array, each entry above ``least`` and, if
+    ``finite``, below +inf (NaN fails both checks)."""
     order = np.asarray(order, dtype=float)
     if not np.all(order > least):
         raise ValueError(f"order must exceed {least:g}")
+    if finite and not np.all(order < math.inf):
+        raise ValueError("order must be finite")
     return order
 
 
@@ -203,7 +208,8 @@ def _libm(fn, orders: np.ndarray):
 
 
 def bernoulli_e_gamma_zeta(n: int, gamma: float, zeta: float) -> float:
-    """Hockey-stick dependence of bias and weight, by exact interval algebra.
+    """Hockey-stick dependence of bias and weight, by exact interval algebra:
+    the one-pair call of `bernoulli_e_gamma_zeta_batch`.
 
     The density ratio at weight k is the Beta(k+1, n-k+1) pdf, which is
     unimodal, so {ratio >= t}, t = gamma/zeta, is an interval around the
@@ -217,24 +223,33 @@ def bernoulli_e_gamma_zeta(n: int, gamma: float, zeta: float) -> float:
     generic quadrature path (measures.e_gamma_zeta on the sufficient
     joint) computes the same number and serves as its oracle in tests.
     """
+    return bernoulli_e_gamma_zeta_batch(n, [float(gamma)], [float(zeta)])[0]
+
+
+def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta) -> list[float]:
+    """`bernoulli_e_gamma_zeta` at each of R (gamma, zeta) pairs, by one
+    60-step bisection over a flat array of length R*2(n+1): pair r holds
+    its own 2(n+1) entries, laid out as in the one-pair call, so element r
+    is ``==`` to the call with that pair alone."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not (zeta > 0 and gamma >= 0):
-        raise ValueError("requires zeta > 0 and gamma >= 0")
-    if gamma == 0.0:
-        return 0.0
-    k = np.arange(n + 1)
+    pairs, _ = _gamma_zeta_pairs(gamma, zeta)
+    rows = [r for r, (g, _) in enumerate(pairs) if g != 0.0]
+    k = np.arange(n + 1.0)
     a_par = k + 1.0
     b_par = n - k + 1.0
-    right_side = np.repeat([False, True], n + 1)
-    k2 = np.tile(k, 2)
-    log_norm = np.tile(gammaln(n + 2.0) - gammaln(a_par) - gammaln(b_par), 2)
+    right_side = np.tile(np.repeat([False, True], n + 1), len(rows))
+    k2 = np.tile(k, 2 * len(rows))
+    rest = n - k2
+    log_norm = np.tile(gammaln(n + 2.0) - gammaln(a_par) - gammaln(b_par),
+                       2 * len(rows))
     mode = k2 / n
 
     def log_ratio(w):
-        return log_norm + xlogy(k2, w) + xlogy(n - k2, 1.0 - w)
+        return log_norm + xlogy(k2, w) + xlogy(rest, 1.0 - w)
 
-    log_t = math.log(gamma / zeta)
+    log_t = np.repeat([math.log(pairs[r][0] / pairs[r][1]) for r in rows],
+                      2 * (n + 1))
     exists = log_ratio(mode) >= log_t
     edge = right_side.astype(float)
     need = exists & (log_ratio(edge) < log_t)
@@ -245,13 +260,30 @@ def bernoulli_e_gamma_zeta(n: int, gamma: float, zeta: float) -> float:
         move_lo = (log_ratio(mid) < log_t) != right_side
         lo = np.where(move_lo, mid, lo)
         hi = np.where(move_lo, hi, mid)
-    ends = np.where(need, np.where(right_side, lo, hi), edge)
-    left, right = ends[:n + 1], ends[n + 1:]
+    ends = np.where(need, np.where(right_side, lo, hi), edge).reshape(-1, 2, n + 1)
+    left, right = ends[:, 0], ends[:, 1]
 
+    g, z = (np.array([pairs[r][i] for r in rows])[:, None] for i in (0, 1))
     mass = betainc(a_par, b_par, right) - betainc(a_par, b_par, left)
-    contrib = np.where(exists[:n + 1], zeta * mass - gamma * (right - left), 0.0)
-    total = float(np.sum(contrib)) / (n + 1.0)
-    return max(0.0, total - max(0.0, zeta - gamma))
+    contrib = np.where(exists.reshape(-1, 2, n + 1)[:, 0],
+                       z * mass - g * (right - left), 0.0)
+    values = [0.0] * len(pairs)
+    for r, row in zip(rows, contrib):
+        total = float(np.sum(row)) / (n + 1.0)
+        values[r] = max(0.0, total - max(0.0, pairs[r][1] - pairs[r][0]))
+    return values
+
+
+def _gamma_zeta_pairs(gamma, zeta) -> tuple[list, tuple]:
+    """The broadcast (gamma, zeta) pairs as Python floats, and their shape;
+    each zeta must be finite and positive, each gamma finite and
+    non-negative (NaN fails)."""
+    gammas, zetas = np.broadcast_arrays(np.asarray(gamma, dtype=float),
+                                        np.asarray(zeta, dtype=float))
+    pairs = list(zip(gammas.ravel().tolist(), zetas.ravel().tolist()))
+    if not all(0 < z < math.inf and 0 <= g < math.inf for g, z in pairs):
+        raise ValueError("requires finite zeta > 0 and gamma >= 0")
+    return pairs, gammas.shape
 
 
 @lru_cache(maxsize=None)
@@ -400,11 +432,7 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta):
     arguments are the one-row case and return a float; otherwise an
     ndarray of the broadcast shape is returned.
     """
-    gammas, zetas = np.broadcast_arrays(np.asarray(gamma, dtype=float),
-                                        np.asarray(zeta, dtype=float))
-    pairs = list(zip(gammas.ravel().tolist(), zetas.ravel().tolist()))
-    if not all(z > 0 and g >= 0 for g, z in pairs):
-        raise ValueError("requires zeta > 0 and gamma >= 0")
+    pairs, shape = _gamma_zeta_pairs(gamma, zeta)
     if model.n < 1:
         raise ValueError("n must be at least 1")
     sw2 = model.sigma_w_sq
@@ -447,7 +475,7 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta):
     for i, total in zip(live, totals):
         g, z = pairs[i]
         values[i] = max(0.0, total - max(0.0, z - g))
-    return _float_if_scalar(np.array(values).reshape(gammas.shape))
+    return _float_if_scalar(np.array(values).reshape(shape))
 
 
 # ----------------------------------------------------------------------

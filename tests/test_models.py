@@ -42,6 +42,12 @@ _NAN_CALLS = {
     "hockey_stick_bound": lambda: bounds.hockey_stick_bound(
         0.1, math.nan, 1.0, bounds.SmallBallFn.linear(2.0)),
     "bernoulli_e_gamma_zeta": lambda: models.bernoulli_e_gamma_zeta(5, math.nan, 1.0),
+    "bernoulli_e_gamma_zeta_batch[gamma]": lambda: models.bernoulli_e_gamma_zeta_batch(
+        5, np.array([2.0, math.nan]), np.array([1.0, 1.0])),
+    "bernoulli_e_gamma_zeta_batch[zeta]": lambda: models.bernoulli_e_gamma_zeta_batch(
+        5, np.array([2.0, 2.0]), np.array([1.0, math.nan])),
+    "bernoulli_e_gamma_zeta_batch[negative]": lambda: models.bernoulli_e_gamma_zeta_batch(
+        5, np.array([2.0, -1.0]), np.array([1.0, 1.0])),
     "gaussian_e_gamma_zeta": lambda: models.gaussian_e_gamma_zeta(
         models.GaussianModel(5, 1.0, 2.0), math.nan, 1.0),
     "bernoulli_sibson": lambda: models.bernoulli_sibson(5, math.nan),
@@ -108,6 +114,38 @@ def test_kernels_keep_their_pinned_values(name, n):
     assert all(type(value) is float for value in scalars)
     assert scalars == expected
     assert kernel(first, np.array(_PIN_ORDERS)).tolist() == expected
+
+
+_INFINITE_CALLS = {
+    "bernoulli_sibson": lambda: models.bernoulli_sibson(5, math.inf),
+    "bernoulli_sibson[array]": lambda: models.bernoulli_sibson(5, np.array([2.0, math.inf])),
+    "bernoulli_hellinger": lambda: models.bernoulli_hellinger(5, math.inf),
+    "bernoulli_hellinger[array]": lambda: models.bernoulli_hellinger(
+        5, np.array([2.0, math.inf])),
+    "bernoulli_e_gamma_zeta[gamma]": lambda: models.bernoulli_e_gamma_zeta(5, math.inf, 1.0),
+    "bernoulli_e_gamma_zeta[zeta]": lambda: models.bernoulli_e_gamma_zeta(5, 1.0, math.inf),
+    "bernoulli_e_gamma_zeta_batch": lambda: models.bernoulli_e_gamma_zeta_batch(
+        5, np.array([2.0, math.inf]), np.array([1.0, math.inf])),
+    "gaussian_e_gamma_zeta[gamma]": lambda: models.gaussian_e_gamma_zeta(
+        models.GaussianModel(5, 1.0, 2.0), math.inf, 1.0),
+    "gaussian_e_gamma_zeta[zeta]": lambda: models.gaussian_e_gamma_zeta(
+        models.GaussianModel(5, 1.0, 2.0), np.array([1.0, 2.0]), np.array([1.0, math.inf])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INFINITE_CALLS))
+def test_infinite_parameters_raise(name):
+    # no value exists there: the Gamma-ratio sums give NaN at an infinite
+    # order, and log(gamma/zeta) or zeta - gamma fails at an infinite gamma
+    # or zeta
+    with pytest.raises(ValueError, match="finite"):
+        _INFINITE_CALLS[name]()
+
+
+def test_gaussian_kernels_keep_their_infinite_order_limits():
+    g = models.GaussianModel(5, 1.0, 2.0)
+    assert models.gaussian_sibson(g, math.inf) == math.inf
+    assert models.gaussian_hellinger(g, math.inf) == math.inf
 
 
 @settings(max_examples=50, deadline=None)
@@ -246,6 +284,38 @@ class TestBernoulliHockeyStick:
 
     def test_gamma_zero_is_zero(self):
         assert models.bernoulli_e_gamma_zeta(6, 0.0, 2.0) == 0.0
+
+    # captured from the kernel before it became the one-pair call of the
+    # batch kernel; each row is n: values at _EGZ_PIN_PAIRS
+    _EGZ_PIN_PAIRS = ((0.5, 1.0), (1.0, 1.0), (1.5, 1.0), (3.0, 1.5), (8.0, 0.5),
+                      (0.01, 32.0))
+    _EGZ_PINS = {
+        1: [0.0625, 0.25, 0.0625, 0.0, 0.0, 7.81250001580247e-07],
+        10: [0.23950600297521452, 0.5428549968569013, 0.3827052385175423,
+             0.380379458400701, 0.0, 0.0016786643876436358],
+        50: [0.3562522872879511, 0.7415685955955927, 0.6409007231746457,
+             0.8259701440312571, 0.007285007184769406, 0.005158510737643951],
+    }
+
+    @pytest.mark.parametrize("n", sorted(_EGZ_PINS))
+    def test_keeps_its_pinned_values(self, n):
+        gamma, zeta = np.array(self._EGZ_PIN_PAIRS).T
+        assert [models.bernoulli_e_gamma_zeta(n, g, z)
+                for g, z in self._EGZ_PIN_PAIRS] == self._EGZ_PINS[n]
+        assert models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta) == self._EGZ_PINS[n]
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 200), pairs=st.lists(st.tuples(
+               st.one_of(st.just(0.0), st.floats(-4.0, 4.0).map(lambda x: 10.0 ** x)),
+               st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x)), min_size=1, max_size=40))
+    def test_batch_equals_its_one_pair_calls(self, n, pairs):
+        # pairs of (gamma / zeta, zeta): gamma = 0, gamma < zeta and gamma > zeta
+        # with ratios from 1e-4 to 1e4, all in one call
+        gamma = np.array([ratio * zeta for ratio, zeta in pairs])
+        zeta = np.array([zeta for _, zeta in pairs])
+        alone = [models.bernoulli_e_gamma_zeta(n, g, z)
+                 for g, z in zip(gamma.tolist(), zeta.tolist())]
+        assert models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta) == alone
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 50), gamma=st.floats(1e-2, 32.0),

@@ -1,0 +1,39 @@
+"""CLI tables run under the benchmark's tracer exactly as they run untraced.
+
+The tracer (perfbench/spans.py) wraps every public function of each layer
+and reads some arguments through its counting hooks, so a kernel whose
+calling convention breaks a hook would fail every traced benchmark run.
+The tracer is imported read-only from the benchmark's directory.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from riskbounds import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TABLES = {
+    "bernoulli": ["bernoulli", "--n", "1,7"],
+    "bernoulli-optimize": ["bernoulli", "--optimize", "--n", "1,7"],
+    "noisy-bernoulli": ["noisy-bernoulli", "--n", "3"],
+    "gaussian-optimize": ["gaussian", "--optimize", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_traced_table_equals_untraced(name, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    assert cli.main(TABLES[name]) == 0
+    untraced = capsys.readouterr().out
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = cli.main(TABLES[name])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert capsys.readouterr().out == untraced
+    assert "cli.main" in tracer.summary()["functions"]
