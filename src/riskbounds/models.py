@@ -422,12 +422,18 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta):
     """Hockey-stick dependence of the mean and the sample average.
 
     The inner integral over the parameter has Gaussian closed form on the
-    interval where the density ratio clears gamma/zeta; the outer integral
-    runs adaptively on an 8-sigma window split at the interval-birth kinks.
+    interval x +- root(x^2) where the density ratio clears gamma/zeta.
+    The outer integrand over the sample mean x is even: that interval lies
+    at (1 - kappa) x +- root from the posterior mean and at x +- root from
+    the prior mean, so by Phi(-y) = 1 - Phi(y) the posterior and prior
+    masses of -x are those of x, and the density of x is even.  The outer
+    integral over the 8-sigma window is therefore twice the integral over
+    [0, 8 sigma], which runs adaptively (`adaptive_simpson(even=True)`)
+    split at the interval-birth kink +x0.
 
     ``gamma`` and ``zeta`` broadcast against each other.  Every pair with
     gamma > 0 is one row of a single batched `adaptive_simpson` call, split
-    at its own kinks, so an array of gammas costs one quadrature pass, and
+    at its own kink, so an array of gammas costs one quadrature pass, and
     each value is ``==`` to the call with that pair alone.  Scalar
     arguments are the one-row case and return a float; otherwise an
     ndarray of the broadcast shape is returned.
@@ -466,11 +472,12 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta):
         return np.where(has, pdf_x * inner, 0.0)
 
     roots = [math.sqrt(-c / coeff) if c < 0.0 else None for c in const.tolist()]
-    kinks = [() if x0 is None else (-x0, x0) for x0 in roots]
+    kinks = [() if x0 is None else (x0,) for x0 in roots]
     totals = []
     if live:
         totals = adaptive_simpson(integrand, -8.0 * sx, 8.0 * sx, rows=len(live),
-                                  atol=1e-10, rtol=1e-9, points=kinks).tolist()
+                                  atol=1e-10, rtol=1e-9, points=kinks,
+                                  even=True).tolist()
     values = [0.0] * len(pairs)
     for i, total in zip(live, totals):
         g, z = pairs[i]

@@ -86,7 +86,7 @@ def brent_max(f, lo, hi, tol=1e-12):
 
 
 def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
-                     max_depth=48):
+                     max_depth=48, even=False):
     """Integrate ``f`` on [a, b] by adaptive Simpson bisection, starting
     from 16 even panels.
 
@@ -98,16 +98,29 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
     integrals is returned.  Each row's integral is ``==`` to integrating
     that row alone (with that row's ``points``): its converged panels are
     summed in the order a one-row run keeps them, and its depth sums are
-    added in the same order.
+    added in the same order.  ``f`` is called once for the starting
+    panels and once per bisection level, on every point that level needs.
     ``points`` are interior locations (kinks) where panels are split up
     front; locations outside (a, b) are ignored.  With ``rows=R`` they are
     either one sequence shared by every row or R sequences, one per row,
-    so that each row starts from its own edges.  Raises QuadratureFailure
-    when the depth budget is exhausted before the local error criterion is
-    met on some row.
+    so that each row starts from its own edges.
+
+    With ``even=True``, every integrand must be even about the centre c
+    of [a, b], f(c - t) = f(c + t).  Only the right half of the 16 panels
+    is refined, with the ``points`` in (c, b), and twice its integral is
+    returned; each of its panels keeps its share of ``atol`` of the whole
+    window, so it is split exactly where it would be in a full-window run.
+    ``f`` never sees an abscissa left of c.
+
+    Raises ValueError for a non-finite or empty [a, b], and
+    QuadratureFailure at the first non-finite value of ``f`` (naming its
+    abscissa and row), or when the depth budget is exhausted before the
+    local error criterion is met on some row.
     """
     a = float(a)
     b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration interval [{a}, {b}] is not finite")
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
     batch = 1 if rows is None else rows
@@ -117,8 +130,10 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
         raise ValueError(f"{len(points)} point sequences for {rows} rows")
 
     base = np.linspace(a, b, 17)
-    edges = [_split_edges(base, a, b, p) for p in points] if per_row else \
-        [_split_edges(base, a, b, points)] * batch
+    if even:
+        base = base[8:]  # from the centre on; the left half mirrors it
+    edges = [_split_edges(base, p) for p in points] if per_row else \
+        [_split_edges(base, points)] * batch
 
     # row-major panels: each row's subsequence is the one-row panel order.
     # One row keeps a single 0-d label that broadcasts and is never split;
@@ -131,15 +146,13 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
         row = np.zeros((), int)
         lo, hi = edges[0][:-1], edges[0][1:]
     mid = 0.5 * (lo + hi)
-    f_lo = g(row, lo)
-    f_mid = g(row, mid)
-    f_hi = g(row, hi)
+    f_lo, f_mid, f_hi = _values(g, row, [lo, mid, hi])
     coarse = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
 
     width = b - a
     result = [0.0] * batch
     depth = 0
-    while lo.size:
+    while True:
         if depth > max_depth:
             raise QuadratureFailure(
                 f"adaptive Simpson: depth {max_depth} exhausted on "
@@ -147,8 +160,7 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
             )
         lmid = 0.5 * (lo + mid)
         rmid = 0.5 * (mid + hi)
-        f_lmid = g(row, lmid)
-        f_rmid = g(row, rmid)
+        f_lmid, f_rmid = _values(g, row, [lmid, rmid])
         h = hi - lo
         left = h / 12.0 * (f_lo + 4.0 * f_lmid + f_mid)
         right = h / 12.0 * (f_mid + 4.0 * f_rmid + f_hi)
@@ -157,11 +169,14 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
         tol = np.maximum(atol * (h / width), rtol * np.abs(fine))
         done = np.abs(err) <= tol
 
-        keep = ~done
         if batch == 1:
             result[0] += float(np.add.reduce(fine[done] + err[done]))
         else:
             _add_row_sums(result, row[done], fine[done] + err[done])
+        if done.all():
+            break
+        keep = ~done
+        if batch > 1:
             row = row[keep]
             row = np.concatenate([row, row])
         # split the unconverged panels in two: left halves, then right halves
@@ -179,14 +194,32 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
         f_mid = np.concatenate([f_lmid, f_rmid])
         coarse = np.concatenate([left, right])
         depth += 1
+    if even:
+        result = [2.0 * total for total in result]
     if rows is None:
         return result[0]
     return np.array(result)
 
 
-def _split_edges(edges, a, b, points):
-    """``edges`` with the ``points`` inside (a, b) added, sorted."""
-    interior = [p for p in points if a < p < b]
+def _values(g, row, parts):
+    """``g`` at each array of ``parts`` (each in the panel layout of
+    ``row``), in one call at their concatenation; raises
+    QuadratureFailure at the first non-finite value."""
+    w = np.concatenate(parts)
+    labels = row if row.ndim == 0 else np.concatenate([row] * len(parts))
+    values = g(labels, w)
+    if not np.isfinite(values).all():
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise QuadratureFailure(
+            f"adaptive Simpson: integrand is {float(values[i])!r} at "
+            f"{float(w[i])!r} of row {int(np.broadcast_to(labels, w.shape)[i])}")
+    k = parts[0].size
+    return [values[i * k:(i + 1) * k] for i in range(len(parts))]
+
+
+def _split_edges(edges, points):
+    """``edges`` with the ``points`` strictly between its ends added, sorted."""
+    interior = [p for p in points if edges[0] < p < edges[-1]]
     if not interior:
         return edges
     return np.unique(np.concatenate([edges, np.asarray(interior, float)]))

@@ -5,14 +5,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import comb
+from scipy.special import comb, ndtr
 
 from riskbounds import bounds, measures, models
 from riskbounds.bounds import hockey_stick_bound
 from riskbounds.distributions import DivergenceKind, DivergenceSpec
+from riskbounds.quadrature import adaptive_simpson
 
 
 class TestModelValidation:
@@ -345,6 +346,34 @@ class TestBernoulliUpperBound:
                             rel_tol=1e-14)
 
 
+def _gaussian_e_gamma_zeta_full_window(model, gamma, zeta):
+    """E_{gamma,zeta} of the Gaussian model over the whole 8-sigma window
+    of the sample mean, split at both interval-birth kinks +-x0: the
+    kernel's integrand and quadrature settings, without its x -> -x
+    symmetry."""
+    sw2, s2 = model.sigma_w_sq, model.sigma_sq / model.n
+    sx2 = sw2 + s2
+    kappa, sv = sw2 / sx2, math.sqrt(sw2 * s2 / sx2)
+    sw, sx = math.sqrt(sw2), math.sqrt(sx2)
+    coeff = s2 / sx2
+    const = s2 * math.log(sx2 / s2) - 2.0 * s2 * math.log(gamma / zeta)
+
+    def integrand(x):
+        disc = coeff * x * x + const
+        has = disc > 0.0
+        root = np.sqrt(np.where(has, disc, 0.0))
+        post_mass = (ndtr((x + root - kappa * x) / sv)
+                     - ndtr((x - root - kappa * x) / sv))
+        prior_mass = ndtr((x + root) / sw) - ndtr((x - root) / sw)
+        pdf_x = np.exp(-0.5 * (x / sx) ** 2) / (sx * math.sqrt(2.0 * math.pi))
+        return np.where(has, pdf_x * (zeta * post_mass - gamma * prior_mass), 0.0)
+
+    x0 = math.sqrt(-const / coeff) if const < 0.0 else None
+    total = adaptive_simpson(integrand, -8.0 * sx, 8.0 * sx, atol=1e-10, rtol=1e-9,
+                             points=() if x0 is None else (-x0, x0))
+    return max(0.0, total - max(0.0, zeta - gamma))
+
+
 class TestGaussian:
     def test_small_ball(self):
         g = models.GaussianModel(1, 2.0 / math.pi, 1.0)
@@ -446,6 +475,27 @@ class TestGaussian:
         expected = max(0.0, val - max(0.0, zeta - gamma))
         assert math.isclose(models.gaussian_e_gamma_zeta(g, gamma, zeta),
                             expected, abs_tol=1e-9)
+
+    @example(n=1, sw2=1.0, s2=1.0, zeta=1.0, ratio=1000.0)
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 200), sw2=st.floats(0.05, 20.0), s2=st.floats(0.05, 20.0),
+           zeta=st.floats(0.1, 4.0),
+           ratio=st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x))
+    def test_hockey_stick_half_window_matches_full_window(self, n, sw2, s2, zeta, ratio):
+        g = models.GaussianModel(n, sw2, s2)
+        gamma = ratio * zeta
+        value = models.gaussian_e_gamma_zeta(g, gamma, zeta)
+        full = _gaussian_e_gamma_zeta_full_window(g, gamma, zeta)
+        # Neither integration resolves E below a few ulps of gamma + zeta,
+        # the scale of the integrand's terms zeta * post - gamma * prior.
+        # E = total - (zeta - gamma) cancels when gamma << zeta, and for
+        # x > 0 far out both masses are differences of two ndtr values
+        # near 1, which the half window weights twice and the full window
+        # once: at n = 1, sigma_W^2 = sigma^2 = zeta = 1, gamma = 1000 the
+        # integrand at x = 6.09 and at -6.09 differs by 3e-13 relative.
+        floor = 4.0 * np.finfo(float).eps * (gamma + zeta)
+        assert value == full or math.isclose(value, full, rel_tol=1e-13,
+                                             abs_tol=floor), (value, full)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 200), sw2=st.floats(0.05, 20.0), s2=st.floats(0.05, 20.0),

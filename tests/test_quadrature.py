@@ -130,6 +130,116 @@ def test_empty_interval_rejected():
         adaptive_simpson(lambda x: x, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                                  (0.0, math.nan)])
+def test_non_finite_interval_rejected(a, b):
+    with pytest.raises(ValueError):
+        adaptive_simpson(lambda x: x, a, b)
+
+
+def _counting(f):
+    """``f`` and the list of the abscissae of each of its calls."""
+    calls = []
+
+    def counted(*args):
+        calls.append(np.array(args[-1]))
+        return f(*args)
+    return counted, calls
+
+
+def test_one_integrand_call_to_start_and_one_per_level():
+    # Simpson is exact on a quadratic, so every panel converges at level 0
+    f, calls = _counting(lambda x: x ** 2)
+    adaptive_simpson(f, 0.0, 1.0)
+    assert [w.size for w in calls] == [3 * 16, 2 * 16]
+
+    # each row starts from its own edges; 0.5 is an edge already
+    f, calls = _counting(lambda r, w: (r + 1.0) * w ** 2)
+    adaptive_simpson(f, 0.0, 1.0, rows=3, points=[(0.3,), (), (0.5, 0.7)])
+    assert [w.size for w in calls] == [3 * 50, 2 * 50]
+
+    # a singular integrand never converges: it runs levels 0..max_depth
+    for max_depth in (0, 3, 6):
+        f, calls = _counting(lambda x: np.abs(x - 0.1234567) ** -0.5)
+        with pytest.raises(QuadratureFailure, match="exhausted"):
+            adaptive_simpson(f, 0.0, 1.0, atol=1e-15, rtol=1e-15, max_depth=max_depth)
+        assert len(calls) == max_depth + 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_value_fails_at_the_first_call(bad):
+    f, calls = _counting(lambda x: np.where(x > 0.5, bad, x))
+    with pytest.raises(QuadratureFailure, match=rf"is {bad!r} at 0\.5625 of row 0"):
+        adaptive_simpson(f, 0.0, 1.0, max_depth=10)
+    assert len(calls) == 1
+
+    f, calls = _counting(lambda r, w: np.where((r == 2) & (w > 0.25), bad, w))
+    with pytest.raises(QuadratureFailure, match=r"at 0\.3125 of row 2"):
+        adaptive_simpson(f, 0.0, 1.0, rows=4, max_depth=10)
+    assert len(calls) == 1
+
+
+def test_non_finite_value_fails_at_the_level_that_meets_it():
+    # no starting abscissa falls in the NaN window; the panel with the
+    # kink at 0.3 is refined until one does, long before the depth budget
+    # runs out
+    f, calls = _counting(lambda x: np.where(np.abs(x - 0.3) < 1e-3, math.nan,
+                                            np.abs(x - 0.3)))
+    with pytest.raises(QuadratureFailure, match=r"is nan at 0\.30078125 of row 0"):
+        adaptive_simpson(f, 0.0, 1.0, atol=1e-12, rtol=1e-12, max_depth=10)
+    assert len(calls) == 4
+    assert np.isfinite(f(np.concatenate(calls[:-1]))).all()
+
+
+def _pinned_rows(r, w):
+    """Row r: a narrow bump plus a kinked ramp."""
+    height = np.array([1.0, -0.5, 2.0])
+    center = np.array([0.3, 0.71, 0.5])
+    kink = np.array([0.2, 0.45, 0.8])
+    return height[r] * np.exp(-((w - center[r]) / 0.05) ** 2) + np.abs(w - kink[r])
+
+
+# integrals captured while the integrand ran two or three calls per level;
+# the one call per level must reproduce them bit for bit
+_PINNED = [
+    (lambda x: np.exp(-x) * np.sin(3.0 * x), 2.0, {}, 0.2647980022491831),
+    (lambda x: np.abs(x - 0.3) ** 1.5 + np.abs(x - 0.77), 1.0, dict(points=(0.3, 0.77)),
+     0.5066033772708658),
+    (_pinned_rows, 1.0, dict(rows=3, points=(0.2, 0.45, 0.8)),
+     [0.42862269254542695, 0.20818865372700468, 0.5172453850905836]),
+    (_pinned_rows, 1.0, dict(rows=3, points=[(0.2,), (0.45, 0.71), ()]),
+     [0.42862269254542695, 0.2081886537270044, 0.5172453850905868]),
+]
+
+
+@pytest.mark.parametrize("f, b, options, expected", _PINNED,
+                         ids=["smooth", "points", "rows-shared-points", "rows-own-points"])
+def test_keeps_its_pinned_values(f, b, options, expected):
+    value = adaptive_simpson(f, 0.0, b, atol=1e-12, rtol=1e-11, **options)
+    assert (value if isinstance(value, float) else value.tolist()) == expected
+
+
+@pytest.mark.parametrize("a, b", [(-2.0, 2.0), (-1.0, 3.0), (0.2, 0.9)])
+def test_even_integrand_over_half_the_window(a, b):
+    centre = 0.5 * (a + b)
+    kinks = [0.3, 0.123, 0.77, 5.0]  # in units of the half width; 5 is outside
+
+    def f(r, w):
+        t = (w - centre) / (0.5 * (b - a))
+        return np.exp(-4.0 * t * t) + np.abs(t * t - np.array(kinks)[r] ** 2)
+
+    points = [(centre - k * 0.5 * (b - a), centre + k * 0.5 * (b - a)) for k in kinks]
+    options = dict(rows=len(kinks), points=points, atol=1e-12, rtol=1e-11)
+    full = adaptive_simpson(f, a, b, **options)
+    seen, calls = _counting(f)
+    half = adaptive_simpson(seen, a, b, even=True, **options)
+    assert np.allclose(half, full, rtol=1e-15, atol=0.0)
+    assert min(w.min() for w in calls) == centre
+    alone = [adaptive_simpson(lambda w, r=r: f(r, w), a, b, points=points[r], even=True,
+                              atol=1e-12, rtol=1e-11) for r in range(len(kinks))]
+    assert half.tolist() == alone
+
+
 def test_brent_max_on_parabola():
     f = lambda x: -(x - 0.3) ** 2 + 2.0
     x, fx, evals = brent_max(f, 0.0, 1.0, tol=1e-12)
