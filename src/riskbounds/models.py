@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, gammaln, logsumexp, ndtr, xlogy
+from scipy.special import betainc, expit, gammaln, logit, logsumexp, ndtr, xlogy
 
 from . import measures, sdpi
 from .bounds import BoundResult, SmallBallFn, hellinger_phi, sdpi_bound
@@ -214,64 +214,103 @@ def bernoulli_e_gamma_zeta(n: int, gamma: float, zeta: float) -> float:
     The density ratio at weight k is the Beta(k+1, n-k+1) pdf, which is
     unimodal, so {ratio >= t}, t = gamma/zeta, is an interval around the
     mode k/n; the integral over it reduces to regularized incomplete Beta
-    values.  One 60-step bisection over a stacked array of length 2(n+1)
-    finds both ends: entry k seeks the left end of weight k on [0, mode],
-    where the ratio increases, entry n+1+k the right end on [mode, 1],
-    where it decreases; an end stays at 0 or 1 where the ratio there
-    already reaches t.  The value is zeta*H(t) - max(0, zeta - gamma) with
-    H(t) = sum max(0, p - t*q), so scaling gamma and zeta scales it.  The
-    generic quadrature path (measures.e_gamma_zeta on the sufficient
-    joint) computes the same number and serves as its oracle in tests.
+    values.  The pdf of weight n-k at w is that of weight k at 1-w, so the
+    interval of n-k mirrors that of k, with the same mass and length: only
+    k = 0..floor(n/2) are computed, each counted twice except k = n/2.  In
+    s = logit(w) the log ratio log_norm + k*s - n*log(1 + e^s) is concave,
+    so Newton's method started outside an end (s = -40 for the left end,
+    +40 for the right) walks to it from outside without overshooting; each
+    end stops on its own once its step falls to 1e-9 * (1 + |s|), an end
+    still moving after 60 steps raises `ArithmeticError`, and an end stays
+    at 0 or 1 where the ratio there already reaches t.  The value is
+    zeta*H(t) - max(0, zeta - gamma) with H(t) = sum max(0, p - t*q), so
+    scaling gamma and zeta scales it.  The generic quadrature path
+    (measures.e_gamma_zeta on the sufficient joint) computes the same
+    number and serves as its oracle in tests.
     """
     return bernoulli_e_gamma_zeta_batch(n, [float(gamma)], [float(zeta)])[0]
 
 
+# The Newton search for the interval ends in s = logit(w): it starts at
+# +-_LOGIT_EDGE and never leaves that window (an end beyond it stays on it),
+# an end stops once its step is at most _NEWTON_TOL * (1 + |s|), and an end
+# that has not stopped after _NEWTON_CAP steps raises.
+_LOGIT_EDGE = 40.0
+_NEWTON_TOL = 1e-9
+_NEWTON_CAP = 60
+
+
 def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta) -> list[float]:
-    """`bernoulli_e_gamma_zeta` at each of R (gamma, zeta) pairs, by one
-    60-step bisection over a flat array of length R*2(n+1): pair r holds
-    its own 2(n+1) entries, laid out as in the one-pair call, so element r
-    is ``==`` to the call with that pair alone."""
+    """`bernoulli_e_gamma_zeta` at each of R (gamma, zeta) pairs in one
+    pass: the ends of pair r are a (2, floor(n/2)+1) block of one array,
+    and each end runs its own Newton steps and stops on its own, so
+    element r is ``==`` to the call with that pair alone."""
     if n < 1:
         raise ValueError("n must be at least 1")
     pairs, _ = _gamma_zeta_pairs(gamma, zeta)
     rows = [r for r, (g, _) in enumerate(pairs) if g != 0.0]
-    k = np.arange(n + 1.0)
+    k = np.arange(n // 2 + 1.0)
     a_par = k + 1.0
     b_par = n - k + 1.0
-    right_side = np.tile(np.repeat([False, True], n + 1), len(rows))
-    k2 = np.tile(k, 2 * len(rows))
-    rest = n - k2
-    log_norm = np.tile(gammaln(n + 2.0) - gammaln(a_par) - gammaln(b_par),
-                       2 * len(rows))
-    mode = k2 / n
+    log_norm = gammaln(n + 2.0) - gammaln(a_par) - gammaln(b_par)
 
     def log_ratio(w):
-        return log_norm + xlogy(k2, w) + xlogy(rest, 1.0 - w)
+        return log_norm + xlogy(k, w) + xlogy(n - k, 1.0 - w)
 
-    log_t = np.repeat([math.log(pairs[r][0] / pairs[r][1]) for r in rows],
-                      2 * (n + 1))
-    exists = log_ratio(mode) >= log_t
-    edge = right_side.astype(float)
-    need = exists & (log_ratio(edge) < log_t)
-    lo = np.where(right_side, mode, 0.0)
-    hi = np.where(right_side, 1.0, mode)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        move_lo = (log_ratio(mid) < log_t) != right_side
-        lo = np.where(move_lo, mid, lo)
-        hi = np.where(move_lo, hi, mid)
-    ends = np.where(need, np.where(right_side, lo, hi), edge).reshape(-1, 2, n + 1)
+    log_t = np.array([math.log(pairs[r][0] / pairs[r][1]) for r in rows])[:, None]
+    exists = log_ratio(k / n) >= log_t
+    # axis 1 of the (R, 2, floor(n/2)+1) ends: the left end, then the right
+    edge = np.array([[0.0], [1.0]])
+    need = exists[:, None] & (log_ratio(edge) < log_t[:, None])
+    ends = np.where(need, np.nan, edge)
+    ends[need] = expit(_logit_ends(
+        n, np.broadcast_to(k, need.shape)[need],
+        np.broadcast_to(log_norm, need.shape)[need],
+        np.broadcast_to(log_t[:, None], need.shape)[need],
+        np.broadcast_to(edge == 1.0, need.shape)[need]))
     left, right = ends[:, 0], ends[:, 1]
 
     g, z = (np.array([pairs[r][i] for r in rows])[:, None] for i in (0, 1))
     mass = betainc(a_par, b_par, right) - betainc(a_par, b_par, left)
-    contrib = np.where(exists.reshape(-1, 2, n + 1)[:, 0],
-                       z * mass - g * (right - left), 0.0)
+    weight = np.where(2.0 * k == n, 1.0, 2.0)
+    contrib = np.where(exists, weight * (z * mass - g * (right - left)), 0.0)
     values = [0.0] * len(pairs)
     for r, row in zip(rows, contrib):
-        total = float(np.sum(row)) / (n + 1.0)
+        # the sum is near (n+1)*(zeta - gamma) for small t: a correctly
+        # rounded sum keeps its rounding out of the difference below
+        total = math.fsum(row.tolist()) / (n + 1.0)
         values[r] = max(0.0, total - max(0.0, pairs[r][1] - pairs[r][0]))
     return values
+
+
+def _logit_ends(n: int, k, log_norm, log_t, right) -> np.ndarray:
+    """The s = logit(w) at which the log ratio l(s) = log_norm + k*s
+    - n*log(1 + e^s) of weight k falls to log_t, left of the mode or,
+    where ``right``, right of it; all arguments are flat arrays of one end
+    each.  Each end moves only inward, from +-_LOGIT_EDGE towards the mode,
+    and never past either, so rounding near a double root (t at the peak)
+    cannot carry it to the other side."""
+    s = np.where(right, _LOGIT_EDGE, -_LOGIT_EDGE)
+    inward = np.where(right, -1.0, 1.0)
+    mode = np.clip(logit(k / n), -_LOGIT_EDGE, _LOGIT_EDGE)
+    lo = np.where(right, mode, -_LOGIT_EDGE)
+    hi = np.where(right, _LOGIT_EDGE, mode)
+    active = np.arange(s.size)
+    with np.errstate(divide="ignore", invalid="ignore"):  # slope 0 at the mode
+        for _ in range(_NEWTON_CAP):
+            if active.size == 0:
+                return s
+            at, ka = s[active], k[active]
+            excess = log_t[active] - (log_norm[active] + ka * at
+                                      - n * np.logaddexp(0.0, at))
+            new = np.clip(at + excess / (ka - n * expit(at)), lo[active], hi[active])
+            moved = inward[active] * (new - at)
+            s[active] = np.where(moved > 0.0, new, at)
+            active = active[moved > _NEWTON_TOL * (1.0 + np.abs(at))]
+    if active.size:
+        raise ArithmeticError(f"Newton interval ends at n={n} still moving "
+                              f"after {_NEWTON_CAP} steps")
+    return s
 
 
 def _gamma_zeta_pairs(gamma, zeta) -> tuple[list, tuple]:

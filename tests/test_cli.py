@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskbounds import bounds, cli, models
+from riskbounds import bounds, cli, models, validate
 
 
 class TestParsing:
@@ -67,6 +67,29 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             cli.main(["gaussian", "--n", "1,2", "--sigma2", "-1"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["bernoulli", "--n", "3", "--alpha", "1"],
+        ["bernoulli", "--n", "3", "--p", "1"],
+        ["bernoulli", "--n", "3", "--zeta", "0"],
+        ["bernoulli", "--n", "3", "--gamma", "-1"],
+        ["gaussian", "--n", "3", "--alpha", "0.5"],
+        ["gaussian", "--n", "3", "--optimize", "--zeta", "-2"],
+    ])
+    def test_bad_bound_parameter_exit_code(self, argv, capsys):
+        # refused before any n runs, as a bad model parameter is
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "configuration error: --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gaussian", "--n", "3", "--p", "3"],  # an infinite divergence: vacuous
+        ["bernoulli", "--n", "3", "--gamma", "0"],
+        ["bernoulli", "--n", "3", "--optimize", "--alpha", "1"],  # grid, not flag
+    ])
+    def test_bound_parameters_in_range_run(self, argv, capsys):
+        assert cli.main(argv) == 0
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(n):
@@ -407,12 +430,12 @@ class TestValidate:
         real = models.bernoulli_hellinger
         monkeypatch.setattr(models, "bernoulli_hellinger",
                             lambda n, p: real(n, p) * 1.001)
-        ok, detail = cli._suite_oracle_agreement(seed=0, rounds=5)
+        ok, detail = validate._suite_oracle_agreement(seed=0, rounds=5)
         assert not ok
 
     def test_failing_suite_sets_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            cli, "run_validation_suites",
+            validate, "run_validation_suites",
             lambda quick=False, seed=0: [("sandwich", False, "forced failure")])
         assert cli.main(["validate", "--quick"]) == 1
         assert "FAIL sandwich" in capsys.readouterr().out

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import comb, ndtr
+from scipy.special import betainc, comb, gammaln, ndtr, xlogy
 
 from riskbounds import bounds, measures, models
 from riskbounds.bounds import hockey_stick_bound
@@ -254,6 +254,82 @@ class TestBernoulliHellinger:
                 16.0 * math.sqrt(math.pi * n) / 21.0
 
 
+def _bernoulli_e_gamma_zeta_bisection(n, gamma, zeta):
+    """The interval-algebra E_{gamma,zeta} at each (gamma, zeta) pair, with
+    both ends of every weight k = 0..n found by one 60-step bisection in w
+    over a flat array of length R*2(n+1): entry k of a pair seeks the left
+    end of weight k on [0, mode], entry n+1+k the right end on [mode, 1].
+    The kernel's method before its ends became Newton steps in logit(w)
+    over the mirror half k <= n/2, kept as its oracle."""
+    pairs = list(zip(np.asarray(gamma, float).tolist(), np.asarray(zeta, float).tolist()))
+    rows = [r for r, (g, _) in enumerate(pairs) if g != 0.0]
+    k = np.arange(n + 1.0)
+    a_par = k + 1.0
+    b_par = n - k + 1.0
+    right_side = np.tile(np.repeat([False, True], n + 1), len(rows))
+    k2 = np.tile(k, 2 * len(rows))
+    rest = n - k2
+    log_norm = np.tile(gammaln(n + 2.0) - gammaln(a_par) - gammaln(b_par),
+                       2 * len(rows))
+    mode = k2 / n
+
+    def log_ratio(w):
+        return log_norm + xlogy(k2, w) + xlogy(rest, 1.0 - w)
+
+    log_t = np.repeat([math.log(pairs[r][0] / pairs[r][1]) for r in rows],
+                      2 * (n + 1))
+    exists = log_ratio(mode) >= log_t
+    edge = right_side.astype(float)
+    need = exists & (log_ratio(edge) < log_t)
+    lo = np.where(right_side, mode, 0.0)
+    hi = np.where(right_side, 1.0, mode)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        move_lo = (log_ratio(mid) < log_t) != right_side
+        lo = np.where(move_lo, mid, lo)
+        hi = np.where(move_lo, hi, mid)
+    ends = np.where(need, np.where(right_side, lo, hi), edge).reshape(-1, 2, n + 1)
+    left, right = ends[:, 0], ends[:, 1]
+
+    g, z = (np.array([pairs[r][i] for r in rows])[:, None] for i in (0, 1))
+    mass = betainc(a_par, b_par, right) - betainc(a_par, b_par, left)
+    contrib = np.where(exists.reshape(-1, 2, n + 1)[:, 0],
+                       z * mass - g * (right - left), 0.0)
+    values = [0.0] * len(pairs)
+    for r, row in zip(rows, contrib):
+        total = float(np.sum(row)) / (n + 1.0)
+        values[r] = max(0.0, total - max(0.0, pairs[r][1] - pairs[r][0]))
+    return values
+
+
+def _exact_bernoulli_e_gamma_zeta(n, gamma, zeta):
+    """The same interval algebra at 40 digits over every weight k = 0..n:
+    each end a bracketed `mpmath.findroot` of the log density ratio, each
+    mass a regularized `mpmath.betainc`."""
+    with mpmath.workdps(40):
+        g, z = mpmath.mpf(gamma), mpmath.mpf(zeta)
+        log_t = mpmath.log(g / z)
+        tiny = mpmath.mpf(10) ** -30
+        total = mpmath.mpf(0)
+        for k in range(n + 1):
+            log_norm = mpmath.log((n + 1) * math.comb(n, k))
+
+            def excess(w):
+                return (log_norm + k * mpmath.log(w) + (n - k) * mpmath.log(1 - w)
+                        - log_t)
+
+            mode = mpmath.mpf(k) / n
+            if 0 < k < n and excess(mode) < 0 or k in (0, n) and log_norm < log_t:
+                continue
+            inner = min(max(mode, tiny), 1 - tiny)
+            left = 0 if k == 0 else mpmath.findroot(excess, (tiny, inner), solver="anderson")
+            right = 1 if k == n else mpmath.findroot(excess, (inner, 1 - tiny),
+                                                     solver="anderson")
+            mass = mpmath.betainc(k + 1, n - k + 1, left, right, regularized=True)
+            total += z * mass - g * (right - left)
+        return max(mpmath.mpf(0), total / (n + 1) - max(mpmath.mpf(0), z - g))
+
+
 class TestBernoulliHockeyStick:
     def test_matches_independent_quadrature(self):
         n, gamma, zeta = 5, 3.0, 1.5
@@ -286,16 +362,16 @@ class TestBernoulliHockeyStick:
     def test_gamma_zero_is_zero(self):
         assert models.bernoulli_e_gamma_zeta(6, 0.0, 2.0) == 0.0
 
-    # captured from the kernel before it became the one-pair call of the
-    # batch kernel; each row is n: values at _EGZ_PIN_PAIRS
+    # captured from the Newton-ends kernel; each row is n: values at
+    # _EGZ_PIN_PAIRS
     _EGZ_PIN_PAIRS = ((0.5, 1.0), (1.0, 1.0), (1.5, 1.0), (3.0, 1.5), (8.0, 0.5),
                       (0.01, 32.0))
     _EGZ_PINS = {
         1: [0.0625, 0.25, 0.0625, 0.0, 0.0, 7.81250001580247e-07],
-        10: [0.23950600297521452, 0.5428549968569013, 0.3827052385175423,
-             0.380379458400701, 0.0, 0.0016786643876436358],
-        50: [0.3562522872879511, 0.7415685955955927, 0.6409007231746457,
-             0.8259701440312571, 0.007285007184769406, 0.005158510737643951],
+        10: [0.23950600297521452, 0.5428549968569014, 0.3827052385175423,
+             0.38037945840070103, 0.0, 0.0016786643876436358],
+        50: [0.3562522872879509, 0.7415685955955925, 0.6409007231746457,
+             0.8259701440312576, 0.0072850071847694025, 0.005158510737643951],
     }
 
     @pytest.mark.parametrize("n", sorted(_EGZ_PINS))
@@ -334,6 +410,51 @@ class TestBernoulliHockeyStick:
         bound_scaled = hockey_stick_bound(e_scaled, scale * gamma,
                                           scale * zeta, L).value
         assert math.isclose(bound_scaled, bound, rel_tol=1e-9, abs_tol=1e-15)
+
+    @example(n=1, pairs=[(0.0, 1.0), (2.0, 1.5), (1e-4, 0.01), (1e4, 100.0)])
+    @example(n=2, pairs=[(1.5, 1.0), (3.0, 1.0), (0.5, 2.0)])
+    @example(n=117, pairs=[(1.0, 1.0), (1e-4, 1.0), (50.0, 0.1)])
+    @example(n=200, pairs=[(201.0, 1.0), (1e-3, 10.0), (30.0, 1.0)])
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 500), pairs=st.lists(st.tuples(
+               st.one_of(st.just(0.0), st.floats(-4.0, 4.0).map(lambda x: 10.0 ** x)),
+               st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x)), min_size=1, max_size=20))
+    def test_newton_ends_match_the_bisection(self, n, pairs):
+        # pairs of (gamma / zeta, zeta), as in the test above; the examples
+        # hold t = n+1 (the peak of weight 0, where its right end runs to
+        # w = 0) and t = 1.5 at n = 2 (the peak of weight 1)
+        gamma = np.array([ratio * zeta for ratio, zeta in pairs])
+        zeta = np.array([zeta for _, zeta in pairs])
+        values = models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta)
+        oracle = _bernoulli_e_gamma_zeta_bisection(n, gamma, zeta)
+        # 4 ulps of gamma + zeta, the scale of the terms zeta*mass - gamma*width
+        floor = 4.0 * np.finfo(float).eps * (gamma + zeta)
+        assert np.all(np.abs(np.subtract(values, oracle)) <= floor), (values, oracle)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 200])
+    def test_against_the_exact_interval_algebra(self, n):
+        # ratios from below every peak to above them all (the peak of
+        # weight 0 is n+1)
+        zeta = 1.0
+        for ratio in np.geomspace(1e-3, 1e3, 7).tolist():
+            gamma = ratio * zeta
+            exact = _exact_bernoulli_e_gamma_zeta(n, gamma, zeta)
+            value = models.bernoulli_e_gamma_zeta(n, gamma, zeta)
+            floor = 4.0 * np.finfo(float).eps * (gamma + zeta)
+            assert abs(value - exact) <= floor, (ratio, value)
+
+    def test_newton_stops_within_its_cap_on_the_ratio_grid(self, monkeypatch):
+        # the 95 ratios of `bernoulli --optimize` take at most 18 steps at
+        # these n, well inside the lowered cap
+        monkeypatch.setattr(models, "_NEWTON_CAP", 40)
+        ratios = np.geomspace(1.0 / 3200.0, 3200.0, 95)
+        for n in [*range(1, 61), 100, 200, 500, 1000]:
+            models.bernoulli_e_gamma_zeta_batch(n, ratios, np.ones(95))
+
+    def test_newton_raises_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(models, "_NEWTON_CAP", 3)
+        with pytest.raises(ArithmeticError, match="still moving after 3 steps"):
+            models.bernoulli_e_gamma_zeta(50, 3.0, 1.5)
 
 
 class TestBernoulliUpperBound:
