@@ -83,6 +83,7 @@ class BoundResult:
     params: dict = field(default_factory=dict)
     evaluations: int = 1
     vacuous: bool = False
+    skipped: int = 0  # grid points a search ruled out without evaluating
 
     def __post_init__(self):
         if math.isnan(self.value):
@@ -363,6 +364,20 @@ def hockey_stick_bound(e_value: float, gamma: float, zeta: float,
                         {"gamma": gamma, "zeta": zeta})
 
 
+def _hockey_stick_envelope(slope: float, gamma: float, zeta: float) -> float:
+    """An upper bound on `hockey_stick_bound` at (gamma, zeta) for every
+    divergence E >= 0 and the linear L of this slope.
+
+    With t = gamma/zeta, 1 - b <= min(1, t), so the closed-form value
+    (1 - b)^2 / (4 t slope) is at most min(t, 1/t) / (4 slope); the factor
+    1 + 1e-9 covers the rounding of both sides.
+    """
+    if slope == 0.0:
+        return math.inf
+    t = gamma / zeta
+    return (min(t, 1.0 / t) if t > 0.0 else 0.0) / (4.0 * slope) * (1.0 + 1e-9)
+
+
 def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
     """Mutual-information baseline sup over rho of
     rho*(1 - (I + log 2)/log(1/L(rho))).
@@ -405,6 +420,9 @@ _METHODS = {
     "mi": lambda value, L: mi_baseline_bound(value, L),
 }
 _FAMILY_METHODS = {"hellinger": "hellinger", "hockey-stick": "egz"}
+# method -> envelope(slope, **params): an upper bound on the method's
+# bound for any divergence value, given a linear L of that slope
+_ENVELOPES = {"egz": _hockey_stick_envelope}
 
 
 def sdpi_bound(i_phi: float, eta: float, phi: PhiSpec, L: SmallBallFn) -> BoundResult:
@@ -430,7 +448,7 @@ def sdpi_bound(i_phi: float, eta: float, phi: PhiSpec, L: SmallBallFn) -> BoundR
 
 
 def optimize_bound(callback, method: str, param_grid: dict,
-                   L: SmallBallFn) -> BoundResult:
+                   L: SmallBallFn, floor: float = 0.0) -> BoundResult:
     """Maximize a bound over a parameter grid, then refine by Brent's method.
 
     ``callback(**params)`` gets one float64 ndarray per parameter, all of
@@ -438,8 +456,20 @@ def optimize_bound(callback, method: str, param_grid: dict,
     returns the divergence the method consumes (I_alpha, H_p,
     E_{gamma,zeta}, maximal leakage, or mutual information) at each
     point, broadcastable to their number, +inf where it is infinite (a
-    vacuous bound).  It must be pure.  The grid is one call, in sweep
-    order, and each Brent step is a call of length 1.
+    vacuous bound).  It must be pure, and the value at a point must not
+    depend on the other points of the call.  The grid is one call, in
+    sweep order, and each Brent step is a call of length 1.
+
+    ``floor`` is a value the caller needs beaten, such as the best bound
+    already found by other methods.  For a method with an envelope (an
+    upper bound on its bound whatever the divergence: ``egz`` with a
+    linear L), the grid call then covers only the points whose envelope
+    reaches the floor; the others are counted in ``skipped``.  Their
+    bounds lie strictly below the floor, so once an evaluated point
+    reaches it they cannot be the grid maximum, and the result is the
+    one without a floor.  If no evaluated point reaches the floor, the
+    skipped points are evaluated in a second call, and nothing is
+    skipped.
 
     After the grid, each parameter with two or more grid values gets one
     Brent pass (``tol=1e-6``) between the grid neighbours of the best
@@ -491,8 +521,17 @@ def optimize_bound(callback, method: str, param_grid: dict,
     indices = list(itertools.product(*(range(grids[name].size) for name in names)))
     points = [{name: float(grids[name][i]) for name, i in zip(names, index)}
               for index in indices]
-    for index, result in zip(indices, evaluate(points)):
-        consider(result, dict(zip(names, index)))
+    envelope = _ENVELOPES.get(method)
+    skip = []
+    if envelope is not None and L.coefficient is not None:
+        skip = [i for i, pt in enumerate(points)
+                if envelope(L.coefficient, **pt) < floor]
+    kept = sorted(set(range(len(points))) - set(skip))
+    results = dict(zip(kept, evaluate([points[i] for i in kept]))) if kept else {}
+    if skip and not any(result.value >= floor for result in results.values()):
+        results.update(zip(skip, evaluate([points[i] for i in skip])))
+    for i in sorted(results):
+        consider(results[i], dict(zip(names, indices[i])))
 
     # one Brent pass per continuous parameter around the grid max
     for name in names:
@@ -515,5 +554,5 @@ def optimize_bound(callback, method: str, param_grid: dict,
 
     assert best is not None
     return BoundResult(best.value, best.rho_star, method, best.params,
-                       evals, best.vacuous)
+                       evals, best.vacuous, len(points) - len(results))
 

@@ -273,11 +273,23 @@ def _check_bound_parameters(setting: Setting, args) -> None:
                                  f"got {bad[0]:g}")
 
 
-def _column_bound(column: Column, model, L, args) -> bounds.BoundResult:
+def _column_bound(column: Column, model, L, args,
+                  floor: float = 0.0) -> bounds.BoundResult:
     if column.bound is not None:
         return column.bound(model)
     return bounds.optimize_bound(functools.partial(column.divergence, model),
-                                 column.method, _column_grid(column, args), L)
+                                 column.method, _column_grid(column, args), L,
+                                 floor=floor)
+
+
+def _column_path(column: Column, args) -> str:
+    """How a column finds its bound: ``own`` (its own bound function),
+    ``fixed`` (one parameter point) or ``grid+brent`` (a grid searched,
+    then refined by Brent's method)."""
+    if column.bound is not None:
+        return "own"
+    grid = _column_grid(column, args)
+    return "grid+brent" if any(len(v) > 1 for v in grid.values()) else "fixed"
 
 
 def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
@@ -287,10 +299,15 @@ def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
     row = dict.fromkeys(_METHOD_ORDER)
     info = {name: {"note": note} for name, note in setting.notes.items()}
     for column in setting.columns:
-        res = _column_bound(column, model, L, args)
+        # the row's best bound so far: grid points that provably stay
+        # below it cannot change this column's value, and are skipped
+        floor = max((v for v in row.values() if v is not None), default=0.0)
+        res = _column_bound(column, model, L, args, floor)
         row[column.method] = res.value
         info[column.method] = dict(res.params, rho=res.rho_star, value=res.value,
-                                   vacuous=res.vacuous, evals=res.evaluations)
+                                   vacuous=res.vacuous, evals=res.evaluations,
+                                   path=_column_path(column, args),
+                                   skipped=res.skipped)
     mc = None
     if args.trials:
         risk = oracle.mc_risk(model, setting.estimator, args.trials, args.seed)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, expit, gammaln, logit, logsumexp, ndtr, xlogy
+from scipy.special import betainc, expit, gammaln, logit, ndtr, xlogy
 
 from . import measures, sdpi
 from .bounds import BoundResult, SmallBallFn, hellinger_phi, sdpi_bound
@@ -144,7 +144,7 @@ def bernoulli_ml(n: int) -> MlValue:
     log_terms = (
         _log_binom(n, k) + xlogy(k, k / n) + xlogy(n - k, 1.0 - k / n)
     )
-    exact = logsumexp(log_terms)
+    exact = _logsumexp(log_terms)
     upper = math.log(2.0 + math.sqrt(math.pi * n / 2.0))
     return MlValue(exact=float(exact), upper=upper)
 
@@ -165,7 +165,7 @@ def bernoulli_sibson(n: int, alpha):
         - gammaln(n * a + 2.0)
     )
     return _float_if_scalar(
-        np.exp(logsumexp(_log_binom(n, k) + log_beta / a, axis=-1)))
+        np.exp(_logsumexp(_log_binom(n, k) + log_beta / a)))
 
 
 def bernoulli_hellinger(n: int, p):
@@ -182,7 +182,30 @@ def bernoulli_hellinger(n: int, p):
         + gammaln((n - k) * p + 1.0)
         - gammaln(n * p + 2.0)
     )
-    return _float_if_scalar(np.exp(logsumexp(log_terms, axis=-1)))
+    return _float_if_scalar(np.exp(_logsumexp(log_terms)))
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis of a float64 array, by the
+    algorithm of `scipy.special.logsumexp` (scipy 1.17) for real input,
+    whose values it reproduces ``==`` without that function's argument
+    handling: the terms equal to the maximum are split out of the sum,
+    the result is log1p(s/m) + log(m) + max for the m largest terms and
+    the sum s of the rest, shifted by the maximum, and a non-finite result
+    falls back to the direct log(sum(exp(a)))."""
+    a_max = np.max(a, axis=-1, keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=-1, keepdims=True, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1,
+                   keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
+    finite = np.isfinite(out)
+    if not finite.all():
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=-1)))
+    return out
 
 
 def _orders(order, least: float = 1.0, finite: bool = False) -> np.ndarray:

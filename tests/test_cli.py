@@ -231,6 +231,8 @@ class TestBernoulliCommand:
         # for a linear small-ball function): one evaluation each
         evals = {name: entry["evals"] for name, entry in point.items()}
         assert set(evals.values()) == {1}
+        assert {entry["path"] for entry in point.values()} == {"fixed"}
+        assert {entry["skipped"] for entry in point.values()} == {0}
 
     def test_row_values_match_direct_computation(self, tmp_path):
         out = tmp_path / "one.csv"
@@ -259,9 +261,13 @@ class TestOptimizedRuns:
         sidecar = json.loads((tmp_path / "opt.csv.params.json").read_text())
         egz = sidecar["points"]["1"]["egz"]
         assert egz["zeta"] == 1.0 and egz["gamma"] > 0.0  # (t*, 1)
-        # the 95 ratios plus one Brent refinement
+        # the 95 ratios plus one Brent refinement; `evals` counts only the
+        # ratios evaluated, `skipped` those whose envelope stays below the
+        # row's best other bound
         ratios = cli.default_ratio_grid().size
-        assert ratios < egz["evals"] < 2 * ratios
+        assert egz["path"] == "grid+brent"
+        assert 0 < egz["skipped"] < ratios
+        assert ratios < egz["evals"] + egz["skipped"] < 2 * ratios
         assert sidecar["points"]["1"]["sibson"]["evals"] > len(cli.default_alpha_grid())
 
     @pytest.mark.parametrize("n", [1, 10, 50])
@@ -359,6 +365,9 @@ class TestOtherCommands:
             cells = line.split(",")
             assert float(cells[6]) > float(cells[4])  # sdpi beats plain
             assert cells[-1] == "sdpi"
+        sidecar = json.loads((tmp_path / "noisy.csv.params.json").read_text())
+        paths = {name: entry["path"] for name, entry in sidecar["points"]["4"].items()}
+        assert paths == {"hellinger": "fixed", "sdpi": "own"}
 
     @pytest.mark.parametrize("flag", ["--optimize", "--alpha=9", "--p=1.5",
                                       "--gamma=7", "--zeta=2"])

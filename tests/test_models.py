@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
-from scipy.special import betainc, comb, gammaln, ndtr, xlogy
+from scipy.special import betainc, comb, gammaln, logsumexp, ndtr, xlogy
 
 from riskbounds import bounds, measures, models
 from riskbounds.bounds import hockey_stick_bound
@@ -159,6 +160,25 @@ def test_gaussian_hellinger_is_infinite_exactly_outside_its_region(n, sigma_w2, 
     for p, value in zip(orders, values):
         assert (value == math.inf) == (1.0 + (2.0 - p) * p * g.snr <= 0.0)
         assert value >= 1.0
+
+
+# terms drawn from a few values, so that maxima tie, plus the edges of exp
+_LSE_TERMS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, 1.0, -1.0, 709.0, 710.0, -745.0, -750.0,
+                     math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                                min_side=1, max_side=40),
+                    elements=_LSE_TERMS))
+def test_logsumexp_equals_scipys(a):
+    # scipy's logsumexp is the oracle of the kernels' private copy
+    expected = np.asarray(logsumexp(a, axis=-1))
+    got = models._logsumexp(a)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
 
 
 class TestBernoulliSmallBall:
