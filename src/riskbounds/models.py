@@ -15,12 +15,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, expit, gammaln, logit, ndtr, xlogy
+from scipy.special import betainc, erf, erfc, expit, gammaln, logit, xlogy
 
 from . import measures, sdpi
 from .bounds import BoundResult, SmallBallFn, hellinger_phi, sdpi_bound
 from .distributions import MixedJoint
-from .quadrature import adaptive_simpson
 
 __all__ = [
     "BernoulliUniformModel",
@@ -481,70 +480,89 @@ def gaussian_hellinger_closed_form_bound(model: GaussianModel) -> float:
 
 
 def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta):
-    """Hockey-stick dependence of the mean and the sample average.
+    """Hockey-stick dependence of the mean and the sample average, from the
+    law of a quadratic form in two standard normals.
 
-    The inner integral over the parameter has Gaussian closed form on the
-    interval x +- root(x^2) where the density ratio clears gamma/zeta.
-    The outer integrand over the sample mean x is even: that interval lies
-    at (1 - kappa) x +- root from the posterior mean and at x +- root from
-    the prior mean, so by Phi(-y) = 1 - Phi(y) the posterior and prior
-    masses of -x are those of x, and the density of x is even.  The outer
-    integral over the 8-sigma window is therefore twice the integral over
-    [0, 8 sigma], which runs adaptively (`adaptive_simpson(even=True)`)
-    split at the interval-birth kink +x0.
+    With s2 = sigma^2/n, sx2 = sigma_W^2 + s2 and t = gamma/zeta, dP/dQ
+    clears t on R = {(xbar - w)^2 - (s2/sx2) xbar^2 <= c}, where
+    c = s2 log(sx2/s2) - 2 s2 log t.  Whitened, the form is a y1^2 - b y2^2
+    with eigenvalues +-sigma_W s2/sx under P (its trace is 0) and
+    sigma_W^2 +- sigma_W sx under Q; b = |det|/a, so that nothing cancels.
+    Each mass is taken on its small side: E = gamma Q(R^c) - zeta P(R^c)
+    for t < 1 (c > 0 there), and zeta P(R) - gamma Q(R) otherwise, clipped
+    at 0; gamma = 0 gives 0.
 
-    ``gamma`` and ``zeta`` broadcast against each other.  Every pair with
-    gamma > 0 is one row of a single batched `adaptive_simpson` call, split
-    at its own kink, so an array of gammas costs one quadrature pass, and
-    each value is ``==`` to the call with that pair alone.  Scalar
-    arguments are the one-row case and return a float; otherwise an
-    ndarray of the broadcast shape is returned.
+    ``gamma`` and ``zeta`` broadcast against each other; every value is
+    ``==`` to the call with that pair alone, and scalars return a float.
     """
     pairs, shape = _gamma_zeta_pairs(gamma, zeta)
     if model.n < 1:
         raise ValueError("n must be at least 1")
-    sw2 = model.sigma_w_sq
     s2 = model.sigma_sq / model.n
-    sx2 = sw2 + s2
-    kappa = sw2 / sx2            # posterior mean coefficient
-    v = sw2 * s2 / sx2           # posterior variance
-    sw = math.sqrt(sw2)
-    sx = math.sqrt(sx2)
-    sv = math.sqrt(v)
-    coeff = s2 / sx2
+    sx2 = model.sigma_w_sq + s2
+    if not math.isfinite(sx2):
+        raise ValueError("variances must be finite")
+    sw, sx = math.sqrt(model.sigma_w_sq), math.sqrt(sx2)
 
-    # one row per pair with gamma > 0 (gamma = 0 gives 0); the per-row
-    # constants use libm's log, as a scalar call always has
+    # one row per pair with gamma > 0; c uses libm's log, as a scalar call
+    # always has.  The P rows come first, then the Q rows.
     live = [i for i, (g, _) in enumerate(pairs) if g != 0.0]
-    g_row = np.array([pairs[i][0] for i in live])
-    z_row = np.array([pairs[i][1] for i in live])
-    const = np.array([s2 * math.log(sx2 / s2) - 2.0 * s2 * math.log(g / z)
-                      for g, z in zip(g_row.tolist(), z_row.tolist())])
+    g, z = np.array([pairs[i] for i in live]).reshape(-1, 2).T
+    c = np.array([s2 * math.log(sx2 / s2) - 2.0 * s2 * math.log(pairs[i][0] / pairs[i][1])
+                  for i in live])
+    upper = g < z
+    p_mass, q_mass = _form_mass(
+        np.tile(c, 2), np.repeat([sw * s2 / sx, sw * (sw + sx)], len(live)),
+        np.repeat([sw * s2 / sx, sw * s2 / (sw + sx)], len(live)),
+        np.tile(upper, 2)).reshape(2, -1)
+    values = np.zeros(len(pairs))
+    values[live] = np.maximum(0.0, np.where(upper, g * q_mass - z * p_mass,
+                                            z * p_mass - g * q_mass))
+    return _float_if_scalar(values.reshape(shape))
 
-    def integrand(r, x):
-        disc = coeff * x * x + const[r]
-        has = disc > 0.0
-        root = np.sqrt(np.where(has, disc, 0.0))
-        w_hi = x + root
-        w_lo = x - root
-        post_mass = ndtr((w_hi - kappa * x) / sv) - ndtr((w_lo - kappa * x) / sv)
-        prior_mass = ndtr(w_hi / sw) - ndtr(w_lo / sw)
-        inner = z_row[r] * post_mass - g_row[r] * prior_mass
-        pdf_x = np.exp(-0.5 * (x / sx) ** 2) / (sx * math.sqrt(2.0 * math.pi))
-        return np.where(has, pdf_x * inner, 0.0)
 
-    roots = [math.sqrt(-c / coeff) if c < 0.0 else None for c in const.tolist()]
-    kinks = [() if x0 is None else (x0,) for x0 in roots]
-    totals = []
-    if live:
-        totals = adaptive_simpson(integrand, -8.0 * sx, 8.0 * sx, rows=len(live),
-                                  atol=1e-10, rtol=1e-9, points=kinks,
-                                  even=True).tolist()
-    values = [0.0] * len(pairs)
-    for i, total in zip(live, totals):
-        g, z = pairs[i]
-        values[i] = max(0.0, total - max(0.0, z - g))
-    return _float_if_scalar(np.array(values).reshape(shape))
+# Trapezoid nodes v = k/8 on [0, 41], tabulated by libm (no numpy ufunc to
+# load).  y = 1 at v_c = asinh(sqrt(b/|c|)) <= log1p(2 sqrt(b/|c|)) <= 37.5
+# for |c| >= _FORM_ZERO * b; from there + 3.5 on, y > 33 and the normal
+# density is below 1e-236, so those nodes count as 0 and are not evaluated.
+_FORM_V = np.arange(329) / 8.0
+_FORM_COSH = np.array([math.cosh(v) for v in _FORM_V.tolist()])
+_FORM_SINH = np.array([math.sinh(v) for v in _FORM_V.tolist()])
+_FORM_WEIGHTS = np.where(_FORM_V == 0.0, 1.0, 2.0) / (8.0 * math.sqrt(2.0 * math.pi))
+_FORM_ZERO = 1e-32
+
+
+def _form_mass(c, a, b, upper):
+    """P(a y1^2 - b y2^2 <= c) for independent standard normals y1, y2 and
+    a, b > 0, elementwise; P(a y1^2 - b y2^2 > c) where ``upper`` (c > 0).
+
+    Given y2 = y, the mass is an erf (erfc for ``upper``) of
+    sqrt((c + b y^2)/(2a)).  For c > 0, y = sqrt(c/b) sinh v makes
+    c + b y^2 = c cosh^2 v; for c < 0 the mass lives on b y^2 > |c|, and
+    y = sqrt(|c|/b) cosh v makes b y^2 - |c| = |c| sinh^2 v.  Either
+    integrand is even and analytic in v and decays double-exponentially,
+    so the trapezoid rule in v converges exponentially.  A row's nodes
+    follow from its own c, a and b, and every row sums the same 329 terms,
+    so its mass does not depend on the other rows.  For |c| < _FORM_ZERO b
+    (c == 0 included) the mass is that at c = 0, (2/pi) atan(sqrt(b/a)),
+    or (2/pi) atan(sqrt(a/b)) for ``upper``, to ~|c|/b log(b/|c|) relative.
+    """
+    flat = np.abs(c) < _FORM_ZERO * b
+    size = np.where(flat, b, np.abs(c))
+    scale = np.sqrt(size / b)                # y per unit of sinh v or cosh v
+    reach = np.sqrt(size / (2.0 * a))
+    used = _FORM_V < (np.log1p(2.0 / scale) + 3.5)[:, None]
+    row, node = np.nonzero(used)
+    pos = c[row] > 0.0
+    along = np.where(pos, _FORM_COSH[node], _FORM_SINH[node])
+    y = scale[row] * np.where(pos, _FORM_SINH[node], _FORM_COSH[node])
+    arg = reach[row] * along
+    tail = np.where(upper[row], erfc(arg), erf(arg))
+    terms = np.zeros(used.shape)
+    terms[used] = np.exp(-0.5 * y * y) * tail * (scale[row] * along) * _FORM_WEIGHTS[node]
+    mass = np.add.reduce(terms, axis=1)
+    ratio = np.where(upper, a / b, b / a)
+    return np.where(flat, 2.0 / math.pi * np.arctan(np.sqrt(ratio)), mass)
 
 
 # ----------------------------------------------------------------------

@@ -86,7 +86,7 @@ def brent_max(f, lo, hi, tol=1e-12):
 
 
 def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
-                     max_depth=48, even=False):
+                     max_depth=48):
     """Integrate ``f`` on [a, b] by adaptive Simpson bisection, starting
     from 16 even panels.
 
@@ -96,21 +96,12 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
     elementwise, with the int row labels ``r`` broadcast against ``w``;
     every row is integrated in one panel array, and an ndarray of the R
     integrals is returned.  Each row's integral is ``==`` to integrating
-    that row alone (with that row's ``points``): its converged panels are
-    summed in the order a one-row run keeps them, and its depth sums are
-    added in the same order.  ``f`` is called once for the starting
-    panels and once per bisection level, on every point that level needs.
-    ``points`` are interior locations (kinks) where panels are split up
-    front; locations outside (a, b) are ignored.  With ``rows=R`` they are
-    either one sequence shared by every row or R sequences, one per row,
-    so that each row starts from its own edges.
-
-    With ``even=True``, every integrand must be even about the centre c
-    of [a, b], f(c - t) = f(c + t).  Only the right half of the 16 panels
-    is refined, with the ``points`` in (c, b), and twice its integral is
-    returned; each of its panels keeps its share of ``atol`` of the whole
-    window, so it is split exactly where it would be in a full-window run.
-    ``f`` never sees an abscissa left of c.
+    that row alone: its converged panels are summed in the order a one-row
+    run keeps them, and its depth sums are added in the same order.  ``f``
+    is called once for the starting panels and once per bisection level,
+    on every point that level needs.  ``points`` are interior locations
+    (kinks) where every row's panels are split up front; locations outside
+    (a, b) are ignored.
 
     Raises ValueError for a non-finite or empty [a, b], and
     QuadratureFailure at the first non-finite value of ``f`` (naming its
@@ -125,26 +116,18 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
         raise ValueError(f"empty integration interval [{a}, {b}]")
     batch = 1 if rows is None else rows
     g = (lambda r, w: f(w)) if rows is None else f
-    per_row = rows is not None and len(points) > 0 and not np.isscalar(points[0])
-    if per_row and len(points) != rows:
-        raise ValueError(f"{len(points)} point sequences for {rows} rows")
-
-    base = np.linspace(a, b, 17)
-    if even:
-        base = base[8:]  # from the centre on; the left half mirrors it
-    edges = [_split_edges(base, p) for p in points] if per_row else \
-        [_split_edges(base, points)] * batch
+    edges = _split_edges(np.linspace(a, b, 17), points)
 
     # row-major panels: each row's subsequence is the one-row panel order.
     # One row keeps a single 0-d label that broadcasts and is never split;
     # indexing a per-row table with it gives a scalar, as cheap as a float.
     if batch > 1:
-        row = np.repeat(np.arange(batch), [e.size - 1 for e in edges])
-        lo = np.concatenate([e[:-1] for e in edges])
-        hi = np.concatenate([e[1:] for e in edges])
+        row = np.repeat(np.arange(batch), edges.size - 1)
+        lo = np.tile(edges[:-1], batch)
+        hi = np.tile(edges[1:], batch)
     else:
         row = np.zeros((), int)
-        lo, hi = edges[0][:-1], edges[0][1:]
+        lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     f_lo, f_mid, f_hi = _values(g, row, [lo, mid, hi])
     coarse = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
@@ -194,8 +177,6 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
         f_mid = np.concatenate([f_lmid, f_rmid])
         coarse = np.concatenate([left, right])
         depth += 1
-    if even:
-        result = [2.0 * total for total in result]
     if rows is None:
         return result[0]
     return np.array(result)

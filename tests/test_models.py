@@ -132,6 +132,10 @@ _INFINITE_CALLS = {
         models.GaussianModel(5, 1.0, 2.0), math.inf, 1.0),
     "gaussian_e_gamma_zeta[zeta]": lambda: models.gaussian_e_gamma_zeta(
         models.GaussianModel(5, 1.0, 2.0), np.array([1.0, 2.0]), np.array([1.0, math.inf])),
+    "gaussian_e_gamma_zeta[sigma_w_sq]": lambda: models.gaussian_e_gamma_zeta(
+        models.GaussianModel(5, math.inf, 2.0), 2.0, 1.5),
+    "gaussian_e_gamma_zeta[sigma_sq]": lambda: models.gaussian_e_gamma_zeta(
+        models.GaussianModel(5, 1.0, math.inf), 2.0, 1.5),
 }
 
 
@@ -488,10 +492,10 @@ class TestBernoulliUpperBound:
 
 
 def _gaussian_e_gamma_zeta_full_window(model, gamma, zeta):
-    """E_{gamma,zeta} of the Gaussian model over the whole 8-sigma window
-    of the sample mean, split at both interval-birth kinks +-x0: the
-    kernel's integrand and quadrature settings, without its x -> -x
-    symmetry."""
+    """E_{gamma,zeta} of the Gaussian model by adaptive Simpson over the
+    8-sigma window of the sample mean x, split at both interval-birth kinks
+    +-x0: at each x the parameter interval x +- root where the density
+    ratio clears gamma/zeta has closed-form posterior and prior masses."""
     sw2, s2 = model.sigma_w_sq, model.sigma_sq / model.n
     sx2 = sw2 + s2
     kappa, sv = sw2 / sx2, math.sqrt(sw2 * s2 / sx2)
@@ -513,6 +517,43 @@ def _gaussian_e_gamma_zeta_full_window(model, gamma, zeta):
     total = adaptive_simpson(integrand, -8.0 * sx, 8.0 * sx, atol=1e-10, rtol=1e-9,
                              points=() if x0 is None else (-x0, x0))
     return max(0.0, total - max(0.0, zeta - gamma))
+
+
+def _gaussian_e_gamma_zeta_mpmath(model, gamma, zeta, dps=30):
+    """E_{gamma,zeta} of the Gaussian model at ``dps`` digits: the same
+    sample-mean integral as `_gaussian_e_gamma_zeta_full_window`, by
+    `mpmath.quad` over x >= 0 (the integrand is even in x), starting at
+    the kink x0 where the parameter interval is born.  Each mass is a
+    difference of erf values, or of erfc values right of the mean, so
+    that the digits lost to cancellation stay far below ``dps``."""
+    with mpmath.workdps(dps):
+        gamma, zeta = mpmath.mpf(gamma), mpmath.mpf(zeta)
+        sw2 = mpmath.mpf(model.sigma_w_sq)
+        s2 = mpmath.mpf(model.sigma_sq) / model.n
+        sx2 = sw2 + s2
+        kappa, coeff = sw2 / sx2, s2 / sx2
+        const = s2 * mpmath.log(sx2 / s2) - 2 * s2 * mpmath.log(gamma / zeta)
+
+        def mass(lo, hi, mean, var):
+            a, b = (lo - mean) / mpmath.sqrt(2 * var), (hi - mean) / mpmath.sqrt(2 * var)
+            if a > 0:
+                return (mpmath.erfc(a) - mpmath.erfc(b)) / 2
+            return (mpmath.erf(b) - mpmath.erf(a)) / 2
+
+        def integrand(x):
+            disc = coeff * x * x + const
+            if disc <= 0:
+                return mpmath.mpf(0)
+            root = mpmath.sqrt(disc)
+            post = mass(x - root, x + root, kappa * x, sw2 * coeff)
+            prior = mass(x - root, x + root, 0, sw2)
+            return mpmath.exp(-x * x / (2 * sx2)) * (zeta * post - gamma * prior)
+
+        x0 = mpmath.sqrt(-const / coeff) if const < 0 else mpmath.mpf(0)
+        sx = mpmath.sqrt(sx2)
+        total = 2 * mpmath.quad(integrand, [x0, x0 + 2 * sx, x0 + 12 * sx])
+        total /= mpmath.sqrt(2 * mpmath.pi * sx2)
+        return float(max(0, total - max(0, zeta - gamma)))
 
 
 class TestGaussian:
@@ -627,16 +668,56 @@ class TestGaussian:
         gamma = ratio * zeta
         value = models.gaussian_e_gamma_zeta(g, gamma, zeta)
         full = _gaussian_e_gamma_zeta_full_window(g, gamma, zeta)
-        # Neither integration resolves E below a few ulps of gamma + zeta,
-        # the scale of the integrand's terms zeta * post - gamma * prior.
-        # E = total - (zeta - gamma) cancels when gamma << zeta, and for
-        # x > 0 far out both masses are differences of two ndtr values
-        # near 1, which the half window weights twice and the full window
-        # once: at n = 1, sigma_W^2 = sigma^2 = zeta = 1, gamma = 1000 the
-        # integrand at x = 6.09 and at -6.09 differs by 3e-13 relative.
-        floor = 4.0 * np.finfo(float).eps * (gamma + zeta)
-        assert value == full or math.isclose(value, full, rel_tol=1e-13,
-                                             abs_tol=floor), (value, full)
+        # the Simpson oracle accepts a panel once its error estimate is
+        # within max(atol * h / width, rtol * |panel|), and its integrand
+        # zeta * post - gamma * prior integrates in absolute value to at
+        # most gamma + zeta, so it is good to atol + rtol * (gamma + zeta);
+        # test_hockey_stick_against_mpmath is the tight check
+        assert math.isclose(value, full, rel_tol=0.0,
+                            abs_tol=1e-10 + 1e-9 * (gamma + zeta)), (value, full)
+
+    @pytest.mark.parametrize("n", [1, 14, 15, 50])
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])  # t < 1; c > 0 or c < 0 by n
+    def test_hockey_stick_against_mpmath_at_the_defaults(self, n, gamma):
+        g = models.GaussianModel(n, 1.0, 2.0)
+        exact = _gaussian_e_gamma_zeta_mpmath(g, gamma, 1.5)
+        assert exact > 1e-6
+        assert math.isclose(models.gaussian_e_gamma_zeta(g, gamma, 1.5), exact,
+                            rel_tol=1e-12)
+
+    @example(n=25, sw2=0.165, s2=16.5, zeta=1.5, ratio=68.5 / 1.5)
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 300), sw2=st.floats(0.05, 20.0), s2=st.floats(0.05, 20.0),
+           zeta=st.floats(0.1, 4.0),
+           ratio=st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x))
+    def test_hockey_stick_against_mpmath(self, n, sw2, s2, zeta, ratio):
+        g = models.GaussianModel(n, sw2, s2)
+        gamma = ratio * zeta
+        exact = _gaussian_e_gamma_zeta_mpmath(g, gamma, zeta)
+        value = models.gaussian_e_gamma_zeta(g, gamma, zeta)
+        if exact > 1e-6:
+            assert math.isclose(value, exact, rel_tol=1e-12), (value, exact)
+        else:
+            assert value < 2e-6
+
+    @pytest.mark.parametrize("n, sw2, s2", [(20, 1.0, 2.0), (3, 3.0, 0.7),
+                                            (300, 20.0, 0.05)])
+    @pytest.mark.parametrize("offset", [0.0, 1e-13, -1e-13])
+    def test_hockey_stick_where_the_interval_is_born(self, n, sw2, s2, offset):
+        # at t = sqrt(1 + snr), c = 0: the parameter interval is born at
+        # sample mean 0, and c, as the kernel computes it, is 0.0 exactly
+        # for the settings here; offset moves c to about +-1e-13
+        g = models.GaussianModel(n, sw2, s2)
+        s2n = s2 / n
+        sx2 = sw2 + s2n
+        ratio = (math.sqrt(1.0 + g.snr) if offset == 0.0
+                 else math.exp(0.5 * (math.log(sx2 / s2n) - offset / s2n)))
+        zeta = 1.5
+        gamma = ratio * zeta
+        c = s2n * math.log(sx2 / s2n) - 2.0 * s2n * math.log(gamma / zeta)
+        assert c == 0.0 if offset == 0.0 else math.isclose(c, offset, rel_tol=1e-2)
+        assert math.isclose(models.gaussian_e_gamma_zeta(g, gamma, zeta),
+                            _gaussian_e_gamma_zeta_mpmath(g, gamma, zeta), rel_tol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 200), sw2=st.floats(0.05, 20.0), s2=st.floats(0.05, 20.0),

@@ -53,12 +53,11 @@ def _integral_or_failure(f, **options):
         return QuadratureFailure
 
 
-def _assert_batch_equals_rows(f, points, row_points, **options):
+def _assert_batch_equals_rows(f, rows, **options):
     """The batch fails exactly when some row fails alone; otherwise each
     row of the batch is == to that row integrated alone."""
-    batch = _integral_or_failure(f, rows=len(row_points), points=points, **options)
-    alone = [_integral_or_failure(lambda w, r=r: f(r, w), points=row_points[r], **options)
-             for r in range(len(row_points))]
+    batch = _integral_or_failure(f, rows=rows, **options)
+    alone = [_integral_or_failure(lambda w, r=r: f(r, w), **options) for r in range(rows)]
     assert (batch is QuadratureFailure) == (QuadratureFailure in alone)
     if batch is not QuadratureFailure:
         assert batch.tolist() == alone
@@ -79,35 +78,7 @@ _unit = st.floats(0.0, 1.0)
        points=st.lists(st.floats(-0.5, 1.5), max_size=3))
 def test_batch_rows_equal_one_row_integrals(params, atol, rtol, points):
     f = _bumps(*(np.array(column) for column in zip(*params)))
-    _assert_batch_equals_rows(f, points, [points] * len(params), atol=atol, rtol=rtol)
-
-
-# each row's kinks: some inside [0, 1], some on or beyond its ends
-_row_points = st.lists(st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0]), max_size=3)
-
-
-@example(params=[(1.0, 0.0, 1.0, 1.0, 0.03125, [1e-07])], atol=1e-12, rtol=1e-12,
-         kink_points=False)
-@settings(max_examples=40, deadline=None)
-@given(params=st.lists(st.tuples(st.floats(-2.0, 2.0), _unit, st.floats(0.01, 1.0),
-                                 st.floats(-1.0, 1.0), _unit, _row_points),
-                       min_size=1, max_size=40),
-       atol=st.floats(-13.0, -6.0).map(lambda x: 10.0 ** x),
-       rtol=st.floats(-12.0, -5.0).map(lambda x: 10.0 ** x),
-       kink_points=st.booleans())
-def test_batch_rows_with_own_points_equal_one_row_integrals(params, atol, rtol,
-                                                           kink_points):
-    *columns, points = zip(*params)
-    f = _bumps(*(np.array(column) for column in columns))
-    if kink_points:  # split each row at its own kink, as a caller that knows it
-        points = [[*row_points, kink] for row_points, kink in zip(points, columns[4])]
-    _assert_batch_equals_rows(f, points, points, atol=atol, rtol=rtol)
-
-
-def test_per_row_points_must_match_the_rows():
-    with pytest.raises(ValueError):
-        adaptive_simpson(lambda r, w: w + 0 * r, 0.0, 1.0, rows=3,
-                         points=[(0.5,), ()])
+    _assert_batch_equals_rows(f, len(params), points=points, atol=atol, rtol=rtol)
 
 
 def test_one_singular_row_fails_the_batch():
@@ -153,10 +124,10 @@ def test_one_integrand_call_to_start_and_one_per_level():
     adaptive_simpson(f, 0.0, 1.0)
     assert [w.size for w in calls] == [3 * 16, 2 * 16]
 
-    # each row starts from its own edges; 0.5 is an edge already
+    # every row is split at the points; 0.5 is an edge already
     f, calls = _counting(lambda r, w: (r + 1.0) * w ** 2)
-    adaptive_simpson(f, 0.0, 1.0, rows=3, points=[(0.3,), (), (0.5, 0.7)])
-    assert [w.size for w in calls] == [3 * 50, 2 * 50]
+    adaptive_simpson(f, 0.0, 1.0, rows=3, points=(0.3, 0.5, 0.7))
+    assert [w.size for w in calls] == [3 * 54, 2 * 54]
 
     # a singular integrand never converges: it runs levels 0..max_depth
     for max_depth in (0, 3, 6):
@@ -207,37 +178,14 @@ _PINNED = [
      0.5066033772708658),
     (_pinned_rows, 1.0, dict(rows=3, points=(0.2, 0.45, 0.8)),
      [0.42862269254542695, 0.20818865372700468, 0.5172453850905836]),
-    (_pinned_rows, 1.0, dict(rows=3, points=[(0.2,), (0.45, 0.71), ()]),
-     [0.42862269254542695, 0.2081886537270044, 0.5172453850905868]),
 ]
 
 
 @pytest.mark.parametrize("f, b, options, expected", _PINNED,
-                         ids=["smooth", "points", "rows-shared-points", "rows-own-points"])
+                         ids=["smooth", "points", "rows-shared-points"])
 def test_keeps_its_pinned_values(f, b, options, expected):
     value = adaptive_simpson(f, 0.0, b, atol=1e-12, rtol=1e-11, **options)
     assert (value if isinstance(value, float) else value.tolist()) == expected
-
-
-@pytest.mark.parametrize("a, b", [(-2.0, 2.0), (-1.0, 3.0), (0.2, 0.9)])
-def test_even_integrand_over_half_the_window(a, b):
-    centre = 0.5 * (a + b)
-    kinks = [0.3, 0.123, 0.77, 5.0]  # in units of the half width; 5 is outside
-
-    def f(r, w):
-        t = (w - centre) / (0.5 * (b - a))
-        return np.exp(-4.0 * t * t) + np.abs(t * t - np.array(kinks)[r] ** 2)
-
-    points = [(centre - k * 0.5 * (b - a), centre + k * 0.5 * (b - a)) for k in kinks]
-    options = dict(rows=len(kinks), points=points, atol=1e-12, rtol=1e-11)
-    full = adaptive_simpson(f, a, b, **options)
-    seen, calls = _counting(f)
-    half = adaptive_simpson(seen, a, b, even=True, **options)
-    assert np.allclose(half, full, rtol=1e-15, atol=0.0)
-    assert min(w.min() for w in calls) == centre
-    alone = [adaptive_simpson(lambda w, r=r: f(r, w), a, b, points=points[r], even=True,
-                              atol=1e-12, rtol=1e-11) for r in range(len(kinks))]
-    assert half.tolist() == alone
 
 
 def test_brent_max_on_parabola():
