@@ -24,6 +24,7 @@ from .measures import (
     kl_divergence,
     maximal_leakage_discrete,
     mutual_information,
+    pair_divergence,
     renyi_divergence,
     sibson_mi_discrete,
 )

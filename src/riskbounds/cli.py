@@ -273,23 +273,14 @@ def _check_bound_parameters(setting: Setting, args) -> None:
                                  f"got {bad[0]:g}")
 
 
-def _column_bound(column: Column, model, L, args,
+def _column_bound(column: Column, model, L, grid: dict,
                   floor: float = 0.0) -> bounds.BoundResult:
+    """``column``'s bound at ``model``, searched over ``grid``, the
+    column's `_column_grid`."""
     if column.bound is not None:
         return column.bound(model)
     return bounds.optimize_bound(functools.partial(column.divergence, model),
-                                 column.method, _column_grid(column, args), L,
-                                 floor=floor)
-
-
-def _column_path(column: Column, args) -> str:
-    """How a column finds its bound: ``own`` (its own bound function),
-    ``fixed`` (one parameter point) or ``grid+brent`` (a grid searched,
-    then refined by Brent's method)."""
-    if column.bound is not None:
-        return "own"
-    grid = _column_grid(column, args)
-    return "grid+brent" if any(len(v) > 1 for v in grid.values()) else "fixed"
+                                 column.method, grid, L, floor=floor)
 
 
 def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
@@ -302,12 +293,18 @@ def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
         # the row's best bound so far: grid points that provably stay
         # below it cannot change this column's value, and are skipped
         floor = max((v for v in row.values() if v is not None), default=0.0)
-        res = _column_bound(column, model, L, args, floor)
+        grid = _column_grid(column, args)
+        res = _column_bound(column, model, L, grid, floor)
+        # how the column found its bound: its own bound function, one
+        # parameter point, or a grid searched and then refined by Brent
+        if column.bound is not None:
+            path = "own"
+        else:
+            path = "grid+brent" if any(len(v) > 1 for v in grid.values()) else "fixed"
         row[column.method] = res.value
         info[column.method] = dict(res.params, rho=res.rho_star, value=res.value,
                                    vacuous=res.vacuous, evals=res.evaluations,
-                                   path=_column_path(column, args),
-                                   skipped=res.skipped)
+                                   path=path, skipped=res.skipped)
     mc = None
     if args.trials:
         risk = oracle.mc_risk(model, setting.estimator, args.trials, args.seed)

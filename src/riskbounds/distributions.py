@@ -271,14 +271,13 @@ class MixedJoint:
             worst = float(np.max(np.abs(col_sums - 1.0)))
             raise ValueError(f"likelihood columns deviate from 1 by {worst!r}")
 
-    def integrate(self, f, points=(), rows=None):
-        """Integral of ``f`` against Lebesgue measure on the support.
-
-        ``rows`` batches integrands as in
-        :func:`~riskbounds.quadrature.adaptive_simpson`.
+    def integrate(self, f, rows=None):
+        """Integral of ``f`` against Lebesgue measure on the support, by
+        :func:`~riskbounds.quadrature.adaptive_simpson` at its default
+        tolerances; ``rows`` batches integrands as there.
         """
         a, b = self.support
-        return adaptive_simpson(f, a, b, rows=rows, points=points)
+        return adaptive_simpson(f, a, b, rows=rows)
 
     def observation_marginal(self) -> np.ndarray:
         """Marginal pmf of the observation, computed by quadrature."""

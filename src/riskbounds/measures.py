@@ -39,6 +39,7 @@ __all__ = [
     "maximal_leakage_discrete",
     "e_gamma_zeta",
     "mutual_information",
+    "pair_divergence",
     "divergence_from_independence",
 ]
 
@@ -274,29 +275,37 @@ def _mixed_max_leakage(joint: MixedJoint) -> float:
     return max(0.0, math.log(total))
 
 
+def pair_divergence(p, q, spec: DivergenceSpec) -> float:
+    """The two-measure divergence ``spec`` of ``p`` from ``q``; ValueError
+    for a dependence measure (Sibson, maximal leakage, MI)."""
+    kind = spec.kind
+    if kind is DivergenceKind.KL:
+        return kl_divergence(p, q)
+    if kind is DivergenceKind.CHI_SQUARE:
+        return chi_square(p, q)
+    if kind is DivergenceKind.HELLINGER_P:
+        return hellinger_p(p, q, spec.p)
+    if kind is DivergenceKind.E_GAMMA_ZETA:
+        return hockey_stick(p, q, spec.gamma, spec.zeta)
+    if kind is DivergenceKind.RENYI:
+        return renyi_divergence(p, q, spec.alpha)
+    raise ValueError(f"{kind.value} is not a two-measure divergence")
+
+
 def divergence_from_independence(joint, spec: DivergenceSpec) -> float:
     """Evaluate any supported measure between a joint and its product."""
     kind = spec.kind
     if isinstance(joint, DiscreteJoint):
-        flat_j = joint.matrix.ravel()
-        flat_p = joint.product.ravel()
-        if kind is DivergenceKind.RENYI:
-            return renyi_divergence(flat_j, flat_p, spec.alpha)
         if kind is DivergenceKind.SIBSON_MI:
             return sibson_mi_discrete(joint, spec.alpha)
         if kind is DivergenceKind.MAX_LEAKAGE:
             return maximal_leakage_discrete(joint)
-        if kind is DivergenceKind.HELLINGER_P:
-            return hellinger_p(flat_j, flat_p, spec.p)
-        if kind is DivergenceKind.CHI_SQUARE:
-            return chi_square(flat_j, flat_p)
-        if kind is DivergenceKind.KL:
-            return kl_divergence(flat_j, flat_p)
         if kind is DivergenceKind.MUTUAL_INFORMATION:
             return mutual_information(joint)
         if kind is DivergenceKind.E_GAMMA_ZETA:
             return e_gamma_zeta(joint, spec.gamma, spec.zeta)
-    elif isinstance(joint, MixedJoint):
+        return pair_divergence(joint.matrix.ravel(), joint.product.ravel(), spec)
+    if isinstance(joint, MixedJoint):
         if kind is DivergenceKind.RENYI:
             moment = _mixed_moment(joint, spec.alpha)
             if spec.alpha > 1 and moment == math.inf:

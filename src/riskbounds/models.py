@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -347,7 +346,6 @@ def _gamma_zeta_pairs(gamma, zeta) -> tuple[list, tuple]:
     return pairs, gammas.shape
 
 
-@lru_cache(maxsize=None)
 def bernoulli_mutual_information(n: int) -> float:
     """Shannon dependence of bias and weight, by adaptive quadrature."""
     return measures.mutual_information(bernoulli_joint(n))
@@ -360,13 +358,11 @@ def bernoulli_upper_bound(n: int) -> float:
     return 1.0 / math.sqrt(6.0 * n)
 
 
-@lru_cache(maxsize=None)
 def bernoulli_joint(n: int) -> MixedJoint:
     """Sufficient-statistic joint of the bias and the Hamming weight."""
     return _binomial_count_joint(n, lambda w: w)
 
 
-@lru_cache(maxsize=None)
 def noisy_bernoulli_joint(model: NoisyBernoulliModel) -> MixedJoint:
     """Joint of the bias and the weight of the channel outputs."""
     lam = model.lam

@@ -85,23 +85,20 @@ def brent_max(f, lo, hi, tol=1e-12):
                 v, fv = u, fu
 
 
-def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
-                     max_depth=48):
+def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, max_depth=48):
     """Integrate ``f`` on [a, b] by adaptive Simpson bisection, starting
     from 16 even panels.
 
     With ``rows=None``, ``f`` maps an ndarray of abscissae to an ndarray of
     values and the integral is returned as a float.  With ``rows=R``, ``f``
     is a batch of R integrands: ``f(r, w)`` gives integrand ``r`` at ``w``
-    elementwise, with the int row labels ``r`` broadcast against ``w``;
+    elementwise, with the int row labels ``r`` an array of ``w``'s shape;
     every row is integrated in one panel array, and an ndarray of the R
-    integrals is returned.  Each row's integral is ``==`` to integrating
-    that row alone: its converged panels are summed in the order a one-row
-    run keeps them, and its depth sums are added in the same order.  ``f``
-    is called once for the starting panels and once per bisection level,
-    on every point that level needs.  ``points`` are interior locations
-    (kinks) where every row's panels are split up front; locations outside
-    (a, b) are ignored.
+    integrals is returned.  A one-row run is a batch of one.  Each row's
+    integral is ``==`` to integrating that row alone: its converged panels
+    are summed in the order a one-row run keeps them, and its depth sums
+    are added in the same order.  ``f`` is called once for the starting
+    panels and once per bisection level, on every point that level needs.
 
     Raises ValueError for a non-finite or empty [a, b], and
     QuadratureFailure at the first non-finite value of ``f`` (naming its
@@ -116,18 +113,12 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
         raise ValueError(f"empty integration interval [{a}, {b}]")
     batch = 1 if rows is None else rows
     g = (lambda r, w: f(w)) if rows is None else f
-    edges = _split_edges(np.linspace(a, b, 17), points)
+    edges = np.linspace(a, b, 17)
 
-    # row-major panels: each row's subsequence is the one-row panel order.
-    # One row keeps a single 0-d label that broadcasts and is never split;
-    # indexing a per-row table with it gives a scalar, as cheap as a float.
-    if batch > 1:
-        row = np.repeat(np.arange(batch), edges.size - 1)
-        lo = np.tile(edges[:-1], batch)
-        hi = np.tile(edges[1:], batch)
-    else:
-        row = np.zeros((), int)
-        lo, hi = edges[:-1], edges[1:]
+    # row-major panels: each row's subsequence is the one-row panel order
+    row = np.repeat(np.arange(batch), edges.size - 1)
+    lo = np.tile(edges[:-1], batch)
+    hi = np.tile(edges[1:], batch)
     mid = 0.5 * (lo + hi)
     f_lo, f_mid, f_hi = _values(g, row, [lo, mid, hi])
     coarse = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
@@ -139,7 +130,7 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
         if depth > max_depth:
             raise QuadratureFailure(
                 f"adaptive Simpson: depth {max_depth} exhausted on "
-                f"{lo.size} panel(s), e.g. [{lo[0]!r}, {hi[0]!r}] of row {row.flat[0]}"
+                f"{lo.size} panel(s), e.g. [{lo[0]!r}, {hi[0]!r}] of row {row[0]}"
             )
         lmid = 0.5 * (lo + mid)
         rmid = 0.5 * (mid + hi)
@@ -152,17 +143,13 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, points=(),
         tol = np.maximum(atol * (h / width), rtol * np.abs(fine))
         done = np.abs(err) <= tol
 
-        if batch == 1:
-            result[0] += float(np.add.reduce(fine[done] + err[done]))
-        else:
-            _add_row_sums(result, row[done], fine[done] + err[done])
+        _add_row_sums(result, row[done], fine[done] + err[done])
         if done.all():
             break
-        keep = ~done
-        if batch > 1:
-            row = row[keep]
-            row = np.concatenate([row, row])
         # split the unconverged panels in two: left halves, then right halves
+        keep = ~done
+        row = row[keep]
+        row = np.concatenate([row, row])
         lo, mid_old, hi = lo[keep], mid[keep], hi[keep]
         f_lo, f_mid_old, f_hi = f_lo[keep], f_mid[keep], f_hi[keep]
         f_lmid, f_rmid = f_lmid[keep], f_rmid[keep]
@@ -187,23 +174,15 @@ def _values(g, row, parts):
     ``row``), in one call at their concatenation; raises
     QuadratureFailure at the first non-finite value."""
     w = np.concatenate(parts)
-    labels = row if row.ndim == 0 else np.concatenate([row] * len(parts))
+    labels = np.concatenate([row] * len(parts))
     values = g(labels, w)
     if not np.isfinite(values).all():
         i = int(np.flatnonzero(~np.isfinite(values))[0])
         raise QuadratureFailure(
             f"adaptive Simpson: integrand is {float(values[i])!r} at "
-            f"{float(w[i])!r} of row {int(np.broadcast_to(labels, w.shape)[i])}")
+            f"{float(w[i])!r} of row {labels[i]}")
     k = parts[0].size
     return [values[i * k:(i + 1) * k] for i in range(len(parts))]
-
-
-def _split_edges(edges, points):
-    """``edges`` with the ``points`` strictly between its ends added, sorted."""
-    interior = [p for p in points if edges[0] < p < edges[-1]]
-    if not interior:
-        return edges
-    return np.unique(np.concatenate([edges, np.asarray(interior, float)]))
 
 
 def _add_row_sums(result, row, values):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, DivergenceKind, DivergenceSpec, MarkovKernel
+from .distributions import DiscreteDistribution, DivergenceSpec, MarkovKernel
 from .errors import LambdaOutOfRange, ZeroDenominator
 from . import measures
 
@@ -55,21 +55,6 @@ def renyi_sdpi_ratio(kernel: MarkovKernel, mu, nu, alpha: float) -> float:
     return num / denom
 
 
-def _pair_divergence(p, q, spec: DivergenceSpec) -> float:
-    kind = spec.kind
-    if kind is DivergenceKind.KL:
-        return measures.kl_divergence(p, q)
-    if kind is DivergenceKind.CHI_SQUARE:
-        return measures.chi_square(p, q)
-    if kind is DivergenceKind.HELLINGER_P:
-        return measures.hellinger_p(p, q, spec.p)
-    if kind is DivergenceKind.E_GAMMA_ZETA:
-        return measures.hockey_stick(p, q, spec.gamma, spec.zeta)
-    if kind is DivergenceKind.RENYI:
-        return measures.renyi_divergence(p, q, spec.alpha)
-    raise ValueError(f"{kind.value} is not a two-measure divergence")
-
-
 def eta_estimate_by_sampling(kernel: MarkovKernel, spec: DivergenceSpec,
                              n_pairs: int = 200, seed: int = 0) -> float:
     """Empirical lower estimate of the contraction constant by pair sampling.
@@ -93,9 +78,9 @@ def eta_estimate_by_sampling(kernel: MarkovKernel, spec: DivergenceSpec,
         if np.all(shifted > 0):
             candidates.append((mu, shifted / shifted.sum()))
         for base, other in candidates:
-            denom = _pair_divergence(other, base, spec)
+            denom = measures.pair_divergence(other, base, spec)
             if not (denom > 0.0) or denom == math.inf:
                 continue
-            num = _pair_divergence(kernel.push(other), kernel.push(base), spec)
+            num = measures.pair_divergence(kernel.push(other), kernel.push(base), spec)
             best = max(best, num / denom)
     return best

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import cli, measures, models, oracle, sdpi
+from . import cli, measures, models, oracle
 from .distributions import DiscreteJoint, DivergenceKind, DivergenceSpec, MarkovKernel
 
 
@@ -32,8 +32,8 @@ def _suite_dpi(seed: int, rounds: int) -> tuple[bool, str]:
         q = rng.dirichlet(np.ones(k))
         kernel = MarkovKernel(rng.dirichlet(np.ones(k), size=k))
         for spec in specs:
-            before = sdpi._pair_divergence(p, q, spec)
-            after = sdpi._pair_divergence(kernel.push(p), kernel.push(q), spec)
+            before = measures.pair_divergence(p, q, spec)
+            after = measures.pair_divergence(kernel.push(p), kernel.push(q), spec)
             if math.isinf(before):
                 continue
             worst = max(worst, after - before)

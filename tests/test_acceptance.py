@@ -271,10 +271,10 @@ def test_criterion_10_property_suites():
         q = rng.dirichlet(np.ones(k))
         kernel = MarkovKernel(rng.dirichlet(np.ones(k), size=k))
         for spec in pair_specs:
-            before = sdpi._pair_divergence(p, q, spec)
+            before = measures.pair_divergence(p, q, spec)
             if math.isinf(before):
                 continue
-            after = sdpi._pair_divergence(kernel.push(p), kernel.push(q), spec)
+            after = measures.pair_divergence(kernel.push(p), kernel.push(q), spec)
             worst_dpi = max(worst_dpi, after - before)
 
     joint_specs = pair_specs + [

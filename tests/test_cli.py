@@ -299,7 +299,7 @@ class TestOptimizedRuns:
         batched = bounds.optimize_bound(functools.partial(column.divergence, model),
                                         "egz", column.grid(args), L)
         assert batched == scalar
-        assert cli._column_bound(column, model, L, args) == scalar
+        assert cli._column_bound(column, model, L, cli._column_grid(column, args)) == scalar
 
     def test_gaussian_optimized_runs(self, tmp_path):
         out = tmp_path / "gopt.csv"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbounds.errors import QuadratureFailure
@@ -22,19 +22,6 @@ def test_kinked_integrand():
                              atol=1e-12, rtol=1e-11)
     exact = (1.0 / 3.0) ** 2 / 2 + (2.0 / 3.0) ** 2 / 2
     assert math.isclose(value, exact, rel_tol=1e-9)
-
-
-def test_narrow_bump_with_points_hint():
-    center, width = 0.7123, 1e-4
-    f = lambda x: np.exp(-0.5 * ((x - center) / width) ** 2)
-    value = adaptive_simpson(f, 0.0, 1.0, points=(center,), atol=1e-14)
-    assert math.isclose(value, width * math.sqrt(2 * math.pi), rel_tol=1e-8)
-
-    # without the hint the default 16 panels still catch a 1e-4 bump,
-    # so shrink drastically to show the failure mode is the budget
-    with pytest.raises(QuadratureFailure):
-        adaptive_simpson(lambda x: np.abs(x - 0.1234567) ** -0.5 + 0 * x,
-                         0.0, 1.0, atol=1e-15, rtol=1e-15, max_depth=4)
 
 
 def _bumps(height, center, width, slope, kink):
@@ -66,19 +53,15 @@ def _assert_batch_equals_rows(f, rows, **options):
 _unit = st.floats(0.0, 1.0)
 
 
-# the kink at 1/32 is never a panel edge under atol = rtol = 1e-12: every
-# integration of this row exhausts its depth
-@example(params=[(1.0, 0.0, 1.0, 1.0, 0.03125)], atol=1e-12, rtol=1e-12, points=[1e-07])
 @settings(max_examples=40, deadline=None)
 @given(params=st.lists(st.tuples(st.floats(-2.0, 2.0), _unit, st.floats(0.01, 1.0),
                                  st.floats(-1.0, 1.0), _unit),
                        min_size=1, max_size=40),
        atol=st.floats(-13.0, -6.0).map(lambda x: 10.0 ** x),
-       rtol=st.floats(-12.0, -5.0).map(lambda x: 10.0 ** x),
-       points=st.lists(st.floats(-0.5, 1.5), max_size=3))
-def test_batch_rows_equal_one_row_integrals(params, atol, rtol, points):
+       rtol=st.floats(-12.0, -5.0).map(lambda x: 10.0 ** x))
+def test_batch_rows_equal_one_row_integrals(params, atol, rtol):
     f = _bumps(*(np.array(column) for column in zip(*params)))
-    _assert_batch_equals_rows(f, len(params), points=points, atol=atol, rtol=rtol)
+    _assert_batch_equals_rows(f, len(params), atol=atol, rtol=rtol)
 
 
 def test_one_singular_row_fails_the_batch():
@@ -94,6 +77,13 @@ def test_one_singular_row_fails_the_batch():
     square = adaptive_simpson(lambda w: w ** 2, 0.0, 1.0, **options)
     assert math.isclose(square, 1.0 / 3.0, rel_tol=1e-15)
     assert adaptive_simpson(f, 0.0, 1.0, rows=3, **options).tolist() == [square] * 3
+    # rows=None is a batch of one that returns a float: == to the element
+    # of rows=1, and its failure names row 0
+    assert type(square) is float
+    assert adaptive_simpson(lambda r, w: w ** 2, 0.0, 1.0, rows=1,
+                            **options).tolist() == [square]
+    with pytest.raises(QuadratureFailure, match="exhausted .* of row 0$"):
+        adaptive_simpson(lambda w: f(3, w), 0.0, 1.0, **options)
 
 
 def test_empty_interval_rejected():
@@ -124,10 +114,10 @@ def test_one_integrand_call_to_start_and_one_per_level():
     adaptive_simpson(f, 0.0, 1.0)
     assert [w.size for w in calls] == [3 * 16, 2 * 16]
 
-    # every row is split at the points; 0.5 is an edge already
+    # the 16 panels of every row go into the same calls
     f, calls = _counting(lambda r, w: (r + 1.0) * w ** 2)
-    adaptive_simpson(f, 0.0, 1.0, rows=3, points=(0.3, 0.5, 0.7))
-    assert [w.size for w in calls] == [3 * 54, 2 * 54]
+    adaptive_simpson(f, 0.0, 1.0, rows=3)
+    assert [w.size for w in calls] == [3 * 48, 2 * 48]
 
     # a singular integrand never converges: it runs levels 0..max_depth
     for max_depth in (0, 3, 6):
@@ -170,19 +160,19 @@ def _pinned_rows(r, w):
     return height[r] * np.exp(-((w - center[r]) / 0.05) ** 2) + np.abs(w - kink[r])
 
 
-# integrals captured while the integrand ran two or three calls per level;
-# the one call per level must reproduce them bit for bit
+# integrals captured while the integrand ran two or three calls per level
+# ("smooth"), or while a one-row run had its own summation branch ("kinks",
+# "rows"); the current code must reproduce them bit for bit
 _PINNED = [
     (lambda x: np.exp(-x) * np.sin(3.0 * x), 2.0, {}, 0.2647980022491831),
-    (lambda x: np.abs(x - 0.3) ** 1.5 + np.abs(x - 0.77), 1.0, dict(points=(0.3, 0.77)),
-     0.5066033772708658),
-    (_pinned_rows, 1.0, dict(rows=3, points=(0.2, 0.45, 0.8)),
-     [0.42862269254542695, 0.20818865372700468, 0.5172453850905836]),
+    (lambda x: np.abs(x - 0.3) ** 1.5 + np.abs(x - 0.77), 1.0, {}, 0.5066033772708659),
+    (_pinned_rows, 1.0, dict(rows=3),
+     [0.428622692545427, 0.208188653727006, 0.5172453850905868]),
 ]
 
 
 @pytest.mark.parametrize("f, b, options, expected", _PINNED,
-                         ids=["smooth", "points", "rows-shared-points"])
+                         ids=["smooth", "kinks", "rows"])
 def test_keeps_its_pinned_values(f, b, options, expected):
     value = adaptive_simpson(f, 0.0, b, atol=1e-12, rtol=1e-11, **options)
     assert (value if isinstance(value, float) else value.tolist()) == expected
