@@ -30,6 +30,7 @@ from .measures import (
 )
 from .bounds import (
     BoundResult,
+    FirstOrder,
     PhiSpec,
     RhoObjective,
     SmallBallFn,

@@ -7,6 +7,12 @@ all: a linear L uses a closed-form maximizer (`maximize_rho`, or the MI
 baseline's own); any other L goes to a deterministic scan refined by
 Brent's method in log rho.
 
+`optimize_bound` searches a bound's parameters over a grid in one
+callback call, then refines the grid maximum at the root of the
+first-order condition the callback may report with its values
+(`FirstOrder`), or else by Brent's method; each refinement step is one
+callback call of length 1.
+
 Vacuous bounds (penalty >= 1 everywhere, or an infinite divergence) are
 reported as value 0 with the ``vacuous`` flag set instead of raising; a
 NaN divergence or bound value raises `NanValue`.
@@ -17,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +33,7 @@ from .quadrature import brent_max
 __all__ = [
     "SmallBallFn",
     "BoundResult",
+    "FirstOrder",
     "RhoObjective",
     "PhiSpec",
     "hellinger_phi",
@@ -84,12 +91,32 @@ class BoundResult:
     evaluations: int = 1
     vacuous: bool = False
     skipped: int = 0  # grid points a search ruled out without evaluating
+    path: str = ""  # how `optimize_bound` searched: fixed, grid+brent or root
 
     def __post_init__(self):
         if math.isnan(self.value):
             raise NanValue(f"{self.method} bound value is NaN")
         if self.value < 0:
             raise ValueError("bound values are clamped at 0, got negative")
+
+
+class FirstOrder(NamedTuple):
+    """Divergence values with the first-order condition of their bound, as
+    an `optimize_bound` callback may return them.
+
+    ``value`` is the divergence at each point.  ``condition`` is a g with
+    the sign of the bound's derivative in x = log of the method's searched
+    parameter (`_CONDITIONS`): the bound rises in x where g > 0 and falls
+    where g < 0.  ``slope`` is dg/dx at each point, or None where it is
+    not derived.  For ``egz`` under a linear L the bound is
+    f(t) = (1 - H(t))^2 / (4 t c) with t = gamma/zeta, H(t) = P(R_t)
+    - t Q(R_t) and R_t = {dP/dQ >= t}; as H'(t) = -Q(R_t),
+    f'(t) = (1 - H) g(t) / (4 c t^2) with g(t) = P(R_t) + t Q(R_t) - 1.
+    """
+
+    value: Any
+    condition: Any
+    slope: Any = None
 
 
 @dataclass(frozen=True)
@@ -447,18 +474,31 @@ def sdpi_bound(i_phi: float, eta: float, phi: PhiSpec, L: SmallBallFn) -> BoundR
                        inner.vacuous)
 
 
+# method -> the parameter in whose log a `FirstOrder` condition is taken;
+# for egz, d log t = d log gamma at a fixed zeta
+_CONDITIONS = {"egz": "gamma"}
+# the root search stops once its next step in x is at most _ROOT_TOL (the
+# bound is flat at its maximum: a point that close to the root is within
+# about _ROOT_TOL^2 relative of it), and after _ROOT_CAP points at most
+_ROOT_TOL = 1e-8
+_ROOT_CAP = 40
+
+
 def optimize_bound(callback, method: str, param_grid: dict,
                    L: SmallBallFn, floor: float = 0.0) -> BoundResult:
-    """Maximize a bound over a parameter grid, then refine by Brent's method.
+    """Maximize a bound over a parameter grid, then refine the grid maximum
+    at the root of its first-order condition or by Brent's method.
 
     ``callback(**params)`` gets one float64 ndarray per parameter, all of
     one length (``mi`` and ``ml`` have no parameters and get none), and
     returns the divergence the method consumes (I_alpha, H_p,
     E_{gamma,zeta}, maximal leakage, or mutual information) at each
     point, broadcastable to their number, +inf where it is infinite (a
-    vacuous bound).  It must be pure, and the value at a point must not
-    depend on the other points of the call.  The grid is one call, in
-    sweep order, and each Brent step is a call of length 1.
+    vacuous bound).  It may instead return a `FirstOrder` of those values
+    and the bound's first-order condition.  It must be pure, and the value
+    at a point must not depend on the other points of the call.  The grid
+    is one call, in sweep order, and each refinement step is a call of
+    length 1.
 
     ``floor`` is a value the caller needs beaten, such as the best bound
     already found by other methods.  For a method with an envelope (an
@@ -466,15 +506,25 @@ def optimize_bound(callback, method: str, param_grid: dict,
     linear L), the grid call then covers only the points whose envelope
     reaches the floor; the others are counted in ``skipped``.  Their
     bounds lie strictly below the floor, so once an evaluated point
-    reaches it they cannot be the grid maximum, and the result is the
-    one without a floor.  If no evaluated point reaches the floor, the
-    skipped points are evaluated in a second call, and nothing is
-    skipped.
+    reaches it they cannot be the grid maximum, and the grid maximum and
+    a Brent pass from it are the ones without a floor (the root path
+    reads the condition on the evaluated points only).  If no evaluated
+    point reaches the floor, the skipped points are evaluated in a second
+    call, and nothing is skipped.
 
-    After the grid, each parameter with two or more grid values gets one
-    Brent pass (``tol=1e-6``) between the grid neighbours of the best
-    point, the other parameters held at the best point's values.  Every
-    point evaluated, on the grid or by Brent, is a candidate, so the
+    The root path (``path`` "root") refines a method with a condition
+    (`_CONDITIONS`: ``egz`` in log gamma) when L is linear, the callback
+    returned a `FirstOrder` on the grid, only that parameter has two or
+    more grid values, all of them positive, and the condition changes
+    sign exactly once over the evaluated grid, from + to -, between the
+    grid maximum and a neighbour.  The root is then searched inside that
+    bracket in x = log(parameter) (`_root_search`), started from the
+    grid's own condition values, and each step costs one call.  In every
+    other case (``path`` "grid+brent") each parameter with two or more
+    grid values gets one Brent pass (``tol=1e-6``) between the grid
+    neighbours of the best point, the other parameters held at the best
+    point's values; a grid of one point is ``path`` "fixed".  Every point
+    evaluated, on the grid or by a refinement step, is a candidate, so the
     result value dominates all of them, and ``evaluations`` sums the
     evaluations of every bound computed.  Ties keep the first-found
     parameter, and parameters are swept in sorted order (the last name
@@ -497,14 +547,22 @@ def optimize_bound(callback, method: str, param_grid: dict,
             raise ValueError(f"non-finite value in the grid of {name!r}")
 
     def evaluate(points):
-        """The bound at each parameter point; an infinite divergence
-        gives the vacuous result."""
-        values = callback(**{name: np.array([pt[name] for pt in points])
-                             for name in names})
-        values = np.broadcast_to(np.asarray(values, dtype=float), (len(points),))
-        return [BoundResult(0.0, 0.0, method, dict(pt), 1, vacuous=True)
-                if value == math.inf else bound(value, L, **pt)
-                for pt, value in zip(points, values.tolist())]
+        """The bound at each parameter point (an infinite divergence gives
+        the vacuous result), and the condition and its slope there: arrays,
+        or None where the callback gave none."""
+        out = callback(**{name: np.array([pt[name] for pt in points])
+                          for name in names})
+        first = out if isinstance(out, FirstOrder) else FirstOrder(out, None)
+
+        def per_point(values):
+            if values is None:
+                return None
+            return np.broadcast_to(np.asarray(values, dtype=float), (len(points),))
+
+        results = [BoundResult(0.0, 0.0, method, dict(pt), 1, vacuous=True)
+                   if value == math.inf else bound(value, L, **pt)
+                   for pt, value in zip(points, per_point(first.value).tolist())]
+        return results, per_point(first.condition), per_point(first.slope)
 
     evals = 0
     best: BoundResult | None = None
@@ -526,33 +584,149 @@ def optimize_bound(callback, method: str, param_grid: dict,
     if envelope is not None and L.coefficient is not None:
         skip = [i for i, pt in enumerate(points)
                 if envelope(L.coefficient, **pt) < floor]
+    results, condition, slope = {}, {}, {}
+
+    def evaluate_grid(chosen):
+        found, cond, slopes = evaluate([points[i] for i in chosen])
+        results.update(zip(chosen, found))
+        if cond is not None:
+            condition.update(zip(chosen, cond.tolist()))
+        if slopes is not None:
+            slope.update(zip(chosen, slopes.tolist()))
+
     kept = sorted(set(range(len(points))) - set(skip))
-    results = dict(zip(kept, evaluate([points[i] for i in kept]))) if kept else {}
+    if kept:
+        evaluate_grid(kept)
     if skip and not any(result.value >= floor for result in results.values()):
-        results.update(zip(skip, evaluate([points[i] for i in skip])))
+        evaluate_grid(skip)
     for i in sorted(results):
         consider(results[i], dict(zip(names, indices[i])))
+    searched = [name for name in names if grids[name].size >= 2]
+    path = "grid+brent" if searched else "fixed"
 
-    # one Brent pass per continuous parameter around the grid max
-    for name in names:
-        g = grids[name]
-        if g.size < 2:
-            continue
-        i = best_index.get(name, 0)
-        lo = g[max(i - 1, 0)]
-        hi = g[min(i + 1, g.size - 1)]
-        if hi <= lo:
-            continue
+    name = _CONDITIONS.get(method)
+    order = sorted(results)  # the evaluated points, in grid order
+    bracket = None
+    if (searched == [name] and L.coefficient is not None
+            and grids[name][0] > 0.0 and len(condition) == len(results)):
+        xs = np.log(grids[name][order]).tolist()
+        gs = [condition[i] for i in order]
+        bracket = _falling_bracket(xs, gs, order.index(best_index[name]))
+    if bracket is not None:
+        path = "root"
         fixed = dict(best.params)
 
-        def h(x, name=name, fixed=fixed):
-            result = evaluate([dict(fixed, **{name: float(x)})])[0]
-            consider(result)
-            return result.value
+        def at(x):
+            found, cond, slopes = evaluate([dict(fixed, **{name: math.exp(x)})])
+            consider(found[0])
+            return cond[0], None if slopes is None else slopes[0]
 
-        brent_max(h, lo, hi, tol=1e-6)
+        slopes = [slope[i] for i in order] if len(slope) == len(results) else None
+        _root_search(at, xs, gs, slopes, bracket)
+    else:
+        # one Brent pass per continuous parameter around the grid max
+        for name in searched:
+            g = grids[name]
+            i = best_index.get(name, 0)
+            lo = g[max(i - 1, 0)]
+            hi = g[min(i + 1, g.size - 1)]
+            if hi <= lo:
+                continue
+            fixed = dict(best.params)
+
+            def h(x, name=name, fixed=fixed):
+                found = evaluate([dict(fixed, **{name: float(x)})])[0][0]
+                consider(found)
+                return found.value
+
+            brent_max(h, lo, hi, tol=1e-6)
 
     assert best is not None
     return BoundResult(best.value, best.rho_star, method, best.params,
-                       evals, best.vacuous, len(points) - len(results))
+                       evals, best.vacuous, len(points) - len(results), path)
 
+
+def _falling_bracket(xs, gs, top):
+    """The j with gs[j] > 0 >= gs[j + 1] when that is the only sign change
+    of the finite conditions gs at the increasing points xs and j or j + 1
+    is ``top``, the grid maximum; else None."""
+    rises = [g > 0.0 for g in gs]
+    changes = [j for j in range(len(gs) - 1) if rises[j] != rises[j + 1]]
+    if (len(changes) != 1 or not rises[changes[0]] or top - changes[0] not in (0, 1)
+            or not all(map(math.isfinite, gs))
+            or not all(lo < hi for lo, hi in zip(xs, xs[1:]))):
+        return None
+    return changes[0]
+
+
+def _root_search(at, xs, gs, slopes, j):
+    """Step to the root of a condition g that falls through 0 between the
+    grid points xs[j] and xs[j + 1] (g > 0 at the first, g <= 0 at the
+    second); ``at(x)`` evaluates the point x and returns (g, dg/dx), the
+    slope None where the callback gives none.
+
+    The first point comes from the grid: the inverse Hermite cubic of the
+    bracket's ends and slopes, or without slopes the inverse polynomial
+    through the bracket's ends and each outer neighbour on which g keeps
+    falling (up to four grid points).  Each later point is a Newton step,
+    or without a usable slope a secant step through the last two points.
+    A point outside the bracket (which every point shrinks) is replaced
+    by the bracket's midpoint.  The search stops at a root, once the next
+    step is at most _ROOT_TOL, or after _ROOT_CAP points.
+    """
+    a, ga, b, gb = xs[j], gs[j], xs[j + 1], gs[j + 1]
+    if gb == 0.0:
+        return
+    if slopes is not None:
+        x = _inverse_hermite(a, ga, slopes[j], b, gb, slopes[j + 1])
+    else:
+        # the bracket and each outer neighbour on which g keeps falling
+        lo = j - 1 if j > 0 and gs[j - 1] > ga else j
+        hi = j + 2 if j + 2 < len(gs) and gs[j + 2] < gb else j + 1
+        x = _inverse_polynomial(xs[lo:hi + 1], gs[lo:hi + 1])
+    # the grid end nearer the first point precedes it in the secant
+    prev, g_prev = (a, ga) if abs(x - a) < abs(x - b) else (b, gb)
+    for _ in range(_ROOT_CAP):
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        g, dg = at(x)
+        if g == 0.0:
+            return
+        if g > 0.0:
+            a = x
+        else:
+            b = x
+        if dg is not None and math.isfinite(dg) and dg < 0.0:
+            step = -g / dg
+        elif g != g_prev:
+            step = -g * (x - prev) / (g - g_prev)
+        else:
+            step = math.inf  # no secant: the midpoint follows
+        if abs(step) <= _ROOT_TOL or b - a <= _ROOT_TOL:
+            return
+        prev, g_prev, x = x, g, x + step
+
+
+def _inverse_hermite(a, ga, sa, b, gb, sb):
+    """The x at g = 0 of the cubic x(g) through (ga, a) and (gb, b) with
+    slopes dx/dg = 1/sa and 1/sb there (the bracket midpoint where a slope
+    is not negative and finite)."""
+    if not (math.isfinite(sa) and math.isfinite(sb) and sa < 0.0 and sb < 0.0):
+        return 0.5 * (a + b)
+    h = gb - ga
+    u = -ga / h
+    h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
+    h10 = u * (1.0 - u) ** 2
+    h01 = u * u * (3.0 - 2.0 * u)
+    h11 = u * u * (u - 1.0)
+    return h00 * a + h10 * h / sa + h01 * b + h11 * h / sb
+
+
+def _inverse_polynomial(xs, gs):
+    """The x at g = 0 of the polynomial x(g) through the points (gs, xs),
+    by Neville's scheme."""
+    p = list(xs)
+    for level in range(1, len(gs)):
+        for i in range(len(gs) - level):
+            p[i] = (gs[i + level] * p[i] - gs[i] * p[i + 1]) / (gs[i + level] - gs[i])
+    return p[0]

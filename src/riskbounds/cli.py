@@ -116,8 +116,9 @@ def _best(named_values: dict[str, float | None], order=_METHOD_ORDER) -> str:
 class Column:
     """One bound column: ``divergence(model, **params)`` feeds the `bounds`
     method ``method``, taking one array per parameter and returning the
-    divergence at each point, +inf where it is infinite (the calling
-    convention of `bounds.optimize_bound`); ``params`` names the flags
+    divergence at each point, +inf where it is infinite, or (the egz
+    columns) a `bounds.FirstOrder` of those values and the condition that
+    `bounds.optimize_bound` refines by; ``params`` names the flags
     that fix the parameters, ``grid(args)`` gives the values searched
     under --optimize and ``fixed`` pins those without a flag.
     ``bound(model)`` replaces all of these for a column that computes its
@@ -166,8 +167,9 @@ def _bernoulli_hellinger(model, p: np.ndarray) -> np.ndarray:
     return (models.bernoulli_hellinger(model.n, p) - 1.0) / (p - 1.0)
 
 
-def _bernoulli_e_gamma_zeta(model, gamma: np.ndarray, zeta: np.ndarray) -> list:
-    return models.bernoulli_e_gamma_zeta_batch(model.n, gamma, zeta)
+def _bernoulli_e_gamma_zeta(model, gamma: np.ndarray,
+                            zeta: np.ndarray) -> bounds.FirstOrder:
+    return models.bernoulli_e_gamma_zeta_batch(model.n, gamma, zeta, condition=True)
 
 
 BERNOULLI = Setting(
@@ -223,7 +225,7 @@ GAUSSIAN = Setting(
         # kernel integrates a whole array of gammas in one quadrature pass
         Column("egz",
                lambda model, gamma, zeta:
-                   models.gaussian_e_gamma_zeta(model, gamma, zeta),
+                   models.gaussian_e_gamma_zeta(model, gamma, zeta, condition=True),
                ("gamma", "zeta"),
                lambda args: {"gamma": default_gamma_zeta_grid()[0],
                              "zeta": [args.zeta]}),
@@ -295,16 +297,13 @@ def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
         floor = max((v for v in row.values() if v is not None), default=0.0)
         grid = _column_grid(column, args)
         res = _column_bound(column, model, L, grid, floor)
-        # how the column found its bound: its own bound function, one
-        # parameter point, or a grid searched and then refined by Brent
-        if column.bound is not None:
-            path = "own"
-        else:
-            path = "grid+brent" if any(len(v) > 1 for v in grid.values()) else "fixed"
         row[column.method] = res.value
+        # how the column found its bound: its own bound function, or the
+        # path of `bounds.optimize_bound`
         info[column.method] = dict(res.params, rho=res.rho_star, value=res.value,
                                    vacuous=res.vacuous, evals=res.evaluations,
-                                   path=path, skipped=res.skipped)
+                                   path="own" if column.bound else res.path,
+                                   skipped=res.skipped)
     mc = None
     if args.trials:
         risk = oracle.mc_risk(model, setting.estimator, args.trials, args.seed)

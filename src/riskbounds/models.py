@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import betainc, erf, erfc, expit, gammaln, logit, xlogy
 
 from . import measures, sdpi
-from .bounds import BoundResult, SmallBallFn, hellinger_phi, sdpi_bound
+from .bounds import BoundResult, FirstOrder, SmallBallFn, hellinger_phi, sdpi_bound
 from .distributions import MixedJoint
 
 __all__ = [
@@ -261,11 +261,20 @@ _NEWTON_TOL = 1e-9
 _NEWTON_CAP = 60
 
 
-def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta) -> list[float]:
+def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta, condition: bool = False):
     """`bernoulli_e_gamma_zeta` at each of R (gamma, zeta) pairs in one
     pass: the ends of pair r are a (2, floor(n/2)+1) block of one array,
     and each end runs its own Newton steps and stops on its own, so
-    element r is ``==`` to the call with that pair alone."""
+    element r is ``==`` to the call with that pair alone.
+
+    With ``condition``, the same pass also gives the first-order condition
+    of the E_{gamma,zeta} bound (see `bounds.FirstOrder`): with P(R_t)
+    the summed masses and Q(R_t) the summed lengths over (n+1), g(t) =
+    P(R_t) + t Q(R_t) - 1 and dg/d log t = t Q + 2 t dQ/d log t.  An end
+    moves at d(end)/d log t = 1/l_k'(end), l_k'(w) = k/w - (n-k)/(1-w);
+    an end pinned at 0 or 1 does not move.  A pair with gamma = 0 has
+    g = 0 and slope 0 (R_0 is everything).  The values are then the
+    ``value`` of a `bounds.FirstOrder`, still ``==`` to those without."""
     if n < 1:
         raise ValueError("n must be at least 1")
     pairs, _ = _gamma_zeta_pairs(gamma, zeta)
@@ -301,7 +310,20 @@ def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta) -> list[float]:
         # rounded sum keeps its rounding out of the difference below
         total = math.fsum(row.tolist()) / (n + 1.0)
         values[r] = max(0.0, total - max(0.0, pairs[r][1] - pairs[r][0]))
-    return values
+    if not condition:
+        return values
+
+    # an end at the mode moves infinitely fast; pinned ends are masked out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        speed = np.where(need, 1.0 / (k / ends - (n - k) / (1.0 - ends)), 0.0)
+    share = np.where(exists, weight / (n + 1.0), 0.0)
+    p_mass, q_mass, q_speed = ((share * part).sum(axis=1)
+                               for part in (mass, right - left, speed[:, 1] - speed[:, 0]))
+    t = g[:, 0] / z[:, 0]
+    cond, slope = np.zeros(len(pairs)), np.zeros(len(pairs))
+    cond[rows] = p_mass + t * q_mass - 1.0
+    slope[rows] = t * (q_mass + 2.0 * q_speed)
+    return FirstOrder(values, cond, slope)
 
 
 def _logit_ends(n: int, k, log_norm, log_t, right) -> np.ndarray:
@@ -475,7 +497,7 @@ def gaussian_hellinger_closed_form_bound(model: GaussianModel) -> float:
     return 81.0 * math.sqrt(2.0 * math.pi) / 2048.0 * gaussian_upper_bound(model)
 
 
-def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta):
+def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta, condition: bool = False):
     """Hockey-stick dependence of the mean and the sample average, from the
     law of a quadratic form in two standard normals.
 
@@ -490,6 +512,10 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta):
 
     ``gamma`` and ``zeta`` broadcast against each other; every value is
     ``==`` to the call with that pair alone, and scalars return a float.
+    With ``condition``, the same masses also give the first-order condition
+    g(t) = P(R) + t Q(R) - 1 of the E_{gamma,zeta} bound, returned with the
+    values as a `bounds.FirstOrder` without a slope; a pair with gamma = 0
+    has g = 0 (R is everything there).
     """
     pairs, shape = _gamma_zeta_pairs(gamma, zeta)
     if model.n < 1:
@@ -514,7 +540,13 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta):
     values = np.zeros(len(pairs))
     values[live] = np.maximum(0.0, np.where(upper, g * q_mass - z * p_mass,
                                             z * p_mass - g * q_mass))
-    return _float_if_scalar(values.reshape(shape))
+    if not condition:
+        return _float_if_scalar(values.reshape(shape))
+    t = g / z
+    cond = np.zeros(len(pairs))
+    cond[live] = np.where(upper, t * (1.0 - q_mass) - p_mass, p_mass + t * q_mass - 1.0)
+    return FirstOrder(_float_if_scalar(values.reshape(shape)),
+                      _float_if_scalar(cond.reshape(shape)))
 
 
 # Trapezoid nodes v = k/8 on [0, 41], tabulated by libm (no numpy ufunc to

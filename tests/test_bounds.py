@@ -514,7 +514,8 @@ class TestOptimizeBound:
         # stays best through the grid and the Brent pass on [1.5, 2]
         brent = brent_max(lambda x: 0.0, 1.5, 2.0, tol=1e-6)[2]
         assert res == B.BoundResult(0.0, 0.0, "hellinger", {"p": 1.5},
-                                    len(grid) + brent, vacuous=True)
+                                    len(grid) + brent, vacuous=True,
+                                    path="grid+brent")
 
 
 def _per_point(kernel, first):

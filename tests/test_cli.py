@@ -100,17 +100,13 @@ class TestParsing:
         assert "numerical failure" in capsys.readouterr().err
 
     # n = 1 is skipped (theta = 1), so the first pending n is not the culprit
-    HNS = (["hide-and-seek", "--n", "1..4"], "hide_and_seek_bounds")
-    MC = (["bernoulli", "--n", "1..4", "--trials", "10000"], "bernoulli_upper_bound")
-
-    # the thread count in the environment is ignored: there is no pool
-    @pytest.mark.parametrize("threads, argv, target", [
-        pytest.param("1", *HNS, id="1"),
-        pytest.param("2", *HNS, id="2"),
-        pytest.param("1", *MC, id="trials-1"),
-        pytest.param("2", *MC, id="trials-2"),
+    @pytest.mark.parametrize("argv, target", [
+        pytest.param(["hide-and-seek", "--n", "1..4"], "hide_and_seek_bounds",
+                     id="hide-and-seek"),
+        pytest.param(["bernoulli", "--n", "1..4", "--trials", "10000"],
+                     "bernoulli_upper_bound", id="trials"),
     ])
-    def test_numerical_failure_names_the_failing_n(self, threads, argv, target,
+    def test_numerical_failure_names_the_failing_n(self, argv, target,
                                                    monkeypatch, capsys):
         real = getattr(models, target)
         failed_on = []
@@ -121,7 +117,6 @@ class TestParsing:
                 raise ArithmeticError("synthetic blow-up")
             return real(arg)
 
-        monkeypatch.setenv("RISKBOUNDS_THREADS", threads)
         monkeypatch.setattr(cli.models, target, fail_at_three)
         assert cli.main(argv) == 3
         assert "numerical failure near n=3:" in capsys.readouterr().err
@@ -261,14 +256,24 @@ class TestOptimizedRuns:
         sidecar = json.loads((tmp_path / "opt.csv.params.json").read_text())
         egz = sidecar["points"]["1"]["egz"]
         assert egz["zeta"] == 1.0 and egz["gamma"] > 0.0  # (t*, 1)
-        # the 95 ratios plus one Brent refinement; `evals` counts only the
-        # ratios evaluated, `skipped` those whose envelope stays below the
-        # row's best other bound
+        # the 95 ratios plus the root steps of the first-order condition;
+        # `evals` counts only the ratios evaluated, `skipped` those whose
+        # envelope stays below the row's best other bound
         ratios = cli.default_ratio_grid().size
-        assert egz["path"] == "grid+brent"
+        assert egz["path"] == "root"
         assert 0 < egz["skipped"] < ratios
-        assert ratios < egz["evals"] + egz["skipped"] < 2 * ratios
+        assert ratios < egz["evals"] + egz["skipped"] <= ratios + 5
         assert sidecar["points"]["1"]["sibson"]["evals"] > len(cli.default_alpha_grid())
+
+    def test_bernoulli_one_flip_is_exact(self, tmp_path):
+        # at n = 1, P(R_t) + t Q(R_t) = 1 holds at t* = 4/3, where the bound
+        # is 2/27
+        out = tmp_path / "one.csv"
+        assert cli.main(["bernoulli", "--n", "1", "--optimize", "--out", str(out)]) == 0
+        egz = json.loads((tmp_path / "one.csv.params.json").read_text())["points"]["1"]["egz"]
+        assert egz["path"] == "root"
+        assert abs(egz["value"] - 2.0 / 27.0) <= 2.0 * math.ulp(2.0 / 27.0)
+        assert abs(egz["gamma"] - 4.0 / 3.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 10, 50])
     def test_bernoulli_ratio_search_dominates_the_full_grid(self, n):
@@ -285,21 +290,32 @@ class TestOptimizedRuns:
     @pytest.mark.parametrize("n", [1, 10, 50])
     def test_gaussian_batched_grid_equals_scalar_search(self, n):
         # the egz column's one batched call per grid and a search that
-        # calls the kernel once per point agree
+        # calls the kernel once per point agree on the root path, and
+        # grid + Brent without the condition is the oracle of its value
         args = cli.build_parser().parse_args(["gaussian", "--optimize"])
         model = cli.GAUSSIAN.model(n, args)
         L = cli.GAUSSIAN.small_ball(model)
         column = next(c for c in cli.GAUSSIAN.columns if c.method == "egz")
+        grid = column.grid(args)
 
         def per_point(gamma, zeta):
-            return [models.gaussian_e_gamma_zeta(model, g, z)
-                    for g, z in zip(gamma.tolist(), zeta.tolist())]
+            calls = [models.gaussian_e_gamma_zeta(model, g, z, condition=True)
+                     for g, z in zip(gamma.tolist(), zeta.tolist())]
+            return bounds.FirstOrder([c.value for c in calls],
+                                     [c.condition for c in calls])
 
-        scalar = bounds.optimize_bound(per_point, "egz", column.grid(args), L)
+        def values_only(gamma, zeta):
+            return models.gaussian_e_gamma_zeta(model, gamma, zeta)
+
+        scalar = bounds.optimize_bound(per_point, "egz", grid, L)
         batched = bounds.optimize_bound(functools.partial(column.divergence, model),
-                                        "egz", column.grid(args), L)
-        assert batched == scalar
+                                        "egz", grid, L)
+        assert batched == scalar and batched.path == "root"
         assert cli._column_bound(column, model, L, cli._column_grid(column, args)) == scalar
+        oracle = bounds.optimize_bound(values_only, "egz", grid, L)
+        assert oracle.path == "grid+brent"
+        assert abs(batched.value - oracle.value) <= 1e-14 * oracle.value
+        assert batched.evaluations < oracle.evaluations
 
     def test_gaussian_optimized_runs(self, tmp_path):
         out = tmp_path / "gopt.csv"
@@ -307,6 +323,88 @@ class TestOptimizedRuns:
                          "--out", str(out)]) == 0
         row = out.read_text().strip().split("\n")[1].split(",")
         assert float(row[5]) > 0.0  # hockey-stick column populated
+
+
+def _egz_search(setting, argv, n):
+    """The egz column of ``setting`` under --optimize at n: its callback
+    (a `bounds.FirstOrder`), its grid and the small-ball function."""
+    args = cli.build_parser().parse_args([setting.name, "--optimize", *argv])
+    model = setting.model(n, args)
+    column = next(c for c in setting.columns if c.method == "egz")
+    return (functools.partial(column.divergence, model), cli._column_grid(column, args),
+            setting.small_ball(model))
+
+
+def _values_only(callback):
+    return lambda **params: callback(**params).value
+
+
+_variance = st.floats(0.1, 10.0).map(str)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["bernoulli", "gaussian"]), n=st.integers(1, 200),
+       sigma_w2=_variance, sigma2=_variance)
+def test_egz_root_path_matches_grid_and_brent(name, n, sigma_w2, sigma2):
+    # the root of the first-order condition is taken exactly when the
+    # condition falls through 0 once over the grid, and reaches what grid +
+    # Brent without the condition finds
+    setting = cli.SETTINGS[name]
+    argv = ["--sigma-w2", sigma_w2, "--sigma2", sigma2] if name == "gaussian" else []
+    callback, grid, L = _egz_search(setting, argv, n)
+    calls = []
+
+    def counted(**params):
+        calls.append(params["gamma"].size)
+        return callback(**params)
+
+    res = bounds.optimize_bound(counted, "egz", grid, L)
+    oracle = bounds.optimize_bound(_values_only(callback), "egz", grid, L)
+    assert oracle.path == "grid+brent"
+    assert res.value >= oracle.value * (1.0 - 1e-14)
+    gammas = np.asarray(grid["gamma"])
+    rises = np.asarray(callback(gamma=gammas, zeta=np.full(gammas.size, grid["zeta"][0]))
+                       .condition) > 0.0
+    once = bool(rises[0]) and np.count_nonzero(rises[1:] != rises[:-1]) == 1
+    assert res.path == ("root" if once else "grid+brent")
+    # one call for the grid, then one call of length 1 per step
+    assert calls[0] == gammas.size and set(calls[1:]) <= {1}
+    assert res.evaluations == sum(calls)
+
+
+class TestRootFallbacks:
+    """Where the root path does not apply, grid + Brent runs as it does
+    for a callback without the condition."""
+
+    def test_non_linear_small_ball(self):
+        callback, grid, _ = _egz_search(cli.BERNOULLI, [], 4)
+        curved = bounds.SmallBallFn(lambda rho: 2.0 * rho)  # no coefficient
+        grid = {"gamma": grid["gamma"][40:43], "zeta": [1.0]}
+        res = bounds.optimize_bound(callback, "egz", grid, curved)
+        assert res.path == "grid+brent"
+        assert res == bounds.optimize_bound(_values_only(callback), "egz", grid, curved)
+
+    @pytest.mark.parametrize("signs", [
+        pytest.param([1, 1, -1, 1], id="two-changes"),
+        pytest.param([-1, 1, 1, 1], id="rising"),
+        pytest.param([1, 1, 1, -1], id="away-from-the-maximum"),
+    ])
+    def test_condition_without_one_falling_change_at_the_maximum(self, signs):
+        # at Bernoulli n = 10 the grid maximum is the second of these four
+        # ratios (2.36), and the true condition reads +, +, -, -; none of
+        # the crafted patterns falls through 0 once, next to that maximum
+        callback, grid, L = _egz_search(cli.BERNOULLI, [], 10)
+        grid = {"gamma": grid["gamma"][51:55], "zeta": [1.0]}
+
+        def crafted(gamma, zeta):
+            out = callback(gamma=gamma, zeta=zeta)
+            if gamma.size == 1:
+                return out
+            return bounds.FirstOrder(out.value, np.array(signs, dtype=float), out.slope)
+
+        res = bounds.optimize_bound(crafted, "egz", grid, L)
+        assert res.path == "grid+brent"
+        assert res == bounds.optimize_bound(_values_only(callback), "egz", grid, L)
 
 
 _SEARCHED = {f"{setting.name}-{column.method}": (setting, column)
@@ -328,11 +426,18 @@ def test_column_on_an_array_equals_its_one_element_calls(name, n, size, data):
                   _scale if param in ("gamma", "zeta") else _order,
                   min_size=size, max_size=size)))
               for param in column.params + tuple(column.fixed)}
-    values = np.asarray(column.divergence(model, **arrays)).tolist()
-    slices = [np.asarray(column.divergence(
-        model, **{param: a[i:i + 1] for param, a in arrays.items()})).item()
+    # an egz column also returns the first-order condition of its bound,
+    # and each of its parts is == to the one-element call's
+    def parts(out):
+        if not isinstance(out, bounds.FirstOrder):
+            return [np.asarray(out).ravel().tolist()]
+        return [np.asarray(part).ravel().tolist() for part in out if part is not None]
+
+    whole = parts(column.divergence(model, **arrays))
+    slices = [parts(column.divergence(
+        model, **{param: a[i:i + 1] for param, a in arrays.items()}))
         for i in range(size)]
-    assert values == slices
+    assert whole == [sum((piece[j] for piece in slices), []) for j in range(len(whole))]
 
 
 # the CSV each table printed before the array calling convention; a change

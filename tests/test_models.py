@@ -744,6 +744,56 @@ class TestGaussian:
         assert models.gaussian_e_gamma_zeta(g, gammas, zetas).tolist() == alone
 
 
+class TestFirstOrderCondition:
+    """The condition g(t) = P(R_t) + t Q(R_t) - 1 that both E_{gamma,zeta}
+    kernels return with ``condition=True``, against finite differences of
+    the values alone: H(t) = E(t, 1) + max(0, 1 - t) = P - t Q and
+    dH/d log t = -t Q, so g = H - 2 dH/d log t - 1."""
+
+    H_STEP = 1e-5  # the step in log t of the centred differences
+
+    @staticmethod
+    def _kernel(setting, n):
+        if setting == "bernoulli":
+            return lambda t, **kw: models.bernoulli_e_gamma_zeta_batch(n, t, 1.0, **kw)
+        g = models.GaussianModel(n, 1.0, 2.0)
+        return lambda t, **kw: models.gaussian_e_gamma_zeta(g, t, 1.0, **kw)
+
+    def _differences(self, f, t):
+        up, down = f(t * math.exp(self.H_STEP)), f(t * math.exp(-self.H_STEP))
+        return (np.asarray(up) - np.asarray(down)) / (2.0 * self.H_STEP)
+
+    @pytest.mark.parametrize("setting", ["bernoulli", "gaussian"])
+    @pytest.mark.parametrize("n", [1, 7, 50, 200])
+    def test_condition_matches_the_differences_of_the_values(self, setting, n):
+        kernel = self._kernel(setting, n)
+        t = np.geomspace(1e-2 / 32.0, 32.0 / 1e-2, 95)
+        out = kernel(t, condition=True)
+        assert isinstance(out, bounds.FirstOrder)
+        assert np.asarray(out.value).tolist() == np.asarray(kernel(t)).tolist()
+
+        def h(tt):
+            return np.asarray(kernel(tt)) + np.maximum(0.0, 1.0 - tt)
+
+        expected = h(t) - 2.0 * self._differences(h, t) - 1.0
+        np.testing.assert_allclose(out.condition, expected, rtol=0.0, atol=1e-8)
+        if setting == "gaussian":
+            assert out.slope is None
+            return
+        # the slope dg/d log t against the differences of g; near the t
+        # at which an interval is born the slope has a 1/sqrt singularity
+        slope = self._differences(lambda tt: kernel(tt, condition=True).condition, t)
+        np.testing.assert_allclose(out.slope, slope, rtol=1e-4, atol=1e-7)
+
+    @pytest.mark.parametrize("setting", ["bernoulli", "gaussian"])
+    def test_gamma_zero_has_a_zero_condition(self, setting):
+        # R_0 is the whole space, so g = P + 0 Q - 1 = 0
+        out = self._kernel(setting, 5)(np.array([0.0, 2.0]), condition=True)
+        assert out.condition[0] == 0.0 and out.condition[1] != 0.0
+        if setting == "bernoulli":
+            assert out.slope[0] == 0.0
+
+
 class TestNoisyBernoulli:
     def test_clean_channel_recovers_plain_bound(self):
         n = 9
