@@ -1,11 +1,11 @@
-"""Risk lower bounds driven by divergence values and small-ball functions.
+"""Risk lower bounds driven by divergence values and a linear small-ball
+function.
 
 Each bound is sup over the radius rho of an objective that rises and
 then falls in rho, rho*(1 - b - penalty(L(rho))) with penalty(l) = A*l^t
-for all but the MI baseline.  One radius path (`_radius`) serves them
-all: a linear L uses a closed-form maximizer (`maximize_rho`, or the MI
-baseline's own); any other L goes to a deterministic scan refined by
-Brent's method in log rho.
+for all but the MI baseline.  Under the linear L(rho) = min(c*rho, 1)
+every sup has a closed form (`maximize_rho`, or the MI baseline's own),
+and one radius path (`_radius`) serves them all.
 
 `optimize_bound` searches a bound's parameters over a grid in one
 callback call, then refines the grid maximum at the root of the
@@ -53,31 +53,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SmallBallFn:
-    """Upper bound on the small-ball probability as a function of rho.
-
-    A ``coefficient`` c marks the linear L(rho) = min(c*rho, 1), whose
-    bounds have closed-form radii; any other L is searched numerically.
-    Values are clamped to [0, 1], and a NaN value raises `NanValue`.
+    """The small-ball function L(rho) = min(c*rho, 1), an upper bound on
+    the prior mass of every ball of radius rho, given by its slope
+    ``coefficient`` c.  A NaN slope raises `NanValue`; a negative or
+    infinite one raises ValueError.
     """
 
-    fn: Callable[[float], float]
-    coefficient: float | None = None
+    coefficient: float
 
-    def __call__(self, rho: float) -> float:
-        if rho <= 0.0:
-            return 0.0
-        value = float(self.fn(rho))
-        if math.isnan(value):
-            raise NanValue(f"small-ball value at rho={rho!r} is NaN")
-        return min(1.0, max(0.0, value))
-
-    @classmethod
-    def linear(cls, c: float) -> "SmallBallFn":
-        if math.isnan(c):
+    def __post_init__(self):
+        if math.isnan(self.coefficient):
             raise NanValue("small-ball slope is NaN")
-        if not 0.0 <= c < math.inf:
+        if not 0.0 <= self.coefficient < math.inf:
             raise ValueError("small-ball slope must be finite and non-negative")
-        return cls(fn=lambda rho: c * rho, coefficient=c)
 
 
 @dataclass(frozen=True)
@@ -161,51 +149,6 @@ def maximize_rho(obj: RhoObjective) -> tuple[float, float]:
     return rho_star, math.exp(log_value)
 
 
-def _rho_search_limit(L: SmallBallFn) -> float:
-    """Smallest rho with L(rho) = 1, bisected when L is not linear."""
-    if L.coefficient is not None:
-        return math.inf if L.coefficient == 0 else 1.0 / L.coefficient
-    hi = 1.0
-    while L(hi) < 1.0 and hi < 2.0 ** 40:
-        hi *= 2.0
-    if L(hi) < 1.0:
-        return hi
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if L(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _sup_over_rho(g, rho_max: float, method: str, params: dict) -> BoundResult:
-    """Deterministic coarse scan plus Brent refinement of g on (0, rho_max]:
-    512 even steps and one radius per decade from 1e-300 of rho_max (at
-    least the smallest normal double), then Brent's method in log rho."""
-    if not math.isfinite(rho_max):
-        rho_max = 2.0 ** 40
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, rho_max, 513)[1:],
-        np.geomspace(max(rho_max * 1e-300, np.finfo(float).tiny), rho_max, 301),
-    ]))
-    values = np.array([g(r) for r in grid])
-    best = int(np.argmax(values))
-    evals = grid.size
-    lo = grid[best - 1] if best > 0 else grid[0] * 0.5
-    hi = grid[best + 1] if best + 1 < grid.size else rho_max
-    log_rho, val, extra = brent_max(lambda x: g(math.exp(x)), math.log(lo),
-                                    math.log(hi), tol=1e-12)
-    rho = math.exp(log_rho)
-    evals += extra
-    if values[best] > val:
-        rho, val = float(grid[best]), float(values[best])
-    if val <= 0.0:
-        return BoundResult(0.0, 0.0, method, params, evals, vacuous=True)
-    return BoundResult(float(val), float(rho), method, params, evals)
-
-
 def _check_divergence(value: float) -> None:
     """Reject NaN and negative divergence inputs; +inf passes (vacuous)."""
     if math.isnan(value):
@@ -214,21 +157,18 @@ def _check_divergence(value: float) -> None:
         raise ValueError("divergence input must be non-negative")
 
 
-def _radius(g, divergence: float, L: SmallBallFn, method: str, params: dict,
-            closed=None) -> BoundResult:
-    """sup over rho of an objective g that rises and then falls in rho.
+def _radius(divergence: float, L: SmallBallFn, method: str, params: dict,
+            closed) -> BoundResult:
+    """sup over rho of a bound's objective, ``closed(slope)`` = (rho*, value).
 
-    A NaN divergence raises `NanValue`; +inf, or a penalty beyond the
-    largest double (a bound below ~1e-308), is vacuous.  For a linear L,
-    ``closed(slope)`` gives ``(rho*, value)``.  Any other L, or no
-    ``closed``, is scanned.
+    A NaN divergence raises `NanValue`; +inf, a value that is not
+    positive, or a penalty beyond the largest double (a bound below
+    ~1e-308), is vacuous.
     """
     _check_divergence(divergence)
     value = 0.0
     if divergence < math.inf:
         try:
-            if closed is None or L.coefficient is None:
-                return _sup_over_rho(g, _rho_search_limit(L), method, params)
             rho, value = closed(L.coefficient)
         except OverflowError:
             value = 0.0
@@ -239,23 +179,15 @@ def _radius(g, divergence: float, L: SmallBallFn, method: str, params: dict,
 
 def _power_bound(divergence: float, t: float, b: float, penalty, L: SmallBallFn,
                  method: str, params: dict) -> BoundResult:
-    """sup over rho of rho*(1 - b - penalty(L(rho))), penalty(l) = A*l^t;
-    for a linear L, `maximize_rho` with c = penalty(slope).  A radius
-    with L(rho) = 0 has no penalty, also where A overflowed to inf; at a
-    radius with L(rho) > 0, a penalty that overflows counts as +inf."""
-    def g(rho):
-        l = L(rho)
-        try:
-            return rho * (1.0 - b - (penalty(l) if l > 0.0 else 0.0))
-        except OverflowError:  # a penalty beyond the largest double
-            return -math.inf
-
+    """sup over rho of rho*(1 - b - penalty(L(rho))), penalty(l) = A*l^t:
+    `maximize_rho` with c = penalty(slope).  A penalty that overflows is
+    vacuous."""
     def closed(slope):
         if b >= 1.0:  # no radius has a positive value
             return 0.0, 0.0
         return maximize_rho(RhoObjective(c=penalty(slope), t=t, b=b))
 
-    return _radius(g, divergence, L, method, params, closed)
+    return _radius(divergence, L, method, params, closed)
 
 
 def sibson_bound(i_alpha: float, alpha: float, L: SmallBallFn) -> BoundResult:
@@ -414,18 +346,9 @@ def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
     derivative in u vanishes where u^2 - a*u - a = 0.  So
     u* = (a + sqrt(a^2 + 4a))/2, rho* = exp(-u*)/c, and the value is
     rho*(1 - a/u*) = rho* * a/u*^2 (as u* - a = a/u*), in one evaluation.
-    At c = 0 the objective is rho itself, unbounded.  Any other L is
-    searched numerically.
+    At c = 0 the objective is rho itself, unbounded.
     """
     numerator = i_value + math.log(2.0)
-
-    def g(rho):
-        lval = L(rho)
-        if lval <= 0.0:
-            return rho
-        if lval >= 1.0:
-            return -math.inf
-        return rho * (1.0 - numerator / (-math.log(lval)))
 
     def closed(slope):
         if slope == 0.0:
@@ -434,7 +357,7 @@ def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
         rho = math.exp(-u) / slope
         return rho, rho * numerator / (u * u)
 
-    return _radius(g, i_value, L, "mi", {}, closed)
+    return _radius(i_value, L, "mi", {}, closed)
 
 
 # method -> bound(divergence, L, **params); both optimize_bound and the
@@ -448,26 +371,23 @@ _METHODS = {
 }
 _FAMILY_METHODS = {"hellinger": "hellinger", "hockey-stick": "egz"}
 # method -> envelope(slope, **params): an upper bound on the method's
-# bound for any divergence value, given a linear L of that slope
+# bound for any divergence value, given the small-ball slope
 _ENVELOPES = {"egz": _hockey_stick_envelope}
 
 
 def sdpi_bound(i_phi: float, eta: float, phi: PhiSpec, L: SmallBallFn) -> BoundResult:
     """Generator bound with the divergence contracted by a factor eta
-    (at eta = 0 nothing passes: the contracted divergence is 0)."""
+    (at eta = 0 nothing passes: the contracted divergence is 0).  Only the
+    generator families with a closed-form radius (`_FAMILY_METHODS`) are
+    accepted; any other family raises ValueError."""
     if not 0.0 <= eta <= 1.0:
         raise EtaOutOfRange(f"eta={eta!r} outside [0, 1]")
     _check_divergence(i_phi)
     scaled = eta * i_phi if eta > 0.0 else 0.0
     method = _FAMILY_METHODS.get(phi.family)
     if method is None:
-        point = (phi_bound_increasing if phi.direction == "increasing"
-                 else phi_bound_decreasing)
-
-        def g(rho):
-            return point(scaled, phi, L(rho), rho)
-
-        return _radius(g, scaled, L, "sdpi", {"eta": eta, "phi": phi.name})
+        raise ValueError(f"generator family {phi.family!r} has no closed-form "
+                         f"radius; expected one of {tuple(_FAMILY_METHODS)}")
     inner = _METHODS[method](scaled, L, **phi.params)
     return BoundResult(inner.value, inner.rho_star, "sdpi",
                        dict(inner.params, eta=eta), inner.evaluations,
@@ -501,35 +421,33 @@ def optimize_bound(callback, method: str, param_grid: dict,
     length 1.
 
     ``floor`` is a value the caller needs beaten, such as the best bound
-    already found by other methods.  For a method with an envelope (an
-    upper bound on its bound whatever the divergence: ``egz`` with a
-    linear L), the grid call then covers only the points whose envelope
-    reaches the floor; the others are counted in ``skipped``.  Their
-    bounds lie strictly below the floor, so once an evaluated point
-    reaches it they cannot be the grid maximum, and the grid maximum and
-    a Brent pass from it are the ones without a floor (the root path
-    reads the condition on the evaluated points only).  If no evaluated
-    point reaches the floor, the skipped points are evaluated in a second
-    call, and nothing is skipped.
+    already found by other methods.  For a method with an envelope (an upper
+    bound on its bound whatever the divergence: ``egz``), the grid call then
+    covers only the points whose envelope reaches the floor; the others are
+    counted in ``skipped``.  Their bounds lie strictly below the floor, so
+    once an evaluated point reaches it they cannot be the grid maximum, and
+    the grid maximum and a Brent pass from it are the ones without a floor
+    (the root path reads the condition on the evaluated points only).  If no
+    evaluated point reaches the floor, the skipped points are evaluated in a
+    second call, and nothing is skipped.
 
     The root path (``path`` "root") refines a method with a condition
-    (`_CONDITIONS`: ``egz`` in log gamma) when L is linear, the callback
-    returned a `FirstOrder` on the grid, only that parameter has two or
-    more grid values, all of them positive, and the condition changes
-    sign exactly once over the evaluated grid, from + to -, between the
-    grid maximum and a neighbour.  The root is then searched inside that
-    bracket in x = log(parameter) (`_root_search`), started from the
-    grid's own condition values, and each step costs one call.  In every
-    other case (``path`` "grid+brent") each parameter with two or more
-    grid values gets one Brent pass (``tol=1e-6``) between the grid
-    neighbours of the best point, the other parameters held at the best
-    point's values; a grid of one point is ``path`` "fixed".  Every point
-    evaluated, on the grid or by a refinement step, is a candidate, so the
-    result value dominates all of them, and ``evaluations`` sums the
-    evaluations of every bound computed.  Ties keep the first-found
-    parameter, and parameters are swept in sorted order (the last name
-    varying fastest), so the output is deterministic.  Grid values must
-    be finite.
+    (`_CONDITIONS`: ``egz`` in log gamma) when the callback returned a
+    `FirstOrder` on the grid, only that parameter has two or more grid
+    values, all of them positive, and the condition changes sign exactly
+    once over the evaluated grid, from + to -, between the grid maximum and
+    a neighbour.  The root is then searched inside that bracket in
+    x = log(parameter) (`_root_search`), started from the grid's own
+    condition values, and each step costs one call.  In every other case (``path``
+    "grid+brent") each parameter with two or more grid values gets one Brent
+    pass (``tol=1e-6``) between the grid neighbours of the best point, the
+    other parameters held at the best point's values; a grid of one point is
+    ``path`` "fixed".  Every point evaluated, on the grid or by a refinement
+    step, is a candidate, so the result value dominates all of them, and
+    ``evaluations`` sums the evaluations of every bound computed.  Ties keep
+    the first-found parameter, and parameters are swept in sorted order (the
+    last name varying fastest), so the output is deterministic.  Grid values
+    must be finite.
     """
     if method not in _METHODS:
         raise ValueError(
@@ -581,7 +499,7 @@ def optimize_bound(callback, method: str, param_grid: dict,
               for index in indices]
     envelope = _ENVELOPES.get(method)
     skip = []
-    if envelope is not None and L.coefficient is not None:
+    if envelope is not None:
         skip = [i for i, pt in enumerate(points)
                 if envelope(L.coefficient, **pt) < floor]
     results, condition, slope = {}, {}, {}
@@ -607,8 +525,7 @@ def optimize_bound(callback, method: str, param_grid: dict,
     name = _CONDITIONS.get(method)
     order = sorted(results)  # the evaluated points, in grid order
     bracket = None
-    if (searched == [name] and L.coefficient is not None
-            and grids[name][0] > 0.0 and len(condition) == len(results)):
+    if searched == [name] and grids[name][0] > 0.0 and len(condition) == len(results):
         xs = np.log(grids[name][order]).tolist()
         gs = [condition[i] for i in order]
         bracket = _falling_bracket(xs, gs, order.index(best_index[name]))

@@ -122,7 +122,7 @@ class HideAndSeekModel:
 
 def bernoulli_small_ball(model: BernoulliUniformModel | None = None) -> SmallBallFn:
     """L(rho) = min(2*rho, 1) for the uniform prior under absolute loss."""
-    return SmallBallFn.linear(2.0)
+    return SmallBallFn(2.0)
 
 
 class MlValue(NamedTuple):
@@ -453,7 +453,7 @@ def noisy_bernoulli_upper_bound(model: NoisyBernoulliModel) -> float:
 
 def gaussian_small_ball(model: GaussianModel) -> SmallBallFn:
     """L(rho) = min(rho * sqrt(2/(pi*sigma_W^2)), 1)."""
-    return SmallBallFn.linear(math.sqrt(2.0 / (model.sigma_w_sq * math.pi)))
+    return SmallBallFn(math.sqrt(2.0 / (model.sigma_w_sq * math.pi)))
 
 
 def gaussian_sibson(model: GaussianModel, alpha):

@@ -22,7 +22,7 @@ from riskbounds.distributions import (
     MarkovKernel,
 )
 
-L2 = bounds.SmallBallFn.linear(2.0)
+L2 = bounds.SmallBallFn(2.0)
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):

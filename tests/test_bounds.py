@@ -14,7 +14,7 @@ from riskbounds.distributions import DiscreteJoint
 from riskbounds.errors import EtaOutOfRange, InverseDomainError, NanValue, RiskboundsError
 from riskbounds.quadrature import brent_max
 
-L2 = B.SmallBallFn.linear(2.0)
+L2 = B.SmallBallFn(2.0)
 
 
 def grid_max(g, rho_max, points=10 ** 6):
@@ -238,11 +238,6 @@ class TestMiBaseline:
         gval, _ = grid_max(g, 0.5)
         assert abs(res.value - gval) < 1e-8
 
-    def test_ball_mass_one_vacuous(self):
-        L = B.SmallBallFn(fn=lambda rho: 1.0)
-        res = B.mi_baseline_bound(0.3, L)
-        assert res.value == 0.0 and res.vacuous
-
     def test_below_leakage_bound_on_ten_flips(self):
         mi = models.bernoulli_mutual_information(10)
         base = B.mi_baseline_bound(mi, L2)
@@ -250,63 +245,115 @@ class TestMiBaseline:
         assert base.value < lead.value
 
 
+def radius_scan(g, rho_max):
+    """The oracle of every closed-form radius: the sup of g over
+    (0, rho_max] from 512 even steps and one radius per decade from 1e-300
+    of rho_max (at least the smallest normal double), refined by Brent's
+    method in log rho between the best radius's neighbours.  Returns
+    ``(value, rho)``."""
+    grid = np.unique(np.concatenate([
+        np.linspace(0.0, rho_max, 513)[1:],
+        np.geomspace(max(rho_max * 1e-300, np.finfo(float).tiny), rho_max, 301),
+    ])).tolist()
+    values = [g(rho) for rho in grid]
+    best = int(np.argmax(values))
+    lo = grid[best - 1] if best > 0 else grid[0] * 0.5
+    hi = grid[best + 1] if best + 1 < len(grid) else rho_max
+    log_rho, value, _ = brent_max(lambda x: g(math.exp(x)), math.log(lo),
+                                  math.log(hi), tol=1e-12)
+    if values[best] > value:
+        return values[best], grid[best]
+    return value, math.exp(log_rho)
+
+
+def _penalized(penalty, c):
+    """rho -> rho*(1 - penalty(L(rho))) with L(rho) = min(c*rho, 1); a
+    penalty beyond the largest double counts as -inf."""
+    def g(rho):
+        try:
+            return rho * (1.0 - penalty(min(c * rho, 1.0)))
+        except OverflowError:
+            return -math.inf
+    return g
+
+
+def _mi_objective(x, c):
+    """rho -> rho*(1 - (I + log 2)/log(1/L(rho))), -inf where L(rho) = 1."""
+    a = x + math.log(2.0)
+    return lambda rho: rho * (1.0 - a / -math.log(c * rho)) if c * rho < 1.0 else -math.inf
+
+
+def _hellinger_objective(x, c, p):
+    """rho -> rho*(1 - L(rho)^((p-1)/p) * ((p-1)*H_p + 1)^(1/p)) at H_p = x."""
+    return _penalized(lambda l: l ** ((p - 1.0) / p) * ((p - 1.0) * x + 1.0) ** (1.0 / p), c)
+
+
 @settings(max_examples=200, deadline=None)
 @given(i_value=st.floats(0.0, 300.0), c=st.floats(1e-3, 10.0))
 def test_mi_closed_form_radius_matches_the_scan(i_value, c):
-    # the same L searched numerically is the oracle of the closed form
-    closed = B.mi_baseline_bound(i_value, B.SmallBallFn.linear(c))
-    scan = B.mi_baseline_bound(i_value, B.SmallBallFn(lambda rho: c * rho))
-    assert closed.evaluations == 1 and scan.evaluations > 600
+    # the objective scanned numerically is the oracle of the closed form
+    closed = B.mi_baseline_bound(i_value, B.SmallBallFn(c))
+    value, rho = radius_scan(_mi_objective(i_value, c), 1.0 / c)
+    assert closed.evaluations == 1
     # the closed form is the supremum, and the scan sees radii down to
     # 1e-300 of the largest one; the objective is flat to rounding within
     # ~1e-8 of rho*, so that is as close as a search can place it
-    assert closed.value >= scan.value * (1.0 - 1e-12)
-    assert closed.value <= scan.value * (1.0 + 1e-12)
-    assert abs(closed.rho_star - scan.rho_star) <= 1e-6 * closed.rho_star
+    assert closed.value >= value * (1.0 - 1e-12)
+    assert closed.value <= value * (1.0 + 1e-12)
+    assert abs(closed.rho_star - rho) <= 1e-6 * closed.rho_star
 
 
 _order = st.floats(-2.0, math.log10(63.0)).map(lambda x: 1.0 + 10.0 ** x)
 _scale = st.floats(-2.0, 1.5).map(lambda x: 10.0 ** x)
 
-# each family's parameters, and its bound at divergence x; sdpi contracts
-# a Hellinger divergence, so it goes through hellinger_phi
+# each family's parameters, its bound at divergence x, and its objective
+# in rho at x under the slope c; sdpi contracts a Hellinger divergence, so
+# it goes through hellinger_phi
 FAMILIES = {
     "sibson": (st.fixed_dictionaries({"alpha": _order}),
-               lambda x, L, alpha: B.sibson_bound(x, alpha, L)),
-    "ml": (st.just({}), lambda x, L: B.ml_bound(x, L)),
+               lambda x, L, alpha: B.sibson_bound(x, alpha, L),
+               lambda x, c, alpha: _penalized(
+                   lambda l: (math.exp(x) * l) ** ((alpha - 1.0) / alpha), c)),
+    "ml": (st.just({}), lambda x, L: B.ml_bound(x, L),
+           lambda x, c: _penalized(lambda l: math.exp(x) * l, c)),
     "hellinger": (st.fixed_dictionaries({"p": _order}),
-                  lambda x, L, p: B.hellinger_bound(x, p, L)),
+                  lambda x, L, p: B.hellinger_bound(x, p, L), _hellinger_objective),
     "egz": (st.fixed_dictionaries({"gamma": _scale, "zeta": _scale}),
-            lambda x, L, gamma, zeta: B.hockey_stick_bound(x, gamma, zeta, L)),
-    "mi": (st.just({}), lambda x, L: B.mi_baseline_bound(x, L)),
+            lambda x, L, gamma, zeta: B.hockey_stick_bound(x, gamma, zeta, L),
+            lambda x, c, gamma, zeta: _penalized(
+                lambda l: (x + gamma * l + max(0.0, zeta - gamma)) / zeta, c)),
+    "mi": (st.just({}), lambda x, L: B.mi_baseline_bound(x, L), _mi_objective),
     "sdpi": (st.fixed_dictionaries({"eta": st.floats(0.0, 1.0), "p": _order}),
-             lambda x, L, eta, p: B.sdpi_bound(x, eta, B.hellinger_phi(p), L)),
+             lambda x, L, eta, p: B.sdpi_bound(x, eta, B.hellinger_phi(p), L),
+             lambda x, c, eta, p: _hellinger_objective(eta * x, c, p)),
 }
 _family = st.sampled_from(sorted(FAMILIES)).flatmap(
-    lambda name: st.tuples(st.just(FAMILIES[name][1]), FAMILIES[name][0]))
+    lambda name: st.tuples(st.just(name), FAMILIES[name][0]))
 _divergence_values = st.floats(0.0, 1.0) | st.floats(0.0, 50.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(family=_family, x=_divergence_values, c=st.floats(1e-3, 10.0))
 def test_closed_form_radius_matches_the_scan(family, x, c):
-    # the same L searched numerically is the oracle of every closed form
-    bound, params = family
-    closed = bound(x, B.SmallBallFn.linear(c), **params)
-    scan = bound(x, B.SmallBallFn(lambda rho: c * rho), **params)
-    assert closed.evaluations == 1 and scan.evaluations > 800
-    if closed.vacuous or scan.vacuous:
-        assert closed.vacuous and scan.vacuous
+    # each family's objective scanned numerically is the oracle of its
+    # closed form
+    name, params = family
+    _, bound, objective = FAMILIES[name]
+    closed = bound(x, B.SmallBallFn(c), **params)
+    value, _ = radius_scan(objective(x, c, **params), 1.0 / c)
+    assert closed.evaluations == 1
+    if closed.vacuous or value <= 0.0:
+        assert closed.vacuous and value <= 0.0
     else:
-        assert math.isclose(closed.value, scan.value, rel_tol=1e-10)
+        assert math.isclose(closed.value, value, rel_tol=1e-10)
 
 
 @settings(max_examples=200, deadline=None)
 @given(family=_family, xs=st.tuples(_divergence_values, _divergence_values),
-       c=st.floats(1e-3, 10.0), linear=st.booleans())
-def test_bounds_do_not_rise_with_the_divergence(family, xs, c, linear):
-    bound, params = family
-    L = B.SmallBallFn.linear(c) if linear else B.SmallBallFn(lambda rho: c * rho)
+       c=st.floats(1e-3, 10.0))
+def test_bounds_do_not_rise_with_the_divergence(family, xs, c):
+    name, params = family
+    bound, L = FAMILIES[name][1], B.SmallBallFn(c)
     low, high = sorted(xs)
     assert bound(low, L, **params).value >= bound(high, L, **params).value
 
@@ -335,22 +382,18 @@ class TestSdpiBound:
                   for eta in (1.0, 0.6, 0.3, 0.0)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
-    def test_generic_phi_path_matches_closed(self):
-        # route a hockey-stick generator through the custom-family branch
-        gamma, zeta, e = 2.5, 1.2, 0.3
-        phi = B.hockey_stick_phi(gamma, zeta)
+    def test_custom_family_has_no_closed_form_radius(self):
+        # a hockey-stick generator outside its family has no radius path
+        phi = B.hockey_stick_phi(2.5, 1.2)
         generic = B.PhiSpec(name="hs-generic", direction="increasing",
                             phi=phi.phi, inverse=phi.inverse, star0=phi.star0)
-        closed = B.hockey_stick_bound(0.7 * e, gamma, zeta, L2)
-        got = B.sdpi_bound(e, 0.7, generic, L2)
-        assert math.isclose(got.value, closed.value, rel_tol=1e-7)
+        with pytest.raises(ValueError, match="closed-form radius"):
+            B.sdpi_bound(0.3, 0.7, generic, L2)
 
     def test_eta_out_of_range(self):
         with pytest.raises(EtaOutOfRange):
             B.sdpi_bound(1.0, 1.5, B.hellinger_phi(2.0), L2)
 
-
-NUMERIC_L = B.SmallBallFn(lambda rho: 2.0 * rho)  # linear, but searched numerically
 
 BOUND_FUNCTIONS = {
     "sibson": lambda x, L: B.sibson_bound(x, 2.0, L),
@@ -360,14 +403,13 @@ BOUND_FUNCTIONS = {
     "mi": lambda x, L: B.mi_baseline_bound(x, L),
     "sdpi": lambda x, L: B.sdpi_bound(x, 0.5, B.hellinger_phi(2.0), L),
 }
-
-
-# 0 up to rho = 0.1: every radius there keeps its full value rho
-EMPTY_BALL_L = B.SmallBallFn(lambda rho: max(0.0, rho - 0.1))
+# at a divergence of 1e3, e^1000 overflows (sibson, ml), E exceeds zeta
+# (egz), and the MI bound, near e^-1000, underflows to 0
+VACUOUS_AT_1E3 = {"sibson", "ml", "egz", "mi"}
 
 
 class TestNonFiniteDivergence:
-    @pytest.mark.parametrize("L", [L2, NUMERIC_L], ids=["linear", "numeric"])
+    @pytest.mark.parametrize("L", [L2], ids=["linear"])
     @pytest.mark.parametrize("name", sorted(BOUND_FUNCTIONS))
     def test_nan_raises_and_inf_is_vacuous(self, name, L):
         with pytest.raises(RiskboundsError):
@@ -375,56 +417,23 @@ class TestNonFiniteDivergence:
         res = BOUND_FUNCTIONS[name](math.inf, L)
         assert res.value == 0.0 and res.vacuous
 
-    @pytest.mark.parametrize("L", [L2, NUMERIC_L], ids=["linear", "numeric"])
+    @pytest.mark.parametrize("L", [L2], ids=["linear"])
     @pytest.mark.parametrize("name", sorted(BOUND_FUNCTIONS))
     def test_large_finite_divergence_does_not_overflow(self, name, L):
-        # e^1000 is beyond the largest double: the exponential forms are
-        # vacuous, and every L agrees with the closed form
+        # e^1000 is beyond the largest double, and E = 1e3 exceeds zeta:
+        # those forms are vacuous, and no form raises or turns NaN
         res = BOUND_FUNCTIONS[name](1e3, L)
-        closed = BOUND_FUNCTIONS[name](1e3, L2)
-        if name in ("sibson", "ml"):
-            assert res.vacuous
-        assert res.vacuous == closed.vacuous
-        assert math.isclose(res.value, closed.value, rel_tol=1e-10)
+        assert res.vacuous == (name in VACUOUS_AT_1E3)
+        assert (res.value == 0.0) if res.vacuous else 0.0 < res.value < math.inf
 
-    @pytest.mark.parametrize("name", sorted(BOUND_FUNCTIONS))
-    def test_overflow_counts_only_where_the_ball_has_mass(self, name):
-        # e^1000 overflows, but only at radii with L(rho) > 0: below 0.1
-        # the objective is rho, so the bound is 0.1; egz alone stays
-        # vacuous, as its b = E/zeta >= 1 does not depend on L
-        res = BOUND_FUNCTIONS[name](1e3, EMPTY_BALL_L)
-        if name == "egz":
-            assert res.vacuous and res.value == 0.0
-        else:
-            assert not res.vacuous
-            assert abs(res.value - 0.1) <= 1e-9
-
-    def test_overflowed_moment_with_empty_ball_is_not_nan(self):
-        # the moment of H_3 = 1e308 overflows to inf; where L(rho) = 0 the
-        # penalty is 0, not 0*inf, so the bound is the radius 0.1 of the
-        # empty ball
-        L = B.SmallBallFn(lambda rho: max(0.0, rho - 0.1))
-        res = B.hellinger_bound(1e308, 3.0, L)
-        assert not res.vacuous
-        assert abs(res.value - 0.1) <= 1e-9
+    def test_overflowed_moment_is_vacuous_not_nan(self):
+        # the moment 2*H_3 + 1 of H_3 = 1e308 overflows to inf
+        res = B.hellinger_bound(1e308, 3.0, L2)
+        assert res.vacuous and res.value == 0.0
 
     def test_bound_result_rejects_nan(self):
         with pytest.raises(RiskboundsError):
             B.BoundResult(math.nan, 0.0, "mi")
-
-    def test_nan_small_ball_value_raises(self):
-        # clamping a NaN to 0 would leave the radius search unbounded
-        L = B.SmallBallFn(fn=lambda rho: math.nan)
-        with pytest.raises(NanValue):
-            L(0.5)
-        with pytest.raises(NanValue):
-            B.sibson_bound(0.5, 2.0, L)
-
-    def test_linear_small_ball_rejects_non_finite_slope(self):
-        with pytest.raises(NanValue):
-            B.SmallBallFn.linear(math.nan)
-        with pytest.raises(ValueError):
-            B.SmallBallFn.linear(math.inf)
 
     @pytest.mark.parametrize("point, phi", [
         (B.phi_bound_increasing, B.hellinger_phi(2.0)),
@@ -438,6 +447,25 @@ class TestNonFiniteDivergence:
         with pytest.raises(NanValue):
             point(math.nan, phi, 0.2, 0.1)
         assert point(math.inf, phi, 0.2, 0.1) == 0.0
+
+
+class TestSmallBallSlope:
+    """The slope c of L(rho) = min(c*rho, 1) is the bounds' one small-ball
+    input."""
+
+    @pytest.mark.parametrize("name", sorted(BOUND_FUNCTIONS))
+    def test_zero_slope_leaves_the_objective_unbounded(self, name):
+        # no ball has prior mass, so no radius is penalized
+        res = BOUND_FUNCTIONS[name](0.5, B.SmallBallFn(0.0))
+        assert res.value == res.rho_star == math.inf
+        assert not res.vacuous
+
+    def test_rejects_a_nan_negative_or_infinite_slope(self):
+        with pytest.raises(NanValue):
+            B.SmallBallFn(math.nan)
+        for bad in (-1.0, math.inf):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                B.SmallBallFn(bad)
 
 
 class TestOptimizeBound:
@@ -665,17 +693,12 @@ class TestOptimizeBoundFloor:
         base = B.optimize_bound(callback, "egz", grid, L)
         assert B.optimize_bound(callback, "egz", grid, L, floor=math.inf) == base
 
-    def test_methods_without_an_envelope_and_non_linear_balls_skip_nothing(self):
+    def test_methods_without_an_envelope_skip_nothing(self):
         grid = {"alpha": [1.5, 2.0, 4.0]}
         callback = lambda alpha: alpha / (alpha - 1.0) \
             * np.log(models.bernoulli_sibson(4, alpha))
         base = B.optimize_bound(callback, "sibson", grid, L2)
         assert B.optimize_bound(callback, "sibson", grid, L2, floor=1.0) == base
-        curved = B.SmallBallFn(lambda rho: 2.0 * rho)  # no coefficient
-        egz, grid, _ = _egz_search("bernoulli", 4)
-        grid = {"gamma": grid["gamma"][40:43], "zeta": [1.0]}
-        base = B.optimize_bound(egz, "egz", grid, curved)
-        assert B.optimize_bound(egz, "egz", grid, curved, floor=1.0) == base
 
 
 class TestSibsonDominatesHellinger:

@@ -376,14 +376,6 @@ class TestRootFallbacks:
     """Where the root path does not apply, grid + Brent runs as it does
     for a callback without the condition."""
 
-    def test_non_linear_small_ball(self):
-        callback, grid, _ = _egz_search(cli.BERNOULLI, [], 4)
-        curved = bounds.SmallBallFn(lambda rho: 2.0 * rho)  # no coefficient
-        grid = {"gamma": grid["gamma"][40:43], "zeta": [1.0]}
-        res = bounds.optimize_bound(callback, "egz", grid, curved)
-        assert res.path == "grid+brent"
-        assert res == bounds.optimize_bound(_values_only(callback), "egz", grid, curved)
-
     @pytest.mark.parametrize("signs", [
         pytest.param([1, 1, -1, 1], id="two-changes"),
         pytest.param([-1, 1, 1, 1], id="rising"),
@@ -457,6 +449,17 @@ PINNED_TABLES = {
 def test_table_matches_its_pinned_csv(name, capsys):
     assert cli.main(PINNED_TABLES[name]) == 0
     assert capsys.readouterr().out == (PINNED / f"{name}.csv").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+def test_json_rows_and_sidecar_match_their_pins_bit_for_bit(name, tmp_path):
+    # the CSV rounds to 12 digits; the JSON rows and the sidecar carry
+    # every bit of each value, rho* and search record
+    out = tmp_path / f"{name}.json"
+    assert cli.main(PINNED_TABLES[name] + ["--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (PINNED / f"{name}.json").read_bytes()
+    assert (tmp_path / f"{name}.json.params.json").read_bytes() == \
+        (PINNED / f"{name}.params.json").read_bytes()
 
 
 class TestOtherCommands:

@@ -38,11 +38,11 @@ class TestModelValidation:
 
 
 _NAN_CALLS = {
-    "sibson_bound": lambda: bounds.sibson_bound(0.1, math.nan, bounds.SmallBallFn.linear(2.0)),
+    "sibson_bound": lambda: bounds.sibson_bound(0.1, math.nan, bounds.SmallBallFn(2.0)),
     "hellinger_bound": lambda: bounds.hellinger_bound(0.1, math.nan,
-                                                      bounds.SmallBallFn.linear(2.0)),
+                                                      bounds.SmallBallFn(2.0)),
     "hockey_stick_bound": lambda: bounds.hockey_stick_bound(
-        0.1, math.nan, 1.0, bounds.SmallBallFn.linear(2.0)),
+        0.1, math.nan, 1.0, bounds.SmallBallFn(2.0)),
     "bernoulli_e_gamma_zeta": lambda: models.bernoulli_e_gamma_zeta(5, math.nan, 1.0),
     "bernoulli_e_gamma_zeta_batch[gamma]": lambda: models.bernoulli_e_gamma_zeta_batch(
         5, np.array([2.0, math.nan]), np.array([1.0, 1.0])),
@@ -187,10 +187,7 @@ def test_logsumexp_equals_scipys(a):
 
 class TestBernoulliSmallBall:
     def test_values(self):
-        L = models.bernoulli_small_ball()
-        assert math.isclose(L(0.1), 0.2, rel_tol=1e-14)
-        assert L(0.0) == 0.0
-        assert L(1.0) == 1.0
+        assert models.bernoulli_small_ball().coefficient == 2.0
 
 
 class TestBernoulliLeakage:
@@ -560,11 +557,10 @@ def _gaussian_e_gamma_zeta_mpmath(model, gamma, zeta, dps=30):
 
 class TestGaussian:
     def test_small_ball(self):
-        g = models.GaussianModel(1, 2.0 / math.pi, 1.0)
-        L = models.gaussian_small_ball(g)
-        assert math.isclose(L(0.5), 0.5, rel_tol=1e-12)
-        assert L(0.0) == 0.0
-        assert L(1e9) == 1.0
+        for sw2 in (2.0 / math.pi, 0.3, 4.0):
+            L = models.gaussian_small_ball(models.GaussianModel(1, sw2, 1.0))
+            assert math.isclose(L.coefficient, math.sqrt(2.0 / (math.pi * sw2)),
+                                rel_tol=1e-15)
 
     def test_sibson_values(self):
         assert math.isclose(
