@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskbounds import bounds, cli, models, validate
+from riskbounds import bounds, cli, models, oracle, validate
 
 
 class TestParsing:
@@ -121,6 +121,19 @@ class TestParsing:
         assert cli.main(argv) == 3
         assert "numerical failure near n=3:" in capsys.readouterr().err
         assert failed_on == [threading.main_thread()]
+
+    def test_failing_oracle_block_names_the_failing_n(self, monkeypatch, capsys):
+        real = oracle._simulate_block
+
+        def fail_at_three(model, table, size, rng):
+            if model.n == 3:
+                raise ArithmeticError("synthetic blow-up")
+            return real(model, table, size, rng)
+
+        # the block runs on a pool thread; its error still names its n
+        monkeypatch.setattr(oracle, "_simulate_block", fail_at_three)
+        assert cli.main(["bernoulli", "--n", "1..4", "--trials", "10000"]) == 3
+        assert "numerical failure near n=3:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["bernoulli", "--n", "2", "--gamma", "nan"],

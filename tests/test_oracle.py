@@ -1,6 +1,7 @@
 """Monte-Carlo driver and brute-force divergence reference."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -91,11 +92,60 @@ class TestMcRisk:
         assert (est.mean, est.std_error) == (mean, se)
 
     @pytest.mark.parametrize("n, trials, seed", [(1, 10 ** 4, 0), (12, 70000, 4),
-                                                 (50, 40000, 9)])
+                                                 (50, 40000, 9), (7, 10 ** 5, 8)])
     def test_table_matches_per_sample_estimates(self, n, trials, seed):
         est = oracle.mc_risk(models.BernoulliUniformModel(n), "posterior-median",
                              trials, seed)
         assert (est.mean, est.std_error) == _per_sample_risk(n, trials, seed)
+
+    @pytest.mark.parametrize("model, estimator", [
+        (models.BernoulliUniformModel(9), "posterior-median"),
+        (models.NoisyBernoulliModel(6, 0.2), "posterior-median"),
+        (models.GaussianModel(4, 1.0, 2.0), "posterior-mean"),
+    ])
+    def test_worker_count_moves_no_bit(self, model, estimator, monkeypatch):
+        # 1 to 6 blocks, whole and ragged, on one worker and on up to four
+        workers = []
+        real_pool = oracle.ThreadPoolExecutor
+
+        def counted_pool(max_workers):
+            workers.append(max_workers)
+            return real_pool(max_workers)
+
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", counted_pool)
+        block = oracle._BLOCK
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches, more orderings
+        try:
+            for trials in [10 ** 4, block, block + 1, 10 ** 5, 5 * block + 7]:
+                blocks = -(-trials // block)
+                results = []
+                for cpus in (1, 4):
+                    monkeypatch.setattr(oracle, "_usable_cpus",
+                                        lambda cpus=cpus: cpus)
+                    est = oracle.mc_risk(model, estimator, trials, seed=5)
+                    results.append((est.mean, est.std_error))
+                    assert workers[-1] == min(blocks, cpus)
+                assert results[0] == results[1], trials
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failing_block_raises_its_own_error(self, monkeypatch):
+        class BlockFailure(Exception):
+            pass
+
+        real = oracle._simulate_block
+
+        def fail_on_ragged_block(model, table, size, rng):
+            if size < oracle._BLOCK:
+                raise BlockFailure("synthetic blow-up")
+            return real(model, table, size, rng)
+
+        monkeypatch.setattr(oracle, "_simulate_block", fail_on_ragged_block)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        with pytest.raises(BlockFailure):
+            oracle.mc_risk(models.BernoulliUniformModel(3), "posterior-median",
+                           3 * oracle._BLOCK + 7)
 
     def test_reproducible_bit_for_bit(self):
         m = models.BernoulliUniformModel(4)
@@ -157,6 +207,15 @@ class TestMcRisk:
         ]:
             with pytest.raises(UnsupportedEstimator):
                 oracle.mc_risk(model, estimator, 10 ** 4)
+
+    def test_gaussian_without_samples_fails_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before n was checked")
+
+        monkeypatch.setattr(oracle, "_simulate_block", no_sampling)
+        with pytest.raises(ValueError):
+            oracle.mc_risk(models.GaussianModel(0, 1.0, 2.0), "posterior-mean",
+                           10 ** 4)
 
 
 class TestBruteForce:
