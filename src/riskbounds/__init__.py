@@ -31,19 +31,13 @@ from .measures import (
 from .bounds import (
     BoundResult,
     FirstOrder,
-    PhiSpec,
-    RhoObjective,
     SmallBallFn,
     hellinger_bound,
-    hellinger_phi,
     hockey_stick_bound,
-    hockey_stick_phi,
     maximize_rho,
     mi_baseline_bound,
     ml_bound,
     optimize_bound,
-    phi_bound_decreasing,
-    phi_bound_increasing,
     sdpi_bound,
     sibson_bound,
 )

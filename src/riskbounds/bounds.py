@@ -23,26 +23,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from .errors import EtaOutOfRange, InverseDomainError, NanValue
+from .errors import EtaOutOfRange, NanValue
 from .quadrature import brent_max
 
 __all__ = [
     "SmallBallFn",
     "BoundResult",
     "FirstOrder",
-    "RhoObjective",
-    "PhiSpec",
-    "hellinger_phi",
-    "hockey_stick_phi",
     "maximize_rho",
     "sibson_bound",
     "ml_bound",
-    "phi_bound_increasing",
-    "phi_bound_decreasing",
     "hellinger_bound",
     "hockey_stick_bound",
     "mi_baseline_bound",
@@ -107,33 +101,20 @@ class FirstOrder(NamedTuple):
     slope: Any = None
 
 
-@dataclass(frozen=True)
-class RhoObjective:
-    """Parameters of the concave radius objective rho*(1 - c*rho^t - b)."""
-
-    c: float
-    t: float
-    b: float = 0.0
-
-    def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("c must be non-negative")
-        if self.t <= 0:
-            raise ValueError("t must be positive")
-        if not 0.0 <= self.b < 1.0:
-            raise ValueError("b must lie in [0, 1)")
-
-    def __call__(self, rho):
-        return rho * (1.0 - self.c * rho ** self.t - self.b)
-
-
-def maximize_rho(obj: RhoObjective) -> tuple[float, float]:
-    """Closed-form maximizer of rho*(1 - c*rho^t - b).
+def maximize_rho(c: float, t: float, b: float = 0.0) -> tuple[float, float]:
+    """Closed-form maximizer of rho*(1 - c*rho^t - b) for c >= 0, t > 0
+    and b in [0, 1).
 
     Returns ``(rho_star, value)``; when c == 0 the objective is unbounded
-    and the ``(inf, inf)`` sentinel is returned.
+    and the ``(inf, inf)`` sentinel is returned, and a non-finite c (an
+    infinite or NaN penalty) gives ``(0, 0)``.
     """
-    c, t, b = obj.c, obj.t, obj.b
+    if c < 0:
+        raise ValueError("c must be non-negative")
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if not 0.0 <= b < 1.0:
+        raise ValueError("b must lie in [0, 1)")
     if c == 0.0:
         return math.inf, math.inf
     if not math.isfinite(c):
@@ -185,7 +166,7 @@ def _power_bound(divergence: float, t: float, b: float, penalty, L: SmallBallFn,
     def closed(slope):
         if b >= 1.0:  # no radius has a positive value
             return 0.0, 0.0
-        return maximize_rho(RhoObjective(c=penalty(slope), t=t, b=b))
+        return maximize_rho(penalty(slope), t, b)
 
     return _radius(divergence, L, method, params, closed)
 
@@ -202,105 +183,6 @@ def sibson_bound(i_alpha: float, alpha: float, L: SmallBallFn) -> BoundResult:
 def ml_bound(ml: float, L: SmallBallFn) -> BoundResult:
     """Maximal-leakage bound: the exponent is exp(ML) * L(rho), linear in L."""
     return _power_bound(ml, 1.0, 0.0, lambda l: math.exp(ml) * l, L, "ml", {})
-
-
-@dataclass(frozen=True)
-class PhiSpec:
-    """Convex generator with the pieces the generic bound formulas need.
-
-    ``inverse`` is the generalized inverse of ``phi`` on its range;
-    ``star0`` is the convex conjugate at 0, i.e. ``-inf(phi)``.
-    """
-
-    name: str
-    direction: str  # 'increasing' | 'decreasing'
-    phi: Callable[[float], float]
-    inverse: Callable[[float], float]
-    star0: float
-    family: str = "custom"
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.direction not in ("increasing", "decreasing"):
-            raise ValueError("direction must be 'increasing' or 'decreasing'")
-
-
-def hellinger_phi(p: float) -> PhiSpec:
-    """Generator (t^p - 1)/(p - 1) of the order-p Hellinger divergence."""
-    if not p > 1.0:
-        raise ValueError("Hellinger order must exceed 1")
-
-    def inverse(y):
-        arg = (p - 1.0) * y + 1.0
-        if arg < 0:
-            raise InverseDomainError(f"{y!r} below the generator range")
-        return arg ** (1.0 / p)
-
-    return PhiSpec(
-        name=f"hellinger[{p:g}]",
-        direction="increasing",
-        phi=lambda t: (t ** p - 1.0) / (p - 1.0),
-        inverse=inverse,
-        star0=1.0 / (p - 1.0),
-        family="hellinger",
-        params={"p": p},
-    )
-
-
-def hockey_stick_phi(gamma: float, zeta: float) -> PhiSpec:
-    """Generator max(0, zeta*t - gamma) - max(0, zeta - gamma)."""
-    if not (zeta > 0 and gamma >= 0):
-        raise ValueError("requires zeta > 0 and gamma >= 0")
-    offset = max(0.0, zeta - gamma)
-
-    def inverse(y):
-        if y < -offset:
-            raise InverseDomainError(f"{y!r} below the generator range")
-        return (y + offset + gamma) / zeta
-
-    return PhiSpec(
-        name=f"hockey-stick[{gamma:g},{zeta:g}]",
-        direction="increasing",
-        phi=lambda t: max(0.0, zeta * t - gamma) - offset,
-        inverse=inverse,
-        star0=offset,
-        family="hockey-stick",
-        params={"gamma": gamma, "zeta": zeta},
-    )
-
-
-def phi_bound_increasing(i_phi: float, phi: PhiSpec, l_val: float, rho: float) -> float:
-    """Pointwise bound rho*(1 - L*phi^{-1}((I + (1-L)*phi*(0))/L)) for
-    non-decreasing generators, clamped below at 0."""
-    if phi.direction != "increasing":
-        raise ValueError("generator is not non-decreasing")
-    _check_divergence(i_phi)
-    if rho <= 0:
-        return 0.0
-    if l_val <= 0.0:
-        return rho  # limit of a vanishing small-ball term
-    l_val = min(1.0, l_val)
-    arg = (i_phi + (1.0 - l_val) * phi.star0) / l_val
-    if not math.isfinite(arg):
-        return 0.0
-    return max(0.0, rho * (1.0 - l_val * phi.inverse(arg)))
-
-
-def phi_bound_decreasing(i_phi: float, phi: PhiSpec, l_val: float, rho: float) -> float:
-    """Pointwise bound rho*(1-L)*phi^{-1}((I + L*phi*(0))/(1-L)) for
-    non-increasing generators; returns 0 at L = 1."""
-    if phi.direction != "decreasing":
-        raise ValueError("generator is not non-increasing")
-    _check_divergence(i_phi)
-    if rho <= 0:
-        return 0.0
-    l_val = min(1.0, max(0.0, l_val))
-    if l_val >= 1.0:
-        return 0.0
-    arg = (i_phi + l_val * phi.star0) / (1.0 - l_val)
-    if not math.isfinite(arg):
-        return 0.0
-    return max(0.0, rho * (1.0 - l_val) * phi.inverse(arg))
 
 
 def hellinger_bound(h_p: float, p: float, L: SmallBallFn) -> BoundResult:
@@ -360,8 +242,8 @@ def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
     return _radius(i_value, L, "mi", {}, closed)
 
 
-# method -> bound(divergence, L, **params); both optimize_bound and the
-# closed-form families of sdpi_bound dispatch through this one table
+# method -> bound(divergence, L, **params); optimize_bound and sdpi_bound
+# take a method by name and dispatch through this one table (`_bound_of`)
 _METHODS = {
     "sibson": lambda value, L, alpha: sibson_bound(value, alpha, L),
     "hellinger": lambda value, L, p: hellinger_bound(value, p, L),
@@ -369,26 +251,30 @@ _METHODS = {
     "ml": lambda value, L: ml_bound(value, L),
     "mi": lambda value, L: mi_baseline_bound(value, L),
 }
-_FAMILY_METHODS = {"hellinger": "hellinger", "hockey-stick": "egz"}
 # method -> envelope(slope, **params): an upper bound on the method's
 # bound for any divergence value, given the small-ball slope
 _ENVELOPES = {"egz": _hockey_stick_envelope}
 
 
-def sdpi_bound(i_phi: float, eta: float, phi: PhiSpec, L: SmallBallFn) -> BoundResult:
-    """Generator bound with the divergence contracted by a factor eta
-    (at eta = 0 nothing passes: the contracted divergence is 0).  Only the
-    generator families with a closed-form radius (`_FAMILY_METHODS`) are
-    accepted; any other family raises ValueError."""
+def _bound_of(method: str):
+    """The bound of ``method`` in `_METHODS`; an unknown name raises
+    ValueError."""
+    if method not in _METHODS:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {tuple(_METHODS)}")
+    return _METHODS[method]
+
+
+def sdpi_bound(i_phi: float, eta: float, method: str, L: SmallBallFn,
+               **params) -> BoundResult:
+    """The bound of ``method`` (a `_METHODS` name, with its parameters) at
+    the divergence contracted by a factor eta (at eta = 0 nothing passes:
+    the contracted divergence is 0).  An unknown method raises ValueError."""
     if not 0.0 <= eta <= 1.0:
         raise EtaOutOfRange(f"eta={eta!r} outside [0, 1]")
     _check_divergence(i_phi)
     scaled = eta * i_phi if eta > 0.0 else 0.0
-    method = _FAMILY_METHODS.get(phi.family)
-    if method is None:
-        raise ValueError(f"generator family {phi.family!r} has no closed-form "
-                         f"radius; expected one of {tuple(_FAMILY_METHODS)}")
-    inner = _METHODS[method](scaled, L, **phi.params)
+    inner = _bound_of(method)(scaled, L, **params)
     return BoundResult(inner.value, inner.rho_star, "sdpi",
                        dict(inner.params, eta=eta), inner.evaluations,
                        inner.vacuous)
@@ -449,10 +335,7 @@ def optimize_bound(callback, method: str, param_grid: dict,
     last name varying fastest), so the output is deterministic.  Grid values
     must be finite.
     """
-    if method not in _METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {tuple(_METHODS)}")
-    bound = _METHODS[method]
+    bound = _bound_of(method)
 
     names = sorted(param_grid)
     for name in names:

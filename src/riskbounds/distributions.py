@@ -213,18 +213,18 @@ class DivergenceSpec:
             if name not in needs and value is not None:
                 raise ValueError(f"{k.value} does not take parameter {name!r}")
         if k is DivergenceKind.RENYI:
-            if self.alpha <= 0:
+            if not self.alpha > 0:
                 raise ValueError("alpha must be positive")
             if self.alpha == 1.0:
                 raise ValueError("alpha=1 is the KL kind")
-        if k is DivergenceKind.SIBSON_MI and self.alpha <= 1.0:
+        if k is DivergenceKind.SIBSON_MI and not self.alpha > 1.0:
             raise ValueError("Sibson order must exceed 1")
-        if k is DivergenceKind.HELLINGER_P and self.p <= 1.0:
+        if k is DivergenceKind.HELLINGER_P and not self.p > 1.0:
             raise ValueError("Hellinger exponent must exceed 1")
         if k is DivergenceKind.E_GAMMA_ZETA:
-            if self.gamma < 0:
+            if not self.gamma >= 0:
                 raise ValueError("gamma must be non-negative")
-            if self.zeta <= 0:
+            if not self.zeta > 0:
                 raise ValueError("zeta must be positive")
 
 

@@ -21,10 +21,6 @@ class QuadratureFailure(RiskboundsError, ArithmeticError):
     """Numerical integration did not reach the requested tolerance."""
 
 
-class InverseDomainError(RiskboundsError, ValueError):
-    """Argument lies outside the range of the convex generator."""
-
-
 class EtaOutOfRange(RiskboundsError, ValueError):
     """Contraction coefficient must lie in [0, 1]."""
 

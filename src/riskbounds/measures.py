@@ -57,7 +57,7 @@ def renyi_divergence(p, q, alpha: float) -> float:
     continuous with respect to ``q``.  ``alpha = 1`` is rejected; use
     :func:`kl_divergence` for the limit.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise NonPositiveAlpha(f"alpha={alpha!r} must be positive")
     if alpha == 1.0:
         raise AlphaOne("alpha=1 is the Kullback-Leibler limit")
@@ -96,7 +96,7 @@ def chi_square(p, q) -> float:
 
 def hellinger_p(p, q, p_exp: float) -> float:
     """Hellinger divergence of order ``p_exp`` (> 1); order 2 is chi-square."""
-    if p_exp <= 1.0:
+    if not p_exp > 1.0:
         raise ValueError(f"Hellinger order must exceed 1, got {p_exp!r}")
     p = _w(p)
     q = _w(q)
@@ -121,9 +121,9 @@ def hockey_stick(p, q, gamma: float, zeta: float = 1.0) -> float:
 
 
 def _check_gamma_zeta(gamma, zeta):
-    if zeta <= 0:
+    if not zeta > 0:
         raise ValueError(f"zeta={zeta!r} must be positive")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma={gamma!r} must be non-negative")
 
 
@@ -133,7 +133,7 @@ def sibson_mi_discrete(joint: DiscreteJoint, alpha: float) -> float:
     Evaluated fully in log space so very large orders (used to approach
     the maximal-leakage limit) neither overflow nor underflow.
     """
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise AlphaAtMostOne(f"Sibson order must exceed 1, got {alpha!r}")
     m = joint.matrix
     px = joint.x_marginal
@@ -235,7 +235,7 @@ def _log_density(joint: MixedJoint):
 
 
 def _mixed_sibson_mi(joint: MixedJoint, alpha: float) -> float:
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise AlphaAtMostOne(f"Sibson order must exceed 1, got {alpha!r}")
     ld = _log_density(joint)
     total = 0.0

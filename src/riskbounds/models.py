@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import betainc, erf, erfc, expit, gammaln, logit, xlogy
 
 from . import measures, sdpi
-from .bounds import BoundResult, FirstOrder, SmallBallFn, hellinger_phi, sdpi_bound
+from .bounds import BoundResult, FirstOrder, SmallBallFn, sdpi_bound
 from .distributions import MixedJoint
 
 __all__ = [
@@ -419,9 +419,9 @@ def noisy_bernoulli_bound(model: NoisyBernoulliModel, p: float = 2.0) -> BoundRe
     """Contraction-refined Hellinger bound for privatized flips.
 
     Composes the clean-sample moment, the operator-convex BSC contraction
-    constant eta = (1 - 2*lam)^2, and the generator bound.  Restricted to
-    1 < p <= 2 where eta is exact.  As the paper's formula does, eta
-    contracts the n-sample divergence, which holds only for a product
+    constant eta = (1 - 2*lam)^2, and the Hellinger bound at eta*H_p.
+    Restricted to 1 < p <= 2 where eta is exact.  As the paper's formula
+    does, eta contracts the n-sample divergence, which holds only for a product
     reference measure; here the law of the n flips is a mixture over the
     bias, and for n >= 2 the exact noisy chi-square information exceeds
     eta times the clean one (see `noisy_bernoulli_joint`).
@@ -431,7 +431,7 @@ def noisy_bernoulli_bound(model: NoisyBernoulliModel, p: float = 2.0) -> BoundRe
     moment = bernoulli_hellinger(model.n, p)
     h_p = (moment - 1.0) / (p - 1.0)
     eta = sdpi.eta_operator_convex_bsc(model.lam)
-    return sdpi_bound(h_p, eta, hellinger_phi(p), bernoulli_small_ball())
+    return sdpi_bound(h_p, eta, "hellinger", bernoulli_small_ball(), p=p)
 
 
 def noisy_bernoulli_upper_bound(model: NoisyBernoulliModel) -> float:
@@ -492,7 +492,7 @@ def gaussian_hellinger_closed_form_bound(model: GaussianModel) -> float:
     """The p = 3/2 bound in fully simplified form.
 
     Equals (81*sqrt(2*pi)/2048) * sqrt(sigma_W^2/(1 + n*sigma_W^2/sigma^2));
-    the exact p = 3/2 generator bound dominates this relaxation.
+    the exact p = 3/2 Hellinger bound dominates this relaxation.
     """
     return 81.0 * math.sqrt(2.0 * math.pi) / 2048.0 * gaussian_upper_bound(model)
 

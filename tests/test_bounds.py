@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from riskbounds import bounds as B
 from riskbounds import cli, models, oracle
-from riskbounds.distributions import DiscreteJoint
-from riskbounds.errors import EtaOutOfRange, InverseDomainError, NanValue, RiskboundsError
+from riskbounds.errors import EtaOutOfRange, NanValue, RiskboundsError
 from riskbounds.quadrature import brent_max
 
 L2 = B.SmallBallFn(2.0)
@@ -26,35 +25,40 @@ def grid_max(g, rho_max, points=10 ** 6):
 
 class TestMaximizeRho:
     def test_symmetric_parabola(self):
-        rho, val = B.maximize_rho(B.RhoObjective(c=1.0, t=1.0, b=0.0))
+        rho, val = B.maximize_rho(1.0, 1.0)
         assert (rho, val) == (0.5, 0.25)
 
     def test_leakage_constant(self):
         for n in (1, 10, 100):
             c = 2.0 * (2.0 + math.sqrt(math.pi * n / 2.0))
-            _, val = B.maximize_rho(B.RhoObjective(c=c, t=1.0, b=0.0))
+            _, val = B.maximize_rho(c, 1.0)
             assert math.isclose(val, 1.0 / (8.0 * (2.0 + math.sqrt(math.pi * n / 2.0))),
                                 rel_tol=1e-14)
 
     def test_with_offset(self):
-        rho, val = B.maximize_rho(B.RhoObjective(c=4.0, t=1.0, b=0.5))
+        rho, val = B.maximize_rho(4.0, 1.0, 0.5)
         assert math.isclose(rho, 1.0 / 16.0, rel_tol=1e-12)
         assert math.isclose(val, 1.0 / 64.0, rel_tol=1e-12)
         # verify against a dense grid
-        obj = B.RhoObjective(c=4.0, t=1.0, b=0.5)
-        gval, _ = grid_max(obj, 0.25)
+        gval, _ = grid_max(lambda rho: rho * (1.0 - 4.0 * rho - 0.5), 0.25)
         assert math.isclose(val, gval, rel_tol=1e-10)
 
     def test_degenerate_returns_sentinel(self):
-        assert B.maximize_rho(B.RhoObjective(c=0.0, t=1.0)) == (math.inf, math.inf)
+        assert B.maximize_rho(0.0, 1.0) == (math.inf, math.inf)
+        # an infinite or NaN penalty leaves no radius with a positive value
+        assert B.maximize_rho(math.inf, 1.0) == (0.0, 0.0)
+        assert B.maximize_rho(math.nan, 1.0) == (0.0, 0.0)
+        # gamma = inf at slope 0: the penalty is inf * 0 = NaN, a vacuous bound
+        res = B.hockey_stick_bound(0.1, math.inf, 1.0, B.SmallBallFn(0.0))
+        assert res.vacuous and res.value == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            B.RhoObjective(c=-1.0, t=1.0)
+            B.maximize_rho(-1.0, 1.0)
         with pytest.raises(ValueError):
-            B.RhoObjective(c=1.0, t=0.0)
+            B.maximize_rho(1.0, 0.0)
         with pytest.raises(ValueError):
-            B.RhoObjective(c=1.0, t=1.0, b=1.0)
+            B.maximize_rho(1.0, 1.0, 1.0)
 
 
 class TestSibsonBound:
@@ -104,77 +108,6 @@ class TestLeakageBound:
         for n in (41, 127, 500):
             res = B.ml_bound(models.bernoulli_ml(n).upper, L2)
             assert res.value >= 1.0 / (5.0 * math.sqrt(2.0 * math.pi * n))
-
-
-class TestPhiBounds:
-    def test_hellinger_specialization(self):
-        phi = B.hellinger_phi(2.0)
-        h = 0.4
-        for rho in (0.05, 0.1, 0.2):
-            l_val = 2.0 * rho
-            direct = rho * (1 - l_val ** 0.5 * ((2 - 1) * h + 1) ** 0.5)
-            got = B.phi_bound_increasing(h, phi, l_val, rho)
-            assert math.isclose(got, max(0.0, direct), rel_tol=1e-12)
-
-    def test_hockey_stick_specialization(self):
-        phi = B.hockey_stick_phi(3.0, 1.5)
-        e = 0.2
-        for rho in (0.02, 0.06):
-            l_val = 2.0 * rho
-            direct = rho * (1 - (e + 3.0 * l_val + max(0.0, 1.5 - 3.0)) / 1.5)
-            got = B.phi_bound_increasing(e, phi, l_val, rho)
-            assert math.isclose(got, max(0.0, direct), rel_tol=1e-12)
-
-    def test_zero_divergence_full_ball(self):
-        # I = 0 and L = 1: phi^{-1}(0) = 1 since phi(1) = 0
-        assert B.phi_bound_increasing(0.0, B.hellinger_phi(2.0), 1.0, 0.3) == 0.0
-
-    def test_decreasing_branch_edges(self):
-        phi = B.PhiSpec(
-            name="exp-decay", direction="decreasing",
-            phi=lambda t: math.exp(-t) - math.exp(-1.0),
-            inverse=lambda y: -math.log(y + math.exp(-1.0)),
-            star0=math.exp(-1.0))
-        assert B.phi_bound_decreasing(0.5, phi, 1.0, 0.3) == 0.0
-        assert math.isclose(B.phi_bound_decreasing(0.0, phi, 0.0, 0.3), 0.3,
-                            rel_tol=1e-12)
-
-    def test_decreasing_branch_below_toy_bayes_risk(self):
-        # 0-1 loss on a 2x2 joint; exact risk by enumerating estimators
-        j = DiscreteJoint([[0.4, 0.1], [0.2, 0.3]])
-        bayes = 1.0 - sum(j.matrix[:, y].max() for y in range(2))
-        rho = 1.0
-        l_val = max(j.x_marginal)  # sup over guesses of prior hit mass
-
-        exp_phi = B.PhiSpec(
-            name="exp-decay", direction="decreasing",
-            phi=lambda t: math.exp(-t) - math.exp(-1.0),
-            inverse=lambda y: -math.log(y + math.exp(-1.0)),
-            star0=math.exp(-1.0))
-        i_phi = float(np.sum(
-            j.product * (np.exp(-j.matrix / np.maximum(j.product, 1e-300))
-                         - math.exp(-1.0))))
-        assert i_phi >= 0.0
-        assert B.phi_bound_decreasing(i_phi, exp_phi, l_val, rho) <= bayes + 1e-12
-
-        # -log t surrogate: unbounded conjugate at 0 makes the bound vacuous
-        log_phi = B.PhiSpec(
-            name="neg-log", direction="decreasing",
-            phi=lambda t: -math.log(t),
-            inverse=lambda y: math.exp(-y),
-            star0=math.inf)
-        val = B.phi_bound_decreasing(0.2, log_phi, l_val, rho)
-        assert 0.0 <= val <= bayes + 1e-12
-
-    def test_direction_mismatch(self):
-        with pytest.raises(ValueError):
-            B.phi_bound_decreasing(0.1, B.hellinger_phi(2.0), 0.5, 0.1)
-
-    def test_inverse_domain_error(self):
-        with pytest.raises(InverseDomainError):
-            B.hellinger_phi(2.0).inverse(-3.0)
-        with pytest.raises(InverseDomainError):
-            B.hockey_stick_phi(1.0, 2.0).inverse(-1.5)
 
 
 class TestHellingerBound:
@@ -288,6 +221,11 @@ def _hellinger_objective(x, c, p):
     return _penalized(lambda l: l ** ((p - 1.0) / p) * ((p - 1.0) * x + 1.0) ** (1.0 / p), c)
 
 
+def _egz_objective(x, c, gamma, zeta):
+    """rho -> rho*(1 - (E + gamma*L(rho) + max(0, zeta - gamma))/zeta) at E = x."""
+    return _penalized(lambda l: (x + gamma * l + max(0.0, zeta - gamma)) / zeta, c)
+
+
 @settings(max_examples=200, deadline=None)
 @given(i_value=st.floats(0.0, 300.0), c=st.floats(1e-3, 10.0))
 def test_mi_closed_form_radius_matches_the_scan(i_value, c):
@@ -307,8 +245,8 @@ _order = st.floats(-2.0, math.log10(63.0)).map(lambda x: 1.0 + 10.0 ** x)
 _scale = st.floats(-2.0, 1.5).map(lambda x: 10.0 ** x)
 
 # each family's parameters, its bound at divergence x, and its objective
-# in rho at x under the slope c; sdpi contracts a Hellinger divergence, so
-# it goes through hellinger_phi
+# in rho at x under the slope c; the sdpi families contract x by eta and
+# take the bound of the method they name
 FAMILIES = {
     "sibson": (st.fixed_dictionaries({"alpha": _order}),
                lambda x, L, alpha: B.sibson_bound(x, alpha, L),
@@ -320,12 +258,16 @@ FAMILIES = {
                   lambda x, L, p: B.hellinger_bound(x, p, L), _hellinger_objective),
     "egz": (st.fixed_dictionaries({"gamma": _scale, "zeta": _scale}),
             lambda x, L, gamma, zeta: B.hockey_stick_bound(x, gamma, zeta, L),
-            lambda x, c, gamma, zeta: _penalized(
-                lambda l: (x + gamma * l + max(0.0, zeta - gamma)) / zeta, c)),
+            _egz_objective),
     "mi": (st.just({}), lambda x, L: B.mi_baseline_bound(x, L), _mi_objective),
-    "sdpi": (st.fixed_dictionaries({"eta": st.floats(0.0, 1.0), "p": _order}),
-             lambda x, L, eta, p: B.sdpi_bound(x, eta, B.hellinger_phi(p), L),
-             lambda x, c, eta, p: _hellinger_objective(eta * x, c, p)),
+    "sdpi-hellinger": (st.fixed_dictionaries({"eta": st.floats(0.0, 1.0), "p": _order}),
+                       lambda x, L, eta, p: B.sdpi_bound(x, eta, "hellinger", L, p=p),
+                       lambda x, c, eta, p: _hellinger_objective(eta * x, c, p)),
+    "sdpi-egz": (st.fixed_dictionaries({"eta": st.floats(0.0, 1.0), "gamma": _scale,
+                                        "zeta": _scale}),
+                 lambda x, L, eta, gamma, zeta: B.sdpi_bound(x, eta, "egz", L,
+                                                             gamma=gamma, zeta=zeta),
+                 lambda x, c, eta, gamma, zeta: _egz_objective(eta * x, c, gamma, zeta)),
 }
 _family = st.sampled_from(sorted(FAMILIES)).flatmap(
     lambda name: st.tuples(st.just(name), FAMILIES[name][0]))
@@ -362,37 +304,45 @@ class TestSdpiBound:
     def test_eta_one_reduces_to_plain(self):
         h = 0.8
         plain = B.hellinger_bound(h, 2.0, L2)
-        refined = B.sdpi_bound(h, 1.0, B.hellinger_phi(2.0), L2)
+        refined = B.sdpi_bound(h, 1.0, "hellinger", L2, p=2.0)
         assert math.isclose(refined.value, plain.value, rel_tol=1e-12)
 
     def test_eta_zero_gives_independence_value(self):
-        refined = B.sdpi_bound(5.0, 0.0, B.hellinger_phi(2.0), L2)
+        refined = B.sdpi_bound(5.0, 0.0, "hellinger", L2, p=2.0)
         assert math.isclose(refined.value, 2.0 / 27.0, rel_tol=1e-12)
 
     def test_noisy_bernoulli_closed_form(self):
         lam, n = 0.25, 12
         chi2 = models.bernoulli_hellinger(n, 2.0) - 1.0
         eta = (1.0 - 2.0 * lam) ** 2
-        res = B.sdpi_bound(chi2, eta, B.hellinger_phi(2.0), L2)
+        res = B.sdpi_bound(chi2, eta, "hellinger", L2, p=2.0)
         assert math.isclose(res.value, (2.0 / 27.0) / (eta * chi2 + 1.0),
                             rel_tol=1e-12)
 
     def test_monotone_in_eta(self):
-        values = [B.sdpi_bound(1.0, eta, B.hellinger_phi(2.0), L2).value
+        values = [B.sdpi_bound(1.0, eta, "hellinger", L2, p=2.0).value
                   for eta in (1.0, 0.6, 0.3, 0.0)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
-    def test_custom_family_has_no_closed_form_radius(self):
-        # a hockey-stick generator outside its family has no radius path
-        phi = B.hockey_stick_phi(2.5, 1.2)
-        generic = B.PhiSpec(name="hs-generic", direction="increasing",
-                            phi=phi.phi, inverse=phi.inverse, star0=phi.star0)
-        with pytest.raises(ValueError, match="closed-form radius"):
-            B.sdpi_bound(0.3, 0.7, generic, L2)
+    def test_contracts_the_named_method(self):
+        # E = 0.4 contracted to 0.2, against the plain bound at 0.2
+        res = B.sdpi_bound(0.4, 0.5, "egz", L2, gamma=3.0, zeta=1.5)
+        plain = B.hockey_stick_bound(0.2, 3.0, 1.5, L2)
+        assert (res.value, res.rho_star) == (plain.value, plain.rho_star)
+        assert (res.method, res.params) == ("sdpi", {"gamma": 3.0, "zeta": 1.5,
+                                                     "eta": 0.5})
 
     def test_eta_out_of_range(self):
-        with pytest.raises(EtaOutOfRange):
-            B.sdpi_bound(1.0, 1.5, B.hellinger_phi(2.0), L2)
+        # NaN fails the range check too, and eta is checked before the divergence
+        for eta in (1.5, -0.1, math.nan):
+            with pytest.raises(EtaOutOfRange):
+                B.sdpi_bound(1.0, eta, "hellinger", L2, p=2.0)
+            with pytest.raises(EtaOutOfRange):
+                B.sdpi_bound(math.nan, eta, "hellinger", L2, p=2.0)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            B.sdpi_bound(1.0, 0.5, "bogus", L2)
 
 
 BOUND_FUNCTIONS = {
@@ -401,7 +351,7 @@ BOUND_FUNCTIONS = {
     "hellinger": lambda x, L: B.hellinger_bound(x, 2.0, L),
     "egz": lambda x, L: B.hockey_stick_bound(x, 3.0, 1.5, L),
     "mi": lambda x, L: B.mi_baseline_bound(x, L),
-    "sdpi": lambda x, L: B.sdpi_bound(x, 0.5, B.hellinger_phi(2.0), L),
+    "sdpi": lambda x, L: B.sdpi_bound(x, 0.5, "hellinger", L, p=2.0),
 }
 # at a divergence of 1e3, e^1000 overflows (sibson, ml), E exceeds zeta
 # (egz), and the MI bound, near e^-1000, underflows to 0
@@ -434,19 +384,6 @@ class TestNonFiniteDivergence:
     def test_bound_result_rejects_nan(self):
         with pytest.raises(RiskboundsError):
             B.BoundResult(math.nan, 0.0, "mi")
-
-    @pytest.mark.parametrize("point, phi", [
-        (B.phi_bound_increasing, B.hellinger_phi(2.0)),
-        (B.phi_bound_decreasing, B.PhiSpec(
-            name="exp-decay", direction="decreasing",
-            phi=lambda t: math.exp(-t) - math.exp(-1.0),
-            inverse=lambda y: -math.log(y + math.exp(-1.0)),
-            star0=math.exp(-1.0))),
-    ], ids=["increasing", "decreasing"])
-    def test_pointwise_phi_bounds(self, point, phi):
-        with pytest.raises(NanValue):
-            point(math.nan, phi, 0.2, 0.1)
-        assert point(math.inf, phi, 0.2, 0.1) == 0.0
 
 
 class TestSmallBallSlope:

@@ -1,5 +1,7 @@
 """Construction-time invariants of the domain types."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,18 @@ class TestDivergenceSpec:
         with pytest.raises(ValueError):
             DivergenceSpec(DivergenceKind.E_GAMMA_ZETA, gamma=1.0, zeta=0.0)
         DivergenceSpec(DivergenceKind.E_GAMMA_ZETA, gamma=0.0, zeta=2.0)
+
+
+@pytest.mark.parametrize("kind, params", [
+    (DivergenceKind.RENYI, {"alpha": math.nan}),
+    (DivergenceKind.SIBSON_MI, {"alpha": math.nan}),
+    (DivergenceKind.HELLINGER_P, {"p": math.nan}),
+    (DivergenceKind.E_GAMMA_ZETA, {"gamma": math.nan, "zeta": 1.0}),
+    (DivergenceKind.E_GAMMA_ZETA, {"gamma": 1.0, "zeta": math.nan}),
+], ids=["renyi", "sibson", "hellinger", "gamma", "zeta"])
+def test_divergence_spec_rejects_a_nan_parameter(kind, params):
+    with pytest.raises(ValueError):
+        DivergenceSpec(kind, **params)
 
 
 class TestMixedJoint:

@@ -113,6 +113,32 @@ class TestSibson:
             measures.sibson_mi_discrete(DiscreteJoint(np.eye(2) / 2), 1.0)
 
 
+_P, _Q = [0.3, 0.7], [0.6, 0.4]
+_JOINT = DiscreteJoint([[0.4, 0.1], [0.2, 0.3]])
+
+# measure -> (its call with one parameter v, the error an invalid v raises)
+PARAMETER_CHECKS = {
+    "renyi": (lambda v: measures.renyi_divergence(_P, _Q, v), NonPositiveAlpha),
+    "hellinger": (lambda v: measures.hellinger_p(_P, _Q, v), ValueError),
+    "hockey-stick-gamma": (lambda v: measures.hockey_stick(_P, _Q, v), ValueError),
+    "hockey-stick-zeta": (lambda v: measures.hockey_stick(_P, _Q, 1.0, v), ValueError),
+    "e-gamma-zeta-gamma": (lambda v: measures.e_gamma_zeta(_JOINT, v, 1.0), ValueError),
+    "e-gamma-zeta-zeta": (lambda v: measures.e_gamma_zeta(_JOINT, 1.0, v), ValueError),
+    "sibson": (lambda v: measures.sibson_mi_discrete(_JOINT, v), AlphaAtMostOne),
+    "sibson-mixed": (lambda v: measures._mixed_sibson_mi(bernoulli_joint(2), v),
+                     AlphaAtMostOne),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETER_CHECKS))
+def test_nan_parameter_raises(name):
+    # NaN fails every range check: it must not come back as
+    # max(0, nan) = 0, which reads as independence
+    call, error = PARAMETER_CHECKS[name]
+    with pytest.raises(error):
+        call(math.nan)
+
+
 class TestMaximalLeakage:
     def test_independent(self):
         j = DiscreteJoint.independent([0.2, 0.8], [0.5, 0.5])
