@@ -10,8 +10,8 @@ and one radius path (`_radius`) serves them all.
 `optimize_bound` searches a bound's parameters over a grid in one
 callback call, then refines the grid maximum at the root of the
 first-order condition the callback may report with its values
-(`FirstOrder`), or else by Brent's method; each refinement step is one
-callback call of length 1.
+(`FirstOrder`), one callback call of length 1 per step; where there is
+no root to refine at, the grid maximum stands.
 
 Vacuous bounds (penalty >= 1 everywhere, or an infinite divergence) are
 reported as value 0 with the ``vacuous`` flag set instead of raising; a
@@ -28,7 +28,6 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import EtaOutOfRange, NanValue
-from .quadrature import brent_max
 
 __all__ = [
     "SmallBallFn",
@@ -72,8 +71,7 @@ class BoundResult:
     params: dict = field(default_factory=dict)
     evaluations: int = 1
     vacuous: bool = False
-    skipped: int = 0  # grid points a search ruled out without evaluating
-    path: str = ""  # how `optimize_bound` searched: fixed, grid+brent or root
+    path: str = ""  # how `optimize_bound` searched: fixed, grid or root
 
     def __post_init__(self):
         if math.isnan(self.value):
@@ -89,11 +87,14 @@ class FirstOrder(NamedTuple):
     ``value`` is the divergence at each point.  ``condition`` is a g with
     the sign of the bound's derivative in x = log of the method's searched
     parameter (`_CONDITIONS`): the bound rises in x where g > 0 and falls
-    where g < 0.  ``slope`` is dg/dx at each point, or None where it is
-    not derived.  For ``egz`` under a linear L the bound is
-    f(t) = (1 - H(t))^2 / (4 t c) with t = gamma/zeta, H(t) = P(R_t)
-    - t Q(R_t) and R_t = {dP/dQ >= t}; as H'(t) = -Q(R_t),
-    f'(t) = (1 - H) g(t) / (4 c t^2) with g(t) = P(R_t) + t Q(R_t) - 1.
+    where g < 0 (-inf where it falls without limit).  ``slope`` is dg/dx
+    at each point, or None where it is not derived.  For ``egz`` under a
+    linear L the bound is f(t) = (1 - H(t))^2 / (4 t c) with
+    t = gamma/zeta, H(t) = P(R_t) - t Q(R_t) and R_t = {dP/dQ >= t}; as
+    H'(t) = -Q(R_t), f'(t) = (1 - H) g(t) / (4 c t^2) with
+    g(t) = P(R_t) + t Q(R_t) - 1.  For ``sibson`` and ``hellinger`` g is
+    d log f / d log theta of the order theta
+    (`models._order_condition`).
     """
 
     value: Any
@@ -205,20 +206,6 @@ def hockey_stick_bound(e_value: float, gamma: float, zeta: float,
                         {"gamma": gamma, "zeta": zeta})
 
 
-def _hockey_stick_envelope(slope: float, gamma: float, zeta: float) -> float:
-    """An upper bound on `hockey_stick_bound` at (gamma, zeta) for every
-    divergence E >= 0 and the linear L of this slope.
-
-    With t = gamma/zeta, 1 - b <= min(1, t), so the closed-form value
-    (1 - b)^2 / (4 t slope) is at most min(t, 1/t) / (4 slope); the factor
-    1 + 1e-9 covers the rounding of both sides.
-    """
-    if slope == 0.0:
-        return math.inf
-    t = gamma / zeta
-    return (min(t, 1.0 / t) if t > 0.0 else 0.0) / (4.0 * slope) * (1.0 + 1e-9)
-
-
 def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
     """Mutual-information baseline sup over rho of
     rho*(1 - (I + log 2)/log(1/L(rho))).
@@ -251,9 +238,6 @@ _METHODS = {
     "ml": lambda value, L: ml_bound(value, L),
     "mi": lambda value, L: mi_baseline_bound(value, L),
 }
-# method -> envelope(slope, **params): an upper bound on the method's
-# bound for any divergence value, given the small-ball slope
-_ENVELOPES = {"egz": _hockey_stick_envelope}
 
 
 def _bound_of(method: str):
@@ -282,7 +266,7 @@ def sdpi_bound(i_phi: float, eta: float, method: str, L: SmallBallFn,
 
 # method -> the parameter in whose log a `FirstOrder` condition is taken;
 # for egz, d log t = d log gamma at a fixed zeta
-_CONDITIONS = {"egz": "gamma"}
+_CONDITIONS = {"egz": "gamma", "sibson": "alpha", "hellinger": "p"}
 # the root search stops once its next step in x is at most _ROOT_TOL (the
 # bound is flat at its maximum: a point that close to the root is within
 # about _ROOT_TOL^2 relative of it), and after _ROOT_CAP points at most
@@ -291,9 +275,9 @@ _ROOT_CAP = 40
 
 
 def optimize_bound(callback, method: str, param_grid: dict,
-                   L: SmallBallFn, floor: float = 0.0) -> BoundResult:
+                   L: SmallBallFn) -> BoundResult:
     """Maximize a bound over a parameter grid, then refine the grid maximum
-    at the root of its first-order condition or by Brent's method.
+    at the root of its first-order condition.
 
     ``callback(**params)`` gets one float64 ndarray per parameter, all of
     one length (``mi`` and ``ml`` have no parameters and get none), and
@@ -302,38 +286,25 @@ def optimize_bound(callback, method: str, param_grid: dict,
     point, broadcastable to their number, +inf where it is infinite (a
     vacuous bound).  It may instead return a `FirstOrder` of those values
     and the bound's first-order condition.  It must be pure, and the value
-    at a point must not depend on the other points of the call.  The grid
-    is one call, in sweep order, and each refinement step is a call of
-    length 1.
+    at a point must not depend on the other points of the call.
 
-    ``floor`` is a value the caller needs beaten, such as the best bound
-    already found by other methods.  For a method with an envelope (an upper
-    bound on its bound whatever the divergence: ``egz``), the grid call then
-    covers only the points whose envelope reaches the floor; the others are
-    counted in ``skipped``.  Their bounds lie strictly below the floor, so
-    once an evaluated point reaches it they cannot be the grid maximum, and
-    the grid maximum and a Brent pass from it are the ones without a floor
-    (the root path reads the condition on the evaluated points only).  If no
-    evaluated point reaches the floor, the skipped points are evaluated in a
-    second call, and nothing is skipped.
-
-    The root path (``path`` "root") refines a method with a condition
-    (`_CONDITIONS`: ``egz`` in log gamma) when the callback returned a
-    `FirstOrder` on the grid, only that parameter has two or more grid
-    values, all of them positive, and the condition changes sign exactly
-    once over the evaluated grid, from + to -, between the grid maximum and
-    a neighbour.  The root is then searched inside that bracket in
-    x = log(parameter) (`_root_search`), started from the grid's own
-    condition values, and each step costs one call.  In every other case (``path``
-    "grid+brent") each parameter with two or more grid values gets one Brent
-    pass (``tol=1e-6``) between the grid neighbours of the best point, the
-    other parameters held at the best point's values; a grid of one point is
-    ``path`` "fixed".  Every point evaluated, on the grid or by a refinement
-    step, is a candidate, so the result value dominates all of them, and
-    ``evaluations`` sums the evaluations of every bound computed.  Ties keep
-    the first-found parameter, and parameters are swept in sorted order (the
-    last name varying fastest), so the output is deterministic.  Grid values
-    must be finite.
+    The search has three steps.  The whole grid is one call, in sweep
+    order.  Then the grid maximum is refined at the root of the condition
+    (``path`` "root") when the method has one (`_CONDITIONS`: ``egz`` in
+    log gamma, ``sibson`` in log alpha, ``hellinger`` in log p), the
+    callback returned a `FirstOrder` on the grid, only that parameter has
+    two or more grid values, all of them positive, and the condition
+    falls through 0 exactly once over the grid, from + to -, between the
+    grid maximum and a neighbour (`_falling_bracket`).  The root is
+    searched inside that bracket in x = log(parameter) (`_root_search`),
+    started from the grid's own condition values, and each step costs one
+    call of length 1.  Otherwise the grid maximum stands: ``path`` "grid",
+    or "fixed" for a grid of one point.  Every point evaluated, on the
+    grid or by a root step, is a candidate, so the result value dominates
+    all of them, and ``evaluations`` sums the evaluations of every bound
+    computed.  Ties keep the first-found parameter, and parameters are
+    swept in sorted order (the last name varying fastest), so the output
+    is deterministic.  Grid values must be finite.
     """
     bound = _bound_of(method)
 
@@ -349,7 +320,7 @@ def optimize_bound(callback, method: str, param_grid: dict,
 
     def evaluate(points):
         """The bound at each parameter point (an infinite divergence gives
-        the vacuous result), and the condition and its slope there: arrays,
+        the vacuous result), and the condition and its slope there: lists,
         or None where the callback gave none."""
         out = callback(**{name: np.array([pt[name] for pt in points])
                           for name in names})
@@ -358,102 +329,54 @@ def optimize_bound(callback, method: str, param_grid: dict,
         def per_point(values):
             if values is None:
                 return None
-            return np.broadcast_to(np.asarray(values, dtype=float), (len(points),))
+            return np.broadcast_to(np.asarray(values, dtype=float),
+                                   (len(points),)).tolist()
 
         results = [BoundResult(0.0, 0.0, method, dict(pt), 1, vacuous=True)
                    if value == math.inf else bound(value, L, **pt)
-                   for pt, value in zip(points, per_point(first.value).tolist())]
+                   for pt, value in zip(points, per_point(first.value))]
         return results, per_point(first.condition), per_point(first.slope)
 
-    evals = 0
-    best: BoundResult | None = None
-    best_index: dict[str, int] = {}
-
-    def consider(result, index=None):
-        nonlocal best, best_index, evals
-        evals += result.evaluations
-        if best is None or result.value > best.value:
-            best = result
-            if index is not None:
-                best_index = index
-
-    indices = list(itertools.product(*(range(grids[name].size) for name in names)))
-    points = [{name: float(grids[name][i]) for name, i in zip(names, index)}
-              for index in indices]
-    envelope = _ENVELOPES.get(method)
-    skip = []
-    if envelope is not None:
-        skip = [i for i, pt in enumerate(points)
-                if envelope(L.coefficient, **pt) < floor]
-    results, condition, slope = {}, {}, {}
-
-    def evaluate_grid(chosen):
-        found, cond, slopes = evaluate([points[i] for i in chosen])
-        results.update(zip(chosen, found))
-        if cond is not None:
-            condition.update(zip(chosen, cond.tolist()))
-        if slopes is not None:
-            slope.update(zip(chosen, slopes.tolist()))
-
-    kept = sorted(set(range(len(points))) - set(skip))
-    if kept:
-        evaluate_grid(kept)
-    if skip and not any(result.value >= floor for result in results.values()):
-        evaluate_grid(skip)
-    for i in sorted(results):
-        consider(results[i], dict(zip(names, indices[i])))
+    points = [dict(zip(names, values))
+              for values in itertools.product(*(grids[name].tolist() for name in names))]
+    results, condition, slope = evaluate(points)
+    top = max(range(len(results)), key=lambda i: results[i].value)  # the first maximum
+    best = results[top]
+    evals = sum(result.evaluations for result in results)
     searched = [name for name in names if grids[name].size >= 2]
-    path = "grid+brent" if searched else "fixed"
+    path = "grid" if searched else "fixed"
 
     name = _CONDITIONS.get(method)
-    order = sorted(results)  # the evaluated points, in grid order
-    bracket = None
-    if searched == [name] and grids[name][0] > 0.0 and len(condition) == len(results):
-        xs = np.log(grids[name][order]).tolist()
-        gs = [condition[i] for i in order]
-        bracket = _falling_bracket(xs, gs, order.index(best_index[name]))
-    if bracket is not None:
-        path = "root"
-        fixed = dict(best.params)
+    if searched == [name] and grids[name][0] > 0.0 and condition is not None:
+        # one searched parameter: the grid points are its values, in order
+        xs = np.log(grids[name]).tolist()
+        bracket = _falling_bracket(xs, condition, top)
+        if bracket is not None:
+            path = "root"
 
-        def at(x):
-            found, cond, slopes = evaluate([dict(fixed, **{name: math.exp(x)})])
-            consider(found[0])
-            return cond[0], None if slopes is None else slopes[0]
+            def at(x):
+                nonlocal best, evals
+                found, cond, slopes = evaluate([dict(best.params, **{name: math.exp(x)})])
+                evals += found[0].evaluations
+                if found[0].value > best.value:
+                    best = found[0]
+                return cond[0], None if slopes is None else slopes[0]
 
-        slopes = [slope[i] for i in order] if len(slope) == len(results) else None
-        _root_search(at, xs, gs, slopes, bracket)
-    else:
-        # one Brent pass per continuous parameter around the grid max
-        for name in searched:
-            g = grids[name]
-            i = best_index.get(name, 0)
-            lo = g[max(i - 1, 0)]
-            hi = g[min(i + 1, g.size - 1)]
-            if hi <= lo:
-                continue
-            fixed = dict(best.params)
+            _root_search(at, xs, condition, slope, bracket)
 
-            def h(x, name=name, fixed=fixed):
-                found = evaluate([dict(fixed, **{name: float(x)})])[0][0]
-                consider(found)
-                return found.value
-
-            brent_max(h, lo, hi, tol=1e-6)
-
-    assert best is not None
     return BoundResult(best.value, best.rho_star, method, best.params,
-                       evals, best.vacuous, len(points) - len(results), path)
+                       evals, best.vacuous, path)
 
 
 def _falling_bracket(xs, gs, top):
     """The j with gs[j] > 0 >= gs[j + 1] when that is the only sign change
-    of the finite conditions gs at the increasing points xs and j or j + 1
-    is ``top``, the grid maximum; else None."""
+    of the conditions gs at the increasing points xs, gs[j + 1] is finite,
+    and j or j + 1 is ``top``, the grid maximum; else None.  A -inf
+    condition counts as falling; a NaN or +inf one leaves no bracket."""
     rises = [g > 0.0 for g in gs]
     changes = [j for j in range(len(gs) - 1) if rises[j] != rises[j + 1]]
     if (len(changes) != 1 or not rises[changes[0]] or top - changes[0] not in (0, 1)
-            or not all(map(math.isfinite, gs))
+            or not all(g < math.inf for g in gs) or gs[changes[0] + 1] == -math.inf
             or not all(lo < hi for lo, hi in zip(xs, xs[1:]))):
         return None
     return changes[0]
@@ -467,8 +390,8 @@ def _root_search(at, xs, gs, slopes, j):
 
     The first point comes from the grid: the inverse Hermite cubic of the
     bracket's ends and slopes, or without slopes the inverse polynomial
-    through the bracket's ends and each outer neighbour on which g keeps
-    falling (up to four grid points).  Each later point is a Newton step,
+    through the bracket's ends and each finite outer neighbour on which g
+    keeps falling (up to four grid points).  Each later point is a Newton step,
     or without a usable slope a secant step through the last two points.
     A point outside the bracket (which every point shrinks) is replaced
     by the bracket's midpoint.  The search stops at a root, once the next
@@ -480,9 +403,9 @@ def _root_search(at, xs, gs, slopes, j):
     if slopes is not None:
         x = _inverse_hermite(a, ga, slopes[j], b, gb, slopes[j + 1])
     else:
-        # the bracket and each outer neighbour on which g keeps falling
+        # the bracket and each finite outer neighbour on which g keeps falling
         lo = j - 1 if j > 0 and gs[j - 1] > ga else j
-        hi = j + 2 if j + 2 < len(gs) and gs[j + 2] < gb else j + 1
+        hi = j + 2 if j + 2 < len(gs) and -math.inf < gs[j + 2] < gb else j + 1
         x = _inverse_polynomial(xs[lo:hi + 1], gs[lo:hi + 1])
     # the grid end nearer the first point precedes it in the secant
     prev, g_prev = (a, ga) if abs(x - a) < abs(x - b) else (b, gb)

@@ -4,7 +4,9 @@ Subcommands: bernoulli, noisy-bernoulli, gaussian, hide-and-seek, validate.
 Each estimation setting is one `Setting` record, from which its flags and
 its rows are built; fixed-parameter and --optimize rows alike go through
 `bounds.optimize_bound`.  One CSV row is emitted per sample count n; a
-JSON sidecar next to --out records the optimizing parameters per point.
+JSON sidecar next to --out records per point and column the optimizing
+parameters, rho*, the value, the evaluations and the search path (fixed,
+grid, root, or own for a column with its own bound function).
 Float flags must be finite and seeds non-negative.  Every table sweeps its
 n in the calling thread, in order, and stops at the first n that fails.
 """
@@ -116,11 +118,12 @@ def _best(named_values: dict[str, float | None], order=_METHOD_ORDER) -> str:
 class Column:
     """One bound column: ``divergence(model, **params)`` feeds the `bounds`
     method ``method``, taking one array per parameter and returning the
-    divergence at each point, +inf where it is infinite, or (the egz
-    columns) a `bounds.FirstOrder` of those values and the condition that
-    `bounds.optimize_bound` refines by; ``params`` names the flags
-    that fix the parameters, ``grid(args)`` gives the values searched
-    under --optimize and ``fixed`` pins those without a flag.
+    divergence at each point, +inf where it is infinite, or (the sibson,
+    hellinger and egz columns) a `bounds.FirstOrder` of those values and
+    the condition at whose root `bounds.optimize_bound` refines them;
+    ``params`` names the flags that fix the parameters, ``grid(args)``
+    gives the values searched under --optimize and ``fixed`` pins those
+    without a flag.
     ``bound(model)`` replaces all of these for a column that computes its
     own `BoundResult`."""
 
@@ -158,13 +161,8 @@ def _alpha_grid(name):
     return lambda args: {name: default_alpha_grid()}
 
 
-def _bernoulli_sibson(model, alpha: np.ndarray) -> np.ndarray:
-    moments = models.bernoulli_sibson(model.n, alpha)
-    return alpha / (alpha - 1.0) * np.array([math.log(m) for m in moments.tolist()])
-
-
-def _bernoulli_hellinger(model, p: np.ndarray) -> np.ndarray:
-    return (models.bernoulli_hellinger(model.n, p) - 1.0) / (p - 1.0)
+def _bernoulli_hellinger(model, p: np.ndarray) -> bounds.FirstOrder:
+    return models.bernoulli_hellinger_first_order(model.n, p)
 
 
 def _bernoulli_e_gamma_zeta(model, gamma: np.ndarray,
@@ -182,7 +180,9 @@ BERNOULLI = Setting(
     columns=(
         Column("mi", lambda model: models.bernoulli_mutual_information(model.n)),
         Column("ml", lambda model: models.bernoulli_ml(model.n).upper),
-        Column("sibson", _bernoulli_sibson, ("alpha",), _alpha_grid("alpha")),
+        Column("sibson",
+               lambda model, alpha: models.bernoulli_sibson_first_order(model.n, alpha),
+               ("alpha",), _alpha_grid("alpha")),
         Column("hellinger", _bernoulli_hellinger, ("p",), _alpha_grid("p")),
         # the bound depends on gamma/zeta alone (linear L), so --optimize
         # searches the ratio with zeta = 1
@@ -216,10 +216,11 @@ GAUSSIAN = Setting(
     estimator="posterior-mean",
     columns=(
         Column("mi", lambda model: models.gaussian_mutual_information(model)),
-        Column("sibson", lambda model, alpha: models.gaussian_sibson(model, alpha),
+        Column("sibson",
+               lambda model, alpha: models.gaussian_sibson_first_order(model, alpha),
                ("alpha",), _alpha_grid("alpha")),
         Column("hellinger",
-               lambda model, p: (models.gaussian_hellinger(model, p) - 1.0) / (p - 1.0),
+               lambda model, p: models.gaussian_hellinger_first_order(model, p),
                ("p",), _alpha_grid("p")),
         # the figure protocol: gamma optimized, zeta held at its flag; the
         # kernel integrates a whole array of gammas in one quadrature pass
@@ -275,14 +276,13 @@ def _check_bound_parameters(setting: Setting, args) -> None:
                                  f"got {bad[0]:g}")
 
 
-def _column_bound(column: Column, model, L, grid: dict,
-                  floor: float = 0.0) -> bounds.BoundResult:
+def _column_bound(column: Column, model, L, grid: dict) -> bounds.BoundResult:
     """``column``'s bound at ``model``, searched over ``grid``, the
     column's `_column_grid`."""
     if column.bound is not None:
         return column.bound(model)
     return bounds.optimize_bound(functools.partial(column.divergence, model),
-                                 column.method, grid, L, floor=floor)
+                                 column.method, grid, L)
 
 
 def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
@@ -292,18 +292,13 @@ def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
     row = dict.fromkeys(_METHOD_ORDER)
     info = {name: {"note": note} for name, note in setting.notes.items()}
     for column in setting.columns:
-        # the row's best bound so far: grid points that provably stay
-        # below it cannot change this column's value, and are skipped
-        floor = max((v for v in row.values() if v is not None), default=0.0)
-        grid = _column_grid(column, args)
-        res = _column_bound(column, model, L, grid, floor)
+        res = _column_bound(column, model, L, _column_grid(column, args))
         row[column.method] = res.value
         # how the column found its bound: its own bound function, or the
         # path of `bounds.optimize_bound`
         info[column.method] = dict(res.params, rho=res.rho_star, value=res.value,
                                    vacuous=res.vacuous, evals=res.evaluations,
-                                   path="own" if column.bound else res.path,
-                                   skipped=res.skipped)
+                                   path="own" if column.bound else res.path)
     mc = None
     if args.trials:
         risk = oracle.mc_risk(model, setting.estimator, args.trials, args.seed)

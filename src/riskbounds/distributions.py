@@ -212,6 +212,8 @@ class DivergenceSpec:
                 raise ValueError(f"{k.value} requires parameter {name!r}")
             if name not in needs and value is not None:
                 raise ValueError(f"{k.value} does not take parameter {name!r}")
+            if value is not None and not math.isfinite(value):  # NaN or inf
+                raise ValueError(f"{k.value} parameter {name!r} must be finite")
         if k is DivergenceKind.RENYI:
             if not self.alpha > 0:
                 raise ValueError("alpha must be positive")

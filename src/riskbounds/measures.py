@@ -57,8 +57,8 @@ def renyi_divergence(p, q, alpha: float) -> float:
     continuous with respect to ``q``.  ``alpha = 1`` is rejected; use
     :func:`kl_divergence` for the limit.
     """
-    if not alpha > 0:
-        raise NonPositiveAlpha(f"alpha={alpha!r} must be positive")
+    if not 0 < alpha < math.inf:
+        raise NonPositiveAlpha(f"alpha={alpha!r} must be positive and finite")
     if alpha == 1.0:
         raise AlphaOne("alpha=1 is the Kullback-Leibler limit")
     p = _w(p)
@@ -96,8 +96,8 @@ def chi_square(p, q) -> float:
 
 def hellinger_p(p, q, p_exp: float) -> float:
     """Hellinger divergence of order ``p_exp`` (> 1); order 2 is chi-square."""
-    if not p_exp > 1.0:
-        raise ValueError(f"Hellinger order must exceed 1, got {p_exp!r}")
+    if not 1.0 < p_exp < math.inf:
+        raise ValueError(f"Hellinger order must be finite and exceed 1, got {p_exp!r}")
     p = _w(p)
     q = _w(q)
     if np.any((p > 0) & (q == 0)):
@@ -121,10 +121,10 @@ def hockey_stick(p, q, gamma: float, zeta: float = 1.0) -> float:
 
 
 def _check_gamma_zeta(gamma, zeta):
-    if not zeta > 0:
-        raise ValueError(f"zeta={zeta!r} must be positive")
-    if not gamma >= 0:
-        raise ValueError(f"gamma={gamma!r} must be non-negative")
+    if not 0 < zeta < math.inf:
+        raise ValueError(f"zeta={zeta!r} must be positive and finite")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma={gamma!r} must be non-negative and finite")
 
 
 def sibson_mi_discrete(joint: DiscreteJoint, alpha: float) -> float:
@@ -133,8 +133,8 @@ def sibson_mi_discrete(joint: DiscreteJoint, alpha: float) -> float:
     Evaluated fully in log space so very large orders (used to approach
     the maximal-leakage limit) neither overflow nor underflow.
     """
-    if not alpha > 1.0:
-        raise AlphaAtMostOne(f"Sibson order must exceed 1, got {alpha!r}")
+    if not 1.0 < alpha < math.inf:
+        raise AlphaAtMostOne(f"Sibson order must be finite and exceed 1, got {alpha!r}")
     m = joint.matrix
     px = joint.x_marginal
     with np.errstate(divide="ignore"):
@@ -235,8 +235,8 @@ def _log_density(joint: MixedJoint):
 
 
 def _mixed_sibson_mi(joint: MixedJoint, alpha: float) -> float:
-    if not alpha > 1.0:
-        raise AlphaAtMostOne(f"Sibson order must exceed 1, got {alpha!r}")
+    if not 1.0 < alpha < math.inf:
+        raise AlphaAtMostOne(f"Sibson order must be finite and exceed 1, got {alpha!r}")
     ld = _log_density(joint)
     total = 0.0
     for i in range(len(joint.observations)):

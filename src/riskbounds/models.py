@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, erf, erfc, expit, gammaln, logit, xlogy
+from scipy.special import betainc, erf, erfc, expit, gammaln, logit, psi, xlogy
 
 from . import measures, sdpi
 from .bounds import BoundResult, FirstOrder, SmallBallFn, sdpi_bound
@@ -30,6 +30,8 @@ __all__ = [
     "bernoulli_ml",
     "bernoulli_sibson",
     "bernoulli_hellinger",
+    "bernoulli_sibson_first_order",
+    "bernoulli_hellinger_first_order",
     "bernoulli_e_gamma_zeta",
     "bernoulli_e_gamma_zeta_batch",
     "bernoulli_mutual_information",
@@ -41,6 +43,8 @@ __all__ = [
     "gaussian_small_ball",
     "gaussian_sibson",
     "gaussian_hellinger",
+    "gaussian_sibson_first_order",
+    "gaussian_hellinger_first_order",
     "gaussian_e_gamma_zeta",
     "gaussian_mutual_information",
     "gaussian_upper_bound",
@@ -153,34 +157,73 @@ def bernoulli_sibson(n: int, alpha):
     An array of R orders is one pass over an (R, n+1) array, each value
     ``==`` to the call with that order alone; a scalar returns a float.
     A non-finite order raises `ValueError`, as the sum has no value there."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    a = _orders(alpha, finite=True)[..., None]
-    k = np.arange(n + 1)
-    log_beta = (
-        gammaln(k * a + 1.0)
-        + gammaln((n - k) * a + 1.0)
-        - gammaln(n * a + 2.0)
-    )
-    return _float_if_scalar(
-        np.exp(_logsumexp(_log_binom(n, k) + log_beta / a)))
+    return _float_if_scalar(np.exp(_bernoulli_pass(n, alpha, hellinger=False)[0]))
 
 
 def bernoulli_hellinger(n: int, p):
     """Moment form (p-1)*H_p + 1 of the order-p Hellinger dependence;
     ``p`` broadcasts as ``alpha`` does in `bernoulli_sibson`."""
+    return _float_if_scalar(np.exp(_bernoulli_pass(n, p, hellinger=True)[0]))
+
+
+def bernoulli_sibson_first_order(n: int, alpha) -> FirstOrder:
+    """I_alpha = alpha/(alpha-1) log S, S = `bernoulli_sibson` and its log
+    taken by libm, with the condition of the Sibson bound in the same
+    pass (`_bernoulli_pass`)."""
+    log_s, a, condition = _bernoulli_pass(n, alpha, hellinger=False, condition=True)
+    return FirstOrder(_float_if_scalar(a / (a - 1.0) * _libm(math.log, np.exp(log_s))),
+                      condition)
+
+
+def bernoulli_hellinger_first_order(n: int, p) -> FirstOrder:
+    """H_p = (M - 1)/(p - 1), M = `bernoulli_hellinger`, with the condition
+    of the Hellinger bound in the same pass (`_bernoulli_pass`)."""
+    log_m, p, condition = _bernoulli_pass(n, p, hellinger=True, condition=True)
+    return FirstOrder(_float_if_scalar((np.exp(log_m) - 1.0) / (p - 1.0)), condition)
+
+
+def _bernoulli_pass(n: int, order, hellinger: bool, condition: bool = False):
+    """log S (`bernoulli_sibson`) or log M (`bernoulli_hellinger`) at each
+    order theta: the logsumexp over k of log C(n,k) + log_beta/theta, or of
+    (theta-1) log(n+1) + theta log C(n,k) + log_beta, where log_beta =
+    log Gamma(k theta + 1) + log Gamma((n-k) theta + 1) - log Gamma(n theta + 2)
+    and the second term is the k-mirror of the first.  With ``condition``
+    also theta and the condition of the bound (`_order_condition`): D is
+    w log S, w = theta/(theta-1) or 1/(theta-1), so D' = -log S/(theta-1)^2
+    + w d log S, with d log S the softmax mean over k of the terms'
+    theta-derivatives, which take dlog_beta = k psi(k theta + 1)
+    + (n-k) psi((n-k) theta + 1) - n psi(n theta + 2)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    p = _orders(p, finite=True)[..., None]
+    a = _orders(order, finite=True)[..., None]
     k = np.arange(n + 1)
-    log_terms = (
-        (p - 1.0) * math.log(n + 1.0)
-        + p * _log_binom(n, k)
-        + gammaln(k * p + 1.0)
-        + gammaln((n - k) * p + 1.0)
-        - gammaln(n * p + 2.0)
-    )
-    return _float_if_scalar(np.exp(_logsumexp(log_terms)))
+    lg = gammaln(k * a + 1.0)
+    log_binom = _log_binom(n, k)
+    if hellinger:
+        terms = ((a - 1.0) * math.log(n + 1.0) + a * log_binom + lg + lg[..., ::-1]
+                 - gammaln(n * a + 2.0))
+    else:
+        log_beta = lg + lg[..., ::-1] - gammaln(n * a + 2.0)
+        terms = log_binom + log_beta / a
+    log_sum = _logsumexp(terms)
+    if not condition:
+        return log_sum, None, None
+    k_psi = k * psi(k * a + 1.0)
+    d_log_beta = k_psi + k_psi[..., ::-1] - n * psi(n * a + 2.0)
+    d_terms = (math.log(n + 1.0) + log_binom + d_log_beta if hellinger
+               else d_log_beta / a - log_beta / (a * a))
+    d_log_sum = np.sum(np.exp(terms - log_sum[..., None]) * d_terms, axis=-1)
+    a = a[..., 0]
+    d_prime = -log_sum / (a - 1.0) ** 2 + (1.0 if hellinger else a) / (a - 1.0) * d_log_sum
+    return log_sum, a, _libm(_order_condition, a, d_prime)
+
+
+def _order_condition(theta: float, d_prime: float) -> float:
+    """g = d log f/d log theta for the Sibson and Hellinger bounds f at the
+    order theta: under a linear L of slope c, log f = log t - (1 + 1/t)
+    log(1+t) - D(theta) - log c with t = (theta-1)/theta and D = I_alpha or
+    log M_p/(p-1), so g = theta [log(1+t)/(theta-1)^2 - D'] (-inf at D' = inf)."""
+    return theta * (math.log1p((theta - 1.0) / theta) / (theta - 1.0) ** 2 - d_prime)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -221,11 +264,13 @@ def _float_if_scalar(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def _libm(fn, orders: np.ndarray):
-    """``fn`` on each order as a Python float, so that each value is the
-    libm result of a scalar call; a 0-d array gives a float."""
-    return _float_if_scalar(np.array([fn(x) for x in orders.ravel().tolist()])
-                            .reshape(orders.shape))
+def _libm(fn, orders: np.ndarray, *more: np.ndarray):
+    """``fn`` on each order as a Python float (with the entries of ``more``
+    at that order after it), so that each value is the libm result of a
+    scalar call; a 0-d array gives a float."""
+    return _float_if_scalar(np.array(
+        [fn(*xs) for xs in zip(*(a.ravel().tolist() for a in (orders, *more)))]
+    ).reshape(orders.shape))
 
 
 def bernoulli_e_gamma_zeta(n: int, gamma: float, zeta: float) -> float:
@@ -481,6 +526,36 @@ def gaussian_hellinger(model: GaussianModel, p):
         return math.sqrt((1.0 + s) ** p / denom) if denom > 0.0 else math.inf
 
     return _libm(moment, _orders(p))
+
+
+def gaussian_sibson_first_order(model: GaussianModel, alpha) -> FirstOrder:
+    """`gaussian_sibson` with the condition of the Sibson bound
+    (`_order_condition`), D' = s/(2(1 + alpha s)), by libm per order."""
+    s = model.snr
+    return FirstOrder(gaussian_sibson(model, alpha), _libm(
+        lambda a: _order_condition(a, 0.5 * s / (1.0 + a * s)), _orders(alpha)))
+
+
+def gaussian_hellinger_first_order(model: GaussianModel, p) -> FirstOrder:
+    """H_p = (M - 1)/(p - 1), M the `gaussian_hellinger` moment, with the
+    condition of the Hellinger bound (`_order_condition`) by libm per
+    order: log M = (p log(1+s) - log(1 + (2-p) p s))/2, so
+    D' = -log M/(p-1)^2 + (log(1+s)/2 - (1-p) s/(1 + (2-p) p s))/(p-1),
+    and g = -inf (its limit) where M = +inf."""
+    s = model.snr
+
+    def d_prime(p):
+        denom = 1.0 + (2.0 - p) * p * s
+        if not denom > 0.0:
+            return math.inf
+        log_m = 0.5 * (p * math.log1p(s) - math.log(denom))
+        d_log_m = 0.5 * math.log1p(s) - (1.0 - p) * s / denom
+        return -log_m / (p - 1.0) ** 2 + d_log_m / (p - 1.0)
+
+    orders = _orders(p)
+    values = (gaussian_hellinger(model, orders) - 1.0) / (orders - 1.0)
+    return FirstOrder(_float_if_scalar(values),
+                      _libm(lambda p: _order_condition(p, d_prime(p)), orders))
 
 
 def gaussian_upper_bound(model: GaussianModel) -> float:

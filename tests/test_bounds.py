@@ -475,12 +475,21 @@ class TestOptimizeBound:
             callback = _per_point(lambda first, p: math.inf, None)
         grid = [1.5, 2.0, 8.0]
         res = B.optimize_bound(callback, "hellinger", {"p": grid}, L2)
-        # every point is vacuous with one evaluation, so the first grid point
-        # stays best through the grid and the Brent pass on [1.5, 2]
-        brent = brent_max(lambda x: 0.0, 1.5, 2.0, tol=1e-6)[2]
+        # every point is vacuous with one evaluation, and without a
+        # condition the first grid point stands
         assert res == B.BoundResult(0.0, 0.0, "hellinger", {"p": 1.5},
-                                    len(grid) + brent, vacuous=True,
-                                    path="grid+brent")
+                                    len(grid), vacuous=True, path="grid")
+
+
+    def test_falling_bracket_needs_a_finite_falling_end(self):
+        # a -inf condition (a bound falling without limit) counts as
+        # falling; the bracket's falling end must be finite, and a NaN or
+        # +inf condition anywhere leaves no bracket
+        xs = [0.0, 1.0, 2.0, 3.0]
+        assert B._falling_bracket(xs, [1.0, 0.5, -0.5, -math.inf], 1) == 1
+        assert B._falling_bracket(xs, [1.0, 0.5, -math.inf, -math.inf], 1) is None
+        assert B._falling_bracket(xs, [1.0, 0.5, -0.5, math.nan], 1) is None
+        assert B._falling_bracket(xs, [math.inf, 0.5, -0.5, -1.0], 1) is None
 
 
 def _per_point(kernel, first):
@@ -493,8 +502,8 @@ def _per_point(kernel, first):
 def _bound_at(method, callback, params, L):
     """The bound at one parameter point, from a call of length 1; 0 where
     the divergence is infinite."""
-    value = np.broadcast_to(callback(**{name: np.array([x])
-                                        for name, x in params.items()}), (1,))[0]
+    out = callback(**{name: np.array([x]) for name, x in params.items()})
+    value = np.broadcast_to(out.value if isinstance(out, B.FirstOrder) else out, (1,))[0]
     if value == math.inf:
         return 0.0
     if method == "sibson":
@@ -505,20 +514,20 @@ def _bound_at(method, callback, params, L):
 
 
 def _divergence(setting, n, method):
-    """The divergence callback of ``method`` at n, and the small-ball function."""
+    """The divergence callback of ``method`` at n, and the small-ball
+    function; the Sibson and Hellinger callbacks report their condition."""
     if setting == "bernoulli":
         callbacks = {
-            "sibson": lambda alpha: alpha / (alpha - 1.0)
-            * np.log(models.bernoulli_sibson(n, alpha)),
-            "hellinger": lambda p: (models.bernoulli_hellinger(n, p) - 1.0) / (p - 1.0),
+            "sibson": lambda alpha: models.bernoulli_sibson_first_order(n, alpha),
+            "hellinger": lambda p: models.bernoulli_hellinger_first_order(n, p),
             "egz": _per_point(models.bernoulli_e_gamma_zeta, n),
         }
         return callbacks[method], models.bernoulli_small_ball()
     g = models.GaussianModel(n, 1.0, 2.0)
     callbacks = {
-        "sibson": lambda alpha: models.gaussian_sibson(g, alpha),
+        "sibson": lambda alpha: models.gaussian_sibson_first_order(g, alpha),
         # +inf from p = 2 + 1/snr on
-        "hellinger": lambda p: (models.gaussian_hellinger(g, p) - 1.0) / (p - 1.0),
+        "hellinger": lambda p: models.gaussian_hellinger_first_order(g, p),
         "egz": lambda gamma, zeta: models.gaussian_e_gamma_zeta(g, gamma, zeta),
     }
     return callbacks[method], models.gaussian_small_ball(g)
@@ -538,7 +547,7 @@ def test_optimize_bound_dominates_its_grid(setting, n, method, orders, gammas, z
         grid = {"gamma": sorted(gammas), "zeta": sorted(zetas)}
     else:
         grid = {"alpha" if method == "sibson" else "p": sorted(orders)}
-    seen = []  # every point optimize_bound evaluates, on the grid or by Brent
+    seen = []  # every point optimize_bound evaluates, on the grid or by a root step
 
     def recorded(**params):
         seen.extend(dict(zip(params, values))
@@ -554,88 +563,6 @@ def test_optimize_bound_dominates_its_grid(setting, n, method, orders, gammas, z
     assert res.evaluations == len(seen)
     for params in seen:
         assert res.value >= _bound_at(method, callback, params, L)
-
-
-@settings(max_examples=100, deadline=None)
-@given(setting=st.sampled_from(["bernoulli", "gaussian"]), n=st.integers(1, 200),
-       sw2=st.floats(0.05, 20.0), s2=st.floats(0.05, 20.0),
-       zeta=st.floats(0.1, 4.0), ratio=st.floats(-4.0, 4.0).map(lambda x: 10.0 ** x))
-def test_hockey_stick_envelope_bounds_every_egz_bound(setting, n, sw2, s2, zeta, ratio):
-    # the envelope holds for any E >= 0; E = 0 is where the bound comes closest
-    gamma = ratio * zeta
-    if setting == "bernoulli":
-        e_value = models.bernoulli_e_gamma_zeta(n, gamma, zeta)
-        L = models.bernoulli_small_ball()
-    else:
-        g = models.GaussianModel(n, sw2, s2)
-        e_value = models.gaussian_e_gamma_zeta(g, gamma, zeta)
-        L = models.gaussian_small_ball(g)
-    envelope = B._hockey_stick_envelope(L.coefficient, gamma, zeta)
-    for value in (e_value, 0.0):
-        assert B.hockey_stick_bound(value, gamma, zeta, L).value <= envelope
-
-
-def _egz_search(setting, n):
-    """The CLI's --optimize egz search at n: callback, grid, small ball."""
-    if setting == "bernoulli":
-        return (lambda gamma, zeta: models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta),
-                {"gamma": cli.default_ratio_grid(), "zeta": [1.0]},
-                models.bernoulli_small_ball())
-    g = models.GaussianModel(n, 1.0, 2.0)
-    return (lambda gamma, zeta: models.gaussian_e_gamma_zeta(g, gamma, zeta),
-            {"gamma": cli.default_gamma_zeta_grid()[0], "zeta": [1.5]},
-            models.gaussian_small_ball(g))
-
-
-class TestOptimizeBoundFloor:
-    """A floor skips grid points whose envelope stays below it, and leaves
-    the value, the parameters and rho* exactly as they are without it."""
-
-    @pytest.mark.parametrize("setting", ["bernoulli", "gaussian"])
-    @pytest.mark.parametrize("n", [1, 10, 50])
-    def test_floor_leaves_the_result_unchanged(self, setting, n):
-        callback, grid, L = _egz_search(setting, n)
-        base = B.optimize_bound(callback, "egz", grid, L)
-        assert base.skipped == 0
-        assert B.optimize_bound(callback, "egz", grid, L, floor=0.0) == base
-        grid_values = callback(np.asarray(grid["gamma"]),
-                               np.full(len(grid["gamma"]), grid["zeta"][0]))
-        grid_max = max(B.hockey_stick_bound(v, x, grid["zeta"][0], L).value
-                       for v, x in zip(grid_values, grid["gamma"]))
-        calls = []
-
-        def counted(gamma, zeta):
-            calls.append(gamma.size)
-            return callback(gamma, zeta)
-
-        for floor in (grid_max, 2.0 * base.value):
-            calls.clear()
-            res = B.optimize_bound(counted, "egz", grid, L, floor=floor)
-            assert (res.value, res.params, res.rho_star) == \
-                (base.value, base.params, base.rho_star)
-            # the Brent path is the same, so evals + skipped is the old count
-            assert res.evaluations + res.skipped == base.evaluations
-            size = len(grid["gamma"])
-            if floor == grid_max:  # one grid call, on the survivors only
-                assert 0 < res.skipped < size
-                assert calls[0] == size - res.skipped
-            else:  # nothing reaches the floor: the skipped points follow
-                assert res == base
-                grid_calls = calls[:len(calls) - (base.evaluations - size)]
-                assert len(grid_calls) <= 2 and sum(grid_calls) == size
-
-    def test_single_point_grid_is_never_skipped(self):
-        callback, _, L = _egz_search("bernoulli", 5)
-        grid = {"gamma": [3.0], "zeta": [1.5]}
-        base = B.optimize_bound(callback, "egz", grid, L)
-        assert B.optimize_bound(callback, "egz", grid, L, floor=math.inf) == base
-
-    def test_methods_without_an_envelope_skip_nothing(self):
-        grid = {"alpha": [1.5, 2.0, 4.0]}
-        callback = lambda alpha: alpha / (alpha - 1.0) \
-            * np.log(models.bernoulli_sibson(4, alpha))
-        base = B.optimize_bound(callback, "sibson", grid, L2)
-        assert B.optimize_bound(callback, "sibson", grid, L2, floor=1.0) == base
 
 
 class TestSibsonDominatesHellinger:

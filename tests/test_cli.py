@@ -1,5 +1,6 @@
 """Command-line behaviour: schemas, determinism, exit codes, validation."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbounds import bounds, cli, models, oracle, validate
+from riskbounds.quadrature import brent_max
 
 
 class TestParsing:
@@ -240,7 +242,6 @@ class TestBernoulliCommand:
         evals = {name: entry["evals"] for name, entry in point.items()}
         assert set(evals.values()) == {1}
         assert {entry["path"] for entry in point.values()} == {"fixed"}
-        assert {entry["skipped"] for entry in point.values()} == {0}
 
     def test_row_values_match_direct_computation(self, tmp_path):
         out = tmp_path / "one.csv"
@@ -269,14 +270,15 @@ class TestOptimizedRuns:
         sidecar = json.loads((tmp_path / "opt.csv.params.json").read_text())
         egz = sidecar["points"]["1"]["egz"]
         assert egz["zeta"] == 1.0 and egz["gamma"] > 0.0  # (t*, 1)
-        # the 95 ratios plus the root steps of the first-order condition;
-        # `evals` counts only the ratios evaluated, `skipped` those whose
-        # envelope stays below the row's best other bound
+        # the 95 ratios plus the root steps of the first-order condition
         ratios = cli.default_ratio_grid().size
         assert egz["path"] == "root"
-        assert 0 < egz["skipped"] < ratios
-        assert ratios < egz["evals"] + egz["skipped"] <= ratios + 5
-        assert sidecar["points"]["1"]["sibson"]["evals"] > len(cli.default_alpha_grid())
+        assert ratios < egz["evals"] <= ratios + 5
+        orders = len(cli.default_alpha_grid())
+        for method in ("sibson", "hellinger"):
+            entry = sidecar["points"]["1"][method]
+            assert entry["path"] == "root"
+            assert orders < entry["evals"] <= orders + 6
 
     def test_bernoulli_one_flip_is_exact(self, tmp_path):
         # at n = 1, P(R_t) + t Q(R_t) = 1 holds at t* = 4/3, where the bound
@@ -304,7 +306,7 @@ class TestOptimizedRuns:
     def test_gaussian_batched_grid_equals_scalar_search(self, n):
         # the egz column's one batched call per grid and a search that
         # calls the kernel once per point agree on the root path, and
-        # grid + Brent without the condition is the oracle of its value
+        # grid + Brent is the oracle of its value
         args = cli.build_parser().parse_args(["gaussian", "--optimize"])
         model = cli.GAUSSIAN.model(n, args)
         L = cli.GAUSSIAN.small_ball(model)
@@ -317,16 +319,12 @@ class TestOptimizedRuns:
             return bounds.FirstOrder([c.value for c in calls],
                                      [c.condition for c in calls])
 
-        def values_only(gamma, zeta):
-            return models.gaussian_e_gamma_zeta(model, gamma, zeta)
-
         scalar = bounds.optimize_bound(per_point, "egz", grid, L)
         batched = bounds.optimize_bound(functools.partial(column.divergence, model),
                                         "egz", grid, L)
         assert batched == scalar and batched.path == "root"
         assert cli._column_bound(column, model, L, cli._column_grid(column, args)) == scalar
-        oracle = bounds.optimize_bound(values_only, "egz", grid, L)
-        assert oracle.path == "grid+brent"
+        oracle = grid_and_brent(per_point, "egz", grid, L)
         assert abs(batched.value - oracle.value) <= 1e-14 * oracle.value
         assert batched.evaluations < oracle.evaluations
 
@@ -349,7 +347,40 @@ def _egz_search(setting, argv, n):
 
 
 def _values_only(callback):
-    return lambda **params: callback(**params).value
+    """``callback`` without its first-order condition."""
+    def values(**params):
+        out = callback(**params)
+        return out.value if isinstance(out, bounds.FirstOrder) else out
+    return values
+
+
+def grid_and_brent(callback, method, grid, L):
+    """The oracle of the root path: the grid maximum, then Brent's method
+    (`quadrature.brent_max`, tol=1e-6) in each searched parameter between
+    the grid neighbours of the best point, the other parameters held
+    there, as `bounds.optimize_bound` refined before the root path served
+    every searched column.  Returns the best bound of every point
+    evaluated, with ``evaluations`` counting them all."""
+    values = _values_only(callback)
+    best = bounds.optimize_bound(values, method, grid, L)  # the grid maximum
+    evals = best.evaluations
+    for name in sorted(grid):
+        g = np.sort(np.asarray(grid[name], dtype=float))
+        if g.size < 2:
+            continue
+        i = int(np.searchsorted(g, best.params[name]))
+        fixed = {key: [value] for key, value in best.params.items()}
+
+        def h(x, name=name, fixed=fixed):
+            nonlocal best, evals
+            found = bounds.optimize_bound(values, method, dict(fixed, **{name: [x]}), L)
+            evals += found.evaluations
+            if found.value > best.value:
+                best = found
+            return found.value
+
+        brent_max(h, g[max(i - 1, 0)], g[min(i + 1, g.size - 1)], tol=1e-6)
+    return dataclasses.replace(best, evaluations=evals, path="grid+brent")
 
 
 _variance = st.floats(0.1, 10.0).map(str)
@@ -361,7 +392,7 @@ _variance = st.floats(0.1, 10.0).map(str)
 def test_egz_root_path_matches_grid_and_brent(name, n, sigma_w2, sigma2):
     # the root of the first-order condition is taken exactly when the
     # condition falls through 0 once over the grid, and reaches what grid +
-    # Brent without the condition finds
+    # Brent finds; elsewhere the grid maximum stands
     setting = cli.SETTINGS[name]
     argv = ["--sigma-w2", sigma_w2, "--sigma2", sigma2] if name == "gaussian" else []
     callback, grid, L = _egz_search(setting, argv, n)
@@ -372,22 +403,22 @@ def test_egz_root_path_matches_grid_and_brent(name, n, sigma_w2, sigma2):
         return callback(**params)
 
     res = bounds.optimize_bound(counted, "egz", grid, L)
-    oracle = bounds.optimize_bound(_values_only(callback), "egz", grid, L)
-    assert oracle.path == "grid+brent"
-    assert res.value >= oracle.value * (1.0 - 1e-14)
+    assert res.value >= grid_and_brent(callback, "egz", grid, L).value * (1.0 - 1e-14)
     gammas = np.asarray(grid["gamma"])
     rises = np.asarray(callback(gamma=gammas, zeta=np.full(gammas.size, grid["zeta"][0]))
                        .condition) > 0.0
     once = bool(rises[0]) and np.count_nonzero(rises[1:] != rises[:-1]) == 1
-    assert res.path == ("root" if once else "grid+brent")
+    assert res.path == ("root" if once else "grid")
+    if not once:
+        assert res == bounds.optimize_bound(_values_only(callback), "egz", grid, L)
     # one call for the grid, then one call of length 1 per step
     assert calls[0] == gammas.size and set(calls[1:]) <= {1}
     assert res.evaluations == sum(calls)
 
 
 class TestRootFallbacks:
-    """Where the root path does not apply, grid + Brent runs as it does
-    for a callback without the condition."""
+    """Where the root path does not apply, the grid maximum stands, as it
+    does for a callback without the condition."""
 
     @pytest.mark.parametrize("signs", [
         pytest.param([1, 1, -1, 1], id="two-changes"),
@@ -408,8 +439,71 @@ class TestRootFallbacks:
             return bounds.FirstOrder(out.value, np.array(signs, dtype=float), out.slope)
 
         res = bounds.optimize_bound(crafted, "egz", grid, L)
-        assert res.path == "grid+brent"
+        assert res.path == "grid"
         assert res == bounds.optimize_bound(_values_only(callback), "egz", grid, L)
+        values = callback(gamma=np.asarray(grid["gamma"]), zeta=np.ones(4)).value
+        assert res.value == max(bounds.hockey_stick_bound(v, x, 1.0, L).value
+                                for v, x in zip(values, grid["gamma"]))
+        assert res.evaluations == 4
+
+
+def _column_search(setting, argv, n, method):
+    """The ``method`` column of ``setting`` under --optimize at n: its
+    callback, its grid and the small-ball function."""
+    args = cli.build_parser().parse_args([setting.name, "--optimize", *argv])
+    model = setting.model(n, args)
+    column = next(c for c in setting.columns if c.method == method)
+    return (functools.partial(column.divergence, model), cli._column_grid(column, args),
+            setting.small_ball(model))
+
+
+@pytest.mark.parametrize("method", ["sibson", "hellinger", "egz"])
+def test_bernoulli_root_path_reaches_grid_and_brent(method):
+    # at every n of 1..200 and at 500 each searched column takes the root
+    # path, and its value is at least what grid + Brent finds
+    for n in [*range(1, 201), 500]:
+        callback, grid, L = _column_search(cli.BERNOULLI, [], n, method)
+        res = bounds.optimize_bound(callback, method, grid, L)
+        assert res.path == "root", n
+        oracle = grid_and_brent(callback, method, grid, L)
+        assert res.value >= oracle.value * (1.0 - 1e-12), (n, res, oracle)
+
+
+_log_variance = st.floats(-1.0, 1.0).map(lambda x: str(10.0 ** x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 500), sigma_w2=_log_variance, sigma2=_log_variance)
+def test_gaussian_root_path_reaches_grid_and_brent(n, sigma_w2, sigma2):
+    # the Sibson and Hellinger orders always have their optimum inside the
+    # grid; the egz ratio may lie beyond gamma = 32, where the grid end stands
+    for method in ("sibson", "hellinger", "egz"):
+        callback, grid, L = _column_search(
+            cli.GAUSSIAN, ["--sigma-w2", sigma_w2, "--sigma2", sigma2], n, method)
+        res = bounds.optimize_bound(callback, method, grid, L)
+        assert res.path == "root" or method == "egz"
+        oracle = grid_and_brent(callback, method, grid, L)
+        assert res.value >= oracle.value * (1.0 - 1e-12), (method, res, oracle)
+
+
+def test_gaussian_hellinger_root_beside_infinite_moments():
+    # at n = 50 the moment is +inf from p = 2.04 on, and the condition -inf
+    callback, grid, L = _column_search(cli.GAUSSIAN, [], 50, "hellinger")
+    out = callback(p=np.asarray(grid["p"]))
+    infinite = np.asarray(out.value) == math.inf
+    assert 0 < np.count_nonzero(infinite) < infinite.size
+    assert np.all(np.asarray(out.condition)[infinite] == -math.inf)
+    near = [1.4530256619384359, 1.5669461259901696, 1.7095136915642142]
+    # the default grid; then the bracket (the last two of ``near``) with an
+    # infinite outer neighbour, which the first root step leaves out
+    for orders in (grid["p"], near + [3.0]):
+        res = bounds.optimize_bound(callback, "hellinger", {"p": orders}, L)
+        assert res.path == "root"
+        oracle = grid_and_brent(callback, "hellinger", {"p": orders}, L)
+        assert res.value >= oracle.value * (1.0 - 1e-12)
+    # a bracket whose falling end is -inf is no bracket: the grid maximum stands
+    res = bounds.optimize_bound(callback, "hellinger", {"p": near[:2] + [3.0]}, L)
+    assert res.path == "grid" and res.params == {"p": near[1]}
 
 
 _SEARCHED = {f"{setting.name}-{column.method}": (setting, column)

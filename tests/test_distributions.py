@@ -97,8 +97,11 @@ class TestDivergenceSpec:
     (DivergenceKind.E_GAMMA_ZETA, {"gamma": 1.0, "zeta": math.nan}),
 ], ids=["renyi", "sibson", "hellinger", "gamma", "zeta"])
 def test_divergence_spec_rejects_a_nan_parameter(kind, params):
-    with pytest.raises(ValueError):
-        DivergenceSpec(kind, **params)
+    # an infinite parameter is rejected as NaN is
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DivergenceSpec(kind, **{name: bad if math.isnan(value) else value
+                                    for name, value in params.items()})
 
 
 class TestMixedJoint:

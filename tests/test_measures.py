@@ -132,11 +132,13 @@ PARAMETER_CHECKS = {
 
 @pytest.mark.parametrize("name", sorted(PARAMETER_CHECKS))
 def test_nan_parameter_raises(name):
-    # NaN fails every range check: it must not come back as
-    # max(0, nan) = 0, which reads as independence
+    # NaN and +inf fail every range check: neither may come back as the
+    # max(0, nan) = 0 that inf*0 or inf-inf leave, which reads as
+    # independence
     call, error = PARAMETER_CHECKS[name]
-    with pytest.raises(error):
-        call(math.nan)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(error):
+            call(bad)
 
 
 class TestMaximalLeakage:

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate
@@ -788,6 +788,70 @@ class TestFirstOrderCondition:
         assert out.condition[0] == 0.0 and out.condition[1] != 0.0
         if setting == "bernoulli":
             assert out.slope[0] == 0.0
+
+
+_variance = st.floats(-1.0, 1.0).map(lambda x: 10.0 ** x)
+
+
+class TestOrderCondition:
+    """The first-order kernels of the Sibson and Hellinger columns: their
+    values against the plain kernels, and their condition
+    g = d log f / d log theta against differences of the log of the bound."""
+
+    STEP = 1e-4  # the step in log theta of the five-point differences
+
+    @staticmethod
+    def _kernels(setting, method, n, sw2, s2):
+        """The first-order kernel and the plain divergence at each order."""
+        if setting == "bernoulli":
+            if method == "sibson":
+                return (lambda a: models.bernoulli_sibson_first_order(n, a),
+                        lambda a: a / (a - 1.0) * math.log(models.bernoulli_sibson(n, a)))
+            return (lambda p: models.bernoulli_hellinger_first_order(n, p),
+                    lambda p: (models.bernoulli_hellinger(n, p) - 1.0) / (p - 1.0))
+        g = models.GaussianModel(n, sw2, s2)
+        if method == "sibson":
+            return (lambda a: models.gaussian_sibson_first_order(g, a),
+                    lambda a: models.gaussian_sibson(g, a))
+        return (lambda p: models.gaussian_hellinger_first_order(g, p),
+                lambda p: (models.gaussian_hellinger(g, p) - 1.0) / (p - 1.0))
+
+    @pytest.mark.parametrize("setting", ["bernoulli", "gaussian"])
+    @pytest.mark.parametrize("method", ["sibson", "hellinger"])
+    @pytest.mark.parametrize("n", [1, 7, 50, 200])
+    def test_values_equal_the_plain_kernels(self, setting, method, n):
+        kernel, plain = self._kernels(setting, method, n, 1.0, 2.0)
+        orders = 1.0 + np.geomspace(1e-2, 63.0, 40)
+        out = kernel(orders)
+        assert isinstance(out, bounds.FirstOrder) and out.slope is None
+        assert out.value.tolist() == [plain(x) for x in orders.tolist()]
+        single = kernel(orders[7])
+        assert type(single.value) is float and type(single.condition) is float
+
+    @settings(max_examples=150, deadline=None)
+    @given(setting=st.sampled_from(["bernoulli", "gaussian"]),
+           method=st.sampled_from(["sibson", "hellinger"]), n=st.integers(1, 200),
+           sw2=_variance, s2=_variance, theta=st.floats(1.01, 64.0))
+    def test_condition_matches_the_differences_of_the_log_bound(
+            self, setting, method, n, sw2, s2, theta):
+        kernel, _ = self._kernels(setting, method, n, sw2, s2)
+        bound = bounds.sibson_bound if method == "sibson" else bounds.hellinger_bound
+        L = bounds.SmallBallFn(2.0)  # its slope only shifts log f
+
+        def log_bound(x):
+            order = math.exp(x)
+            value = kernel(np.array([order])).value[0]
+            return -math.inf if value == math.inf else math.log(bound(value, order, L).value)
+
+        g = kernel(np.array([theta])).condition[0]
+        if kernel(np.array([theta])).value[0] == math.inf:
+            assert g == -math.inf  # the limit where the moment diverges
+            return
+        x, h = math.log(theta), self.STEP
+        f = [log_bound(x + k * h) for k in (-2, -1, 1, 2)]
+        assume(all(map(math.isfinite, f)))
+        expected = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+        assert abs(g - expected) <= 1e-6 * (1.0 + abs(g)), (g, expected)
 
 
 class TestNoisyBernoulli:
