@@ -165,11 +165,6 @@ def _bernoulli_hellinger(model, p: np.ndarray) -> bounds.FirstOrder:
     return models.bernoulli_hellinger_first_order(model.n, p)
 
 
-def _bernoulli_e_gamma_zeta(model, gamma: np.ndarray,
-                            zeta: np.ndarray) -> bounds.FirstOrder:
-    return models.bernoulli_e_gamma_zeta_batch(model.n, gamma, zeta, condition=True)
-
-
 BERNOULLI = Setting(
     name="bernoulli",
     help="uniform-prior Bernoulli bias",
@@ -186,7 +181,10 @@ BERNOULLI = Setting(
         Column("hellinger", _bernoulli_hellinger, ("p",), _alpha_grid("p")),
         # the bound depends on gamma/zeta alone (linear L), so --optimize
         # searches the ratio with zeta = 1
-        Column("egz", _bernoulli_e_gamma_zeta, ("gamma", "zeta"),
+        Column("egz",
+               lambda model, gamma, zeta:
+                   models.bernoulli_e_gamma_zeta_batch(model.n, gamma, zeta),
+               ("gamma", "zeta"),
                lambda args: {"gamma": default_ratio_grid(), "zeta": [1.0]}),
     ),
     defaults={"alpha": 2.0, "p": 2.0, "gamma": 3.0, "zeta": 1.5},
@@ -225,8 +223,7 @@ GAUSSIAN = Setting(
         # the figure protocol: gamma optimized, zeta held at its flag; the
         # kernel integrates a whole array of gammas in one quadrature pass
         Column("egz",
-               lambda model, gamma, zeta:
-                   models.gaussian_e_gamma_zeta(model, gamma, zeta, condition=True),
+               lambda model, gamma, zeta: models.gaussian_e_gamma_zeta(model, gamma, zeta),
                ("gamma", "zeta"),
                lambda args: {"gamma": default_gamma_zeta_grid()[0],
                              "zeta": [args.zeta]}),

@@ -149,10 +149,6 @@ class MarkovKernel:
     def n_inputs(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_outputs(self) -> int:
-        return self.matrix.shape[1]
-
     def push(self, weights) -> np.ndarray:
         """Output distribution of the channel fed with ``weights``."""
         w = weights.weights if isinstance(weights, DiscreteDistribution) else _as_weights(weights)

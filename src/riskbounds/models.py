@@ -28,11 +28,8 @@ __all__ = [
     "HideAndSeekBounds",
     "bernoulli_small_ball",
     "bernoulli_ml",
-    "bernoulli_sibson",
-    "bernoulli_hellinger",
     "bernoulli_sibson_first_order",
     "bernoulli_hellinger_first_order",
-    "bernoulli_e_gamma_zeta",
     "bernoulli_e_gamma_zeta_batch",
     "bernoulli_mutual_information",
     "bernoulli_upper_bound",
@@ -41,8 +38,6 @@ __all__ = [
     "noisy_bernoulli_bound",
     "noisy_bernoulli_upper_bound",
     "gaussian_small_ball",
-    "gaussian_sibson",
-    "gaussian_hellinger",
     "gaussian_sibson_first_order",
     "gaussian_hellinger_first_order",
     "gaussian_e_gamma_zeta",
@@ -124,7 +119,7 @@ class HideAndSeekModel:
 # Bernoulli bias with uniform prior
 # ----------------------------------------------------------------------
 
-def bernoulli_small_ball(model: BernoulliUniformModel | None = None) -> SmallBallFn:
+def bernoulli_small_ball() -> SmallBallFn:
     """L(rho) = min(2*rho, 1) for the uniform prior under absolute loss."""
     return SmallBallFn(2.0)
 
@@ -151,45 +146,34 @@ def bernoulli_ml(n: int) -> MlValue:
     return MlValue(exact=float(exact), upper=upper)
 
 
-def bernoulli_sibson(n: int, alpha):
-    """Exponential form of the order-alpha dependence: returns
-    exp(((alpha-1)/alpha) * I_alpha), a Gamma-ratio sum over weights.
-    An array of R orders is one pass over an (R, n+1) array, each value
-    ``==`` to the call with that order alone; a scalar returns a float.
-    A non-finite order raises `ValueError`, as the sum has no value there."""
-    return _float_if_scalar(np.exp(_bernoulli_pass(n, alpha, hellinger=False)[0]))
-
-
-def bernoulli_hellinger(n: int, p):
-    """Moment form (p-1)*H_p + 1 of the order-p Hellinger dependence;
-    ``p`` broadcasts as ``alpha`` does in `bernoulli_sibson`."""
-    return _float_if_scalar(np.exp(_bernoulli_pass(n, p, hellinger=True)[0]))
-
-
 def bernoulli_sibson_first_order(n: int, alpha) -> FirstOrder:
-    """I_alpha = alpha/(alpha-1) log S, S = `bernoulli_sibson` and its log
-    taken by libm, with the condition of the Sibson bound in the same
-    pass (`_bernoulli_pass`)."""
-    log_s, a, condition = _bernoulli_pass(n, alpha, hellinger=False, condition=True)
+    """Sibson's I_alpha = alpha/(alpha-1) log S of bias and weight, S a
+    Gamma-ratio sum over weights and its log taken by libm, with the
+    condition of the Sibson bound from the same pass (`_bernoulli_pass`).
+    An array of R orders is one pass over an (R, n+1) array, each entry
+    ``==`` to the call with that order alone; a scalar returns floats.
+    A non-finite order raises `ValueError`, as the sum has no value there."""
+    log_s, a, condition = _bernoulli_pass(n, alpha, hellinger=False)
     return FirstOrder(_float_if_scalar(a / (a - 1.0) * _libm(math.log, np.exp(log_s))),
                       condition)
 
 
 def bernoulli_hellinger_first_order(n: int, p) -> FirstOrder:
-    """H_p = (M - 1)/(p - 1), M = `bernoulli_hellinger`, with the condition
-    of the Hellinger bound in the same pass (`_bernoulli_pass`)."""
-    log_m, p, condition = _bernoulli_pass(n, p, hellinger=True, condition=True)
+    """H_p = (M - 1)/(p - 1) of bias and weight, M a Gamma-ratio sum, with
+    the condition of the Hellinger bound from the same pass; ``p``
+    broadcasts as ``alpha`` does in `bernoulli_sibson_first_order`."""
+    log_m, p, condition = _bernoulli_pass(n, p, hellinger=True)
     return FirstOrder(_float_if_scalar((np.exp(log_m) - 1.0) / (p - 1.0)), condition)
 
 
-def _bernoulli_pass(n: int, order, hellinger: bool, condition: bool = False):
-    """log S (`bernoulli_sibson`) or log M (`bernoulli_hellinger`) at each
-    order theta: the logsumexp over k of log C(n,k) + log_beta/theta, or of
+def _bernoulli_pass(n: int, order, hellinger: bool):
+    """log S (Sibson) or log M (Hellinger) at each order theta, theta, and
+    the condition of the bound (`_order_condition`).  log S and log M are
+    the logsumexp over k of log C(n,k) + log_beta/theta, or of
     (theta-1) log(n+1) + theta log C(n,k) + log_beta, where log_beta =
     log Gamma(k theta + 1) + log Gamma((n-k) theta + 1) - log Gamma(n theta + 2)
-    and the second term is the k-mirror of the first.  With ``condition``
-    also theta and the condition of the bound (`_order_condition`): D is
-    w log S, w = theta/(theta-1) or 1/(theta-1), so D' = -log S/(theta-1)^2
+    and the second term is the k-mirror of the first.  D is w log S,
+    w = theta/(theta-1) or 1/(theta-1), so D' = -log S/(theta-1)^2
     + w d log S, with d log S the softmax mean over k of the terms'
     theta-derivatives, which take dlog_beta = k psi(k theta + 1)
     + (n-k) psi((n-k) theta + 1) - n psi(n theta + 2)."""
@@ -206,8 +190,6 @@ def _bernoulli_pass(n: int, order, hellinger: bool, condition: bool = False):
         log_beta = lg + lg[..., ::-1] - gammaln(n * a + 2.0)
         terms = log_binom + log_beta / a
     log_sum = _logsumexp(terms)
-    if not condition:
-        return log_sum, None, None
     k_psi = k * psi(k * a + 1.0)
     d_log_beta = k_psi + k_psi[..., ::-1] - n * psi(n * a + 2.0)
     d_terms = (math.log(n + 1.0) + log_binom + d_log_beta if hellinger
@@ -249,12 +231,12 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orders(order, least: float = 1.0, finite: bool = False) -> np.ndarray:
-    """``order`` as a float64 array, each entry above ``least`` and, if
-    ``finite``, below +inf (NaN fails both checks)."""
+def _orders(order, finite: bool = False) -> np.ndarray:
+    """``order`` as a float64 array, each entry above 1 and, if ``finite``,
+    below +inf (NaN fails both checks)."""
     order = np.asarray(order, dtype=float)
-    if not np.all(order > least):
-        raise ValueError(f"order must exceed {least:g}")
+    if not np.all(order > 1.0):
+        raise ValueError("order must exceed 1")
     if finite and not np.all(order < math.inf):
         raise ValueError("order must be finite")
     return order
@@ -273,30 +255,6 @@ def _libm(fn, orders: np.ndarray, *more: np.ndarray):
     ).reshape(orders.shape))
 
 
-def bernoulli_e_gamma_zeta(n: int, gamma: float, zeta: float) -> float:
-    """Hockey-stick dependence of bias and weight, by exact interval algebra:
-    the one-pair call of `bernoulli_e_gamma_zeta_batch`.
-
-    The density ratio at weight k is the Beta(k+1, n-k+1) pdf, which is
-    unimodal, so {ratio >= t}, t = gamma/zeta, is an interval around the
-    mode k/n; the integral over it reduces to regularized incomplete Beta
-    values.  The pdf of weight n-k at w is that of weight k at 1-w, so the
-    interval of n-k mirrors that of k, with the same mass and length: only
-    k = 0..floor(n/2) are computed, each counted twice except k = n/2.  In
-    s = logit(w) the log ratio log_norm + k*s - n*log(1 + e^s) is concave,
-    so Newton's method started outside an end (s = -40 for the left end,
-    +40 for the right) walks to it from outside without overshooting; each
-    end stops on its own once its step falls to 1e-9 * (1 + |s|), an end
-    still moving after 60 steps raises `ArithmeticError`, and an end stays
-    at 0 or 1 where the ratio there already reaches t.  The value is
-    zeta*H(t) - max(0, zeta - gamma) with H(t) = sum max(0, p - t*q), so
-    scaling gamma and zeta scales it.  The generic quadrature path
-    (measures.e_gamma_zeta on the sufficient joint) computes the same
-    number and serves as its oracle in tests.
-    """
-    return bernoulli_e_gamma_zeta_batch(n, [float(gamma)], [float(zeta)])[0]
-
-
 # The Newton search for the interval ends in s = logit(w): it starts at
 # +-_LOGIT_EDGE and never leaves that window (an end beyond it stays on it),
 # an end stops once its step is at most _NEWTON_TOL * (1 + |s|), and an end
@@ -306,20 +264,35 @@ _NEWTON_TOL = 1e-9
 _NEWTON_CAP = 60
 
 
-def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta, condition: bool = False):
-    """`bernoulli_e_gamma_zeta` at each of R (gamma, zeta) pairs in one
-    pass: the ends of pair r are a (2, floor(n/2)+1) block of one array,
-    and each end runs its own Newton steps and stops on its own, so
-    element r is ``==`` to the call with that pair alone.
+def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta) -> FirstOrder:
+    """Hockey-stick dependence of bias and weight at each of R (gamma, zeta)
+    pairs, by exact interval algebra, with the first-order condition of the
+    E_{gamma,zeta} bound and its slope from the same pass.
 
-    With ``condition``, the same pass also gives the first-order condition
-    of the E_{gamma,zeta} bound (see `bounds.FirstOrder`): with P(R_t)
-    the summed masses and Q(R_t) the summed lengths over (n+1), g(t) =
+    The density ratio at weight k is the Beta(k+1, n-k+1) pdf, which is
+    unimodal, so {ratio >= t}, t = gamma/zeta, is an interval around the
+    mode k/n; the integral over it reduces to regularized incomplete Beta
+    values.  The pdf of weight n-k at w is that of weight k at 1-w, so the
+    interval of n-k mirrors that of k, with the same mass and length: only
+    k = 0..floor(n/2) are computed, each counted twice except k = n/2.  The
+    ends are Newton steps in s = logit(w) (`_logit_ends`), and an end stays
+    at 0 or 1 where the ratio there already reaches t.  The value is
+    zeta*H(t) - max(0, zeta - gamma) with H(t) = sum max(0, p - t*q), so
+    scaling gamma and zeta scales it.  The generic quadrature path
+    (measures.e_gamma_zeta on the sufficient joint) computes the same
+    number and serves as its oracle in tests.
+
+    ``gamma`` and ``zeta`` broadcast against each other, and ``value`` is
+    a list of R floats.  The ends of pair r are a (2, floor(n/2)+1) block
+    of one array, and each end stops on its own, so entry r is ``==`` to
+    the call with that pair alone.
+
+    The condition (see `bounds.FirstOrder`): with P(R_t) the summed
+    masses and Q(R_t) the summed lengths over (n+1), g(t) =
     P(R_t) + t Q(R_t) - 1 and dg/d log t = t Q + 2 t dQ/d log t.  An end
     moves at d(end)/d log t = 1/l_k'(end), l_k'(w) = k/w - (n-k)/(1-w);
     an end pinned at 0 or 1 does not move.  A pair with gamma = 0 has
-    g = 0 and slope 0 (R_0 is everything).  The values are then the
-    ``value`` of a `bounds.FirstOrder`, still ``==`` to those without."""
+    value 0, g = 0 and slope 0 (R_0 is everything)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     pairs, _ = _gamma_zeta_pairs(gamma, zeta)
@@ -355,8 +328,6 @@ def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta, condition: bool = False):
         # rounded sum keeps its rounding out of the difference below
         total = math.fsum(row.tolist()) / (n + 1.0)
         values[r] = max(0.0, total - max(0.0, pairs[r][1] - pairs[r][0]))
-    if not condition:
-        return values
 
     # an end at the mode moves infinitely fast; pinned ends are masked out
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -372,7 +343,7 @@ def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta, condition: bool = False):
 
 
 def _logit_ends(n: int, k, log_norm, log_t, right) -> np.ndarray:
-    """The s = logit(w) at which the log ratio l(s) = log_norm + k*s
+    """The s = logit(w) at which the concave log ratio l(s) = log_norm + k*s
     - n*log(1 + e^s) of weight k falls to log_t, left of the mode or,
     where ``right``, right of it; all arguments are flat arrays of one end
     each.  Each end moves only inward, from +-_LOGIT_EDGE towards the mode,
@@ -463,7 +434,7 @@ def _log_binom(n, k):
 def noisy_bernoulli_bound(model: NoisyBernoulliModel, p: float = 2.0) -> BoundResult:
     """Contraction-refined Hellinger bound for privatized flips.
 
-    Composes the clean-sample moment, the operator-convex BSC contraction
+    Composes the clean-sample H_p, the operator-convex BSC contraction
     constant eta = (1 - 2*lam)^2, and the Hellinger bound at eta*H_p.
     Restricted to 1 < p <= 2 where eta is exact.  As the paper's formula
     does, eta contracts the n-sample divergence, which holds only for a product
@@ -473,8 +444,7 @@ def noisy_bernoulli_bound(model: NoisyBernoulliModel, p: float = 2.0) -> BoundRe
     """
     if not 1.0 < p <= 2.0:
         raise ValueError("contraction constant is only exact for 1 < p <= 2")
-    moment = bernoulli_hellinger(model.n, p)
-    h_p = (moment - 1.0) / (p - 1.0)
+    h_p = bernoulli_hellinger_first_order(model.n, p).value
     eta = sdpi.eta_operator_convex_bsc(model.lam)
     return sdpi_bound(h_p, eta, "hellinger", bernoulli_small_ball(), p=p)
 
@@ -501,61 +471,48 @@ def gaussian_small_ball(model: GaussianModel) -> SmallBallFn:
     return SmallBallFn(math.sqrt(2.0 / (model.sigma_w_sq * math.pi)))
 
 
-def gaussian_sibson(model: GaussianModel, alpha):
-    """I_alpha = 0.5 * log(1 + alpha * n * sigma_W^2 / sigma^2); ``alpha``
-    broadcasts, and a scalar returns a float."""
-    s = model.snr
-    return _libm(lambda a: 0.5 * math.log1p(a * s), _orders(alpha, least=0.0))
-
-
 def gaussian_mutual_information(model: GaussianModel) -> float:
-    return gaussian_sibson(model, 1.0)
-
-
-def gaussian_hellinger(model: GaussianModel, p):
-    """Moment form (p-1)*H_p + 1 = sqrt((1+s)^p / (1 + (2-p)*p*s)).
-
-    ``s`` is the n-sample signal-to-noise ratio.  The moment is +inf
-    where the denominator is non-positive (it diverges outside that
-    region); ``p`` broadcasts, and a scalar returns a float.
-    """
-    s = model.snr
-
-    def moment(p):
-        denom = 1.0 + (2.0 - p) * p * s
-        return math.sqrt((1.0 + s) ** p / denom) if denom > 0.0 else math.inf
-
-    return _libm(moment, _orders(p))
+    return 0.5 * math.log1p(model.snr)
 
 
 def gaussian_sibson_first_order(model: GaussianModel, alpha) -> FirstOrder:
-    """`gaussian_sibson` with the condition of the Sibson bound
-    (`_order_condition`), D' = s/(2(1 + alpha s)), by libm per order."""
+    """Sibson's I_alpha = 0.5 * log(1 + alpha * n * sigma_W^2 / sigma^2),
+    with the condition of the Sibson bound (`_order_condition`),
+    D' = s/(2(1 + alpha s)), both by libm per order; ``alpha`` broadcasts,
+    and a scalar returns floats."""
     s = model.snr
-    return FirstOrder(gaussian_sibson(model, alpha), _libm(
-        lambda a: _order_condition(a, 0.5 * s / (1.0 + a * s)), _orders(alpha)))
+    orders = _orders(alpha)
+    return FirstOrder(
+        _libm(lambda a: 0.5 * math.log1p(a * s), orders),
+        _libm(lambda a: _order_condition(a, 0.5 * s / (1.0 + a * s)), orders))
 
 
 def gaussian_hellinger_first_order(model: GaussianModel, p) -> FirstOrder:
-    """H_p = (M - 1)/(p - 1), M the `gaussian_hellinger` moment, with the
-    condition of the Hellinger bound (`_order_condition`) by libm per
-    order: log M = (p log(1+s) - log(1 + (2-p) p s))/2, so
-    D' = -log M/(p-1)^2 + (log(1+s)/2 - (1-p) s/(1 + (2-p) p s))/(p-1),
-    and g = -inf (its limit) where M = +inf."""
+    """H_p = (M - 1)/(p - 1), M = sqrt((1+s)^p / (1 + (2-p) p s)) with s
+    the n-sample signal-to-noise ratio, and the condition of the Hellinger
+    bound (`_order_condition`), both by libm per order: log M =
+    (p log(1+s) - log(1 + (2-p) p s))/2, so D' = -log M/(p-1)^2
+    + (log(1+s)/2 - (1-p) s/(1 + (2-p) p s))/(p-1).  M diverges where the
+    denominator is not positive (p = +inf included): there H_p = +inf and
+    g = -inf, its limit.  ``p`` broadcasts, and a scalar returns floats."""
     s = model.snr
 
-    def d_prime(p):
+    def value(p):
         denom = 1.0 + (2.0 - p) * p * s
         if not denom > 0.0:
             return math.inf
+        return (math.sqrt((1.0 + s) ** p / denom) - 1.0) / (p - 1.0)
+
+    def condition(p):
+        denom = 1.0 + (2.0 - p) * p * s
+        if not denom > 0.0:
+            return -math.inf
         log_m = 0.5 * (p * math.log1p(s) - math.log(denom))
         d_log_m = 0.5 * math.log1p(s) - (1.0 - p) * s / denom
-        return -log_m / (p - 1.0) ** 2 + d_log_m / (p - 1.0)
+        return _order_condition(p, -log_m / (p - 1.0) ** 2 + d_log_m / (p - 1.0))
 
     orders = _orders(p)
-    values = (gaussian_hellinger(model, orders) - 1.0) / (orders - 1.0)
-    return FirstOrder(_float_if_scalar(values),
-                      _libm(lambda p: _order_condition(p, d_prime(p)), orders))
+    return FirstOrder(_libm(value, orders), _libm(condition, orders))
 
 
 def gaussian_upper_bound(model: GaussianModel) -> float:
@@ -572,9 +529,10 @@ def gaussian_hellinger_closed_form_bound(model: GaussianModel) -> float:
     return 81.0 * math.sqrt(2.0 * math.pi) / 2048.0 * gaussian_upper_bound(model)
 
 
-def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta, condition: bool = False):
+def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta) -> FirstOrder:
     """Hockey-stick dependence of the mean and the sample average, from the
-    law of a quadratic form in two standard normals.
+    law of a quadratic form in two standard normals, with the first-order
+    condition of the E_{gamma,zeta} bound from the same masses.
 
     With s2 = sigma^2/n, sx2 = sigma_W^2 + s2 and t = gamma/zeta, dP/dQ
     clears t on R = {(xbar - w)^2 - (s2/sx2) xbar^2 <= c}, where
@@ -585,12 +543,11 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta, condition: bool = F
     for t < 1 (c > 0 there), and zeta P(R) - gamma Q(R) otherwise, clipped
     at 0; gamma = 0 gives 0.
 
-    ``gamma`` and ``zeta`` broadcast against each other; every value is
-    ``==`` to the call with that pair alone, and scalars return a float.
-    With ``condition``, the same masses also give the first-order condition
-    g(t) = P(R) + t Q(R) - 1 of the E_{gamma,zeta} bound, returned with the
-    values as a `bounds.FirstOrder` without a slope; a pair with gamma = 0
-    has g = 0 (R is everything there).
+    The condition is g(t) = P(R) + t Q(R) - 1 (see `bounds.FirstOrder`),
+    without a slope; a pair with gamma = 0 has g = 0 (R is everything
+    there).  ``gamma`` and ``zeta`` broadcast against each other; every
+    entry is ``==`` to the call with that pair alone, and scalars return
+    floats.
     """
     pairs, shape = _gamma_zeta_pairs(gamma, zeta)
     if model.n < 1:
@@ -615,8 +572,6 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta, condition: bool = F
     values = np.zeros(len(pairs))
     values[live] = np.maximum(0.0, np.where(upper, g * q_mass - z * p_mass,
                                             z * p_mass - g * q_mass))
-    if not condition:
-        return _float_if_scalar(values.reshape(shape))
     t = g / z
     cond = np.zeros(len(pairs))
     cond[live] = np.where(upper, t * (1.0 - q_mass) - p_mass, p_mass + t * q_mass - 1.0)

@@ -62,12 +62,12 @@ def _suite_oracle_agreement(seed: int, rounds: int) -> tuple[bool, str]:
             worst = max(worst, abs(a - b))
     ok = worst <= 1e-10
     if ok:
-        gamma_check = abs(models.bernoulli_hellinger(8, 2.0)
+        gamma_check = abs(models.bernoulli_hellinger_first_order(8, 2.0).value + 1.0
                           - (8 + 1) / (2 * 8 + 1) * 4.0 ** 8
                           / math.comb(16, 8))
         quad = measures.divergence_from_independence(
             models.bernoulli_joint(5), DivergenceSpec(DivergenceKind.HELLINGER_P, p=2.0))
-        closed = (models.bernoulli_hellinger(5, 2.0) - 1.0)
+        closed = models.bernoulli_hellinger_first_order(5, 2.0).value
         gamma_check = max(gamma_check, abs(quad - closed))
         ok = gamma_check <= 1e-6
         return ok, f"max closed-form deviation: {gamma_check:.3e}"

@@ -67,7 +67,7 @@ class TestSibsonBound:
         assert math.isclose(res.value, 2.0 / 27.0, rel_tol=1e-12)
 
     def test_bernoulli_one_flip_vs_grid(self):
-        i2 = 2.0 * math.log(models.bernoulli_sibson(1, 2.0))
+        i2 = models.bernoulli_sibson_first_order(1, 2.0).value
         res = B.sibson_bound(i2, 2.0, L2)
         gval, _ = grid_max(
             lambda r: r * (1 - math.exp(0.5 * (i2 + math.log(2 * r)))), 0.5)
@@ -113,9 +113,9 @@ class TestLeakageBound:
 class TestHellingerBound:
     def test_bernoulli_chi_square_closed_form(self):
         for n in (1, 5, 30):
-            moment = models.bernoulli_hellinger(n, 2.0)
-            res = B.hellinger_bound(moment - 1.0, 2.0, L2)
-            assert math.isclose(res.value, (2.0 / 27.0) / moment, rel_tol=1e-12)
+            chi2 = models.bernoulli_hellinger_first_order(n, 2.0).value
+            res = B.hellinger_bound(chi2, 2.0, L2)
+            assert math.isclose(res.value, (2.0 / 27.0) / (chi2 + 1.0), rel_tol=1e-12)
 
     def test_independence(self):
         assert math.isclose(B.hellinger_bound(0.0, 2.0, L2).value, 2.0 / 27.0,
@@ -124,7 +124,7 @@ class TestHellingerBound:
     def test_gaussian_three_halves_dominates_simplified_constant(self):
         for n in (1, 4, 16):
             g = models.GaussianModel(n, 1.0, 2.0)
-            h = (models.gaussian_hellinger(g, 1.5) - 1.0) / 0.5
+            h = models.gaussian_hellinger_first_order(g, 1.5).value
             res = B.hellinger_bound(h, 1.5, models.gaussian_small_ball(g))
             assert res.value >= models.gaussian_hellinger_closed_form_bound(g)
 
@@ -132,7 +132,7 @@ class TestHellingerBound:
 class TestHockeyStickBound:
     def test_bernoulli_closed_form(self):
         n, gamma, zeta = 8, 3.0, 1.5
-        e = models.bernoulli_e_gamma_zeta(n, gamma, zeta)
+        e = _bernoulli_egz(n, gamma, zeta)
         res = B.hockey_stick_bound(e, gamma, zeta, L2)
         assert math.isclose(res.value, (zeta - e) ** 2 / (8.0 * gamma * zeta),
                             rel_tol=1e-12)
@@ -140,7 +140,7 @@ class TestHockeyStickBound:
     def test_gaussian_coefficient(self):
         g = models.GaussianModel(3, 1.0, 2.0)
         gamma, zeta = 2.0, 1.5
-        e = models.gaussian_e_gamma_zeta(g, gamma, zeta)
+        e = models.gaussian_e_gamma_zeta(g, gamma, zeta).value
         res = B.hockey_stick_bound(e, gamma, zeta, models.gaussian_small_ball(g))
         expected = math.sqrt(2.0 * g.sigma_w_sq * math.pi) \
             * (zeta - e) ** 2 / (8.0 * gamma * zeta)
@@ -313,7 +313,7 @@ class TestSdpiBound:
 
     def test_noisy_bernoulli_closed_form(self):
         lam, n = 0.25, 12
-        chi2 = models.bernoulli_hellinger(n, 2.0) - 1.0
+        chi2 = models.bernoulli_hellinger_first_order(n, 2.0).value
         eta = (1.0 - 2.0 * lam) ** 2
         res = B.sdpi_bound(chi2, eta, "hellinger", L2, p=2.0)
         assert math.isclose(res.value, (2.0 / 27.0) / (eta * chi2 + 1.0),
@@ -407,18 +407,17 @@ class TestSmallBallSlope:
 
 class TestOptimizeBound:
     def test_single_point_grid_equals_direct(self):
-        i2 = 2.0 * math.log(models.bernoulli_sibson(5, 2.0))
+        i2 = models.bernoulli_sibson_first_order(5, 2.0).value
         direct = B.sibson_bound(i2, 2.0, L2)
         opt = B.optimize_bound(
-            lambda alpha: alpha / (alpha - 1.0)
-            * np.log(models.bernoulli_sibson(5, alpha)),
+            lambda alpha: models.bernoulli_sibson_first_order(5, alpha),
             "sibson", {"alpha": [2.0]}, L2)
         assert math.isclose(opt.value, direct.value, rel_tol=1e-12)
 
     def test_grid_maximum_dominates_members(self):
         grid = 1.0 + np.geomspace(1e-2, 63.0, 40)
-        callback = lambda alpha: alpha / (alpha - 1.0) \
-            * np.log(models.bernoulli_sibson(10, alpha))
+        # the values alone: the grid maximum stands
+        callback = lambda alpha: models.bernoulli_sibson_first_order(10, alpha).value
         opt = B.optimize_bound(callback, "sibson", {"alpha": grid}, L2)
         at_two = B.sibson_bound(callback(2.0), 2.0, L2)
         assert opt.value >= at_two.value
@@ -427,10 +426,10 @@ class TestOptimizeBound:
     def test_bernoulli_method_ordering_at_ten_flips(self):
         grid = 1.0 + np.geomspace(1e-2, 63.0, 40)
         gz = np.geomspace(1e-2, 32.0, 48)
-        egz = B.optimize_bound(_per_point(models.bernoulli_e_gamma_zeta, 10),
+        egz = B.optimize_bound(_per_point(_bernoulli_egz, 10),
                                "egz", {"gamma": gz, "zeta": gz}, L2)
         hel = B.optimize_bound(
-            lambda p: (models.bernoulli_hellinger(10, p) - 1.0) / (p - 1.0),
+            lambda p: models.bernoulli_hellinger_first_order(10, p).value,
             "hellinger", {"p": grid}, L2)
         mi = B.mi_baseline_bound(models.bernoulli_mutual_information(10), L2)
         assert egz.value >= hel.value >= mi.value
@@ -459,7 +458,7 @@ class TestOptimizeBound:
         g = models.GaussianModel(10, 1.0, 1.0)
 
         def callback(p):
-            return (models.gaussian_hellinger(g, p) - 1.0) / (p - 1.0)
+            return models.gaussian_hellinger_first_order(g, p).value
 
         opt = B.optimize_bound(callback, "hellinger",
                                {"p": [1.5, 2.0, 8.0]}, models.gaussian_small_ball(g))
@@ -492,6 +491,11 @@ class TestOptimizeBound:
         assert B._falling_bracket(xs, [math.inf, 0.5, -0.5, -1.0], 1) is None
 
 
+def _bernoulli_egz(n, gamma, zeta):
+    """The Bernoulli E_{gamma,zeta} at one (gamma, zeta) pair."""
+    return models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta).value[0]
+
+
 def _per_point(kernel, first):
     """The array callback that calls a scalar ``kernel(first, ...)`` once
     per parameter point."""
@@ -520,7 +524,7 @@ def _divergence(setting, n, method):
         callbacks = {
             "sibson": lambda alpha: models.bernoulli_sibson_first_order(n, alpha),
             "hellinger": lambda p: models.bernoulli_hellinger_first_order(n, p),
-            "egz": _per_point(models.bernoulli_e_gamma_zeta, n),
+            "egz": _per_point(_bernoulli_egz, n),
         }
         return callbacks[method], models.bernoulli_small_ball()
     g = models.GaussianModel(n, 1.0, 2.0)
@@ -571,12 +575,10 @@ class TestSibsonDominatesHellinger:
     def test_pointwise_on_bernoulli_sweep(self):
         for n in range(1, 51):
             for order in (1.5, 2.0, 4.0):
-                s = models.bernoulli_sibson(n, order)
-                i_alpha = order / (order - 1.0) * math.log(s)
+                i_alpha = models.bernoulli_sibson_first_order(n, order).value
                 sib = B.sibson_bound(i_alpha, order, L2).value
                 hel = B.hellinger_bound(
-                    (models.bernoulli_hellinger(n, order) - 1.0) / (order - 1.0),
-                    order, L2).value
+                    models.bernoulli_hellinger_first_order(n, order).value, order, L2).value
                 assert sib >= hel - 1e-12
 
 
@@ -597,6 +599,6 @@ class TestSandwichSpotChecks:
         risk = oracle.mc_risk(models.BernoulliUniformModel(n),
                               "posterior-median", 10 ** 4, seed=1)
         limit = risk.mean + 3.0 * risk.std_error
-        i2 = 2.0 * math.log(models.bernoulli_sibson(n, 2.0))
+        i2 = models.bernoulli_sibson_first_order(n, 2.0).value
         assert B.sibson_bound(i2, 2.0, L2).value <= limit
         assert B.ml_bound(models.bernoulli_ml(n).upper, L2).value <= limit

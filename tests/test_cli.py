@@ -249,14 +249,15 @@ class TestBernoulliCommand:
         row = out.read_text().strip().split("\n")[1].split(",")
         ml_expect = 1.0 / (8.0 * (2.0 + math.sqrt(math.pi * 4 / 2.0)))
         assert math.isclose(float(row[2]), ml_expect, rel_tol=1e-10)
-        chi_expect = (2.0 / 27.0) / models.bernoulli_hellinger(4, 2.0)
+        chi2 = models.bernoulli_hellinger_first_order(4, 2.0).value
+        chi_expect = (2.0 / 27.0) / (chi2 + 1.0)
         assert math.isclose(float(row[4]), chi_expect, rel_tol=1e-10)
         L = models.bernoulli_small_ball()
-        i2 = 2.0 * math.log(models.bernoulli_sibson(4, 2.0))
+        i2 = models.bernoulli_sibson_first_order(4, 2.0).value
         assert math.isclose(float(row[3]), bounds.sibson_bound(i2, 2.0, L).value,
                             rel_tol=1e-10)
         egz = bounds.hockey_stick_bound(
-            models.bernoulli_e_gamma_zeta(4, 3.0, 1.5), 3.0, 1.5, L)
+            models.bernoulli_e_gamma_zeta_batch(4, 3.0, 1.5).value[0], 3.0, 1.5, L)
         assert math.isclose(float(row[5]), egz.value, rel_tol=1e-10)
 
 
@@ -296,8 +297,9 @@ class TestOptimizedRuns:
         args = cli.build_parser().parse_args(["bernoulli", "--optimize"])
         row, _ = cli._estimation_point(cli.BERNOULLI, n, args)
         gamma_grid, zeta_grid = cli.default_gamma_zeta_grid()
+        column = next(c for c in cli.BERNOULLI.columns if c.method == "egz")
         full = bounds.optimize_bound(
-            functools.partial(cli._bernoulli_e_gamma_zeta, cli.BERNOULLI.model(n, args)),
+            functools.partial(column.divergence, cli.BERNOULLI.model(n, args)),
             "egz", {"gamma": gamma_grid, "zeta": zeta_grid},
             models.bernoulli_small_ball())
         assert row["egz"] >= full.value * (1.0 - 1e-12)
@@ -314,7 +316,7 @@ class TestOptimizedRuns:
         grid = column.grid(args)
 
         def per_point(gamma, zeta):
-            calls = [models.gaussian_e_gamma_zeta(model, g, z, condition=True)
+            calls = [models.gaussian_e_gamma_zeta(model, g, z)
                      for g, z in zip(gamma.tolist(), zeta.tolist())]
             return bounds.FirstOrder([c.value for c in calls],
                                      [c.condition for c in calls])
@@ -651,9 +653,9 @@ class TestValidate:
 
     def test_mutation_is_detected(self, monkeypatch):
         # corrupt a closed form; the oracle-agreement suite must flag it
-        real = models.bernoulli_hellinger
-        monkeypatch.setattr(models, "bernoulli_hellinger",
-                            lambda n, p: real(n, p) * 1.001)
+        real = models.bernoulli_hellinger_first_order
+        monkeypatch.setattr(models, "bernoulli_hellinger_first_order",
+                            lambda n, p: real(n, p)._replace(value=real(n, p).value * 1.001))
         ok, detail = validate._suite_oracle_agreement(seed=0, rounds=5)
         assert not ok
 

@@ -1,5 +1,5 @@
-"""Every exported name resolves, and the bounds layer exports nothing that
-only tests call.
+"""Every exported name resolves, and the bounds and models layers export
+nothing that only tests call, apart from the named oracles of `models`.
 
 The benchmark's tracer wraps each layer by calling getattr on every name
 in its ``__all__``, so a stale entry would fail every traced run.
@@ -7,6 +7,7 @@ in its ``__all__``, so a stale entry would fail every traced run.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -61,12 +62,34 @@ def _used_names(tree):
     return used
 
 
+def _package_reads():
+    used = set()
+    for path in Path(riskbounds.__file__).parent.glob("*.py"):
+        used |= _used_names(ast.parse(path.read_text()))
+    return used
+
+
 def test_every_bounds_export_is_used_by_the_package():
     # code that only tests call is kept only as an oracle, and an oracle of
     # the bounds is not part of their public interface
     from riskbounds import bounds
 
-    used = set()
-    for path in Path(riskbounds.__file__).parent.glob("*.py"):
-        used |= _used_names(ast.parse(path.read_text()))
+    used = _package_reads()
     assert [name for name in bounds.__all__ if name not in used] == []
+
+
+# the exported model functions that only tests call, each an oracle: the
+# exact noisy joint shows where the single-letter contraction breaks, and
+# the simplified p = 3/2 constant is dominated by the Hellinger bound
+MODEL_ORACLES = {"noisy_bernoulli_joint", "gaussian_hellinger_closed_form_bound"}
+
+
+def test_every_models_function_is_used_by_the_package():
+    from riskbounds import models
+
+    functions = {name for name in models.__all__
+                 if inspect.isfunction(getattr(models, name))}
+    used = _package_reads()
+    assert sorted(functions - used - MODEL_ORACLES) == []
+    # an oracle that the package starts to call leaves the list
+    assert sorted(MODEL_ORACLES - (functions - used)) == []

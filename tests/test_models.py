@@ -43,7 +43,7 @@ _NAN_CALLS = {
                                                       bounds.SmallBallFn(2.0)),
     "hockey_stick_bound": lambda: bounds.hockey_stick_bound(
         0.1, math.nan, 1.0, bounds.SmallBallFn(2.0)),
-    "bernoulli_e_gamma_zeta": lambda: models.bernoulli_e_gamma_zeta(5, math.nan, 1.0),
+    "bernoulli_e_gamma_zeta": lambda: models.bernoulli_e_gamma_zeta_batch(5, math.nan, 1.0),
     "bernoulli_e_gamma_zeta_batch[gamma]": lambda: models.bernoulli_e_gamma_zeta_batch(
         5, np.array([2.0, math.nan]), np.array([1.0, 1.0])),
     "bernoulli_e_gamma_zeta_batch[zeta]": lambda: models.bernoulli_e_gamma_zeta_batch(
@@ -52,12 +52,13 @@ _NAN_CALLS = {
         5, np.array([2.0, -1.0]), np.array([1.0, 1.0])),
     "gaussian_e_gamma_zeta": lambda: models.gaussian_e_gamma_zeta(
         models.GaussianModel(5, 1.0, 2.0), math.nan, 1.0),
-    "bernoulli_sibson": lambda: models.bernoulli_sibson(5, math.nan),
-    "bernoulli_sibson[array]": lambda: models.bernoulli_sibson(5, np.array([2.0, math.nan])),
-    "bernoulli_hellinger": lambda: models.bernoulli_hellinger(5, math.nan),
-    "gaussian_sibson": lambda: models.gaussian_sibson(
+    "bernoulli_sibson": lambda: models.bernoulli_sibson_first_order(5, math.nan),
+    "bernoulli_sibson[array]": lambda: models.bernoulli_sibson_first_order(
+        5, np.array([2.0, math.nan])),
+    "bernoulli_hellinger": lambda: models.bernoulli_hellinger_first_order(5, math.nan),
+    "gaussian_sibson": lambda: models.gaussian_sibson_first_order(
         models.GaussianModel(5, 1.0, 2.0), math.nan),
-    "gaussian_hellinger": lambda: models.gaussian_hellinger(
+    "gaussian_hellinger": lambda: models.gaussian_hellinger_first_order(
         models.GaussianModel(5, 1.0, 2.0), np.array([2.0, math.nan])),
     "GaussianModel": lambda: models.GaussianModel(5, math.nan, 1.0),
     "HideAndSeekModel": lambda: models.HideAndSeekModel(d=8, m=1, b=math.nan,
@@ -73,34 +74,35 @@ def test_nan_parameters_raise(name):
         _NAN_CALLS[name]()
 
 
-# the kernels at the orders below, captured from scalar calls: Gaussian
-# with sigma_W^2 = 1 and sigma^2 = 2, whose Hellinger moment at p = 4 is
-# outside its finite region (1 + (2-p)*p*snr <= 0) for every n here
+# the divergences I_alpha and H_p at the orders below, captured from
+# scalar calls: Gaussian with sigma_W^2 = 1 and sigma^2 = 2, whose
+# Hellinger moment at p = 4 is outside its finite region
+# (1 + (2-p)*p*snr <= 0) for every n here
 _PIN_ORDERS = (1.25, 1.5, 2.0, 4.0)
 _KERNEL_PINS = {
-    1: {"bernoulli_sibson": [1.0454035755774875, 1.0857670466379625,
-                             1.1547005383792515, 1.337480609952844],
-        "bernoulli_hellinger": [1.05707299111353, 1.131370849898476,
-                                1.3333333333333333, 3.2000000000000006],
+    1: {"bernoulli_sibson": [0.22201503793441105, 0.2468600779315255,
+                             0.2876820724517808, 0.3877169366018936],
+        "bernoulli_hellinger": [0.2282919644541197, 0.26274169979695206,
+                                0.33333333333333326, 0.7333333333333335],
         "gaussian_sibson": [0.24275390789085038, 0.27980789396771133,
                             0.34657359027997264, 0.5493061443340548],
-        "gaussian_hellinger": [1.0631219796071063, 1.1558915668199028, 1.5,
+        "gaussian_hellinger": [0.2524879184284252, 0.3117831336398056, 0.5,
                                math.inf]},
-    10: {"bernoulli_sibson": [1.2017627440397618, 1.3817612881714754,
-                              1.687395907502963, 2.466604995963822],
-         "bernoulli_hellinger": [1.2592603986078352, 1.633939045913841,
-                                 2.972862019301657, 80.8616969802177],
+    10: {"bernoulli_sibson": [0.9189471615192231, 0.9700769435172805,
+                              1.0463729148385914, 1.203790279457573],
+         "bernoulli_hellinger": [1.037041594431341, 1.267878091827682,
+                                 1.9728620193016568, 26.620565660072568],
          "gaussian_sibson": [0.9905007344332917, 1.0700330817481354,
                              1.1989476363991853, 1.5222612188617115],
-         "gaussian_hellinger": [1.2849428930186244, 1.7590032139463214, 6.0,
+         "gaussian_hellinger": [1.1397715720744976, 1.5180064278926428, 5.0,
                                 math.inf]},
-    50: {"bernoulli_sibson": [1.3882342155337162, 1.7598966100055977,
-                              2.431344908944245, 4.278299192114763],
-         "bernoulli_hellinger": [1.5086720949117394, 2.3561930198729426,
-                                 6.344457009847843, 1686.0811822370847],
+    50: {"bernoulli_sibson": [1.6401629551449728, 1.695765189028633,
+                              1.7768891294411633, 1.9380740607939189],
+         "bernoulli_hellinger": [2.0346883796469575, 2.712386039745885,
+                                 5.344457009847843, 561.6937274123616],
          "gaussian_sibson": [1.7367590216208908, 1.8253291206468694,
                              1.9659128163621629, 2.30756025842063],
-         "gaussian_hellinger": [1.549993779024676, 2.590875003491501, 26.0,
+         "gaussian_hellinger": [2.199975116098704, 3.181750006983002, 25.0,
                                 math.inf]},
 }
 
@@ -109,23 +111,26 @@ _KERNEL_PINS = {
                                   "gaussian_sibson", "gaussian_hellinger"])
 @pytest.mark.parametrize("n", sorted(_KERNEL_PINS))
 def test_kernels_keep_their_pinned_values(name, n):
-    kernel = getattr(models, name)
+    kernel = getattr(models, name + "_first_order")
     first = models.GaussianModel(n, 1.0, 2.0) if name.startswith("gaussian") else n
     expected = _KERNEL_PINS[n][name]
-    scalars = [kernel(first, order) for order in _PIN_ORDERS]
+    scalars = [kernel(first, order).value for order in _PIN_ORDERS]
     assert all(type(value) is float for value in scalars)
     assert scalars == expected
-    assert kernel(first, np.array(_PIN_ORDERS)).tolist() == expected
+    assert kernel(first, np.array(_PIN_ORDERS)).value.tolist() == expected
 
 
 _INFINITE_CALLS = {
-    "bernoulli_sibson": lambda: models.bernoulli_sibson(5, math.inf),
-    "bernoulli_sibson[array]": lambda: models.bernoulli_sibson(5, np.array([2.0, math.inf])),
-    "bernoulli_hellinger": lambda: models.bernoulli_hellinger(5, math.inf),
-    "bernoulli_hellinger[array]": lambda: models.bernoulli_hellinger(
+    "bernoulli_sibson": lambda: models.bernoulli_sibson_first_order(5, math.inf),
+    "bernoulli_sibson[array]": lambda: models.bernoulli_sibson_first_order(
         5, np.array([2.0, math.inf])),
-    "bernoulli_e_gamma_zeta[gamma]": lambda: models.bernoulli_e_gamma_zeta(5, math.inf, 1.0),
-    "bernoulli_e_gamma_zeta[zeta]": lambda: models.bernoulli_e_gamma_zeta(5, 1.0, math.inf),
+    "bernoulli_hellinger": lambda: models.bernoulli_hellinger_first_order(5, math.inf),
+    "bernoulli_hellinger[array]": lambda: models.bernoulli_hellinger_first_order(
+        5, np.array([2.0, math.inf])),
+    "bernoulli_e_gamma_zeta[gamma]": lambda: models.bernoulli_e_gamma_zeta_batch(
+        5, math.inf, 1.0),
+    "bernoulli_e_gamma_zeta[zeta]": lambda: models.bernoulli_e_gamma_zeta_batch(
+        5, 1.0, math.inf),
     "bernoulli_e_gamma_zeta_batch": lambda: models.bernoulli_e_gamma_zeta_batch(
         5, np.array([2.0, math.inf]), np.array([1.0, math.inf])),
     "gaussian_e_gamma_zeta[gamma]": lambda: models.gaussian_e_gamma_zeta(
@@ -150,8 +155,12 @@ def test_infinite_parameters_raise(name):
 
 def test_gaussian_kernels_keep_their_infinite_order_limits():
     g = models.GaussianModel(5, 1.0, 2.0)
-    assert models.gaussian_sibson(g, math.inf) == math.inf
-    assert models.gaussian_hellinger(g, math.inf) == math.inf
+    for kernel in (models.gaussian_sibson_first_order,
+                   models.gaussian_hellinger_first_order):
+        assert kernel(g, math.inf).value == math.inf
+        assert kernel(g, np.array([2.0, math.inf])).value[1] == math.inf
+    # the Hellinger moment diverges there, and the condition takes its limit
+    assert models.gaussian_hellinger_first_order(g, math.inf).condition == -math.inf
 
 
 @settings(max_examples=50, deadline=None)
@@ -160,10 +169,10 @@ def test_gaussian_kernels_keep_their_infinite_order_limits():
                        max_size=40))
 def test_gaussian_hellinger_is_infinite_exactly_outside_its_region(n, sigma_w2, orders):
     g = models.GaussianModel(n, sigma_w2, 2.0)
-    values = models.gaussian_hellinger(g, np.array(orders)).tolist()
+    values = models.gaussian_hellinger_first_order(g, np.array(orders)).value.tolist()
     for p, value in zip(orders, values):
         assert (value == math.inf) == (1.0 + (2.0 - p) * p * g.snr <= 0.0)
-        assert value >= 1.0
+        assert value >= 0.0  # the moment (p-1) H_p + 1 is at least 1
 
 
 # terms drawn from a few values, so that maxima tie, plus the edges of exp
@@ -206,22 +215,40 @@ class TestBernoulliLeakage:
             assert got.exact <= got.upper + 1e-12
 
 
+def _exponential_form(n, alpha):
+    """S = exp((alpha-1)/alpha I_alpha), the Gamma-ratio sum over weights
+    behind the Bernoulli Sibson kernel."""
+    return math.exp((alpha - 1.0) / alpha
+                    * models.bernoulli_sibson_first_order(n, alpha).value)
+
+
+def _moment(n, p):
+    """M = (p-1) H_p + 1, the Gamma-ratio sum over weights behind the
+    Bernoulli Hellinger kernel."""
+    return (p - 1.0) * models.bernoulli_hellinger_first_order(n, p).value + 1.0
+
+
+def _egz(n, gamma, zeta):
+    """The Bernoulli E_{gamma,zeta} at one (gamma, zeta) pair."""
+    return models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta).value[0]
+
+
 class TestBernoulliSibson:
     def test_one_flip_order_two(self):
         # 2 * (Gamma(3)Gamma(1)/Gamma(4))^(1/2) = 2/sqrt(3)
-        assert math.isclose(models.bernoulli_sibson(1, 2.0),
+        assert math.isclose(_exponential_form(1, 2.0),
                             2.0 / math.sqrt(3.0), rel_tol=1e-12)
 
     def test_large_order_approaches_leakage(self):
         for n in (1, 4, 9):
-            exp_form = models.bernoulli_sibson(n, 1e6)
+            exp_form = _exponential_form(n, 1e6)
             assert math.isclose(exp_form, math.exp(models.bernoulli_ml(n).exact),
                                 rel_tol=1e-3)
 
     def test_small_order_approaches_mutual_information(self):
         mi = models.bernoulli_mutual_information(1)
-        s = models.bernoulli_sibson(1, 1.001)
-        assert abs(1.001 / 0.001 * math.log(s) - mi) < 1e-3
+        i_alpha = models.bernoulli_sibson_first_order(1, 1.001).value
+        assert abs(i_alpha - mi) < 1e-3
 
 
 def _closed_form_mutual_information(n):
@@ -261,18 +288,14 @@ class TestBernoulliMutualInformation:
 
 class TestBernoulliHellinger:
     def test_hand_values(self):
-        assert math.isclose(models.bernoulli_hellinger(1, 2.0), 4.0 / 3.0,
-                            rel_tol=1e-12)
-        assert math.isclose(models.bernoulli_hellinger(2, 2.0), 1.6,
-                            rel_tol=1e-12)
+        assert math.isclose(_moment(1, 2.0), 4.0 / 3.0, rel_tol=1e-12)
+        assert math.isclose(_moment(2, 2.0), 1.6, rel_tol=1e-12)
 
     def test_central_binomial_identity(self):
         for n in range(1, 31):
             closed = (n + 1) / (2 * n + 1) * 4.0 ** n / comb(2 * n, n, exact=True)
-            assert math.isclose(models.bernoulli_hellinger(n, 2.0), closed,
-                                rel_tol=1e-10)
-            assert models.bernoulli_hellinger(n, 2.0) <= \
-                16.0 * math.sqrt(math.pi * n) / 21.0
+            assert math.isclose(_moment(n, 2.0), closed, rel_tol=1e-10)
+            assert _moment(n, 2.0) <= 16.0 * math.sqrt(math.pi * n) / 21.0
 
 
 def _bernoulli_e_gamma_zeta_bisection(n, gamma, zeta):
@@ -363,12 +386,11 @@ class TestBernoulliHockeyStick:
                                     epsabs=1e-13, epsrel=1e-13)
             total += val
         expected = total - max(0.0, zeta - gamma)
-        assert math.isclose(models.bernoulli_e_gamma_zeta(n, gamma, zeta),
-                            expected, abs_tol=1e-7)
+        assert math.isclose(_egz(n, gamma, zeta), expected, abs_tol=1e-7)
 
     def test_matches_generic_quadrature_path(self):
         for n, gamma, zeta in [(1, 1.0, 1.0), (5, 3.0, 1.5), (12, 0.7, 2.0)]:
-            fast = models.bernoulli_e_gamma_zeta(n, gamma, zeta)
+            fast = _egz(n, gamma, zeta)
             slow = measures.e_gamma_zeta(models.bernoulli_joint(n), gamma, zeta)
             assert math.isclose(fast, slow, abs_tol=1e-7)
 
@@ -376,12 +398,11 @@ class TestBernoulliHockeyStick:
         # holds from gamma = zeta on; below that the subtracted offset
         # max(0, zeta - gamma) shrinks with gamma as well
         zeta = 1.5
-        values = [models.bernoulli_e_gamma_zeta(8, g, zeta)
-                  for g in (1.5, 2.0, 4.0, 8.0, 16.0)]
+        values = [_egz(8, g, zeta) for g in (1.5, 2.0, 4.0, 8.0, 16.0)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_gamma_zero_is_zero(self):
-        assert models.bernoulli_e_gamma_zeta(6, 0.0, 2.0) == 0.0
+        assert _egz(6, 0.0, 2.0) == 0.0
 
     # captured from the Newton-ends kernel; each row is n: values at
     # _EGZ_PIN_PAIRS
@@ -398,9 +419,8 @@ class TestBernoulliHockeyStick:
     @pytest.mark.parametrize("n", sorted(_EGZ_PINS))
     def test_keeps_its_pinned_values(self, n):
         gamma, zeta = np.array(self._EGZ_PIN_PAIRS).T
-        assert [models.bernoulli_e_gamma_zeta(n, g, z)
-                for g, z in self._EGZ_PIN_PAIRS] == self._EGZ_PINS[n]
-        assert models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta) == self._EGZ_PINS[n]
+        assert [_egz(n, g, z) for g, z in self._EGZ_PIN_PAIRS] == self._EGZ_PINS[n]
+        assert models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta).value == self._EGZ_PINS[n]
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 200), pairs=st.lists(st.tuples(
@@ -411,9 +431,8 @@ class TestBernoulliHockeyStick:
         # with ratios from 1e-4 to 1e4, all in one call
         gamma = np.array([ratio * zeta for ratio, zeta in pairs])
         zeta = np.array([zeta for _, zeta in pairs])
-        alone = [models.bernoulli_e_gamma_zeta(n, g, z)
-                 for g, z in zip(gamma.tolist(), zeta.tolist())]
-        assert models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta) == alone
+        alone = [_egz(n, g, z) for g, z in zip(gamma.tolist(), zeta.tolist())]
+        assert models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta).value == alone
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 50), gamma=st.floats(1e-2, 32.0),
@@ -422,8 +441,8 @@ class TestBernoulliHockeyStick:
     def test_scaling_gamma_and_zeta_scales_the_value(self, n, gamma, zeta, scale):
         # the invariance behind the ratio search of `bernoulli --optimize`;
         # the tolerances absorb the last bit of (scale*gamma)/(scale*zeta)
-        e = models.bernoulli_e_gamma_zeta(n, gamma, zeta)
-        e_scaled = models.bernoulli_e_gamma_zeta(n, scale * gamma, scale * zeta)
+        e = _egz(n, gamma, zeta)
+        e_scaled = _egz(n, scale * gamma, scale * zeta)
         assert math.isclose(e_scaled, scale * e,
                             abs_tol=1e-13 * scale * max(gamma, zeta))
         L = models.bernoulli_small_ball()
@@ -446,7 +465,7 @@ class TestBernoulliHockeyStick:
         # w = 0) and t = 1.5 at n = 2 (the peak of weight 1)
         gamma = np.array([ratio * zeta for ratio, zeta in pairs])
         zeta = np.array([zeta for _, zeta in pairs])
-        values = models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta)
+        values = models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta).value
         oracle = _bernoulli_e_gamma_zeta_bisection(n, gamma, zeta)
         # 4 ulps of gamma + zeta, the scale of the terms zeta*mass - gamma*width
         floor = 4.0 * np.finfo(float).eps * (gamma + zeta)
@@ -460,7 +479,7 @@ class TestBernoulliHockeyStick:
         for ratio in np.geomspace(1e-3, 1e3, 7).tolist():
             gamma = ratio * zeta
             exact = _exact_bernoulli_e_gamma_zeta(n, gamma, zeta)
-            value = models.bernoulli_e_gamma_zeta(n, gamma, zeta)
+            value = _egz(n, gamma, zeta)
             floor = 4.0 * np.finfo(float).eps * (gamma + zeta)
             assert abs(value - exact) <= floor, (ratio, value)
 
@@ -475,7 +494,7 @@ class TestBernoulliHockeyStick:
     def test_newton_raises_at_its_cap(self, monkeypatch):
         monkeypatch.setattr(models, "_NEWTON_CAP", 3)
         with pytest.raises(ArithmeticError, match="still moving after 3 steps"):
-            models.bernoulli_e_gamma_zeta(50, 3.0, 1.5)
+            _egz(50, 3.0, 1.5)
 
 
 class TestBernoulliUpperBound:
@@ -555,6 +574,11 @@ def _gaussian_e_gamma_zeta_mpmath(model, gamma, zeta, dps=30):
         return float(max(0, total - max(0, zeta - gamma)))
 
 
+def _gaussian_moment(model, p):
+    """M = (p-1) H_p + 1 of the Gaussian Hellinger kernel."""
+    return (p - 1.0) * models.gaussian_hellinger_first_order(model, p).value + 1.0
+
+
 class TestGaussian:
     def test_small_ball(self):
         for sw2 in (2.0 / math.pi, 0.3, 4.0):
@@ -563,25 +587,24 @@ class TestGaussian:
                                 rel_tol=1e-15)
 
     def test_sibson_values(self):
-        assert math.isclose(
-            models.gaussian_sibson(models.GaussianModel(1, 1.0, 2.0), 2.0),
-            0.5 * math.log(2.0), rel_tol=1e-12)
-        tiny = models.gaussian_sibson(models.GaussianModel(1, 1e-14, 1.0), 2.0)
+        sibson = models.gaussian_sibson_first_order
+        assert math.isclose(sibson(models.GaussianModel(1, 1.0, 2.0), 2.0).value,
+                            0.5 * math.log(2.0), rel_tol=1e-12)
+        tiny = sibson(models.GaussianModel(1, 1e-14, 1.0), 2.0).value
         assert tiny < 1e-13
+        # I_alpha tends to the mutual information as alpha falls to 1
         g = models.GaussianModel(3, 1.0, 2.0)
-        assert math.isclose(models.gaussian_sibson(g, 1.0),
+        assert math.isclose(sibson(g, 1.0 + 1e-15).value,
                             models.gaussian_mutual_information(g), rel_tol=1e-14)
 
     def test_hellinger_values(self):
         g0 = models.GaussianModel(0, 1.0, 1.0)
-        assert models.gaussian_hellinger(g0, 1.5) == 1.0
+        assert _gaussian_moment(g0, 1.5) == 1.0
         g1 = models.GaussianModel(1, 1.0, 1.0)
         s = g1.snr
         expected = math.sqrt((1 + s) ** 1.5 / (1 + 0.75 * s))
-        assert math.isclose(models.gaussian_hellinger(g1, 1.5), expected,
-                            rel_tol=1e-12)
-        assert math.isclose(models.gaussian_hellinger(g1, 2.0), 2.0,
-                            rel_tol=1e-12)
+        assert math.isclose(_gaussian_moment(g1, 1.5), expected, rel_tol=1e-12)
+        assert math.isclose(_gaussian_moment(g1, 2.0), 2.0, rel_tol=1e-12)
 
     def test_hellinger_two_against_2d_quadrature(self):
         g = models.GaussianModel(1, 1.0, 1.0)
@@ -603,17 +626,16 @@ class TestGaussian:
         # the outer integrand decays on the sqrt(6) scale, so go wide
         val, _ = integrate.quad(inner, -30, 30, limit=500,
                                 epsabs=1e-12, epsrel=1e-11)
-        assert math.isclose(models.gaussian_hellinger(g, 2.0), val,
-                            rel_tol=1e-7)
+        assert math.isclose(_gaussian_moment(g, 2.0), val, rel_tol=1e-7)
 
     def test_finiteness_region_boundary(self):
         g = models.GaussianModel(4, 1.0, 1.0)  # snr = 4
         for p in np.linspace(1.05, 8.0, 60):
             denom = 1.0 + (2.0 - p) * p * g.snr
             if denom <= 0:
-                assert models.gaussian_hellinger(g, float(p)) == math.inf
+                assert _gaussian_moment(g, float(p)) == math.inf
             else:
-                assert models.gaussian_hellinger(g, float(p)) >= 1.0
+                assert _gaussian_moment(g, float(p)) >= 1.0
 
     def test_upper_bound(self):
         assert math.isclose(
@@ -653,7 +675,7 @@ class TestGaussian:
                                 limit=800, points=[-kink, kink] if kink else None,
                                 epsabs=1e-12, epsrel=1e-11)
         expected = max(0.0, val - max(0.0, zeta - gamma))
-        assert math.isclose(models.gaussian_e_gamma_zeta(g, gamma, zeta),
+        assert math.isclose(models.gaussian_e_gamma_zeta(g, gamma, zeta).value,
                             expected, abs_tol=1e-9)
 
     @example(n=1, sw2=1.0, s2=1.0, zeta=1.0, ratio=1000.0)
@@ -670,7 +692,7 @@ class TestGaussian:
     def test_hockey_stick_half_window_matches_full_window(self, n, sw2, s2, zeta, ratio):
         g = models.GaussianModel(n, sw2, s2)
         gamma = ratio * zeta
-        value = models.gaussian_e_gamma_zeta(g, gamma, zeta)
+        value = models.gaussian_e_gamma_zeta(g, gamma, zeta).value
         full = _gaussian_e_gamma_zeta_full_window(g, gamma, zeta)
         # the Simpson oracle accepts a panel on its local error estimate,
         # which bounds no global error: the tolerance below holds for it
@@ -686,7 +708,7 @@ class TestGaussian:
         g = models.GaussianModel(n, 1.0, 2.0)
         exact = _gaussian_e_gamma_zeta_mpmath(g, gamma, 1.5)
         assert exact > 1e-6
-        assert math.isclose(models.gaussian_e_gamma_zeta(g, gamma, 1.5), exact,
+        assert math.isclose(models.gaussian_e_gamma_zeta(g, gamma, 1.5).value, exact,
                             rel_tol=1e-12)
 
     @example(n=25, sw2=0.165, s2=16.5, zeta=1.5, ratio=68.5 / 1.5)
@@ -698,7 +720,7 @@ class TestGaussian:
         g = models.GaussianModel(n, sw2, s2)
         gamma = ratio * zeta
         exact = _gaussian_e_gamma_zeta_mpmath(g, gamma, zeta)
-        value = models.gaussian_e_gamma_zeta(g, gamma, zeta)
+        value = models.gaussian_e_gamma_zeta(g, gamma, zeta).value
         if exact > 1e-6:
             assert math.isclose(value, exact, rel_tol=1e-12), (value, exact)
         else:
@@ -720,7 +742,7 @@ class TestGaussian:
         gamma = ratio * zeta
         c = s2n * math.log(sx2 / s2n) - 2.0 * s2n * math.log(gamma / zeta)
         assert c == 0.0 if offset == 0.0 else math.isclose(c, offset, rel_tol=1e-2)
-        assert math.isclose(models.gaussian_e_gamma_zeta(g, gamma, zeta),
+        assert math.isclose(models.gaussian_e_gamma_zeta(g, gamma, zeta).value,
                             _gaussian_e_gamma_zeta_mpmath(g, gamma, zeta), rel_tol=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -732,17 +754,18 @@ class TestGaussian:
         edge = math.sqrt(1.0 + g.snr)  # a row has kinks where gamma/zeta > edge
         gammas = np.array([0.0, 0.5 * edge * zeta, 2.0 * edge * zeta]
                           + [t * zeta for t in ratios])
-        alone = [models.gaussian_e_gamma_zeta(g, gamma, zeta) for gamma in gammas.tolist()]
+        alone = [models.gaussian_e_gamma_zeta(g, gamma, zeta).value
+                 for gamma in gammas.tolist()]
         assert all(type(value) is float for value in alone)
         assert alone[0] == 0.0
-        assert models.gaussian_e_gamma_zeta(g, gammas, zeta).tolist() == alone
+        assert models.gaussian_e_gamma_zeta(g, gammas, zeta).value.tolist() == alone
         zetas = np.full(gammas.size, zeta)
-        assert models.gaussian_e_gamma_zeta(g, gammas, zetas).tolist() == alone
+        assert models.gaussian_e_gamma_zeta(g, gammas, zetas).value.tolist() == alone
 
 
 class TestFirstOrderCondition:
     """The condition g(t) = P(R_t) + t Q(R_t) - 1 that both E_{gamma,zeta}
-    kernels return with ``condition=True``, against finite differences of
+    kernels return with their values, against finite differences of
     the values alone: H(t) = E(t, 1) + max(0, 1 - t) = P - t Q and
     dH/d log t = -t Q, so g = H - 2 dH/d log t - 1."""
 
@@ -751,9 +774,9 @@ class TestFirstOrderCondition:
     @staticmethod
     def _kernel(setting, n):
         if setting == "bernoulli":
-            return lambda t, **kw: models.bernoulli_e_gamma_zeta_batch(n, t, 1.0, **kw)
+            return lambda t: models.bernoulli_e_gamma_zeta_batch(n, t, 1.0)
         g = models.GaussianModel(n, 1.0, 2.0)
-        return lambda t, **kw: models.gaussian_e_gamma_zeta(g, t, 1.0, **kw)
+        return lambda t: models.gaussian_e_gamma_zeta(g, t, 1.0)
 
     def _differences(self, f, t):
         up, down = f(t * math.exp(self.H_STEP)), f(t * math.exp(-self.H_STEP))
@@ -764,12 +787,11 @@ class TestFirstOrderCondition:
     def test_condition_matches_the_differences_of_the_values(self, setting, n):
         kernel = self._kernel(setting, n)
         t = np.geomspace(1e-2 / 32.0, 32.0 / 1e-2, 95)
-        out = kernel(t, condition=True)
+        out = kernel(t)
         assert isinstance(out, bounds.FirstOrder)
-        assert np.asarray(out.value).tolist() == np.asarray(kernel(t)).tolist()
 
         def h(tt):
-            return np.asarray(kernel(tt)) + np.maximum(0.0, 1.0 - tt)
+            return np.asarray(kernel(tt).value) + np.maximum(0.0, 1.0 - tt)
 
         expected = h(t) - 2.0 * self._differences(h, t) - 1.0
         np.testing.assert_allclose(out.condition, expected, rtol=0.0, atol=1e-8)
@@ -778,13 +800,13 @@ class TestFirstOrderCondition:
             return
         # the slope dg/d log t against the differences of g; near the t
         # at which an interval is born the slope has a 1/sqrt singularity
-        slope = self._differences(lambda tt: kernel(tt, condition=True).condition, t)
+        slope = self._differences(lambda tt: kernel(tt).condition, t)
         np.testing.assert_allclose(out.slope, slope, rtol=1e-4, atol=1e-7)
 
     @pytest.mark.parametrize("setting", ["bernoulli", "gaussian"])
     def test_gamma_zero_has_a_zero_condition(self, setting):
         # R_0 is the whole space, so g = P + 0 Q - 1 = 0
-        out = self._kernel(setting, 5)(np.array([0.0, 2.0]), condition=True)
+        out = self._kernel(setting, 5)(np.array([0.0, 2.0]))
         assert out.condition[0] == 0.0 and out.condition[1] != 0.0
         if setting == "bernoulli":
             assert out.slope[0] == 0.0
@@ -795,26 +817,54 @@ _variance = st.floats(-1.0, 1.0).map(lambda x: 10.0 ** x)
 
 class TestOrderCondition:
     """The first-order kernels of the Sibson and Hellinger columns: their
-    values against the plain kernels, and their condition
-    g = d log f / d log theta against differences of the log of the bound."""
+    values against the plain divergences, one order at a time, and their
+    condition g = d log f / d log theta against differences of the log of
+    the bound."""
 
     STEP = 1e-4  # the step in log theta of the five-point differences
 
     @staticmethod
     def _kernels(setting, method, n, sw2, s2):
-        """The first-order kernel and the plain divergence at each order."""
+        """The first-order kernel, and the plain divergence at one order in
+        the kernel's arithmetic: for Bernoulli the Gamma-ratio sum over
+        weights by scipy's logsumexp (S for Sibson, M for Hellinger), for
+        Gaussian the closed form by libm."""
         if setting == "bernoulli":
+            k = np.arange(n + 1)
+            log_binom = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+
+            def log_beta(theta):
+                return (gammaln(k * theta + 1.0) + gammaln((n - k) * theta + 1.0)
+                        - gammaln(n * theta + 2.0))
+
             if method == "sibson":
-                return (lambda a: models.bernoulli_sibson_first_order(n, a),
-                        lambda a: a / (a - 1.0) * math.log(models.bernoulli_sibson(n, a)))
-            return (lambda p: models.bernoulli_hellinger_first_order(n, p),
-                    lambda p: (models.bernoulli_hellinger(n, p) - 1.0) / (p - 1.0))
+                def plain(a):
+                    log_s = logsumexp(log_binom + log_beta(a) / a)
+                    return a / (a - 1.0) * math.log(np.exp(log_s))
+
+                return lambda a: models.bernoulli_sibson_first_order(n, a), plain
+
+            def plain(p):
+                # the terms added in the kernel's order, so that the sums are ==
+                log_m = logsumexp((p - 1.0) * math.log(n + 1.0) + p * log_binom
+                                  + gammaln(k * p + 1.0) + gammaln((n - k) * p + 1.0)
+                                  - gammaln(n * p + 2.0))
+                return (np.exp(log_m) - 1.0) / (p - 1.0)
+
+            return lambda p: models.bernoulli_hellinger_first_order(n, p), plain
         g = models.GaussianModel(n, sw2, s2)
+        s = g.snr
         if method == "sibson":
             return (lambda a: models.gaussian_sibson_first_order(g, a),
-                    lambda a: models.gaussian_sibson(g, a))
-        return (lambda p: models.gaussian_hellinger_first_order(g, p),
-                lambda p: (models.gaussian_hellinger(g, p) - 1.0) / (p - 1.0))
+                    lambda a: 0.5 * math.log1p(a * s))
+
+        def plain(p):
+            denom = 1.0 + (2.0 - p) * p * s
+            if not denom > 0.0:
+                return math.inf
+            return (math.sqrt((1.0 + s) ** p / denom) - 1.0) / (p - 1.0)
+
+        return lambda p: models.gaussian_hellinger_first_order(g, p), plain
 
     @pytest.mark.parametrize("setting", ["bernoulli", "gaussian"])
     @pytest.mark.parametrize("method", ["sibson", "hellinger"])
@@ -858,7 +908,7 @@ class TestNoisyBernoulli:
     def test_clean_channel_recovers_plain_bound(self):
         n = 9
         res = models.noisy_bernoulli_bound(models.NoisyBernoulliModel(n, 0.0))
-        plain = (2.0 / 27.0) / models.bernoulli_hellinger(n, 2.0)
+        plain = (2.0 / 27.0) / _moment(n, 2.0)
         assert math.isclose(res.value, plain, rel_tol=1e-12)
 
     def test_fully_noisy_channel(self):
@@ -868,7 +918,7 @@ class TestNoisyBernoulli:
     def test_noise_strengthens_bound(self):
         for n in range(1, 51):
             noisy = models.noisy_bernoulli_bound(models.NoisyBernoulliModel(n, 0.25))
-            plain = (2.0 / 27.0) / models.bernoulli_hellinger(n, 2.0)
+            plain = (2.0 / 27.0) / _moment(n, 2.0)
             assert noisy.value > plain
 
     def test_order_restricted(self):
@@ -886,7 +936,7 @@ class TestNoisyBernoulli:
         for n in (1, 2, 5):
             joint = models.noisy_bernoulli_joint(models.NoisyBernoulliModel(n, lam))
             exact[n] = measures.divergence_from_independence(joint, spec)
-            contracted[n] = eta * (models.bernoulli_hellinger(n, 2.0) - 1.0)
+            contracted[n] = eta * models.bernoulli_hellinger_first_order(n, 2.0).value
         assert abs(exact[1] - contracted[1]) <= 1e-9
         assert exact[2] > contracted[2]
         assert exact[5] > contracted[5]
@@ -955,8 +1005,7 @@ class TestClosedFormVsQuadrature:
         i_quad = measures.divergence_from_independence(
             joint, DivergenceSpec(DivergenceKind.SIBSON_MI, alpha=order))
         exp_quad = math.exp((order - 1.0) / order * i_quad)
-        assert math.isclose(exp_quad, models.bernoulli_sibson(n, order),
-                            abs_tol=1e-6)
+        assert math.isclose(exp_quad, _exponential_form(n, order), abs_tol=1e-6)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("order", [1.5, 2.0, 3.0])
@@ -965,5 +1014,4 @@ class TestClosedFormVsQuadrature:
         h_quad = measures.divergence_from_independence(
             joint, DivergenceSpec(DivergenceKind.HELLINGER_P, p=order))
         moment_quad = (order - 1.0) * h_quad + 1.0
-        assert math.isclose(moment_quad, models.bernoulli_hellinger(n, order),
-                            rel_tol=1e-6)
+        assert math.isclose(moment_quad, _moment(n, order), rel_tol=1e-6)
