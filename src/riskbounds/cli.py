@@ -8,12 +8,18 @@ JSON sidecar next to --out records per point and column the optimizing
 parameters, rho*, the value, the evaluations and the search path (fixed,
 grid, root, or own for a column with its own bound function).
 Float flags must be finite and seeds non-negative.  Every table sweeps its
-n in the calling thread, in order, and stops at the first n that fails.
+bounds in the calling thread, in n order, and stops at the first n that
+fails.  A --trials table then fills its mc_risk column with one
+`oracle.mc_risks` call over the n before that one: the Philox blocks of
+all of them share one thread pool, and each n's block totals are added
+in block order, so the column is the same as one `oracle.mc_risk` per n.
+Exit code 3 names the first failing n, of a bound or of a simulation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -296,14 +302,29 @@ def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
         info[column.method] = dict(res.params, rho=res.rho_star, value=res.value,
                                    vacuous=res.vacuous, evals=res.evaluations,
                                    path="own" if column.bound else res.path)
-    mc = None
-    if args.trials:
-        risk = oracle.mc_risk(model, setting.estimator, args.trials, args.seed)
-        mc = risk.mean
-        info["mc"] = {"mean": risk.mean, "se": risk.std_error,
-                      "trials": risk.samples}
-    row.update(n=n, upper=setting.upper(model), mc=mc, best=_best(row))
+    row.update(n=n, upper=setting.upper(model), mc=None, best=_best(row))
     return row, info
+
+
+def _fill_mc(setting: Setting, args, rows: dict, infos: dict):
+    """Fill the mc cell of each row, and its sidecar entry, from one
+    `oracle.mc_risks` call over the rows' n; returns the first n whose
+    simulation raised, with its error, or None.  An error raised before
+    any block runs (the oracle refusing a model) names the first n."""
+    ns = sorted(rows)
+    n = ns[0]
+    try:
+        with contextlib.closing(oracle.mc_risks(
+                [setting.model(k, args) for k in ns], setting.estimator,
+                args.trials, args.seed)) as risks:
+            for n in ns:
+                risk = next(risks)
+                rows[n]["mc"] = risk.mean
+                infos[n]["mc"] = {"mean": risk.mean, "se": risk.std_error,
+                                  "trials": risk.samples}
+    except Exception as exc:
+        return n, exc
+    return None
 
 
 def _theta_for(rule: str, n: int) -> float:
@@ -355,17 +376,27 @@ def _emit(rows, infos, header, keys, args, setting):
         sys.stdout.write(text)
 
 
-def _sweep(point_fn, n_values, args, setting, header, keys):
+def _sweep(point_fn, n_values, args, setting, header, keys, fill=None):
+    """Run ``point_fn`` on each n in order, stopping at the first that
+    raises; ``fill(args, rows, infos)`` then completes the rows of the n
+    before it and may name an earlier failing n.  Exit code 3 names the
+    first failing n."""
     rows: dict[int, dict] = {}
     infos: dict[int, dict] = {}
+    failure = None
     for n in n_values:
         try:
             result = point_fn(n, args)
-        except Exception as exc:  # exit code 3 names the failing point
-            print(f"numerical failure near n={n}: {exc}", file=sys.stderr)
-            return 3
+        except Exception as exc:
+            failure = n, exc
+            break
         if result is not None:
             rows[n], infos[n] = result
+    if fill is not None and rows:
+        failure = fill(args, rows, infos) or failure
+    if failure is not None:
+        print(f"numerical failure near n={failure[0]}: {failure[1]}", file=sys.stderr)
+        return 3
     _emit([rows[n] for n in sorted(rows)], infos, header, keys, args, setting)
     return 0
 
@@ -500,7 +531,8 @@ def main(argv=None) -> int:
         return _sweep(_hide_and_seek_point, n_values, args, "hide-and-seek",
                       HNS_HEADER, HNS_KEYS)
     return _sweep(functools.partial(_estimation_point, setting), n_values, args,
-                  setting.name, EST_HEADER, EST_KEYS)
+                  setting.name, EST_HEADER, EST_KEYS,
+                  functools.partial(_fill_mc, setting) if args.trials else None)
 
 
 if __name__ == "__main__":

@@ -161,9 +161,13 @@ def bernoulli_sibson_first_order(n: int, alpha) -> FirstOrder:
 def bernoulli_hellinger_first_order(n: int, p) -> FirstOrder:
     """H_p = (M - 1)/(p - 1) of bias and weight, M a Gamma-ratio sum, with
     the condition of the Hellinger bound from the same pass; ``p``
-    broadcasts as ``alpha`` does in `bernoulli_sibson_first_order`."""
+    broadcasts as ``alpha`` does in `bernoulli_sibson_first_order`.  Where
+    M exceeds the float range (orders above about 100) H_p is +inf, a
+    vacuous bound, while the condition, from log M, stays finite."""
     log_m, p, condition = _bernoulli_pass(n, p, hellinger=True)
-    return FirstOrder(_float_if_scalar((np.exp(log_m) - 1.0) / (p - 1.0)), condition)
+    with np.errstate(over="ignore"):  # M beyond the float range: H_p = +inf
+        m = np.exp(log_m)
+    return FirstOrder(_float_if_scalar((m - 1.0) / (p - 1.0)), condition)
 
 
 def _bernoulli_pass(n: int, order, hellinger: bool):
@@ -479,12 +483,19 @@ def gaussian_sibson_first_order(model: GaussianModel, alpha) -> FirstOrder:
     """Sibson's I_alpha = 0.5 * log(1 + alpha * n * sigma_W^2 / sigma^2),
     with the condition of the Sibson bound (`_order_condition`),
     D' = s/(2(1 + alpha s)), both by libm per order; ``alpha`` broadcasts,
-    and a scalar returns floats."""
+    and a scalar returns floats.  At alpha = +inf, I_alpha = +inf and the
+    condition is -inf, as in `gaussian_hellinger_first_order`: a falling
+    condition with no root to refine toward."""
     s = model.snr
+
+    def condition(a):
+        if a == math.inf:
+            return -math.inf
+        return _order_condition(a, 0.5 * s / (1.0 + a * s))
+
     orders = _orders(alpha)
-    return FirstOrder(
-        _libm(lambda a: 0.5 * math.log1p(a * s), orders),
-        _libm(lambda a: _order_condition(a, 0.5 * s / (1.0 + a * s)), orders))
+    return FirstOrder(_libm(lambda a: 0.5 * math.log1p(a * s), orders),
+                      _libm(condition, orders))
 
 
 def gaussian_hellinger_first_order(model: GaussianModel, p) -> FirstOrder:

@@ -1,15 +1,17 @@
 """Independent ground truth: Monte-Carlo risk and brute-force divergences.
 
 The Monte-Carlo driver uses the counter-based Philox generator: trials are
-split into fixed-size blocks, block ``i`` draws from ``Philox(key=seed)``
-jumped ``i`` times, and the reduction sums block totals in block order.
-The blocks run side by side on up to min(blocks, CPUs) threads, as
-numpy's random kernels release the interpreter lock; since each block
-owns its generator and the totals are added in block order, results are
-bit-for-bit reproducible for a given seed whatever the number of threads
-and however they are scheduled.  The Bernoulli estimators
-see a sample only through its count k, so each call tabulates the
-estimate over k = 0..n once and indexes the table per sample.
+split into fixed-size blocks, block ``i`` of a model draws from
+``Philox(key=seed)`` jumped ``i`` times, and the reduction sums each
+model's block totals in block order.  `mc_risks` runs the blocks of all
+the models it is given (a whole table's n) side by side on one pool of
+up to min(blocks, CPUs) threads, as numpy's random kernels release the
+interpreter lock; since each block owns its generator and the totals are
+added in block order, results are bit-for-bit reproducible for a given
+seed whatever the number of threads, the other models in the call and
+the scheduling.  `mc_risk` is its one-model case.  The Bernoulli
+estimators see a sample only through its count k, so each model's
+estimate is tabulated over k = 0..n once and the table indexed per sample.
 
 `brute_force_divergence` transcribes each divergence definition as plain
 per-cell loops; it deliberately shares no code with the array
@@ -18,7 +20,6 @@ implementations in :mod:`riskbounds.measures` that it validates.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +37,7 @@ from .models import (
     NoisyBernoulliModel,
 )
 
-__all__ = ["RiskEstimate", "mc_risk", "brute_force_divergence",
+__all__ = ["RiskEstimate", "mc_risk", "mc_risks", "brute_force_divergence",
            "beta_quantile", "posterior_median_bernoulli"]
 
 _BLOCK = 1 << 15
@@ -78,14 +79,23 @@ def posterior_median_bernoulli(k, n: int):
     return beta_quantile(k + 1.0, n - k + 1.0, 0.5)
 
 
-def _estimate_table(model, estimator: str) -> np.ndarray:
-    """The estimate of w after k = 0..n successes, for each k.
+def _estimate_table(model, estimator: str) -> np.ndarray | None:
+    """The estimate of w after k = 0..n successes, for each k; None for the
+    Gaussian model, whose posterior mean each block computes per sample.
 
     A discrete model's estimate depends on its sample through the count k
-    alone, so `mc_risk` computes it once per call and indexes this table
+    alone, so `mc_risks` computes it once per model and indexes this table
     with the sampled counts.  Each entry does the arithmetic the estimate
     of a single sample would do, so the risk is the same to the last bit.
+    An estimator the model does not support raises `UnsupportedEstimator`.
     """
+    if isinstance(model, GaussianModel):
+        if estimator != "posterior-mean":
+            raise UnsupportedEstimator(f"{estimator!r} for Gaussian model")
+        if model.n < 1:
+            raise ValueError("simulation needs at least one sample")
+        return None
+
     if isinstance(model, BernoulliUniformModel):
         n = model.n
         k = np.arange(n + 1)
@@ -168,32 +178,66 @@ def mc_risk(model, estimator: str, trials: int = 10 ** 5,
     ``trials >= 10**4``.  Deterministic in ``seed``: the blocks of trials
     run on a thread pool of up to min(blocks, CPUs) workers, and their
     totals are added in block order, so the worker count moves no bit.
-    An error raised in a block propagates with its own type.
+    An error raised in a block propagates with its own type.  This is
+    `mc_risks` of the one model.
+    """
+    [estimate] = mc_risks([model], estimator, trials, seed)
+    return estimate
+
+
+def mc_risks(models, estimator: str, trials: int = 10 ** 5, seed: int = 0):
+    """`mc_risk` of each model, as an iterator that yields the estimates in
+    model order; each is ``==`` to `mc_risk` of its model alone.
+
+    The estimate tables of all models are computed in the calling thread,
+    in model order, so a model or estimator that `mc_risk` refuses raises
+    here, before any block runs.  The blocks of every model then run on one
+    thread pool of min(total blocks, CPUs) workers, built when iteration
+    starts, and each model's block totals are added in block order.  An
+    error raised in a block comes out, with its own type, where that
+    model's estimate would have been yielded, so the caller can tell which
+    model failed; the blocks not yet started are cancelled.  The pool is
+    shut down when the iterator is exhausted, raises or is closed.
     """
     if trials < 10 ** 4:
         raise ValueError("at least 10^4 trials are required")
-    table = None
-    if not isinstance(model, GaussianModel):
-        table = _estimate_table(model, estimator)
-    elif estimator != "posterior-mean":
-        raise UnsupportedEstimator(f"{estimator!r} for Gaussian model")
-    elif model.n < 1:
-        raise ValueError("simulation needs at least one sample")
-    base = np.random.Philox(key=seed)
+    models = list(models)
+    tables = [_estimate_table(model, estimator) for model in models]
     sizes = [min(_BLOCK, trials - start) for start in range(0, trials, _BLOCK)]
-    rngs = [np.random.Generator(base.jumped(i)) for i in range(len(sizes))]
-    total = 0.0
-    total_sq = 0.0
-    with ThreadPoolExecutor(min(len(sizes), _usable_cpus())) as pool:
-        blocks = pool.map(functools.partial(_simulate_block, model, table),
-                          sizes, rngs)
-        for block_sum, block_sum_sq in blocks:
-            total += block_sum
-            total_sq += block_sum_sq
-    mean = total / trials
-    var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-    return RiskEstimate(mean=mean, std_error=math.sqrt(var / trials),
-                        samples=trials, seed=seed)
+    return _run_blocks(models, tables, sizes, seed)
+
+
+def _run_blocks(models, tables, sizes, seed):
+    """The estimates of `mc_risks`, one pool for the blocks of all models."""
+    if not models:
+        return
+    trials = sum(sizes)
+    pool = ThreadPoolExecutor(min(len(models) * len(sizes), _usable_cpus()))
+    try:
+        futures = [[pool.submit(_run_block, model, table, size, seed, i)
+                    for i, size in enumerate(sizes)]
+                   for model, table in zip(models, tables)]
+        for blocks in futures:
+            total = 0.0
+            total_sq = 0.0
+            for block in blocks:
+                block_sum, block_sum_sq = block.result()
+                total += block_sum
+                total_sq += block_sum_sq
+            mean = total / trials
+            var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+            yield RiskEstimate(mean=mean, std_error=math.sqrt(var / trials),
+                               samples=trials, seed=seed)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_block(model, table, size: int, seed: int, index: int):
+    """Block ``index`` of a simulation: its generator is Philox(key=seed)
+    jumped ``index`` times, made here so that only the blocks in flight
+    hold one."""
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    return _simulate_block(model, table, size, rng)
 
 
 def brute_force_divergence(joint: DiscreteJoint, spec: DivergenceSpec) -> float:

@@ -79,10 +79,10 @@ def _suite_sandwich(seed: int, trials: int, n_values) -> tuple[bool, str]:
     worst = -math.inf
     for setting in cli.SETTINGS.values():
         args = cli.build_parser().parse_args([setting.name])
-        for n in n_values:
-            row, _ = cli._estimation_point(setting, n, args)
-            risk = oracle.mc_risk(setting.model(n, args), setting.estimator,
-                                  trials, seed)
+        rows = [cli._estimation_point(setting, n, args)[0] for n in n_values]
+        risks = oracle.mc_risks([setting.model(n, args) for n in n_values],
+                                setting.estimator, trials, seed)
+        for row, risk in zip(rows, risks, strict=True):
             limit = risk.mean + 3.0 * risk.std_error
             for method in cli._METHOD_ORDER:
                 if row[method] is not None:

@@ -137,6 +137,36 @@ class TestParsing:
         assert cli.main(["bernoulli", "--n", "1..4", "--trials", "10000"]) == 3
         assert "numerical failure near n=3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound_n, block_n, named", [
+        (4, 2, 2),  # the simulation of an n before the failing bound
+        (2, 4, 2),  # n = 4 is never simulated: the sweep stopped at 2
+        (1, 1, 1),  # nothing to simulate
+        (None, 5, 5),  # a simulation failure alone
+    ])
+    def test_first_failure_of_bound_or_block_is_named(self, bound_n, block_n, named,
+                                                       monkeypatch, capsys):
+        real_upper, real_block = models.bernoulli_upper_bound, oracle._simulate_block
+        simulated = []
+
+        def upper(n):
+            if n == bound_n:
+                raise ArithmeticError("synthetic bound blow-up")
+            return real_upper(n)
+
+        def block(model, table, size, rng):
+            simulated.append(model.n)
+            if model.n == block_n:
+                raise ArithmeticError("synthetic block blow-up")
+            return real_block(model, table, size, rng)
+
+        monkeypatch.setattr(cli.models, "bernoulli_upper_bound", upper)
+        monkeypatch.setattr(oracle, "_simulate_block", block)
+        threads = threading.active_count()
+        assert cli.main(["bernoulli", "--n", "1..6", "--trials", "40000"]) == 3
+        assert f"numerical failure near n={named}:" in capsys.readouterr().err
+        assert all(n < (bound_n or 7) for n in simulated)
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("argv", [
         ["bernoulli", "--n", "2", "--gamma", "nan"],
         ["gaussian", "--n", "1", "--zeta", "nan"],

@@ -2,6 +2,8 @@
 
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -216,6 +218,104 @@ class TestMcRisk:
         with pytest.raises(ValueError):
             oracle.mc_risk(models.GaussianModel(0, 1.0, 2.0), "posterior-mean",
                            10 ** 4)
+
+
+_MC_MODELS = {
+    # setting -> (its estimator, a strategy for one of its models)
+    "bernoulli": ("posterior-median",
+                  st.builds(models.BernoulliUniformModel, st.integers(1, 60))),
+    "noisy-bernoulli": ("posterior-median",
+                        st.builds(models.NoisyBernoulliModel, st.integers(1, 60),
+                                  st.sampled_from([0.0, 0.1, 0.25, 0.45, 0.5]))),
+    "gaussian": ("posterior-mean",
+                 st.builds(models.GaussianModel, st.integers(1, 60),
+                           st.floats(0.1, 10.0), st.floats(0.1, 10.0))),
+}
+
+
+@st.composite
+def _mc_tables(draw):
+    """A setting's estimator and 1 to 6 of its models."""
+    estimator, model = _MC_MODELS[draw(st.sampled_from(sorted(_MC_MODELS)))]
+    return estimator, draw(st.lists(model, min_size=1, max_size=6))
+
+
+class TestMcRisks:
+    @settings(max_examples=20, deadline=None)
+    @given(table=_mc_tables(),
+           trials=st.sampled_from([10 ** 4, 1 << 15, (1 << 15) + 1, 10 ** 5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_estimate_equals_mc_risk_alone(self, table, trials, seed):
+        estimator, table_models = table
+        alone = [oracle.mc_risk(model, estimator, trials, seed)
+                 for model in table_models]
+        blocks = len(table_models) * -(-trials // oracle._BLOCK)
+        real_pool = oracle.ThreadPoolExecutor
+        for cpus in (1, 2, 4):
+            workers = []
+
+            def counted_pool(max_workers):
+                workers.append(max_workers)
+                return real_pool(max_workers)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, "ThreadPoolExecutor", counted_pool)
+                patch.setattr(oracle, "_usable_cpus", lambda: cpus)
+                together = list(oracle.mc_risks(table_models, estimator, trials,
+                                                seed))
+            assert workers == [min(blocks, cpus)]
+            assert [(e.mean, e.std_error, e.samples, e.seed) for e in together] \
+                == [(e.mean, e.std_error, e.samples, e.seed) for e in alone]
+
+    def test_refusals_raise_before_any_block(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before every model was checked")
+
+        monkeypatch.setattr(oracle, "_simulate_block", no_sampling)
+        good = models.BernoulliUniformModel(3)
+        for table, estimator, trials, error in [
+            ([good, models.NoisyBernoulliModel(2, 0.5)], "sample-mean", 10 ** 4,
+             UnsupportedEstimator),
+            ([good, models.GaussianModel(2, 1.0, 2.0)], "posterior-median", 10 ** 4,
+             UnsupportedEstimator),
+            ([models.GaussianModel(2, 1.0, 2.0), models.GaussianModel(0, 1.0, 2.0)],
+             "posterior-mean", 10 ** 4, ValueError),
+            ([good], "posterior-median", 100, ValueError),
+        ]:
+            with pytest.raises(error):
+                oracle.mc_risks(table, estimator, trials)
+
+    def test_a_failing_model_raises_in_its_place(self, monkeypatch):
+        class BlockFailure(Exception):
+            pass
+
+        real = oracle._simulate_block
+        ran = []
+
+        def fail_at_two(model, table, size, rng):
+            ran.append(model.n)
+            if model.n == 2:
+                if ran.count(2) > 1:
+                    time.sleep(0.2)  # holds the worker while the error is read
+                raise BlockFailure("synthetic blow-up")
+            return real(model, table, size, rng)
+
+        table = [models.BernoulliUniformModel(n) for n in (1, 2, 3)]
+        expected = oracle.mc_risk(table[0], "posterior-median", 10 ** 5)
+        monkeypatch.setattr(oracle, "_simulate_block", fail_at_two)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+        before = threading.active_count()
+        risks = oracle.mc_risks(table, "posterior-median", 10 ** 5)
+        assert next(risks) == expected
+        with pytest.raises(BlockFailure):
+            next(risks)
+        # the error of n = 2's first block cancelled the blocks still queued
+        assert ran.count(2) == 2 and 3 not in ran
+        assert threading.active_count() == before
+
+    def test_no_models_no_pool(self, monkeypatch):
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", None)
+        assert list(oracle.mc_risks([], "posterior-mean", 10 ** 4)) == []
 
 
 class TestBruteForce:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from riskbounds import cli
+from riskbounds import cli, models, oracle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TABLES = {
@@ -18,6 +18,8 @@ TABLES = {
     "bernoulli-optimize": ["bernoulli", "--optimize", "--n", "1,7"],
     "noisy-bernoulli": ["noisy-bernoulli", "--n", "3"],
     "gaussian-optimize": ["gaussian", "--optimize", "--n", "3"],
+    "bernoulli-trials": ["bernoulli", "--n", "1,7", "--trials", "10000"],
+    "gaussian-trials": ["gaussian", "--n", "3", "--trials", "10000"],
 }
 
 
@@ -37,3 +39,19 @@ def test_traced_table_equals_untraced(name, capsys, monkeypatch):
     assert code == 0
     assert capsys.readouterr().out == untraced
     assert "cli.main" in tracer.summary()["functions"]
+
+
+def test_traced_mc_risk_counts_its_trials(monkeypatch):
+    # the tracer's mc_risk hook reads the returned RiskEstimate's samples
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        oracle.mc_risk(models.BernoulliUniformModel(3), "posterior-median", 10 ** 4)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["counts"]["mc_risk.trials"] == 10 ** 4
+    assert {"oracle.mc_risk", "oracle.mc_risks"} <= set(summary["functions"])
