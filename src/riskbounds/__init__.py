@@ -32,14 +32,10 @@ from .bounds import (
     BoundResult,
     FirstOrder,
     SmallBallFn,
-    hellinger_bound,
-    hockey_stick_bound,
+    bound,
     maximize_rho,
-    mi_baseline_bound,
-    ml_bound,
     optimize_bound,
     sdpi_bound,
-    sibson_bound,
 )
 from .sdpi import (
     dobrushin_coefficient,

@@ -5,7 +5,10 @@ Each bound is sup over the radius rho of an objective that rises and
 then falls in rho, rho*(1 - b - penalty(L(rho))) with penalty(l) = A*l^t
 for all but the MI baseline.  Under the linear L(rho) = min(c*rho, 1)
 every sup has a closed form (`maximize_rho`, or the MI baseline's own),
-and one radius path (`_radius`) serves them all.
+one per method in `_METHODS`, and one radius path (`_radius`) applies
+the rules they share.  `bound(method, divergence, L, **params)` is the
+one entry point by method name; `sdpi_bound` and `optimize_bound` take
+a method by the same names.
 
 `optimize_bound` searches a bound's parameters over a grid in one
 callback call, then refines the grid maximum at the root of the
@@ -14,8 +17,8 @@ first-order condition the callback may report with its values
 no root to refine at, the grid maximum stands.
 
 Vacuous bounds (penalty >= 1 everywhere, or an infinite divergence) are
-reported as value 0 with the ``vacuous`` flag set instead of raising; a
-NaN divergence or bound value raises `NanValue`.
+reported as value 0, which `BoundResult.vacuous` reads, instead of
+raising; a NaN divergence or bound value raises `NanValue`.
 """
 
 from __future__ import annotations
@@ -34,11 +37,7 @@ __all__ = [
     "BoundResult",
     "FirstOrder",
     "maximize_rho",
-    "sibson_bound",
-    "ml_bound",
-    "hellinger_bound",
-    "hockey_stick_bound",
-    "mi_baseline_bound",
+    "bound",
     "sdpi_bound",
     "optimize_bound",
 ]
@@ -70,7 +69,6 @@ class BoundResult:
     method: str
     params: dict = field(default_factory=dict)
     evaluations: int = 1
-    vacuous: bool = False
     path: str = ""  # how `optimize_bound` searched: fixed, grid or root
 
     def __post_init__(self):
@@ -78,6 +76,11 @@ class BoundResult:
             raise NanValue(f"{self.method} bound value is NaN")
         if self.value < 0:
             raise ValueError("bound values are clamped at 0, got negative")
+
+    @property
+    def vacuous(self) -> bool:
+        """No radius gives a positive value: the bound is the trivial 0."""
+        return self.value == 0.0
 
 
 class FirstOrder(NamedTuple):
@@ -139,74 +142,45 @@ def _check_divergence(value: float) -> None:
         raise ValueError("divergence input must be non-negative")
 
 
-def _radius(divergence: float, L: SmallBallFn, method: str, params: dict,
-            closed) -> BoundResult:
-    """sup over rho of a bound's objective, ``closed(slope)`` = (rho*, value).
+# Each method's closed form, (divergence, c, **params) -> (rho*, value)
+# for a finite non-negative divergence under the slope c; each checks its
+# parameters before anything else.  Every bound but the MI baseline is
+# sup over rho of rho*(1 - b - penalty(L(rho))), penalty(l) = A*l^t, that
+# is `maximize_rho` with c = penalty(slope).
 
-    A NaN divergence raises `NanValue`; +inf, a value that is not
-    positive, or a penalty beyond the largest double (a bound below
-    ~1e-308), is vacuous.
-    """
-    _check_divergence(divergence)
-    value = 0.0
-    if divergence < math.inf:
-        try:
-            rho, value = closed(L.coefficient)
-        except OverflowError:
-            value = 0.0
-    if value <= 0.0:
-        return BoundResult(0.0, 0.0, method, params, 1, vacuous=True)
-    return BoundResult(value, rho, method, params)
-
-
-def _power_bound(divergence: float, t: float, b: float, penalty, L: SmallBallFn,
-                 method: str, params: dict) -> BoundResult:
-    """sup over rho of rho*(1 - b - penalty(L(rho))), penalty(l) = A*l^t:
-    `maximize_rho` with c = penalty(slope).  A penalty that overflows is
-    vacuous."""
-    def closed(slope):
-        if b >= 1.0:  # no radius has a positive value
-            return 0.0, 0.0
-        return maximize_rho(penalty(slope), t, b)
-
-    return _radius(divergence, L, method, params, closed)
-
-
-def sibson_bound(i_alpha: float, alpha: float, L: SmallBallFn) -> BoundResult:
+def _sibson(i_alpha: float, c: float, alpha: float) -> tuple[float, float]:
     """sup over rho of rho*(1 - (exp(I_alpha)*L(rho))^((alpha-1)/alpha))."""
     if not alpha > 1.0:
         raise ValueError("Sibson bound requires alpha > 1")
     t = (alpha - 1.0) / alpha
-    return _power_bound(i_alpha, t, 0.0, lambda l: (math.exp(i_alpha) * l) ** t,
-                        L, "sibson", {"alpha": alpha})
+    return maximize_rho((math.exp(i_alpha) * c) ** t, t)
 
 
-def ml_bound(ml: float, L: SmallBallFn) -> BoundResult:
+def _ml(ml: float, c: float) -> tuple[float, float]:
     """Maximal-leakage bound: the exponent is exp(ML) * L(rho), linear in L."""
-    return _power_bound(ml, 1.0, 0.0, lambda l: math.exp(ml) * l, L, "ml", {})
+    return maximize_rho(math.exp(ml) * c, 1.0)
 
 
-def hellinger_bound(h_p: float, p: float, L: SmallBallFn) -> BoundResult:
+def _hellinger(h_p: float, c: float, p: float) -> tuple[float, float]:
     """sup over rho of rho*(1 - L(rho)^((p-1)/p) * ((p-1)*H_p + 1)^(1/p))."""
     if not p > 1.0:
         raise ValueError("Hellinger order must exceed 1")
     t = (p - 1.0) / p
     moment = (p - 1.0) * h_p + 1.0
-    return _power_bound(h_p, t, 0.0, lambda l: l ** t * moment ** (1.0 / p),
-                        L, "hellinger", {"p": p})
+    return maximize_rho(c ** t * moment ** (1.0 / p), t)
 
 
-def hockey_stick_bound(e_value: float, gamma: float, zeta: float,
-                       L: SmallBallFn) -> BoundResult:
+def _egz(e_value: float, c: float, gamma: float, zeta: float) -> tuple[float, float]:
     """sup over rho of rho*(1 - (E + gamma*L(rho) + max(0, zeta-gamma))/zeta)."""
     if not (zeta > 0 and gamma >= 0):
         raise ValueError("requires zeta > 0 and gamma >= 0")
     b = (e_value + max(0.0, zeta - gamma)) / zeta
-    return _power_bound(e_value, 1.0, b, lambda l: gamma * l / zeta, L, "egz",
-                        {"gamma": gamma, "zeta": zeta})
+    if b >= 1.0:  # no radius has a positive value
+        return 0.0, 0.0
+    return maximize_rho(gamma * c / zeta, 1.0, b)
 
 
-def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
+def _mi(i_value: float, c: float) -> tuple[float, float]:
     """Mutual-information baseline sup over rho of
     rho*(1 - (I + log 2)/log(1/L(rho))).
 
@@ -217,31 +191,20 @@ def mi_baseline_bound(i_value: float, L: SmallBallFn) -> BoundResult:
     rho*(1 - a/u*) = rho* * a/u*^2 (as u* - a = a/u*), in one evaluation.
     At c = 0 the objective is rho itself, unbounded.
     """
-    numerator = i_value + math.log(2.0)
-
-    def closed(slope):
-        if slope == 0.0:
-            return math.inf, math.inf
-        u = 0.5 * (numerator + math.sqrt(numerator * (numerator + 4.0)))
-        rho = math.exp(-u) / slope
-        return rho, rho * numerator / (u * u)
-
-    return _radius(i_value, L, "mi", {}, closed)
+    a = i_value + math.log(2.0)
+    if c == 0.0:
+        return math.inf, math.inf
+    u = 0.5 * (a + math.sqrt(a * (a + 4.0)))
+    rho = math.exp(-u) / c
+    return rho, rho * a / (u * u)
 
 
-# method -> bound(divergence, L, **params); optimize_bound and sdpi_bound
-# take a method by name and dispatch through this one table (`_bound_of`)
-_METHODS = {
-    "sibson": lambda value, L, alpha: sibson_bound(value, alpha, L),
-    "hellinger": lambda value, L, p: hellinger_bound(value, p, L),
-    "egz": lambda value, L, gamma, zeta: hockey_stick_bound(value, gamma, zeta, L),
-    "ml": lambda value, L: ml_bound(value, L),
-    "mi": lambda value, L: mi_baseline_bound(value, L),
-}
+_METHODS = {"sibson": _sibson, "hellinger": _hellinger, "egz": _egz,
+            "ml": _ml, "mi": _mi}
 
 
-def _bound_of(method: str):
-    """The bound of ``method`` in `_METHODS`; an unknown name raises
+def _closed_form(method: str):
+    """The closed form of ``method`` in `_METHODS`; an unknown name raises
     ValueError."""
     if method not in _METHODS:
         raise ValueError(
@@ -249,19 +212,48 @@ def _bound_of(method: str):
     return _METHODS[method]
 
 
+def _radius(closed, divergence: float, c: float, params: dict) -> tuple[float, float]:
+    """(rho*, value) of the closed form ``closed`` at ``divergence``.
+
+    A bad parameter raises first, whatever the divergence.  Then a NaN
+    divergence raises `NanValue` and a negative one ValueError; +inf, a
+    value that is not positive, or a penalty beyond the largest double (a
+    bound below ~1e-308), is the vacuous (0, 0).
+    """
+    if not 0.0 <= divergence < math.inf:
+        closed(0.0, c, **params)  # the parameter checks alone
+        _check_divergence(divergence)
+        return 0.0, 0.0
+    try:
+        rho, value = closed(divergence, c, **params)
+    except OverflowError:
+        return 0.0, 0.0
+    return (0.0, 0.0) if value <= 0.0 else (rho, value)
+
+
+def bound(method: str, divergence: float, L: SmallBallFn, **params) -> BoundResult:
+    """The risk lower bound of ``method`` (a `_METHODS` name: ``sibson``
+    with ``alpha``, ``hellinger`` with ``p``, ``egz`` with ``gamma`` and
+    ``zeta``, ``ml`` or ``mi``) at the divergence it consumes (I_alpha,
+    H_p, E_{gamma,zeta}, maximal leakage or mutual information), under the
+    small-ball function L.  An unknown method or a bad parameter raises
+    ValueError, whatever the divergence; then a NaN divergence raises
+    `NanValue` and a negative one ValueError, and +inf gives the vacuous
+    bound (value 0)."""
+    rho, value = _radius(_closed_form(method), divergence, L.coefficient, params)
+    return BoundResult(value, rho, method, params)
+
+
 def sdpi_bound(i_phi: float, eta: float, method: str, L: SmallBallFn,
                **params) -> BoundResult:
-    """The bound of ``method`` (a `_METHODS` name, with its parameters) at
-    the divergence contracted by a factor eta (at eta = 0 nothing passes:
-    the contracted divergence is 0).  An unknown method raises ValueError."""
+    """The `bound` of ``method`` (with its parameters) at the divergence
+    contracted by a factor eta (at eta = 0 nothing passes: the contracted
+    divergence is 0).  An unknown method raises ValueError."""
     if not 0.0 <= eta <= 1.0:
         raise EtaOutOfRange(f"eta={eta!r} outside [0, 1]")
     _check_divergence(i_phi)
-    scaled = eta * i_phi if eta > 0.0 else 0.0
-    inner = _bound_of(method)(scaled, L, **params)
-    return BoundResult(inner.value, inner.rho_star, "sdpi",
-                       dict(inner.params, eta=eta), inner.evaluations,
-                       inner.vacuous)
+    inner = bound(method, eta * i_phi if eta > 0.0 else 0.0, L, **params)
+    return BoundResult(inner.value, inner.rho_star, "sdpi", dict(params, eta=eta))
 
 
 # method -> the parameter in whose log a `FirstOrder` condition is taken;
@@ -301,12 +293,12 @@ def optimize_bound(callback, method: str, param_grid: dict,
     call of length 1.  Otherwise the grid maximum stands: ``path`` "grid",
     or "fixed" for a grid of one point.  Every point evaluated, on the
     grid or by a root step, is a candidate, so the result value dominates
-    all of them, and ``evaluations`` sums the evaluations of every bound
-    computed.  Ties keep the first-found parameter, and parameters are
-    swept in sorted order (the last name varying fastest), so the output
-    is deterministic.  Grid values must be finite.
+    all of them, and ``evaluations`` counts them; only the winner becomes
+    a `BoundResult`.  Ties keep the first-found parameter, and parameters
+    are swept in sorted order (the last name varying fastest), so the
+    output is deterministic.  Grid values must be finite.
     """
-    bound = _bound_of(method)
+    closed = _closed_form(method)
 
     names = sorted(param_grid)
     for name in names:
@@ -319,9 +311,9 @@ def optimize_bound(callback, method: str, param_grid: dict,
             raise ValueError(f"non-finite value in the grid of {name!r}")
 
     def evaluate(points):
-        """The bound at each parameter point (an infinite divergence gives
-        the vacuous result), and the condition and its slope there: lists,
-        or None where the callback gave none."""
+        """The bound's (rho*, value) at each parameter point, and the
+        condition and its slope there: lists, or None where the callback
+        gave none."""
         out = callback(**{name: np.array([pt[name] for pt in points])
                           for name in names})
         first = out if isinstance(out, FirstOrder) else FirstOrder(out, None)
@@ -332,17 +324,16 @@ def optimize_bound(callback, method: str, param_grid: dict,
             return np.broadcast_to(np.asarray(values, dtype=float),
                                    (len(points),)).tolist()
 
-        results = [BoundResult(0.0, 0.0, method, dict(pt), 1, vacuous=True)
-                   if value == math.inf else bound(value, L, **pt)
-                   for pt, value in zip(points, per_point(first.value))]
-        return results, per_point(first.condition), per_point(first.slope)
+        found = [_radius(closed, value, L.coefficient, pt)
+                 for pt, value in zip(points, per_point(first.value))]
+        return found, per_point(first.condition), per_point(first.slope)
 
     points = [dict(zip(names, values))
               for values in itertools.product(*(grids[name].tolist() for name in names))]
-    results, condition, slope = evaluate(points)
-    top = max(range(len(results)), key=lambda i: results[i].value)  # the first maximum
-    best = results[top]
-    evals = sum(result.evaluations for result in results)
+    found, condition, slope = evaluate(points)
+    top = max(range(len(found)), key=lambda i: found[i][1])  # the first maximum
+    (rho, value), params = found[top], points[top]
+    evals = len(points)
     searched = [name for name in names if grids[name].size >= 2]
     path = "grid" if searched else "fixed"
 
@@ -355,17 +346,17 @@ def optimize_bound(callback, method: str, param_grid: dict,
             path = "root"
 
             def at(x):
-                nonlocal best, evals
-                found, cond, slopes = evaluate([dict(best.params, **{name: math.exp(x)})])
-                evals += found[0].evaluations
-                if found[0].value > best.value:
-                    best = found[0]
+                nonlocal rho, value, params, evals
+                point = dict(params, **{name: math.exp(x)})
+                step, cond, slopes = evaluate([point])
+                evals += 1
+                if step[0][1] > value:
+                    (rho, value), params = step[0], point
                 return cond[0], None if slopes is None else slopes[0]
 
             _root_search(at, xs, condition, slope, bracket)
 
-    return BoundResult(best.value, best.rho_star, method, best.params,
-                       evals, best.vacuous, path)
+    return BoundResult(value, rho, method, params, evals, path)
 
 
 def _falling_bracket(xs, gs, top):

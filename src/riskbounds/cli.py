@@ -352,7 +352,7 @@ def _hide_and_seek_point(n: int, args) -> tuple[dict, dict] | None:
     hb = models.hide_and_seek_bounds(model)
     row = dict(n=n, ml=hb.ml, nips=hb.nips, mi=hb.mi)
     row["best"] = _best(row, ("ml", "nips", "mi"))
-    info = {"theta": theta, "nips_valid": hb.nips_valid, "mi_valid": hb.mi_valid,
+    info = {"theta": theta, "nips_valid": hb.nips_valid,
             "leakage": models.hide_and_seek_leakage(model)}
     return row, info
 

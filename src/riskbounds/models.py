@@ -379,12 +379,17 @@ def _logit_ends(n: int, k, log_norm, log_t, right) -> np.ndarray:
 def _gamma_zeta_pairs(gamma, zeta) -> tuple[list, tuple]:
     """The broadcast (gamma, zeta) pairs as Python floats, and their shape;
     each zeta must be finite and positive, each gamma finite and
-    non-negative (NaN fails)."""
+    non-negative (NaN fails), and where gamma > 0 the ratio gamma/zeta,
+    which both kernels take the log of, a positive finite float."""
     gammas, zetas = np.broadcast_arrays(np.asarray(gamma, dtype=float),
                                         np.asarray(zeta, dtype=float))
     pairs = list(zip(gammas.ravel().tolist(), zetas.ravel().tolist()))
-    if not all(0 < z < math.inf and 0 <= g < math.inf for g, z in pairs):
-        raise ValueError("requires finite zeta > 0 and gamma >= 0")
+    for g, z in pairs:
+        if not (0 < z < math.inf and 0 <= g < math.inf):
+            raise ValueError("requires finite zeta > 0 and gamma >= 0")
+        if g > 0.0 and not 0.0 < g / z < math.inf:
+            raise ValueError(f"gamma/zeta = {g:g}/{z:g} rounds to {g / z:g}: "
+                             "the ratio must be a positive finite float")
     return pairs, gammas.shape
 
 
@@ -652,7 +657,6 @@ class HideAndSeekBounds(NamedTuple):
     nips: float
     mi: float
     nips_valid: bool
-    mi_valid: bool
 
 
 def hide_and_seek_bounds(model: HideAndSeekModel) -> HideAndSeekBounds:
@@ -676,8 +680,6 @@ def hide_and_seek_bounds(model: HideAndSeekModel) -> HideAndSeekBounds:
         min(4.0 * m * n * theta ** 2, log_d) + 1.0,
     )
     mi = 1.0 - mi_arm / log_d
-    mi_valid = theta <= 0.5
 
     clamp = lambda x: min(1.0, max(0.0, x))
-    return HideAndSeekBounds(clamp(ml), clamp(nips), clamp(mi),
-                             nips_valid, mi_valid)
+    return HideAndSeekBounds(clamp(ml), clamp(nips), clamp(mi), nips_valid)

@@ -48,7 +48,7 @@ def test_criterion_1_leakage_closed_form():
     worst = 0.0
     tail_ok = True
     for n in range(1, 501):
-        value = bounds.ml_bound(models.bernoulli_ml(n).upper, L2).value
+        value = bounds.bound("ml", models.bernoulli_ml(n).upper, L2).value
         reference = 1.0 / (8.0 * (2.0 + math.sqrt(math.pi * n / 2.0)))
         worst = max(worst, abs(value - reference) / reference)
         if n >= 41 and value < 1.0 / (5.0 * math.sqrt(2.0 * math.pi * n)):
@@ -68,7 +68,7 @@ def test_criterion_2_chi_square_closed_form():
         moment = chi2 + 1.0
         closed = (n + 1) / (2 * n + 1) * 4.0 ** n / comb(2 * n, n, exact=True)
         worst_moment = max(worst_moment, abs(moment - closed) / closed)
-        value = bounds.hellinger_bound(chi2, 2.0, L2).value
+        value = bounds.bound("hellinger", chi2, L2, p=2.0).value
         worst_bound = max(worst_bound, abs(value - (2.0 / 27.0) / moment))
         if value < 7.0 / (72.0 * math.sqrt(math.pi * n)):
             floor_ok = False
@@ -116,14 +116,13 @@ def test_criterion_4_sandwich(optimized_bernoulli):
         est = oracle.mc_risk(models.BernoulliUniformModel(n),
                              "posterior-median", trials, seed=n)
         limit = est.mean + 3.0 * est.std_error
-        check(bounds.ml_bound(models.bernoulli_ml(n).upper, L2).value, limit)
+        check(bounds.bound("ml", models.bernoulli_ml(n).upper, L2).value, limit)
         i2 = models.bernoulli_sibson_first_order(n, 2.0).value
-        check(bounds.sibson_bound(i2, 2.0, L2).value, limit)
-        check(bounds.hellinger_bound(
-            models.bernoulli_hellinger_first_order(n, 2.0).value, 2.0, L2).value, limit)
-        check(bounds.hockey_stick_bound(
-            models.bernoulli_e_gamma_zeta_batch(n, 3.0, 1.5).value[0], 3.0, 1.5,
-            L2).value, limit)
+        check(bounds.bound("sibson", i2, L2, alpha=2.0).value, limit)
+        check(bounds.bound("hellinger", models.bernoulli_hellinger_first_order(n, 2.0).value,
+                           L2, p=2.0).value, limit)
+        check(bounds.bound("egz", models.bernoulli_e_gamma_zeta_batch(n, 3.0, 1.5).value[0],
+                           L2, gamma=3.0, zeta=1.5).value, limit)
         for value in table[n].values():
             check(value, limit)
 
@@ -136,17 +135,14 @@ def test_criterion_4_sandwich(optimized_bernoulli):
         est = oracle.mc_risk(g, "posterior-mean", trials, seed=n)
         limit = est.mean + 3.0 * est.std_error
         gl = models.gaussian_small_ball(g)
-        check(bounds.sibson_bound(
-            models.gaussian_sibson_first_order(g, 2.0).value, 2.0, gl).value, limit)
-        check(bounds.hellinger_bound(
-            models.gaussian_hellinger_first_order(g, 1.5).value, 1.5, gl).value,
-            limit)
+        check(bounds.bound("sibson", models.gaussian_sibson_first_order(g, 2.0).value,
+                           gl, alpha=2.0).value, limit)
+        check(bounds.bound("hellinger", models.gaussian_hellinger_first_order(g, 1.5).value,
+                           gl, p=1.5).value, limit)
         check(models.gaussian_hellinger_closed_form_bound(g), limit)
-        check(bounds.hockey_stick_bound(
-            models.gaussian_e_gamma_zeta(g, 2.0, 1.5).value, 2.0, 1.5, gl).value,
-            limit)
-        check(bounds.mi_baseline_bound(
-            models.gaussian_mutual_information(g), gl).value, limit)
+        check(bounds.bound("egz", models.gaussian_e_gamma_zeta(g, 2.0, 1.5).value,
+                           gl, gamma=2.0, zeta=1.5).value, limit)
+        check(bounds.bound("mi", models.gaussian_mutual_information(g), gl).value, limit)
     elapsed = time.monotonic() - start
     _report("4", worst <= 0.0 and elapsed < 300.0,
             f"max bound excess {worst:.2e}, {elapsed:.0f}s")
@@ -201,15 +197,15 @@ def test_criterion_8_gaussian_constants():
                          * math.sqrt(sw2 / (1.0 + n * sw2 / s2)))
             value = models.gaussian_hellinger_closed_form_bound(g)
             worst_cf = max(worst_cf, abs(value - reference) / reference)
-            machinery = bounds.hellinger_bound(
-                models.gaussian_hellinger_first_order(g, 1.5).value, 1.5,
-                models.gaussian_small_ball(g)).value
+            machinery = bounds.bound(
+                "hellinger", models.gaussian_hellinger_first_order(g, 1.5).value,
+                models.gaussian_small_ball(g), p=1.5).value
             dominated = dominated and machinery >= value
 
     g = models.GaussianModel(4, 1.0, 2.0)
     L = models.gaussian_small_ball(g)
     i2 = models.gaussian_sibson_first_order(g, 2.0).value
-    closed = bounds.sibson_bound(i2, 2.0, L).value
+    closed = bounds.bound("sibson", i2, L, alpha=2.0).value
     rho = np.linspace(1e-9, 1.0 / L.coefficient, 10 ** 6)
     grid = float(np.max(rho * (1.0 - np.exp(
         0.5 * (i2 + np.log(L.coefficient * rho))))))

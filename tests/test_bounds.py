@@ -2,10 +2,11 @@
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskbounds import bounds as B
@@ -49,7 +50,7 @@ class TestMaximizeRho:
         assert B.maximize_rho(math.inf, 1.0) == (0.0, 0.0)
         assert B.maximize_rho(math.nan, 1.0) == (0.0, 0.0)
         # gamma = inf at slope 0: the penalty is inf * 0 = NaN, a vacuous bound
-        res = B.hockey_stick_bound(0.1, math.inf, 1.0, B.SmallBallFn(0.0))
+        res = B.bound("egz", 0.1, B.SmallBallFn(0.0), gamma=math.inf, zeta=1.0)
         assert res.vacuous and res.value == 0.0
 
     def test_validation(self):
@@ -63,50 +64,50 @@ class TestMaximizeRho:
 
 class TestSibsonBound:
     def test_independence_value(self):
-        res = B.sibson_bound(0.0, 2.0, L2)
+        res = B.bound("sibson", 0.0, L2, alpha=2.0)
         assert math.isclose(res.value, 2.0 / 27.0, rel_tol=1e-12)
 
     def test_bernoulli_one_flip_vs_grid(self):
         i2 = models.bernoulli_sibson_first_order(1, 2.0).value
-        res = B.sibson_bound(i2, 2.0, L2)
+        res = B.bound("sibson", i2, L2, alpha=2.0)
         gval, _ = grid_max(
             lambda r: r * (1 - math.exp(0.5 * (i2 + math.log(2 * r)))), 0.5)
         assert abs(res.value - gval) < 1e-8
 
     def test_large_alpha_matches_leakage_bound(self):
         ml = models.bernoulli_ml(10).upper
-        sib = B.sibson_bound(ml, 1e9, L2)
-        lead = B.ml_bound(ml, L2)
+        sib = B.bound("sibson", ml, L2, alpha=1e9)
+        lead = B.bound("ml", ml, L2)
         assert math.isclose(sib.value, lead.value, rel_tol=1e-6)
 
     def test_closed_form_rho_matches_grid(self):
         i2 = 0.7
-        res = B.sibson_bound(i2, 3.0, L2)
+        res = B.bound("sibson", i2, L2, alpha=3.0)
         g = lambda r: r * (1 - math.exp((2 / 3) * (i2 + math.log(2 * r))))
         _, grho = grid_max(g, 0.5)
         x, _, _ = brent_max(g, grho - 1e-6, grho + 1e-6, tol=1e-14)
         assert abs(res.rho_star - x) / x < 1e-8
 
     def test_infinite_divergence_is_vacuous(self):
-        res = B.sibson_bound(math.inf, 2.0, L2)
+        res = B.bound("sibson", math.inf, L2, alpha=2.0)
         assert res.value == 0.0 and res.vacuous
 
 
 class TestLeakageBound:
     def test_paper_constant(self):
         for n in (1, 7, 200):
-            res = B.ml_bound(models.bernoulli_ml(n).upper, L2)
+            res = B.bound("ml", models.bernoulli_ml(n).upper, L2)
             assert math.isclose(res.value,
                                 1.0 / (8.0 * (2.0 + math.sqrt(math.pi * n / 2.0))),
                                 rel_tol=1e-13)
 
     def test_independence(self):
         # sup of rho*(1 - 2*rho): same objective as the unit hockey-stick case
-        assert math.isclose(B.ml_bound(0.0, L2).value, 1.0 / 8.0, rel_tol=1e-13)
+        assert math.isclose(B.bound("ml", 0.0, L2).value, 1.0 / 8.0, rel_tol=1e-13)
 
     def test_asymptotic_further_bound(self):
         for n in (41, 127, 500):
-            res = B.ml_bound(models.bernoulli_ml(n).upper, L2)
+            res = B.bound("ml", models.bernoulli_ml(n).upper, L2)
             assert res.value >= 1.0 / (5.0 * math.sqrt(2.0 * math.pi * n))
 
 
@@ -114,18 +115,18 @@ class TestHellingerBound:
     def test_bernoulli_chi_square_closed_form(self):
         for n in (1, 5, 30):
             chi2 = models.bernoulli_hellinger_first_order(n, 2.0).value
-            res = B.hellinger_bound(chi2, 2.0, L2)
+            res = B.bound("hellinger", chi2, L2, p=2.0)
             assert math.isclose(res.value, (2.0 / 27.0) / (chi2 + 1.0), rel_tol=1e-12)
 
     def test_independence(self):
-        assert math.isclose(B.hellinger_bound(0.0, 2.0, L2).value, 2.0 / 27.0,
+        assert math.isclose(B.bound("hellinger", 0.0, L2, p=2.0).value, 2.0 / 27.0,
                             rel_tol=1e-13)
 
     def test_gaussian_three_halves_dominates_simplified_constant(self):
         for n in (1, 4, 16):
             g = models.GaussianModel(n, 1.0, 2.0)
             h = models.gaussian_hellinger_first_order(g, 1.5).value
-            res = B.hellinger_bound(h, 1.5, models.gaussian_small_ball(g))
+            res = B.bound("hellinger", h, models.gaussian_small_ball(g), p=1.5)
             assert res.value >= models.gaussian_hellinger_closed_form_bound(g)
 
 
@@ -133,7 +134,7 @@ class TestHockeyStickBound:
     def test_bernoulli_closed_form(self):
         n, gamma, zeta = 8, 3.0, 1.5
         e = _bernoulli_egz(n, gamma, zeta)
-        res = B.hockey_stick_bound(e, gamma, zeta, L2)
+        res = B.bound("egz", e, L2, gamma=gamma, zeta=zeta)
         assert math.isclose(res.value, (zeta - e) ** 2 / (8.0 * gamma * zeta),
                             rel_tol=1e-12)
 
@@ -141,22 +142,22 @@ class TestHockeyStickBound:
         g = models.GaussianModel(3, 1.0, 2.0)
         gamma, zeta = 2.0, 1.5
         e = models.gaussian_e_gamma_zeta(g, gamma, zeta).value
-        res = B.hockey_stick_bound(e, gamma, zeta, models.gaussian_small_ball(g))
+        res = B.bound("egz", e, models.gaussian_small_ball(g), gamma=gamma, zeta=zeta)
         expected = math.sqrt(2.0 * g.sigma_w_sq * math.pi) \
             * (zeta - e) ** 2 / (8.0 * gamma * zeta)
         assert math.isclose(res.value, expected, rel_tol=1e-12)
 
     def test_independence_unit_parameters(self):
-        res = B.hockey_stick_bound(0.0, 1.0, 1.0, L2)
+        res = B.bound("egz", 0.0, L2, gamma=1.0, zeta=1.0)
         assert math.isclose(res.value, 0.125, rel_tol=1e-13)
 
     def test_vacuous_when_divergence_reaches_zeta(self):
-        res = B.hockey_stick_bound(1.5, 1.0, 1.5, L2)
+        res = B.bound("egz", 1.5, L2, gamma=1.0, zeta=1.5)
         assert res.value == 0.0 and res.vacuous
 
     def test_gamma_below_zeta_branch_matches_grid(self):
         e, gamma, zeta = 0.1, 0.8, 1.2
-        res = B.hockey_stick_bound(e, gamma, zeta, L2)
+        res = B.bound("egz", e, L2, gamma=gamma, zeta=zeta)
         g = lambda r: r * (1 - (e + gamma * min(2 * r, 1.0)
                                 + max(0.0, zeta - gamma)) / zeta)
         gval, _ = grid_max(g, 0.5)
@@ -165,7 +166,7 @@ class TestHockeyStickBound:
 
 class TestMiBaseline:
     def test_zero_information_vs_grid(self):
-        res = B.mi_baseline_bound(0.0, L2)
+        res = B.bound("mi", 0.0, L2)
         g = lambda r: r * (1 - math.log(2.0) / (-math.log(min(2 * r, 1.0)))) \
             if 2 * r < 1 else -1.0
         gval, _ = grid_max(g, 0.5)
@@ -173,8 +174,8 @@ class TestMiBaseline:
 
     def test_below_leakage_bound_on_ten_flips(self):
         mi = models.bernoulli_mutual_information(10)
-        base = B.mi_baseline_bound(mi, L2)
-        lead = B.ml_bound(models.bernoulli_ml(10).upper, L2)
+        base = B.bound("mi", mi, L2)
+        lead = B.bound("ml", models.bernoulli_ml(10).upper, L2)
         assert base.value < lead.value
 
 
@@ -222,15 +223,19 @@ def _hellinger_objective(x, c, p):
 
 
 def _egz_objective(x, c, gamma, zeta):
-    """rho -> rho*(1 - (E + gamma*L(rho) + max(0, zeta - gamma))/zeta) at E = x."""
-    return _penalized(lambda l: (x + gamma * l + max(0.0, zeta - gamma)) / zeta, c)
+    """rho -> rho*(1 - (E + gamma*L(rho) + max(0, zeta - gamma))/zeta) at
+    E = x, written rho*((1 - b) - gamma*L(rho)/zeta) with
+    b = (E + max(0, zeta - gamma))/zeta: where 1 - b is tiny, subtracting
+    the whole fraction from 1 would lose its digits to cancellation."""
+    b = (x + max(0.0, zeta - gamma)) / zeta
+    return lambda rho: rho * ((1.0 - b) - gamma * min(c * rho, 1.0) / zeta)
 
 
 @settings(max_examples=200, deadline=None)
 @given(i_value=st.floats(0.0, 300.0), c=st.floats(1e-3, 10.0))
 def test_mi_closed_form_radius_matches_the_scan(i_value, c):
     # the objective scanned numerically is the oracle of the closed form
-    closed = B.mi_baseline_bound(i_value, B.SmallBallFn(c))
+    closed = B.bound("mi", i_value, B.SmallBallFn(c))
     value, rho = radius_scan(_mi_objective(i_value, c), 1.0 / c)
     assert closed.evaluations == 1
     # the closed form is the supremum, and the scan sees radii down to
@@ -248,18 +253,16 @@ _scale = st.floats(-2.0, 1.5).map(lambda x: 10.0 ** x)
 # in rho at x under the slope c; the sdpi families contract x by eta and
 # take the bound of the method they name
 FAMILIES = {
-    "sibson": (st.fixed_dictionaries({"alpha": _order}),
-               lambda x, L, alpha: B.sibson_bound(x, alpha, L),
+    "sibson": (st.fixed_dictionaries({"alpha": _order}), partial(B.bound, "sibson"),
                lambda x, c, alpha: _penalized(
                    lambda l: (math.exp(x) * l) ** ((alpha - 1.0) / alpha), c)),
-    "ml": (st.just({}), lambda x, L: B.ml_bound(x, L),
+    "ml": (st.just({}), partial(B.bound, "ml"),
            lambda x, c: _penalized(lambda l: math.exp(x) * l, c)),
-    "hellinger": (st.fixed_dictionaries({"p": _order}),
-                  lambda x, L, p: B.hellinger_bound(x, p, L), _hellinger_objective),
+    "hellinger": (st.fixed_dictionaries({"p": _order}), partial(B.bound, "hellinger"),
+                  _hellinger_objective),
     "egz": (st.fixed_dictionaries({"gamma": _scale, "zeta": _scale}),
-            lambda x, L, gamma, zeta: B.hockey_stick_bound(x, gamma, zeta, L),
-            _egz_objective),
-    "mi": (st.just({}), lambda x, L: B.mi_baseline_bound(x, L), _mi_objective),
+            partial(B.bound, "egz"), _egz_objective),
+    "mi": (st.just({}), partial(B.bound, "mi"), _mi_objective),
     "sdpi-hellinger": (st.fixed_dictionaries({"eta": st.floats(0.0, 1.0), "p": _order}),
                        lambda x, L, eta, p: B.sdpi_bound(x, eta, "hellinger", L, p=p),
                        lambda x, c, eta, p: _hellinger_objective(eta * x, c, p)),
@@ -276,6 +279,9 @@ _divergence_values = st.floats(0.0, 1.0) | st.floats(0.0, 50.0)
 
 @settings(max_examples=300, deadline=None)
 @given(family=_family, x=_divergence_values, c=st.floats(1e-3, 10.0))
+# 1 - b ~ 2.3e-7: the objective written as 1 - (E + ...)/zeta was 3.3e-10 off
+@example(family=("sdpi-egz", {"eta": 1.0, "gamma": 10.0, "zeta": 10.0 ** 1e-7}),
+         x=1.0, c=1.0)
 def test_closed_form_radius_matches_the_scan(family, x, c):
     # each family's objective scanned numerically is the oracle of its
     # closed form
@@ -303,7 +309,7 @@ def test_bounds_do_not_rise_with_the_divergence(family, xs, c):
 class TestSdpiBound:
     def test_eta_one_reduces_to_plain(self):
         h = 0.8
-        plain = B.hellinger_bound(h, 2.0, L2)
+        plain = B.bound("hellinger", h, L2, p=2.0)
         refined = B.sdpi_bound(h, 1.0, "hellinger", L2, p=2.0)
         assert math.isclose(refined.value, plain.value, rel_tol=1e-12)
 
@@ -327,7 +333,7 @@ class TestSdpiBound:
     def test_contracts_the_named_method(self):
         # E = 0.4 contracted to 0.2, against the plain bound at 0.2
         res = B.sdpi_bound(0.4, 0.5, "egz", L2, gamma=3.0, zeta=1.5)
-        plain = B.hockey_stick_bound(0.2, 3.0, 1.5, L2)
+        plain = B.bound("egz", 0.2, L2, gamma=3.0, zeta=1.5)
         assert (res.value, res.rho_star) == (plain.value, plain.rho_star)
         assert (res.method, res.params) == ("sdpi", {"gamma": 3.0, "zeta": 1.5,
                                                      "eta": 0.5})
@@ -346,11 +352,11 @@ class TestSdpiBound:
 
 
 BOUND_FUNCTIONS = {
-    "sibson": lambda x, L: B.sibson_bound(x, 2.0, L),
-    "ml": lambda x, L: B.ml_bound(x, L),
-    "hellinger": lambda x, L: B.hellinger_bound(x, 2.0, L),
-    "egz": lambda x, L: B.hockey_stick_bound(x, 3.0, 1.5, L),
-    "mi": lambda x, L: B.mi_baseline_bound(x, L),
+    "sibson": lambda x, L: B.bound("sibson", x, L, alpha=2.0),
+    "ml": lambda x, L: B.bound("ml", x, L),
+    "hellinger": lambda x, L: B.bound("hellinger", x, L, p=2.0),
+    "egz": lambda x, L: B.bound("egz", x, L, gamma=3.0, zeta=1.5),
+    "mi": lambda x, L: B.bound("mi", x, L),
     "sdpi": lambda x, L: B.sdpi_bound(x, 0.5, "hellinger", L, p=2.0),
 }
 # at a divergence of 1e3, e^1000 overflows (sibson, ml), E exceeds zeta
@@ -378,7 +384,7 @@ class TestNonFiniteDivergence:
 
     def test_overflowed_moment_is_vacuous_not_nan(self):
         # the moment 2*H_3 + 1 of H_3 = 1e308 overflows to inf
-        res = B.hellinger_bound(1e308, 3.0, L2)
+        res = B.bound("hellinger", 1e308, L2, p=3.0)
         assert res.vacuous and res.value == 0.0
 
     def test_bound_result_rejects_nan(self):
@@ -408,7 +414,7 @@ class TestSmallBallSlope:
 class TestOptimizeBound:
     def test_single_point_grid_equals_direct(self):
         i2 = models.bernoulli_sibson_first_order(5, 2.0).value
-        direct = B.sibson_bound(i2, 2.0, L2)
+        direct = B.bound("sibson", i2, L2, alpha=2.0)
         opt = B.optimize_bound(
             lambda alpha: models.bernoulli_sibson_first_order(5, alpha),
             "sibson", {"alpha": [2.0]}, L2)
@@ -419,7 +425,7 @@ class TestOptimizeBound:
         # the values alone: the grid maximum stands
         callback = lambda alpha: models.bernoulli_sibson_first_order(10, alpha).value
         opt = B.optimize_bound(callback, "sibson", {"alpha": grid}, L2)
-        at_two = B.sibson_bound(callback(2.0), 2.0, L2)
+        at_two = B.bound("sibson", callback(2.0), L2, alpha=2.0)
         assert opt.value >= at_two.value
         assert opt.evaluations >= len(grid)
 
@@ -431,7 +437,7 @@ class TestOptimizeBound:
         hel = B.optimize_bound(
             lambda p: models.bernoulli_hellinger_first_order(10, p).value,
             "hellinger", {"p": grid}, L2)
-        mi = B.mi_baseline_bound(models.bernoulli_mutual_information(10), L2)
+        mi = B.bound("mi", models.bernoulli_mutual_information(10), L2)
         assert egz.value >= hel.value >= mi.value
 
     def test_empty_grid_rejected(self):
@@ -477,7 +483,8 @@ class TestOptimizeBound:
         # every point is vacuous with one evaluation, and without a
         # condition the first grid point stands
         assert res == B.BoundResult(0.0, 0.0, "hellinger", {"p": 1.5},
-                                    len(grid), vacuous=True, path="grid")
+                                    len(grid), path="grid")
+        assert res.vacuous
 
 
     def test_falling_bracket_needs_a_finite_falling_end(self):
@@ -508,13 +515,7 @@ def _bound_at(method, callback, params, L):
     the divergence is infinite."""
     out = callback(**{name: np.array([x]) for name, x in params.items()})
     value = np.broadcast_to(out.value if isinstance(out, B.FirstOrder) else out, (1,))[0]
-    if value == math.inf:
-        return 0.0
-    if method == "sibson":
-        return B.sibson_bound(value, params["alpha"], L).value
-    if method == "hellinger":
-        return B.hellinger_bound(value, params["p"], L).value
-    return B.hockey_stick_bound(value, params["gamma"], params["zeta"], L).value
+    return B.bound(method, float(value), L, **params).value
 
 
 def _divergence(setting, n, method):
@@ -569,6 +570,69 @@ def test_optimize_bound_dominates_its_grid(setting, n, method, orders, gammas, z
         assert res.value >= _bound_at(method, callback, params, L)
 
 
+# every column that optimize_bound serves: the searched ones under
+# --optimize, and the fixed ones (mi, ml, the noisy hellinger)
+_COLUMNS = {f"{setting.name}-{column.method}": (setting, column)
+            for setting in cli.SETTINGS.values() for column in setting.columns
+            if column.bound is None}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+@pytest.mark.parametrize("name", sorted(_COLUMNS))
+def test_optimize_bound_is_the_bound_at_its_winner(name, n, monkeypatch):
+    # the grid and the root steps are ranked as plain floats: one
+    # BoundResult is built, the winner's, and it is == to `bound` at the
+    # divergence of the winning parameters
+    setting, column = _COLUMNS[name]
+    args = cli.build_parser().parse_args(
+        [setting.name] + (["--optimize"] if column.grid else []))
+    model = setting.model(n, args)
+    L = setting.small_ball(model)
+    callback = partial(column.divergence, model)
+    built = []
+
+    class Counted(B.BoundResult):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(B, "BoundResult", Counted)
+    res = B.optimize_bound(callback, column.method, cli._column_grid(column, args), L)
+    assert len(built) == 1 and built[0] is res
+    monkeypatch.undo()
+    out = callback(**{key: np.array([value]) for key, value in res.params.items()})
+    value = out.value if isinstance(out, B.FirstOrder) else out
+    direct = B.bound(column.method, float(np.broadcast_to(value, (1,))[0]), L,
+                     **res.params)
+    assert (res.value, res.rho_star, res.params) == (direct.value, direct.rho_star,
+                                                     direct.params)
+
+
+class TestBound:
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            B.bound("bogus", 1.0, L2)
+
+    @pytest.mark.parametrize("divergence", [0.5, math.inf, math.nan, -1.0])
+    def test_bad_parameter_raises_first_whatever_the_divergence(self, divergence):
+        with pytest.raises(ValueError, match="requires alpha > 1"):
+            B.bound("sibson", divergence, L2, alpha=1.0)
+        with pytest.raises(ValueError, match="zeta > 0"):
+            B.bound("egz", divergence, L2, gamma=1.0, zeta=0.0)
+
+    def test_negative_divergence_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            B.bound("mi", -1e-3, L2)
+
+    def test_vacuous_reads_the_value(self):
+        # vacuous is exactly value == 0: no producer can set it apart
+        assert B.bound("egz", 1.5, L2, gamma=1.0, zeta=1.5).vacuous
+        assert not B.bound("egz", 0.5, L2, gamma=1.0, zeta=1.5).vacuous
+        assert not B.BoundResult(math.inf, math.inf, "mi").vacuous
+        with pytest.raises(TypeError):
+            B.BoundResult(0.1, 0.1, "mi", vacuous=True)
+
+
 class TestSibsonDominatesHellinger:
     """At a matched order the exponential form never loses to the moment form."""
 
@@ -576,9 +640,9 @@ class TestSibsonDominatesHellinger:
         for n in range(1, 51):
             for order in (1.5, 2.0, 4.0):
                 i_alpha = models.bernoulli_sibson_first_order(n, order).value
-                sib = B.sibson_bound(i_alpha, order, L2).value
-                hel = B.hellinger_bound(
-                    models.bernoulli_hellinger_first_order(n, order).value, order, L2).value
+                sib = B.bound("sibson", i_alpha, L2, alpha=order).value
+                h_p = models.bernoulli_hellinger_first_order(n, order).value
+                hel = B.bound("hellinger", h_p, L2, p=order).value
                 assert sib >= hel - 1e-12
 
 
@@ -600,5 +664,5 @@ class TestSandwichSpotChecks:
                               "posterior-median", 10 ** 4, seed=1)
         limit = risk.mean + 3.0 * risk.std_error
         i2 = models.bernoulli_sibson_first_order(n, 2.0).value
-        assert B.sibson_bound(i2, 2.0, L2).value <= limit
-        assert B.ml_bound(models.bernoulli_ml(n).upper, L2).value <= limit
+        assert B.bound("sibson", i2, L2, alpha=2.0).value <= limit
+        assert B.bound("ml", models.bernoulli_ml(n).upper, L2).value <= limit

@@ -93,6 +93,15 @@ class TestParsing:
     def test_bound_parameters_in_range_run(self, argv, capsys):
         assert cli.main(argv) == 0
 
+    @pytest.mark.parametrize("setting", ["bernoulli", "gaussian"])
+    @pytest.mark.parametrize("gamma, zeta", [("1e300", "1e-10"), ("1e-308", "1e308")])
+    def test_gamma_zeta_ratio_outside_the_float_range_fails(self, setting, gamma,
+                                                            zeta, capsys):
+        assert cli.main([setting, "--n", "2", "--gamma", gamma, "--zeta", zeta]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure near n=2: gamma/zeta" in err
+        assert "Warning" not in err
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(n):
             raise ArithmeticError("synthetic blow-up")
@@ -284,10 +293,10 @@ class TestBernoulliCommand:
         assert math.isclose(float(row[4]), chi_expect, rel_tol=1e-10)
         L = models.bernoulli_small_ball()
         i2 = models.bernoulli_sibson_first_order(4, 2.0).value
-        assert math.isclose(float(row[3]), bounds.sibson_bound(i2, 2.0, L).value,
+        assert math.isclose(float(row[3]), bounds.bound("sibson", i2, L, alpha=2.0).value,
                             rel_tol=1e-10)
-        egz = bounds.hockey_stick_bound(
-            models.bernoulli_e_gamma_zeta_batch(4, 3.0, 1.5).value[0], 3.0, 1.5, L)
+        egz = bounds.bound("egz", models.bernoulli_e_gamma_zeta_batch(4, 3.0, 1.5).value[0],
+                           L, gamma=3.0, zeta=1.5)
         assert math.isclose(float(row[5]), egz.value, rel_tol=1e-10)
 
 
@@ -474,7 +483,7 @@ class TestRootFallbacks:
         assert res.path == "grid"
         assert res == bounds.optimize_bound(_values_only(callback), "egz", grid, L)
         values = callback(gamma=np.asarray(grid["gamma"]), zeta=np.ones(4)).value
-        assert res.value == max(bounds.hockey_stick_bound(v, x, 1.0, L).value
+        assert res.value == max(bounds.bound("egz", v, L, gamma=x, zeta=1.0).value
                                 for v, x in zip(values, grid["gamma"]))
         assert res.evaluations == 4
 

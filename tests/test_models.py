@@ -12,7 +12,6 @@ from scipy import integrate
 from scipy.special import betainc, comb, gammaln, logsumexp, ndtr, xlogy
 
 from riskbounds import bounds, measures, models
-from riskbounds.bounds import hockey_stick_bound
 from riskbounds.distributions import DivergenceKind, DivergenceSpec
 from riskbounds.quadrature import adaptive_simpson
 
@@ -38,11 +37,12 @@ class TestModelValidation:
 
 
 _NAN_CALLS = {
-    "sibson_bound": lambda: bounds.sibson_bound(0.1, math.nan, bounds.SmallBallFn(2.0)),
-    "hellinger_bound": lambda: bounds.hellinger_bound(0.1, math.nan,
-                                                      bounds.SmallBallFn(2.0)),
-    "hockey_stick_bound": lambda: bounds.hockey_stick_bound(
-        0.1, math.nan, 1.0, bounds.SmallBallFn(2.0)),
+    "sibson_bound": lambda: bounds.bound("sibson", 0.1, bounds.SmallBallFn(2.0),
+                                         alpha=math.nan),
+    "hellinger_bound": lambda: bounds.bound("hellinger", 0.1, bounds.SmallBallFn(2.0),
+                                            p=math.nan),
+    "hockey_stick_bound": lambda: bounds.bound("egz", 0.1, bounds.SmallBallFn(2.0),
+                                               gamma=math.nan, zeta=1.0),
     "bernoulli_e_gamma_zeta": lambda: models.bernoulli_e_gamma_zeta_batch(5, math.nan, 1.0),
     "bernoulli_e_gamma_zeta_batch[gamma]": lambda: models.bernoulli_e_gamma_zeta_batch(
         5, np.array([2.0, math.nan]), np.array([1.0, 1.0])),
@@ -151,6 +151,25 @@ def test_infinite_parameters_raise(name):
     # or zeta
     with pytest.raises(ValueError, match="finite"):
         _INFINITE_CALLS[name]()
+
+
+_EGZ_KERNELS = {
+    "bernoulli": lambda gamma, zeta: models.bernoulli_e_gamma_zeta_batch(2, gamma, zeta),
+    "gaussian": lambda gamma, zeta: models.gaussian_e_gamma_zeta(
+        models.GaussianModel(2, 1.0, 2.0), gamma, zeta),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_EGZ_KERNELS))
+@pytest.mark.parametrize("gamma, zeta", [(1e300, 1e-10), (1e-308, 1e308)],
+                         ids=["overflow", "underflow"])
+def test_gamma_zeta_ratio_outside_the_float_range_raises(kernel, gamma, zeta):
+    # both kernels take log(gamma/zeta): a ratio that rounds to inf or to 0
+    # is named, instead of turning into NaN, a silent 0 or a math domain error
+    with pytest.raises(ValueError, match="gamma/zeta = .* the ratio must be"):
+        _EGZ_KERNELS[kernel](gamma, zeta)
+    with pytest.raises(ValueError, match="gamma/zeta"):  # one bad pair of a batch
+        _EGZ_KERNELS[kernel](np.array([2.0, gamma]), np.array([1.0, zeta]))
 
 
 def test_gaussian_kernels_keep_their_infinite_order_limits():
@@ -465,10 +484,10 @@ class TestBernoulliHockeyStick:
         assert math.isclose(e_scaled, scale * e,
                             abs_tol=1e-13 * scale * max(gamma, zeta))
         L = models.bernoulli_small_ball()
-        bound = hockey_stick_bound(e, gamma, zeta, L).value
-        bound_scaled = hockey_stick_bound(e_scaled, scale * gamma,
-                                          scale * zeta, L).value
-        assert math.isclose(bound_scaled, bound, rel_tol=1e-9, abs_tol=1e-15)
+        plain = bounds.bound("egz", e, L, gamma=gamma, zeta=zeta).value
+        scaled = bounds.bound("egz", e_scaled, L, gamma=scale * gamma,
+                              zeta=scale * zeta).value
+        assert math.isclose(scaled, plain, rel_tol=1e-9, abs_tol=1e-15)
 
     @example(n=1, pairs=[(0.0, 1.0), (2.0, 1.5), (1e-4, 0.01), (1e4, 100.0)])
     @example(n=2, pairs=[(1.5, 1.0), (3.0, 1.0), (0.5, 2.0)])
@@ -906,13 +925,15 @@ class TestOrderCondition:
     def test_condition_matches_the_differences_of_the_log_bound(
             self, setting, method, n, sw2, s2, theta):
         kernel, _ = self._kernels(setting, method, n, sw2, s2)
-        bound = bounds.sibson_bound if method == "sibson" else bounds.hellinger_bound
+        name = "alpha" if method == "sibson" else "p"
         L = bounds.SmallBallFn(2.0)  # its slope only shifts log f
 
         def log_bound(x):
             order = math.exp(x)
             value = kernel(np.array([order])).value[0]
-            return -math.inf if value == math.inf else math.log(bound(value, order, L).value)
+            if value == math.inf:
+                return -math.inf
+            return math.log(bounds.bound(method, value, L, **{name: order}).value)
 
         g = kernel(np.array([theta])).condition[0]
         if kernel(np.array([theta])).value[0] == math.inf:
@@ -1001,7 +1022,7 @@ class TestHideAndSeek:
     def test_validity_flags(self):
         hb = models.hide_and_seek_bounds(
             models.HideAndSeekModel(d=512, m=10, b=1536.0, theta=0.25, n=2))
-        assert not hb.nips_valid and hb.mi_valid
+        assert not hb.nips_valid
         hb = models.hide_and_seek_bounds(
             models.HideAndSeekModel(d=512, m=10, b=1536.0, theta=0.01, n=5))
         assert hb.nips_valid
