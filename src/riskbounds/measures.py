@@ -186,6 +186,14 @@ def mutual_information(joint) -> float:
             return math.inf
         return max(0.0, float(np.sum(m[mask] * np.log(m[mask] / prod[mask]))))
     marginal = joint.observation_marginal()
+    integrand = _mi_integrand(joint, marginal)
+    return max(0.0, _sum_in_order(joint.integrate(integrand, rows=marginal.size)))
+
+
+def _mi_integrand(joint: MixedJoint, marginal: np.ndarray):
+    """The batched integrand of the mutual information of ``joint``: row k
+    at w is density(w) * lik * (log lik - log P(k)), lik = likelihood(k, w),
+    and 0 where lik = 0, with ``marginal[k]`` = P(k)."""
     # libm's log, not np.log, whose vectorised loop may round the last bit
     # differently; the pinned values in the tests were made with libm
     log_px = np.array([math.log(px) for px in marginal.tolist()])
@@ -198,7 +206,7 @@ def mutual_information(joint) -> float:
             lik > 0, lik * (log_lik - log_px[k]), 0.0
         )
 
-    return max(0.0, _sum_in_order(joint.integrate(integrand, rows=marginal.size)))
+    return integrand
 
 
 def _sum_in_order(values) -> float:

@@ -152,7 +152,9 @@ def bernoulli_sibson_first_order(n: int, alpha) -> FirstOrder:
     condition of the Sibson bound from the same pass (`_bernoulli_pass`).
     An array of R orders is one pass over an (R, n+1) array, each entry
     ``==`` to the call with that order alone; a scalar returns floats.
-    A non-finite order raises `ValueError`, as the sum has no value there."""
+    A non-finite order raises `ValueError`, as the sum has no value there,
+    and so does an order at which log Gamma(n alpha + 2) nears the float
+    range (alpha above about 1.3e305/n), where the terms cannot be formed."""
     log_s, a, condition = _bernoulli_pass(n, alpha, hellinger=False)
     return FirstOrder(_float_if_scalar(a / (a - 1.0) * _libm(math.log, np.exp(log_s))),
                       condition)
@@ -170,6 +172,9 @@ def bernoulli_hellinger_first_order(n: int, p) -> FirstOrder:
     return FirstOrder(_float_if_scalar((m - 1.0) / (p - 1.0)), condition)
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def _bernoulli_pass(n: int, order, hellinger: bool):
     """log S (Sibson) or log M (Hellinger) at each order theta, theta, and
     the condition of the bound (`_order_condition`).  log S and log M are
@@ -184,23 +189,31 @@ def _bernoulli_pass(n: int, order, hellinger: bool):
     if n < 1:
         raise ValueError("n must be at least 1")
     a = _orders(order, finite=True)[..., None]
+    with np.errstate(over="ignore"):  # n * a beyond the float range: checked below
+        log_top = gammaln(n * a + 2.0)
+    # the terms add up to about twice log_top before it is taken off
+    too_large = log_top >= _FLOAT_MAX / 2.0
+    if too_large.any():
+        raise ValueError(f"order {float(a[too_large][0])!r} is too large for n={n}: "
+                         "its Gamma-ratio sum exceeds the float range")
     k = np.arange(n + 1)
     lg = gammaln(k * a + 1.0)
     log_binom = _log_binom(n, k)
     if hellinger:
         terms = ((a - 1.0) * math.log(n + 1.0) + a * log_binom + lg + lg[..., ::-1]
-                 - gammaln(n * a + 2.0))
+                 - log_top)
     else:
-        log_beta = lg + lg[..., ::-1] - gammaln(n * a + 2.0)
+        log_beta = lg + lg[..., ::-1] - log_top
         terms = log_binom + log_beta / a
     log_sum = _logsumexp(terms)
     k_psi = k * psi(k * a + 1.0)
     d_log_beta = k_psi + k_psi[..., ::-1] - n * psi(n * a + 2.0)
     d_terms = (math.log(n + 1.0) + log_binom + d_log_beta if hellinger
-               else d_log_beta / a - log_beta / (a * a))
+               else d_log_beta / a - _per_square(log_beta, a))
     d_log_sum = np.sum(np.exp(terms - log_sum[..., None]) * d_terms, axis=-1)
     a = a[..., 0]
-    d_prime = -log_sum / (a - 1.0) ** 2 + (1.0 if hellinger else a) / (a - 1.0) * d_log_sum
+    d_prime = (_per_square(-log_sum, a - 1.0)
+               + (1.0 if hellinger else a) / (a - 1.0) * d_log_sum)
     return log_sum, a, _libm(_order_condition, a, d_prime)
 
 
@@ -209,7 +222,19 @@ def _order_condition(theta: float, d_prime: float) -> float:
     order theta: under a linear L of slope c, log f = log t - (1 + 1/t)
     log(1+t) - D(theta) - log c with t = (theta-1)/theta and D = I_alpha or
     log M_p/(p-1), so g = theta [log(1+t)/(theta-1)^2 - D'] (-inf at D' = inf)."""
-    return theta * (math.log1p((theta - 1.0) / theta) / (theta - 1.0) ** 2 - d_prime)
+    try:
+        curvature = math.log1p((theta - 1.0) / theta) / (theta - 1.0) ** 2
+    except OverflowError:  # (theta - 1)^2 beyond the float range
+        curvature = math.log1p((theta - 1.0) / theta) / (theta - 1.0) / (theta - 1.0)
+    return theta * (curvature - d_prime)
+
+
+def _per_square(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """x / d^2 elementwise, and x / d / d where d^2 leaves the float range
+    (|d| above about 1.34e154), so that the quotient stays finite."""
+    with np.errstate(over="ignore"):
+        square = d * d
+    return np.where(np.isinf(square), x / d / d, x / square)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -394,8 +419,28 @@ def _gamma_zeta_pairs(gamma, zeta) -> tuple[list, tuple]:
 
 
 def bernoulli_mutual_information(n: int) -> float:
-    """Shannon dependence of bias and weight, by adaptive quadrature."""
-    return measures.mutual_information(bernoulli_joint(n))
+    """Shannon dependence of bias and weight, by adaptive quadrature of the
+    sufficient joint (`bernoulli_joint`) over half its weights.
+
+    Under the uniform prior, w -> 1 - w maps weight k's integrands, that of
+    the marginal P(k) and that of the MI, onto those of weight n - k, and
+    the abscissae of `quadrature.adaptive_simpson` are dyadic, so 1 - w is
+    exact.  Both passes therefore integrate only k = 0..floor(n/2), and
+    weight n - k takes the integral of weight k.  The marginal of the
+    mirrored weights must sum to 1 within 1e-6, and the n+1 MI terms are
+    added left to right, as `measures.mutual_information`, which integrates
+    every weight, does: the two agree up to the rounding of log C(n,k) and
+    the order of the additions (a few ulps)."""
+    joint = bernoulli_joint(n)
+    half = n // 2 + 1
+    mirror = np.minimum(np.arange(n + 1), np.arange(n, -1, -1))  # k -> min(k, n-k)
+    marginal = joint.integrate(lambda k, w: joint.density(w) * joint.likelihood(k, w),
+                               rows=half)
+    total = marginal[mirror].sum()
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"observation marginal sums to {total!r}")
+    terms = joint.integrate(measures._mi_integrand(joint, marginal), rows=half)
+    return max(0.0, measures._sum_in_order(terms[mirror]))
 
 
 def bernoulli_upper_bound(n: int) -> float:
@@ -490,8 +535,15 @@ def gaussian_sibson_first_order(model: GaussianModel, alpha) -> FirstOrder:
     D' = s/(2(1 + alpha s)), both by libm per order; ``alpha`` broadcasts,
     and a scalar returns floats.  At alpha = +inf, I_alpha = +inf and the
     condition is -inf, as in `gaussian_hellinger_first_order`: a falling
-    condition with no root to refine toward."""
+    condition with no root to refine toward.  A finite order whose
+    alpha * s leaves the float range raises `ValueError`."""
     s = model.snr
+
+    def value(a):
+        if a < math.inf and a * s == math.inf:
+            raise ValueError(f"order {a!r} is too large: alpha * n * sigma_W^2 / sigma^2 "
+                             "exceeds the float range")
+        return 0.5 * math.log1p(a * s)
 
     def condition(a):
         if a == math.inf:
@@ -499,8 +551,7 @@ def gaussian_sibson_first_order(model: GaussianModel, alpha) -> FirstOrder:
         return _order_condition(a, 0.5 * s / (1.0 + a * s))
 
     orders = _orders(alpha)
-    return FirstOrder(_libm(lambda a: 0.5 * math.log1p(a * s), orders),
-                      _libm(condition, orders))
+    return FirstOrder(_libm(value, orders), _libm(condition, orders))
 
 
 def gaussian_hellinger_first_order(model: GaussianModel, p) -> FirstOrder:

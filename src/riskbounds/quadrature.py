@@ -95,10 +95,13 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, max_depth=48):
     elementwise, with the int row labels ``r`` an array of ``w``'s shape;
     every row is integrated in one panel array, and an ndarray of the R
     integrals is returned.  A one-row run is a batch of one.  Each row's
-    integral is ``==`` to integrating that row alone: its converged panels
-    are summed in the order a one-row run keeps them, and its depth sums
-    are added in the same order.  ``f`` is called once for the starting
-    panels and once per bisection level, on every point that level needs.
+    integral is ``==`` to integrating that row alone: each level's
+    converged panels are summed per row by one ``np.bincount`` over their
+    row labels, which adds a row's panels left to right in the order a
+    one-row run keeps them (a sequential sum, not numpy's pairwise one),
+    and the level sums are added in level order.  ``f`` is called once
+    for the starting panels and once per bisection level, on every point
+    that level needs.
 
     Raises ValueError for a non-finite or empty [a, b], and
     QuadratureFailure at the first non-finite value of ``f`` (naming its
@@ -124,7 +127,7 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, max_depth=48):
     coarse = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
 
     width = b - a
-    result = [0.0] * batch
+    result = np.zeros(batch)
     depth = 0
     while True:
         if depth > max_depth:
@@ -143,7 +146,8 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, max_depth=48):
         tol = np.maximum(atol * (h / width), rtol * np.abs(fine))
         done = np.abs(err) <= tol
 
-        _add_row_sums(result, row[done], fine[done] + err[done])
+        result += np.bincount(row[done], weights=fine[done] + err[done],
+                              minlength=batch)
         if done.all():
             break
         # split the unconverged panels in two: left halves, then right halves
@@ -165,8 +169,8 @@ def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, max_depth=48):
         coarse = np.concatenate([left, right])
         depth += 1
     if rows is None:
-        return result[0]
-    return np.array(result)
+        return float(result[0])
+    return result
 
 
 def _values(g, row, parts):
@@ -184,22 +188,3 @@ def _values(g, row, parts):
     k = parts[0].size
     return [values[i * k:(i + 1) * k] for i in range(len(parts))]
 
-
-def _add_row_sums(result, row, values):
-    """Add each row's sum of ``values`` to ``result[row]``.
-
-    Each row's values are reduced by one ``np.add.reduce`` (the reduction
-    ``np.sum`` runs) in their given order, so its pairwise summation is
-    that of a one-row run, bit for bit.
-    """
-    if not row.size:
-        return
-    if (row == row[0]).all():
-        result[row[0]] += float(np.add.reduce(values))
-        return
-    order = np.argsort(row, kind="stable")
-    row = row[order]
-    values = values[order]
-    cuts = (np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()
-    for start, end in zip([0] + cuts, cuts + [row.size]):
-        result[row[start]] += float(np.add.reduce(values[start:end]))

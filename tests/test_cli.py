@@ -102,6 +102,25 @@ class TestParsing:
         assert "numerical failure near n=2: gamma/zeta" in err
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["bernoulli", "--n", "2", "--alpha", "1e200"],
+        ["bernoulli", "--n", "2", "--p", "1e200"],
+        ["gaussian", "--n", "2", "--alpha", "1e200"],
+    ])
+    def test_huge_order_gives_a_row(self, argv, capsys):
+        # the square (order - 1)^2 of the first-order condition leaves the
+        # float range from about 1.34e154; the fixed column never reads it
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("n,") and out.split("\n")[1].startswith("2,")
+        assert err == ""
+
+    def test_order_beyond_the_gamma_ratio_sums_fails_by_name(self, capsys):
+        assert cli.main(["bernoulli", "--n", "2", "--alpha", "1e307"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure near n=2: order 1e+307 is too large" in err
+        assert "Warning" not in err
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(n):
             raise ArithmeticError("synthetic blow-up")

@@ -160,14 +160,14 @@ def _pinned_rows(r, w):
     return height[r] * np.exp(-((w - center[r]) / 0.05) ** 2) + np.abs(w - kink[r])
 
 
-# integrals captured while the integrand ran two or three calls per level
-# ("smooth"), or while a one-row run had its own summation branch ("kinks",
-# "rows"); the current code must reproduce them bit for bit
+# integrals captured once each level's converged panels were summed by one
+# np.bincount, left to right ("kinks" kept its earlier bits); the current
+# code must reproduce them bit for bit
 _PINNED = [
-    (lambda x: np.exp(-x) * np.sin(3.0 * x), 2.0, {}, 0.2647980022491831),
+    (lambda x: np.exp(-x) * np.sin(3.0 * x), 2.0, {}, 0.26479800224918304),
     (lambda x: np.abs(x - 0.3) ** 1.5 + np.abs(x - 0.77), 1.0, {}, 0.5066033772708659),
     (_pinned_rows, 1.0, dict(rows=3),
-     [0.428622692545427, 0.208188653727006, 0.5172453850905868]),
+     [0.42862269254542695, 0.20818865372700604, 0.517245385090587]),
 ]
 
 
