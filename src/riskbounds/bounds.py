@@ -11,10 +11,11 @@ one entry point by method name; `sdpi_bound` and `optimize_bound` take
 a method by the same names.
 
 `optimize_bound` searches a bound's parameters over a grid in one
-callback call, then refines the grid maximum at the root of the
-first-order condition the callback may report with its values
-(`FirstOrder`), one callback call of length 1 per step; where there is
-no root to refine at, the grid maximum stands.
+callback call, grows the grid at its top while the bound still rises
+there, then refines the grid maximum at the root of the first-order
+condition the callback may report with its values (`FirstOrder`), one
+callback call of length 1 per step; where there is no root to refine at,
+the grid maximum stands.
 
 Vacuous bounds (penalty >= 1 everywhere, or an infinite divergence) are
 reported as value 0, which `BoundResult.vacuous` reads, instead of
@@ -264,6 +265,10 @@ _CONDITIONS = {"egz": "gamma", "sibson": "alpha", "hellinger": "p"}
 # about _ROOT_TOL^2 relative of it), and after _ROOT_CAP points at most
 _ROOT_TOL = 1e-8
 _ROOT_CAP = 40
+# a grid grows at most _GROWTHS times (the egz ladder to t = 2^64, the 40
+# orders to 1.3e17): a count, as a tiny top spacing would never reach a
+# ceiling
+_GROWTHS = 4
 
 
 def optimize_bound(callback, method: str, param_grid: dict,
@@ -281,22 +286,25 @@ def optimize_bound(callback, method: str, param_grid: dict,
     at a point must not depend on the other points of the call.
 
     The search has three steps.  The whole grid is one call, in sweep
-    order.  Then the grid maximum is refined at the root of the condition
-    (``path`` "root") when the method has one (`_CONDITIONS`: ``egz`` in
+    order.  Where the method has a condition (`_CONDITIONS`: ``egz`` in
     log gamma, ``sibson`` in log alpha, ``hellinger`` in log p), the
-    callback returned a `FirstOrder` on the grid, only that parameter has
-    two or more grid values, all of them positive, and the condition
-    falls through 0 exactly once over the grid, from + to -, between the
-    grid maximum and a neighbour (`_falling_bracket`).  The root is
-    searched inside that bracket in x = log(parameter) (`_root_search`),
-    started from the grid's own condition values, and each step costs one
-    call of length 1.  Otherwise the grid maximum stands: ``path`` "grid",
-    or "fixed" for a grid of one point.  Every point evaluated, on the
-    grid or by a root step, is a candidate, so the result value dominates
-    all of them, and ``evaluations`` counts them; only the winner becomes
-    a `BoundResult`.  Ties keep the first-found parameter, and parameters
-    are swept in sorted order (the last name varying fastest), so the
-    output is deterministic.  Grid values must be finite.
+    callback returned a `FirstOrder`, and only that parameter has two or
+    more grid values, all positive, the grid grows while its maximum is
+    the top point and the condition there is > 0: as many points again,
+    at the ratio of the top two, in one call, at most _GROWTHS times and
+    within the float range.  Then the maximum is refined at the root of
+    the condition (``path`` "root") when the condition falls through 0
+    exactly once over the grown grid, from + to -, between the maximum and
+    a neighbour (`_falling_bracket`), in x = log(parameter) inside that
+    bracket (`_root_search`), started from the grid's condition values,
+    one call of length 1 per step.  Otherwise the grid maximum stands:
+    ``path`` "grid", or "fixed" for a grid of one point.  Every point
+    evaluated is a candidate, so the result value dominates all of them,
+    its params are the values the callback got, and ``evaluations`` counts
+    them; only the winner becomes a `BoundResult`.  Ties keep the
+    first-found parameter, and parameters are swept in sorted order (the
+    last name varying fastest), so the output is deterministic.  Grid
+    values must be finite.
     """
     closed = _closed_form(method)
 
@@ -310,53 +318,60 @@ def optimize_bound(callback, method: str, param_grid: dict,
         if not np.isfinite(grid).all():
             raise ValueError(f"non-finite value in the grid of {name!r}")
 
-    def evaluate(points):
-        """The bound's (rho*, value) at each parameter point, and the
-        condition and its slope there: lists, or None where the callback
-        gave none."""
-        out = callback(**{name: np.array([pt[name] for pt in points])
-                          for name in names})
+    points, found, conditions, slopes = [], [], [], []
+
+    def evaluate(new):
+        """Evaluate the parameter points ``new`` in one callback call, and
+        append them, the bound's (rho*, value) at each, and the condition
+        and its slope there (None where the callback gave none) to the
+        lists above."""
+        out = callback(**{name: np.array([pt[name] for pt in new]) for name in names})
         first = out if isinstance(out, FirstOrder) else FirstOrder(out, None)
+        value, condition, slope = (
+            [None] * len(new) if part is None
+            else np.broadcast_to(np.asarray(part, dtype=float), (len(new),)).tolist()
+            for part in first)
+        points.extend(new)
+        found.extend(_radius(closed, v, L.coefficient, pt) for pt, v in zip(new, value))
+        conditions.extend(condition)
+        slopes.extend(slope)
 
-        def per_point(values):
-            if values is None:
-                return None
-            return np.broadcast_to(np.asarray(values, dtype=float),
-                                   (len(points),)).tolist()
+    def first_maximum():
+        return max(range(len(found)), key=lambda i: found[i][1])
 
-        found = [_radius(closed, value, L.coefficient, pt)
-                 for pt, value in zip(points, per_point(first.value))]
-        return found, per_point(first.condition), per_point(first.slope)
-
-    points = [dict(zip(names, values))
-              for values in itertools.product(*(grids[name].tolist() for name in names))]
-    found, condition, slope = evaluate(points)
-    top = max(range(len(found)), key=lambda i: found[i][1])  # the first maximum
-    (rho, value), params = found[top], points[top]
-    evals = len(points)
+    evaluate([dict(zip(names, values))
+              for values in itertools.product(*(grids[name].tolist() for name in names))])
     searched = [name for name in names if grids[name].size >= 2]
     path = "grid" if searched else "fixed"
-
     name = _CONDITIONS.get(method)
-    if searched == [name] and grids[name][0] > 0.0 and condition is not None:
-        # one searched parameter: the grid points are its values, in order
-        xs = np.log(grids[name]).tolist()
-        bracket = _falling_bracket(xs, condition, top)
+    if searched == [name] and grids[name][0] > 0.0 and conditions[0] is not None:
+        # one searched parameter: the points are its values, in order.  While
+        # the bound still rises at the top point, the grid grows by as many
+        # points again at its top spacing, at most _GROWTHS times.
+        grid = grids[name].tolist()
+        powers = np.arange(1.0, len(grid) + 1)
+        while (len(grid) <= _GROWTHS * powers.size and first_maximum() == len(grid) - 1
+               and conditions[-1] > 0.0):
+            with np.errstate(over="ignore"):  # an overflow ends the growth
+                more = (grid[-1] * (grid[-1] / grid[-2]) ** powers).tolist()
+            if not math.isfinite(more[-1]):
+                break
+            evaluate([dict(points[-1], **{name: v}) for v in more])
+            grid += more
+        xs = np.log(grid).tolist()
+        bracket = _falling_bracket(xs, conditions, first_maximum())
         if bracket is not None:
             path = "root"
 
             def at(x):
-                nonlocal rho, value, params, evals
-                point = dict(params, **{name: math.exp(x)})
-                step, cond, slopes = evaluate([point])
-                evals += 1
-                if step[0][1] > value:
-                    (rho, value), params = step[0], point
-                return cond[0], None if slopes is None else slopes[0]
+                evaluate([dict(points[-1], **{name: math.exp(x)})])
+                return conditions[-1], slopes[-1]
 
-            _root_search(at, xs, condition, slope, bracket)
+            _root_search(at, xs, conditions[:len(xs)], slopes[:len(xs)], bracket)
 
-    return BoundResult(value, rho, method, params, evals, path)
+    top = first_maximum()
+    (rho, value), params = found[top], points[top]
+    return BoundResult(value, rho, method, params, len(points), path)
 
 
 def _falling_bracket(xs, gs, top):
@@ -391,7 +406,7 @@ def _root_search(at, xs, gs, slopes, j):
     a, ga, b, gb = xs[j], gs[j], xs[j + 1], gs[j + 1]
     if gb == 0.0:
         return
-    if slopes is not None:
+    if slopes[j] is not None:
         x = _inverse_hermite(a, ga, slopes[j], b, gb, slopes[j + 1])
     else:
         # the bracket and each finite outer neighbour on which g keeps falling

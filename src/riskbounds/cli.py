@@ -46,15 +46,9 @@ def default_alpha_grid():
     return 1.0 + np.geomspace(1e-2, 63.0, 40)
 
 
-def default_gamma_zeta_grid():
-    g = np.geomspace(1e-2, 32.0, 48)
-    return g, g.copy()
-
-
-def default_ratio_grid():
-    """The 95 ratios gamma/zeta of `default_gamma_zeta_grid`, log-spaced."""
-    g, _ = default_gamma_zeta_grid()
-    return np.geomspace(g[0] / g[-1], g[-1] / g[0], 2 * g.size - 1)
+# the ratios t = gamma/zeta that both egz columns search under --optimize:
+# powers of two, so that zeta * t / zeta is t exactly whatever zeta is
+RATIO_LADDER = 2.0 ** np.arange(13)
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -128,8 +122,9 @@ class Column:
     hellinger and egz columns) a `bounds.FirstOrder` of those values and
     the condition at whose root `bounds.optimize_bound` refines them;
     ``params`` names the flags that fix the parameters, ``grid(args)``
-    gives the values searched under --optimize and ``fixed`` pins those
-    without a flag.
+    gives the values searched under --optimize (`bounds.optimize_bound`
+    extends a grid at its top while the bound still rises there) and
+    ``fixed`` pins those without a flag.
     ``bound(model)`` replaces all of these for a column that computes its
     own `BoundResult`."""
 
@@ -167,6 +162,13 @@ def _alpha_grid(name):
     return lambda args: {name: default_alpha_grid()}
 
 
+def _ratio_grid(args):
+    """The egz grid of both settings: gamma = zeta * t over `RATIO_LADDER`
+    with zeta at its flag, which comes first so that a bad --zeta is named
+    as itself.  Under a linear L the bound depends on t alone."""
+    return {"zeta": [args.zeta], "gamma": args.zeta * RATIO_LADDER}
+
+
 def _bernoulli_hellinger(model, p: np.ndarray) -> bounds.FirstOrder:
     return models.bernoulli_hellinger_first_order(model.n, p)
 
@@ -185,13 +187,10 @@ BERNOULLI = Setting(
                lambda model, alpha: models.bernoulli_sibson_first_order(model.n, alpha),
                ("alpha",), _alpha_grid("alpha")),
         Column("hellinger", _bernoulli_hellinger, ("p",), _alpha_grid("p")),
-        # the bound depends on gamma/zeta alone (linear L), so --optimize
-        # searches the ratio with zeta = 1
         Column("egz",
                lambda model, gamma, zeta:
                    models.bernoulli_e_gamma_zeta_batch(model.n, gamma, zeta),
-               ("gamma", "zeta"),
-               lambda args: {"gamma": default_ratio_grid(), "zeta": [1.0]}),
+               ("gamma", "zeta"), _ratio_grid),
     ),
     defaults={"alpha": 2.0, "p": 2.0, "gamma": 3.0, "zeta": 1.5},
 )
@@ -226,13 +225,9 @@ GAUSSIAN = Setting(
         Column("hellinger",
                lambda model, p: models.gaussian_hellinger_first_order(model, p),
                ("p",), _alpha_grid("p")),
-        # the figure protocol: gamma optimized, zeta held at its flag; the
-        # kernel integrates a whole array of gammas in one quadrature pass
         Column("egz",
                lambda model, gamma, zeta: models.gaussian_e_gamma_zeta(model, gamma, zeta),
-               ("gamma", "zeta"),
-               lambda args: {"gamma": default_gamma_zeta_grid()[0],
-                             "zeta": [args.zeta]}),
+               ("gamma", "zeta"), _ratio_grid),
     ),
     defaults={"alpha": 2.0, "p": 1.5, "gamma": 2.0, "zeta": 1.5,
               "sigma_w2": 1.0, "sigma2": 2.0},

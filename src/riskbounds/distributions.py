@@ -58,7 +58,7 @@ class DiscreteDistribution:
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("outcomes must be distinct")
         if abs(float(w.sum()) - 1.0) > MASS_TOL:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+            raise ValueError(f"weights sum to {float(w.sum())!r}, not 1")
         w.flags.writeable = False
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "weights", w)
@@ -94,7 +94,7 @@ class DiscreteJoint:
         if np.any(m < 0):
             raise ValueError("joint entries must be non-negative")
         if abs(float(m.sum()) - 1.0) > MASS_TOL:
-            raise ValueError(f"joint mass is {m.sum()!r}, not 1")
+            raise ValueError(f"joint mass is {float(m.sum())!r}, not 1")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -281,7 +281,7 @@ class MixedJoint:
         """Marginal pmf of the observation, computed by quadrature."""
         out = self.integrate(lambda k, w: self.density(w) * self.likelihood(k, w),
                              rows=len(self.observations))
-        total = out.sum()
+        total = float(out.sum())
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"observation marginal sums to {total!r}")
         return out

@@ -436,7 +436,7 @@ def bernoulli_mutual_information(n: int) -> float:
     mirror = np.minimum(np.arange(n + 1), np.arange(n, -1, -1))  # k -> min(k, n-k)
     marginal = joint.integrate(lambda k, w: joint.density(w) * joint.likelihood(k, w),
                                rows=half)
-    total = marginal[mirror].sum()
+    total = float(marginal[mirror].sum())
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"observation marginal sums to {total!r}")
     terms = joint.integrate(measures._mi_integrand(joint, marginal), rows=half)

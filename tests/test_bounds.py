@@ -487,6 +487,43 @@ class TestOptimizeBound:
         assert res.vacuous
 
 
+    def test_grid_grows_at_its_top_while_the_bound_rises(self):
+        # at Bernoulli n = 50, t* = 5.04: on the ratios 1, 2 the bound still
+        # rises at 2, so the grid grows by two rungs at the top spacing, 4
+        # and 8, exactly as passed to the callback, and the search is the
+        # one on the whole ladder 1, 2, 4, 8
+        L = models.bernoulli_small_ball()
+        seen = []
+
+        def callback(gamma, zeta):
+            seen.append(gamma.tolist())
+            return models.bernoulli_e_gamma_zeta_batch(50, gamma, zeta)
+
+        res = B.optimize_bound(callback, "egz", {"gamma": [1.0, 2.0], "zeta": [1.0]}, L)
+        assert seen[:2] == [[1.0, 2.0], [4.0, 8.0]] and set(map(len, seen[2:])) == {1}
+        assert res.path == "root" and 4.0 < res.params["gamma"] < 8.0
+        ladder = {"gamma": [1.0, 2.0, 4.0, 8.0], "zeta": [1.0]}
+        assert res == B.optimize_bound(callback, "egz", ladder, L)
+
+    @pytest.mark.parametrize("grid, evaluations", [
+        pytest.param(cli.default_alpha_grid(), (B._GROWTHS + 1) * 40, id="orders"),
+        pytest.param([1.5, 1.5 + 1e-9], (B._GROWTHS + 1) * 2, id="tiny-spacing"),
+        pytest.param([2.0, 1e200], 2, id="past-the-float-range"),
+    ])
+    def test_growth_stops_after_its_cap(self, grid, evaluations):
+        # a condition that never falls: the grid grows _GROWTHS times by its
+        # own size, each time at the ratio of its top two points, and never
+        # to a point beyond the float range; the grid maximum stands
+        seen = []
+
+        def rising(alpha):
+            seen.extend(alpha.tolist())
+            return B.FirstOrder(np.zeros(alpha.size), np.ones(alpha.size))
+
+        res = B.optimize_bound(rising, "sibson", {"alpha": grid}, L2)
+        assert res.path == "grid" and res.evaluations == len(seen) == evaluations
+        assert seen == sorted(set(seen)) and math.isfinite(seen[-1])
+
     def test_falling_bracket_needs_a_finite_falling_end(self):
         # a -inf condition (a bound falling without limit) counts as
         # falling; the bracket's falling end must be finite, and a NaN or

@@ -121,6 +121,13 @@ class TestParsing:
         assert "numerical failure near n=2: order 1e+307 is too large" in err
         assert "Warning" not in err
 
+    def test_mi_marginal_failure_names_a_plain_float(self, capsys):
+        # the quadrature MI misses its marginal check first at n = 562
+        assert cli.main(["bernoulli", "--n", "562"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure near n=562: observation marginal sums to 0.9")
+        assert "np.float64" not in err
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(n):
             raise ArithmeticError("synthetic blow-up")
@@ -319,6 +326,12 @@ class TestBernoulliCommand:
         assert math.isclose(float(row[5]), egz.value, rel_tol=1e-10)
 
 
+# the 48 gammas (and zetas) of the product grid that --optimize searched
+# before the ratio ladder, and the 95 ratios gamma/zeta it spans
+OLD_GAMMAS = np.geomspace(1e-2, 32.0, 48)
+OLD_RATIOS = np.geomspace(OLD_GAMMAS[0] / OLD_GAMMAS[-1], OLD_GAMMAS[-1] / OLD_GAMMAS[0], 95)
+
+
 class TestOptimizedRuns:
     def test_bernoulli_optimized_best_is_hockey_stick(self, tmp_path):
         out = tmp_path / "opt.csv"
@@ -328,9 +341,9 @@ class TestOptimizedRuns:
             assert line.split(",")[-1] == "egz"
         sidecar = json.loads((tmp_path / "opt.csv.params.json").read_text())
         egz = sidecar["points"]["1"]["egz"]
-        assert egz["zeta"] == 1.0 and egz["gamma"] > 0.0  # (t*, 1)
-        # the 95 ratios plus the root steps of the first-order condition
-        ratios = cli.default_ratio_grid().size
+        assert egz["zeta"] == 1.5 and egz["gamma"] > 0.0  # (zeta t*, --zeta)
+        # the ratio ladder plus the root steps of the first-order condition
+        ratios = cli.RATIO_LADDER.size
         assert egz["path"] == "root"
         assert ratios < egz["evals"] <= ratios + 5
         orders = len(cli.default_alpha_grid())
@@ -347,20 +360,39 @@ class TestOptimizedRuns:
         egz = json.loads((tmp_path / "one.csv.params.json").read_text())["points"]["1"]["egz"]
         assert egz["path"] == "root"
         assert abs(egz["value"] - 2.0 / 27.0) <= 2.0 * math.ulp(2.0 / 27.0)
-        assert abs(egz["gamma"] - 4.0 / 3.0) <= 1e-12
+        assert abs(egz["gamma"] / egz["zeta"] - 4.0 / 3.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 10, 50])
     def test_bernoulli_ratio_search_dominates_the_full_grid(self, n):
-        # the (gamma, zeta) product grid is the oracle of the ratio search
+        # the (gamma, zeta) product grid that --optimize once searched is
+        # the oracle of the ratio search
         args = cli.build_parser().parse_args(["bernoulli", "--optimize"])
         row, _ = cli._estimation_point(cli.BERNOULLI, n, args)
-        gamma_grid, zeta_grid = cli.default_gamma_zeta_grid()
         column = next(c for c in cli.BERNOULLI.columns if c.method == "egz")
         full = bounds.optimize_bound(
             functools.partial(column.divergence, cli.BERNOULLI.model(n, args)),
-            "egz", {"gamma": gamma_grid, "zeta": zeta_grid},
+            "egz", {"gamma": OLD_GAMMAS, "zeta": OLD_GAMMAS},
             models.bernoulli_small_ball())
         assert row["egz"] >= full.value * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("setting", ["bernoulli", "gaussian"])
+    def test_optimized_egz_does_not_depend_on_zeta(self, setting):
+        # under a linear L the bound depends on t = gamma/zeta alone, and
+        # both columns search the same ratios whatever --zeta is
+        values = []
+        for zeta in ("0.001", "1.5", "100"):
+            args = cli.build_parser().parse_args([setting, "--optimize", "--zeta", zeta])
+            row, info = cli._estimation_point(cli.SETTINGS[setting], 10, args)
+            assert info["egz"]["zeta"] == float(zeta) and info["egz"]["path"] == "root"
+            values.append(row["egz"])
+        assert max(values) - min(values) <= 1e-12 * max(values)
+
+    @pytest.mark.parametrize("setting", ["bernoulli", "gaussian"])
+    def test_optimize_refuses_a_bad_zeta_by_its_name(self, setting, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main([setting, "--n", "3", "--optimize", "--zeta", "-1"])
+        assert err.value.code == 2
+        assert "configuration error: --zeta must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [1, 10, 50])
     def test_gaussian_batched_grid_equals_scalar_search(self, n):
@@ -489,8 +521,8 @@ class TestRootFallbacks:
         # at Bernoulli n = 10 the grid maximum is the second of these four
         # ratios (2.36), and the true condition reads +, +, -, -; none of
         # the crafted patterns falls through 0 once, next to that maximum
-        callback, grid, L = _egz_search(cli.BERNOULLI, [], 10)
-        grid = {"gamma": grid["gamma"][51:55], "zeta": [1.0]}
+        callback, _, L = _egz_search(cli.BERNOULLI, [], 10)
+        grid = {"gamma": OLD_RATIOS[51:55], "zeta": [1.0]}
 
         def crafted(gamma, zeta):
             out = callback(gamma=gamma, zeta=zeta)
@@ -535,15 +567,44 @@ _log_variance = st.floats(-1.0, 1.0).map(lambda x: str(10.0 ** x))
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 500), sigma_w2=_log_variance, sigma2=_log_variance)
 def test_gaussian_root_path_reaches_grid_and_brent(n, sigma_w2, sigma2):
-    # the Sibson and Hellinger orders always have their optimum inside the
-    # grid; the egz ratio may lie beyond gamma = 32, where the grid end stands
+    # every searched column takes the root path, and its value is at least
+    # what grid + Brent finds on the column's grid
     for method in ("sibson", "hellinger", "egz"):
         callback, grid, L = _column_search(
             cli.GAUSSIAN, ["--sigma-w2", sigma_w2, "--sigma2", sigma2], n, method)
         res = bounds.optimize_bound(callback, method, grid, L)
-        assert res.path == "root" or method == "egz"
+        assert res.path == "root"
         oracle = grid_and_brent(callback, method, grid, L)
         assert res.value >= oracle.value * (1.0 - 1e-12), (method, res, oracle)
+
+
+def test_egz_ladder_grows_past_its_top():
+    # at n = 1000, sigma_W^2 = 100, sigma^2 = 1e-4 the optimal ratio t* =
+    # 2.9e4 lies above the ladder's 2^12: the ladder grows by 13 rungs, and
+    # the root reaches what grid + Brent finds on the grown ladder
+    callback, grid, L = _column_search(
+        cli.GAUSSIAN, ["--sigma-w2", "100", "--sigma2", "1e-4"], 1000, "egz")
+    res = bounds.optimize_bound(callback, "egz", grid, L)
+    assert res.path == "root" and res.evaluations > cli.RATIO_LADDER.size
+    assert 2.0 ** 14 < res.params["gamma"] / res.params["zeta"] < 2.0 ** 15
+    grown = dict(grid, gamma=grid["zeta"][0] * 2.0 ** np.arange(26))
+    oracle = grid_and_brent(callback, "egz", grown, L)
+    assert res.value >= oracle.value * (1.0 - 1e-12), (res, oracle)
+
+
+_wide_variance = st.floats(-3.0, 3.0).map(lambda x: str(10.0 ** x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 1000), sigma_w2=_wide_variance, sigma2=_wide_variance)
+def test_optimized_gaussian_rows_keep_the_ordering(n, sigma_w2, sigma2):
+    # the paper's ordering of the optimized bounds, on every searched
+    # column's root path
+    args = cli.build_parser().parse_args(
+        ["gaussian", "--optimize", "--sigma-w2", sigma_w2, "--sigma2", sigma2])
+    row, info = cli._estimation_point(cli.GAUSSIAN, n, args)
+    assert [info[m]["path"] for m in ("sibson", "hellinger", "egz")] == ["root"] * 3
+    assert row["egz"] >= row["sibson"] >= row["hellinger"] >= row["mi"], row
 
 
 def test_gaussian_hellinger_root_beside_infinite_moments():

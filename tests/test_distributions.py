@@ -1,6 +1,7 @@
 """Construction-time invariants of the domain types."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,22 @@ def test_divergence_spec_rejects_a_nan_parameter(kind, params):
         with pytest.raises(ValueError):
             DivergenceSpec(kind, **{name: bad if math.isnan(value) else value
                                     for name, value in params.items()})
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: DiscreteDistribution([0, 1], [0.5, 0.5 + 1e-9]),
+                 r"weights sum to 1\.0000000\d*, not 1", id="weights"),
+    pytest.param(lambda: DiscreteJoint([[0.5, 0.2], [0.1, 0.1]]),
+                 r"joint mass is 0\.\d+, not 1", id="joint"),
+    # the quadrature marginal misses its sum-to-1 check first at n = 562
+    pytest.param(lambda: bernoulli_joint(562).observation_marginal(),
+                 r"observation marginal sums to 0\.99999\d+", id="marginal"),
+])
+def test_mass_errors_name_a_plain_float(build, message):
+    # numpy 2 would print a numpy scalar as np.float64(...)
+    with pytest.raises(ValueError) as err:
+        build()
+    assert re.fullmatch(message, str(err.value)), str(err.value)
 
 
 class TestMixedJoint:

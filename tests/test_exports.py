@@ -1,5 +1,5 @@
-"""Every exported name resolves, and the bounds and models layers export
-nothing that only tests call, apart from the named oracles of `models`.
+"""Every exported name resolves, and no layer exports anything that only
+tests call, apart from its named oracles.
 
 The benchmark's tracer wraps each layer by calling getattr on every name
 in its ``__all__``, so a stale entry would fail every traced run.
@@ -7,7 +7,6 @@ in its ``__all__``, so a stale entry would fail every traced run.
 
 import ast
 import importlib
-import inspect
 from pathlib import Path
 
 import pytest
@@ -69,27 +68,30 @@ def _package_reads():
     return used
 
 
-def test_every_bounds_export_is_used_by_the_package():
-    # code that only tests call is kept only as an oracle, and an oracle of
-    # the bounds is not part of their public interface
-    from riskbounds import bounds
-
-    used = _package_reads()
-    assert [name for name in bounds.__all__ if name not in used] == []
-
-
-# the exported model functions that only tests call, each an oracle: the
+# each layer's exports that only tests call, each kept as an oracle: the
 # exact noisy joint shows where the single-letter contraction breaks, and
-# the simplified p = 3/2 constant is dominated by the Hellinger bound
-MODEL_ORACLES = {"noisy_bernoulli_joint", "gaussian_hellinger_closed_form_bound"}
+# the simplified p = 3/2 constant is dominated by the Hellinger bound; the
+# Dobrushin coefficient, the Renyi contraction ratio and its sampled
+# estimate reproduce the paper's claim that Renyi divergences can contract
+# more slowly than the Dobrushin coefficient (acceptance criteria 6 and
+# 10); the one-model Monte-Carlo risk checks the pooled one
+ORACLES = {
+    "bounds": set(),
+    "models": {"noisy_bernoulli_joint", "gaussian_hellinger_closed_form_bound"},
+    "measures": set(),
+    "quadrature": set(),
+    "oracle": {"mc_risk"},
+    "sdpi": {"dobrushin_coefficient", "renyi_sdpi_ratio", "eta_estimate_by_sampling"},
+    "distributions": set(),
+}
 
 
-def test_every_models_function_is_used_by_the_package():
-    from riskbounds import models
-
-    functions = {name for name in models.__all__
-                 if inspect.isfunction(getattr(models, name))}
-    used = _package_reads()
-    assert sorted(functions - used - MODEL_ORACLES) == []
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_export_is_used_by_the_package(layer):
+    # code that only tests call is kept only as an oracle, and an oracle is
+    # not part of a layer's public interface
+    module = importlib.import_module(f"riskbounds.{layer}")
+    unused = set(module.__all__) - _package_reads()
+    assert sorted(unused - ORACLES[layer]) == []
     # an oracle that the package starts to call leaves the list
-    assert sorted(MODEL_ORACLES - (functions - used)) == []
+    assert sorted(ORACLES[layer] - unused) == []

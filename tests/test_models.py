@@ -1,6 +1,7 @@
 """Model closed forms against hand values and independent quadrature."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -360,6 +361,14 @@ class TestBernoulliMutualInformation:
     def test_pinned_values(self, n, value):
         assert models.bernoulli_mutual_information(n) == value
 
+    def test_failed_marginal_check_names_a_plain_float(self):
+        # the quadrature marginal misses its sum-to-1 check at n = 562 (the
+        # first such n), 599, 1232 and from 1265 on; numpy 2 would print a
+        # numpy scalar as np.float64(...)
+        with pytest.raises(ValueError) as err:
+            models.bernoulli_mutual_information(562)
+        assert re.fullmatch(r"observation marginal sums to 0\.99999\d+", str(err.value))
+
     def test_equals_the_quadrature_of_every_weight(self):
         # measures.mutual_information integrates all n+1 weights of the same
         # joint; the mirror moves only the rounding
@@ -599,12 +608,16 @@ class TestBernoulliHockeyStick:
             assert abs(value - exact) <= floor, (ratio, value)
 
     def test_newton_stops_within_its_cap_on_the_ratio_grid(self, monkeypatch):
-        # the 95 ratios of `bernoulli --optimize` take at most 18 steps at
-        # these n, well inside the lowered cap
+        # the ratio ladder of `bernoulli --optimize`, grown once, and the 95
+        # ratios from 1/3200 to 3200 that it replaced stop inside the lowered
+        # cap at these n: the 95 ratios within 18 steps, the ladder within 40
+        # where the peak of weight 0, t = n+1, is a rung that its rounded log
+        # ratio reaches (n = 1, 3, 7, 15, 63 here): that right end's root is
+        # the mode w = 0, and Newton walks to it about one logit per step
         monkeypatch.setattr(models, "_NEWTON_CAP", 40)
-        ratios = np.geomspace(1.0 / 3200.0, 3200.0, 95)
+        ratios = np.concatenate([2.0 ** np.arange(26), np.geomspace(1.0 / 3200.0, 3200.0, 95)])
         for n in [*range(1, 61), 100, 200, 500, 1000]:
-            models.bernoulli_e_gamma_zeta_batch(n, ratios, np.ones(95))
+            models.bernoulli_e_gamma_zeta_batch(n, ratios, np.ones(ratios.size))
 
     def test_newton_raises_at_its_cap(self, monkeypatch):
         monkeypatch.setattr(models, "_NEWTON_CAP", 3)
@@ -652,40 +665,49 @@ def _gaussian_e_gamma_zeta_full_window(model, gamma, zeta):
     return max(0.0, total - max(0.0, zeta - gamma))
 
 
+def _gaussian_region_mpmath(model, t, part):
+    """The mean over the sample mean x of part(post, prior), the posterior
+    and the prior mass of the parameter interval x +- root where the
+    density ratio clears t, at the working precision: the sample-mean
+    integral of `_gaussian_e_gamma_zeta_full_window`, by `mpmath.quad` over
+    x >= 0 (the integrand is even in x), starting at the kink x0 where the
+    interval is born.  Each mass is a difference of erf values, or of erfc
+    values right of the mean, so that the digits lost to cancellation stay
+    far below the precision.  Call it inside `mpmath.workdps`."""
+    sw2 = mpmath.mpf(model.sigma_w_sq)
+    s2 = mpmath.mpf(model.sigma_sq) / model.n
+    sx2 = sw2 + s2
+    kappa, coeff = sw2 / sx2, s2 / sx2
+    const = s2 * mpmath.log(sx2 / s2) - 2 * s2 * mpmath.log(t)
+
+    def mass(lo, hi, mean, var):
+        a, b = (lo - mean) / mpmath.sqrt(2 * var), (hi - mean) / mpmath.sqrt(2 * var)
+        if a > 0:
+            return (mpmath.erfc(a) - mpmath.erfc(b)) / 2
+        return (mpmath.erf(b) - mpmath.erf(a)) / 2
+
+    def integrand(x):
+        disc = coeff * x * x + const
+        if disc <= 0:
+            return mpmath.mpf(0)
+        root = mpmath.sqrt(disc)
+        post = mass(x - root, x + root, kappa * x, sw2 * coeff)
+        prior = mass(x - root, x + root, 0, sw2)
+        return mpmath.exp(-x * x / (2 * sx2)) * part(post, prior)
+
+    x0 = mpmath.sqrt(-const / coeff) if const < 0 else mpmath.mpf(0)
+    sx = mpmath.sqrt(sx2)
+    total = 2 * mpmath.quad(integrand, [x0, x0 + 2 * sx, x0 + 12 * sx])
+    return total / mpmath.sqrt(2 * mpmath.pi * sx2)
+
+
 def _gaussian_e_gamma_zeta_mpmath(model, gamma, zeta, dps=30):
-    """E_{gamma,zeta} of the Gaussian model at ``dps`` digits: the same
-    sample-mean integral as `_gaussian_e_gamma_zeta_full_window`, by
-    `mpmath.quad` over x >= 0 (the integrand is even in x), starting at
-    the kink x0 where the parameter interval is born.  Each mass is a
-    difference of erf values, or of erfc values right of the mean, so
-    that the digits lost to cancellation stay far below ``dps``."""
+    """E_{gamma,zeta} of the Gaussian model at ``dps`` digits, as
+    zeta P(R) - gamma Q(R) - max(0, zeta - gamma) by `_gaussian_region_mpmath`."""
     with mpmath.workdps(dps):
         gamma, zeta = mpmath.mpf(gamma), mpmath.mpf(zeta)
-        sw2 = mpmath.mpf(model.sigma_w_sq)
-        s2 = mpmath.mpf(model.sigma_sq) / model.n
-        sx2 = sw2 + s2
-        kappa, coeff = sw2 / sx2, s2 / sx2
-        const = s2 * mpmath.log(sx2 / s2) - 2 * s2 * mpmath.log(gamma / zeta)
-
-        def mass(lo, hi, mean, var):
-            a, b = (lo - mean) / mpmath.sqrt(2 * var), (hi - mean) / mpmath.sqrt(2 * var)
-            if a > 0:
-                return (mpmath.erfc(a) - mpmath.erfc(b)) / 2
-            return (mpmath.erf(b) - mpmath.erf(a)) / 2
-
-        def integrand(x):
-            disc = coeff * x * x + const
-            if disc <= 0:
-                return mpmath.mpf(0)
-            root = mpmath.sqrt(disc)
-            post = mass(x - root, x + root, kappa * x, sw2 * coeff)
-            prior = mass(x - root, x + root, 0, sw2)
-            return mpmath.exp(-x * x / (2 * sx2)) * (zeta * post - gamma * prior)
-
-        x0 = mpmath.sqrt(-const / coeff) if const < 0 else mpmath.mpf(0)
-        sx = mpmath.sqrt(sx2)
-        total = 2 * mpmath.quad(integrand, [x0, x0 + 2 * sx, x0 + 12 * sx])
-        total /= mpmath.sqrt(2 * mpmath.pi * sx2)
+        total = _gaussian_region_mpmath(model, gamma / zeta,
+                                        lambda post, prior: zeta * post - gamma * prior)
         return float(max(0, total - max(0, zeta - gamma)))
 
 
@@ -825,6 +847,29 @@ class TestGaussian:
         assert exact > 1e-6
         assert math.isclose(models.gaussian_e_gamma_zeta(g, gamma, 1.5).value, exact,
                             rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n, sw2, s2, t", [
+        pytest.param(500, 10.0, 0.1, 202.3, id="snr-5e4"),
+        pytest.param(1000, 100.0, 1e-4, 28609.0, id="snr-1e9"),
+    ])
+    def test_hockey_stick_and_condition_where_the_ladder_reaches(self, n, sw2, s2, t):
+        # the optimal ratios t* of `gaussian --optimize` at n = 500,
+        # sigma_W^2 = 10, sigma^2 = 0.1 and at the largest signal-to-noise
+        # ratio the tests reach (1e9, where the ladder grows); the kernel was
+        # 3.4e-16 relative from 30 digits in value there and 1.6e-15 in the
+        # condition g = P(R) + t Q(R) - 1
+        g = models.GaussianModel(n, sw2, s2)
+        gamma, zeta = 1.5 * t, 1.5
+        out = models.gaussian_e_gamma_zeta(g, gamma, zeta)
+        assert math.isclose(out.value, _gaussian_e_gamma_zeta_mpmath(g, gamma, zeta),
+                            rel_tol=2e-15)
+        with mpmath.workdps(30):
+            ratio = mpmath.mpf(gamma) / zeta
+            p_mass, q_mass = (_gaussian_region_mpmath(g, ratio, part) for part in
+                              (lambda post, prior: post, lambda post, prior: prior))
+            condition = float(p_mass + ratio * q_mass - 1)
+        assert abs(out.condition) < 1e-4
+        assert abs(out.condition - condition) <= 1e-14
 
     @example(n=25, sw2=0.165, s2=16.5, zeta=1.5, ratio=68.5 / 1.5)
     @settings(max_examples=20, deadline=None)
