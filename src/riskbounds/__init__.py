@@ -13,7 +13,6 @@ from .distributions import (
     DivergenceKind,
     DivergenceSpec,
     MarkovKernel,
-    MixedJoint,
 )
 from .measures import (
     chi_square,

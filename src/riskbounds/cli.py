@@ -53,13 +53,16 @@ RATIO_LADDER = 2.0 ** np.arange(13)
 
 def _parse_n_range(text: str) -> list[int]:
     values: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            values.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            values.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if ".." in part:
+                lo, hi = part.split("..")
+                values.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                values.append(int(part))
+    except ValueError:  # a bad int, or more than one '..' in a part
+        values = []
     if not values or any(v < 1 for v in values):
         raise ValueError(f"invalid sample-count range {text!r}")
     return sorted(set(values))

@@ -1,7 +1,8 @@
-"""Domain types: discrete distributions, joints, mixed joints and kernels.
+"""Domain types: discrete distributions, joints and kernels.
 
 All objects validate their probabilistic invariants at construction time
-and are immutable afterwards, so they are safe to share across workers.
+(a NaN entry raises `NanValue`) and are immutable afterwards, so they are
+safe to share across workers.
 """
 
 from __future__ import annotations
@@ -9,17 +10,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
+from .errors import NanValue
 
 __all__ = [
     "MASS_TOL",
     "DiscreteDistribution",
     "DiscreteJoint",
-    "MixedJoint",
     "MarkovKernel",
     "DivergenceKind",
     "DivergenceSpec",
@@ -32,6 +32,8 @@ def _as_weights(values) -> np.ndarray:
     w = np.asarray(values, dtype=float)
     if w.ndim != 1:
         raise ValueError("weights must be one-dimensional")
+    if np.isnan(w).any():  # NaN fails neither the sign nor the mass check
+        raise NanValue("weights must not be NaN")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     return w
@@ -91,6 +93,8 @@ class DiscreteJoint:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("joint matrix must be two-dimensional")
+        if np.isnan(m).any():
+            raise NanValue("joint entries must not be NaN")
         if np.any(m < 0):
             raise ValueError("joint entries must be non-negative")
         if abs(float(m.sum()) - 1.0) > MASS_TOL:
@@ -136,6 +140,8 @@ class MarkovKernel:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("kernel must be a matrix")
+        if np.isnan(m).any():
+            raise NanValue("kernel entries must not be NaN")
         if np.any(m < 0):
             raise ValueError("kernel entries must be non-negative")
         rows = m.sum(axis=1)
@@ -224,73 +230,3 @@ class DivergenceSpec:
                 raise ValueError("gamma must be non-negative")
             if not self.zeta > 0:
                 raise ValueError("zeta must be positive")
-
-
-@dataclass(frozen=True)
-class MixedJoint:
-    """Joint law of a continuous parameter and a finite observation.
-
-    Parameters
-    ----------
-    density : callable on arrays
-        Prior density of the parameter on ``support``.
-    support : (low, high)
-        Compact interval carrying the prior.
-    observations : sequence
-        Labels of the finite observation alphabet.
-    likelihood : callable, elementwise
-        ``likelihood(k, w)`` is P(observation index k | parameter w), with
-        ``k`` and ``w`` broadcast against each other like a ufunc's
-        arguments; ``likelihood(k[:, None], w[None, :])`` with
-        ``k = arange(n_obs)`` is the conditional pmf matrix, whose columns
-        must each sum to 1.
-    """
-
-    density: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
-    observations: tuple
-    likelihood: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        object.__setattr__(self, "observations", tuple(self.observations))
-        a, b = self.support
-        if not b > a:
-            raise ValueError("support must be a non-empty interval")
-        mass = adaptive_simpson(self.density, a, b)
-        if abs(mass - 1.0) > 1e-7:
-            raise ValueError(f"prior density integrates to {mass!r}, not 1")
-        nodes = np.linspace(a, b, 129)
-        k = np.arange(len(self.observations))
-        rows = np.asarray(self.likelihood(k[:, None], nodes[None, :]), dtype=float)
-        if rows.shape != (k.size, nodes.size):
-            raise ValueError("likelihood(k, w) must broadcast k against w")
-        col_sums = rows.sum(axis=0)
-        if np.any(np.abs(col_sums - 1.0) > 1e-9):
-            worst = float(np.max(np.abs(col_sums - 1.0)))
-            raise ValueError(f"likelihood columns deviate from 1 by {worst!r}")
-
-    def integrate(self, f, rows=None):
-        """Integral of ``f`` against Lebesgue measure on the support, by
-        :func:`~riskbounds.quadrature.adaptive_simpson` at its default
-        tolerances; ``rows`` batches integrands as there.
-        """
-        a, b = self.support
-        return adaptive_simpson(f, a, b, rows=rows)
-
-    def observation_marginal(self) -> np.ndarray:
-        """Marginal pmf of the observation, computed by quadrature."""
-        out = self.integrate(lambda k, w: self.density(w) * self.likelihood(k, w),
-                             rows=len(self.observations))
-        total = float(out.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"observation marginal sums to {total!r}")
-        return out
-
-    def log_likelihood_row(self, index: int):
-        """Vectorized log P(x_index | w) with -inf where the mass is 0."""
-        def row(w):
-            vals = np.asarray(self.likelihood(index, np.atleast_1d(w)))
-            with np.errstate(divide="ignore"):
-                return np.where(vals > 0, np.log(np.where(vals > 0, vals, 1.0)),
-                                -math.inf)
-        return row

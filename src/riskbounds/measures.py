@@ -2,10 +2,10 @@
 
 Two-distribution measures (`renyi_divergence`, `kl_divergence`, ...) accept
 either :class:`~riskbounds.distributions.DiscreteDistribution` objects or
-plain weight arrays.  Joint measures accept a
-:class:`~riskbounds.distributions.DiscreteJoint` (closed-form summation) or
-a :class:`~riskbounds.distributions.MixedJoint` (adaptive quadrature), and
-always compare the joint against the product of its own marginals.
+plain weight arrays, and raise `NanValue` for a NaN weight.  Joint measures
+take a :class:`~riskbounds.distributions.DiscreteJoint`, raise TypeError for
+any other joint, and always compare the joint against the product of its
+own marginals, by closed-form summation.
 
 Absolute-continuity failures do not raise: following the usual convention
 the affected divergences evaluate to ``math.inf`` and downstream bounds
@@ -24,10 +24,8 @@ from .distributions import (
     DiscreteJoint,
     DivergenceKind,
     DivergenceSpec,
-    MixedJoint,
 )
-from .errors import AlphaAtMostOne, AlphaOne, NonPositiveAlpha
-from .quadrature import brent_max
+from .errors import AlphaAtMostOne, AlphaOne, NanValue, NonPositiveAlpha
 
 __all__ = [
     "renyi_divergence",
@@ -47,7 +45,15 @@ __all__ = [
 def _w(dist) -> np.ndarray:
     if isinstance(dist, DiscreteDistribution):
         return dist.weights
-    return np.asarray(dist, dtype=float)
+    w = np.asarray(dist, dtype=float)
+    if np.isnan(w).any():
+        raise NanValue("weights must not be NaN")
+    return w
+
+
+def _check_discrete(joint):
+    if not isinstance(joint, DiscreteJoint):
+        raise TypeError(f"unsupported joint type {type(joint).__name__!r}")
 
 
 def renyi_divergence(p, q, alpha: float) -> float:
@@ -157,130 +163,23 @@ def maximal_leakage_discrete(joint: DiscreteJoint) -> float:
     return max(0.0, math.log(float(np.sum(cond.max(axis=0)))))
 
 
-def e_gamma_zeta(joint, gamma: float, zeta: float) -> float:
+def e_gamma_zeta(joint: DiscreteJoint, gamma: float, zeta: float) -> float:
     """Generalized hockey-stick dependence of a joint from its product."""
     _check_gamma_zeta(gamma, zeta)
-    offset = max(0.0, zeta - gamma)
-    if isinstance(joint, DiscreteJoint):
-        value = float(
-            np.sum(np.maximum(0.0, zeta * joint.matrix - gamma * joint.product))
-        )
-        return max(0.0, value - offset)
-    marginal = joint.observation_marginal()
-
-    def integrand(k, w):
-        lik = joint.likelihood(k, w)
-        return joint.density(w) * np.maximum(0.0, zeta * lik - gamma * marginal[k])
-
-    total = _sum_in_order(joint.integrate(integrand, rows=marginal.size))
-    return max(0.0, total - offset)
+    _check_discrete(joint)
+    value = float(np.sum(np.maximum(0.0, zeta * joint.matrix - gamma * joint.product)))
+    return max(0.0, value - max(0.0, zeta - gamma))
 
 
-def mutual_information(joint) -> float:
-    """Shannon mutual information of a discrete or mixed joint."""
-    if isinstance(joint, DiscreteJoint):
-        m = joint.matrix
-        prod = joint.product
-        mask = m > 0
-        if np.any(mask & (prod == 0)):
-            return math.inf
-        return max(0.0, float(np.sum(m[mask] * np.log(m[mask] / prod[mask]))))
-    marginal = joint.observation_marginal()
-    integrand = _mi_integrand(joint, marginal)
-    return max(0.0, _sum_in_order(joint.integrate(integrand, rows=marginal.size)))
-
-
-def _mi_integrand(joint: MixedJoint, marginal: np.ndarray):
-    """The batched integrand of the mutual information of ``joint``: row k
-    at w is density(w) * lik * (log lik - log P(k)), lik = likelihood(k, w),
-    and 0 where lik = 0, with ``marginal[k]`` = P(k)."""
-    # libm's log, not np.log, whose vectorised loop may round the last bit
-    # differently; the pinned values in the tests were made with libm
-    log_px = np.array([math.log(px) for px in marginal.tolist()])
-
-    def integrand(k, w):
-        lik = joint.likelihood(k, w)
-        with np.errstate(divide="ignore"):
-            log_lik = np.where(lik > 0, np.log(np.where(lik > 0, lik, 1.0)), 0.0)
-        return joint.density(w) * np.where(
-            lik > 0, lik * (log_lik - log_px[k]), 0.0
-        )
-
-    return integrand
-
-
-def _sum_in_order(values) -> float:
-    """Left-to-right float sum (``sum()`` compensates from Python 3.12)."""
-    total = 0.0
-    for value in values.tolist():
-        total += value
-    return total
-
-
-def _log_scaled_integral(joint: MixedJoint, log_f) -> float:
-    """log of the integral of exp(log_f) over the support, peak-rescaled.
-
-    Keeps adaptive quadrature in a well-conditioned range even when the
-    integrand spans hundreds of orders of magnitude.
-    """
-    a, b = joint.support
-    scan = np.linspace(a, b, 257)
-    peak = float(np.max(log_f(scan)))
-    if peak == -math.inf:
-        return -math.inf
-    value = joint.integrate(lambda w: np.exp(np.clip(log_f(w) - peak, -745.0, 60.0)))
-    if value <= 0.0:
-        return -math.inf
-    return peak + math.log(value)
-
-
-def _log_density(joint: MixedJoint):
-    def ld(w):
-        d = np.asarray(joint.density(np.atleast_1d(w)), dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(d > 0, np.log(np.where(d > 0, d, 1.0)), -math.inf)
-    return ld
-
-
-def _mixed_sibson_mi(joint: MixedJoint, alpha: float) -> float:
-    if not 1.0 < alpha < math.inf:
-        raise AlphaAtMostOne(f"Sibson order must be finite and exceed 1, got {alpha!r}")
-    ld = _log_density(joint)
-    total = 0.0
-    for i in range(len(joint.observations)):
-        ll = joint.log_likelihood_row(i)
-        log_j = _log_scaled_integral(joint, lambda w: ld(w) + alpha * ll(w))
-        total += math.exp(log_j / alpha)
-    return max(0.0, alpha / (alpha - 1.0) * math.log(total))
-
-
-def _mixed_moment(joint: MixedJoint, order: float) -> float:
-    """Integral of the density ratio raised to ``order`` against the product."""
-    marginal = joint.observation_marginal()
-    ld = _log_density(joint)
-    total = 0.0
-    for i, px in enumerate(marginal):
-        ll = joint.log_likelihood_row(i)
-        log_j = _log_scaled_integral(joint, lambda w: ld(w) + order * ll(w))
-        total += math.exp((1.0 - order) * math.log(px) + log_j)
-    return total
-
-
-def _mixed_max_leakage(joint: MixedJoint) -> float:
-    a, b = joint.support
-    grid = np.linspace(a, b, 4097)
-    obs = np.arange(len(joint.observations))
-    rows = np.asarray(joint.likelihood(obs[:, None], grid[None, :]), dtype=float)
-    total = 0.0
-    for i in obs.tolist():
-        k = int(np.argmax(rows[i]))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid.size - 1)]
-        _, peak, _ = brent_max(
-            lambda w, i=i: float(np.asarray(joint.likelihood(i, np.array([w])))[0]),
-            lo, hi)
-        total += peak
-    return max(0.0, math.log(total))
+def mutual_information(joint: DiscreteJoint) -> float:
+    """Shannon mutual information of a finite joint."""
+    _check_discrete(joint)
+    m = joint.matrix
+    prod = joint.product
+    mask = m > 0
+    if np.any(mask & (prod == 0)):
+        return math.inf
+    return max(0.0, float(np.sum(m[mask] * np.log(m[mask] / prod[mask]))))
 
 
 def pair_divergence(p, q, spec: DivergenceSpec) -> float:
@@ -300,37 +199,16 @@ def pair_divergence(p, q, spec: DivergenceSpec) -> float:
     raise ValueError(f"{kind.value} is not a two-measure divergence")
 
 
-def divergence_from_independence(joint, spec: DivergenceSpec) -> float:
-    """Evaluate any supported measure between a joint and its product."""
+def divergence_from_independence(joint: DiscreteJoint, spec: DivergenceSpec) -> float:
+    """Evaluate any supported measure between a finite joint and its product."""
+    _check_discrete(joint)
     kind = spec.kind
-    if isinstance(joint, DiscreteJoint):
-        if kind is DivergenceKind.SIBSON_MI:
-            return sibson_mi_discrete(joint, spec.alpha)
-        if kind is DivergenceKind.MAX_LEAKAGE:
-            return maximal_leakage_discrete(joint)
-        if kind is DivergenceKind.MUTUAL_INFORMATION:
-            return mutual_information(joint)
-        if kind is DivergenceKind.E_GAMMA_ZETA:
-            return e_gamma_zeta(joint, spec.gamma, spec.zeta)
-        return pair_divergence(joint.matrix.ravel(), joint.product.ravel(), spec)
-    if isinstance(joint, MixedJoint):
-        if kind is DivergenceKind.RENYI:
-            moment = _mixed_moment(joint, spec.alpha)
-            if spec.alpha > 1 and moment == math.inf:
-                return math.inf
-            return max(0.0, math.log(moment) / (spec.alpha - 1.0))
-        if kind is DivergenceKind.SIBSON_MI:
-            return _mixed_sibson_mi(joint, spec.alpha)
-        if kind is DivergenceKind.MAX_LEAKAGE:
-            return _mixed_max_leakage(joint)
-        if kind is DivergenceKind.HELLINGER_P:
-            return max(0.0, (_mixed_moment(joint, spec.p) - 1.0) / (spec.p - 1.0))
-        if kind is DivergenceKind.CHI_SQUARE:
-            return max(0.0, _mixed_moment(joint, 2.0) - 1.0)
-        if kind is DivergenceKind.KL:
-            return mutual_information(joint)
-        if kind is DivergenceKind.MUTUAL_INFORMATION:
-            return mutual_information(joint)
-        if kind is DivergenceKind.E_GAMMA_ZETA:
-            return e_gamma_zeta(joint, spec.gamma, spec.zeta)
-    raise TypeError(f"unsupported joint type {type(joint).__name__!r}")
+    if kind is DivergenceKind.SIBSON_MI:
+        return sibson_mi_discrete(joint, spec.alpha)
+    if kind is DivergenceKind.MAX_LEAKAGE:
+        return maximal_leakage_discrete(joint)
+    if kind is DivergenceKind.MUTUAL_INFORMATION:
+        return mutual_information(joint)
+    if kind is DivergenceKind.E_GAMMA_ZETA:
+        return e_gamma_zeta(joint, spec.gamma, spec.zeta)
+    return pair_divergence(joint.matrix.ravel(), joint.product.ravel(), spec)

@@ -16,9 +16,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc, erf, erfc, expit, gammaln, logit, psi, xlogy
 
-from . import measures, sdpi
+from . import sdpi
 from .bounds import BoundResult, FirstOrder, SmallBallFn, sdpi_bound
-from .distributions import MixedJoint
+from .quadrature import adaptive_simpson
 
 __all__ = [
     "BernoulliUniformModel",
@@ -33,8 +33,6 @@ __all__ = [
     "bernoulli_e_gamma_zeta_batch",
     "bernoulli_mutual_information",
     "bernoulli_upper_bound",
-    "bernoulli_joint",
-    "noisy_bernoulli_joint",
     "noisy_bernoulli_bound",
     "noisy_bernoulli_upper_bound",
     "gaussian_small_ball",
@@ -307,9 +305,8 @@ def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta) -> FirstOrder:
     ends are Newton steps in s = logit(w) (`_logit_ends`), and an end stays
     at 0 or 1 where the ratio there already reaches t.  The value is
     zeta*H(t) - max(0, zeta - gamma) with H(t) = sum max(0, p - t*q), so
-    scaling gamma and zeta scales it.  The generic quadrature path
-    (measures.e_gamma_zeta on the sufficient joint) computes the same
-    number and serves as its oracle in tests.
+    scaling gamma and zeta scales it.  A quadrature of the same integrals
+    serves as its oracle in tests.
 
     ``gamma`` and ``zeta`` broadcast against each other, and ``value`` is
     a list of R floats.  The ends of pair r are a (2, floor(n/2)+1) block
@@ -420,27 +417,42 @@ def _gamma_zeta_pairs(gamma, zeta) -> tuple[list, tuple]:
 
 def bernoulli_mutual_information(n: int) -> float:
     """Shannon dependence of bias and weight, by adaptive quadrature of the
-    sufficient joint (`bernoulli_joint`) over half its weights.
+    weight's binomial likelihood C(n,k) w^k (1-w)^(n-k) over the uniform
+    prior on [0, 1], half the weights at a time.
 
     Under the uniform prior, w -> 1 - w maps weight k's integrands, that of
     the marginal P(k) and that of the MI, onto those of weight n - k, and
     the abscissae of `quadrature.adaptive_simpson` are dyadic, so 1 - w is
     exact.  Both passes therefore integrate only k = 0..floor(n/2), and
     weight n - k takes the integral of weight k.  The marginal of the
-    mirrored weights must sum to 1 within 1e-6, and the n+1 MI terms are
-    added left to right, as `measures.mutual_information`, which integrates
-    every weight, does: the two agree up to the rounding of log C(n,k) and
-    the order of the additions (a few ulps)."""
-    joint = bernoulli_joint(n)
+    mirrored weights must sum to 1 within 1e-6.  The MI integrand of weight
+    k is lik * (log lik - log P(k)), and 0 where lik = 0; the n+1 MI terms
+    are added left to right."""
     half = n // 2 + 1
     mirror = np.minimum(np.arange(n + 1), np.arange(n, -1, -1))  # k -> min(k, n-k)
-    marginal = joint.integrate(lambda k, w: joint.density(w) * joint.likelihood(k, w),
-                               rows=half)
+    log_binom = _log_binom(n, np.arange(half))
+
+    def likelihood(k, w):
+        return np.exp(log_binom[k] + xlogy(k, w) + xlogy(n - k, 1.0 - w))
+
+    marginal = adaptive_simpson(likelihood, 0.0, 1.0, rows=half)
     total = float(marginal[mirror].sum())
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"observation marginal sums to {total!r}")
-    terms = joint.integrate(measures._mi_integrand(joint, marginal), rows=half)
-    return max(0.0, measures._sum_in_order(terms[mirror]))
+    # libm's log, not np.log, whose vectorised loop may round the last bit
+    # differently; the pinned values in the tests were made with libm
+    log_px = np.array([math.log(px) for px in marginal.tolist()])
+
+    def integrand(k, w):
+        lik = likelihood(k, w)
+        with np.errstate(divide="ignore"):
+            log_lik = np.where(lik > 0, np.log(np.where(lik > 0, lik, 1.0)), 0.0)
+        return np.where(lik > 0, lik * (log_lik - log_px[k]), 0.0)
+
+    mi = 0.0
+    for term in adaptive_simpson(integrand, 0.0, 1.0, rows=half)[mirror].tolist():
+        mi += term  # left to right: sum() compensates from Python 3.12
+    return max(0.0, mi)
 
 
 def bernoulli_upper_bound(n: int) -> float:
@@ -448,33 +460,6 @@ def bernoulli_upper_bound(n: int) -> float:
     if n < 1:
         raise ValueError("n must be at least 1")
     return 1.0 / math.sqrt(6.0 * n)
-
-
-def bernoulli_joint(n: int) -> MixedJoint:
-    """Sufficient-statistic joint of the bias and the Hamming weight."""
-    return _binomial_count_joint(n, lambda w: w)
-
-
-def noisy_bernoulli_joint(model: NoisyBernoulliModel) -> MixedJoint:
-    """Joint of the bias and the weight of the channel outputs."""
-    lam = model.lam
-    return _binomial_count_joint(model.n, lambda w: lam + (1.0 - 2.0 * lam) * w)
-
-
-def _binomial_count_joint(n: int, mean_map) -> MixedJoint:
-    log_binom = _log_binom(n, np.arange(n + 1))
-
-    def likelihood(k, w):
-        mu = np.clip(mean_map(np.asarray(w, dtype=float)), 0.0, 1.0)
-        k = np.asarray(k)
-        return np.exp(log_binom[k] + xlogy(k, mu) + xlogy(n - k, 1.0 - mu))
-
-    return MixedJoint(
-        density=lambda w: np.ones_like(np.atleast_1d(np.asarray(w, float))),
-        support=(0.0, 1.0),
-        observations=tuple(range(n + 1)),
-        likelihood=likelihood,
-    )
 
 
 def _log_binom(n, k):
@@ -494,7 +479,8 @@ def noisy_bernoulli_bound(model: NoisyBernoulliModel, p: float = 2.0) -> BoundRe
     does, eta contracts the n-sample divergence, which holds only for a product
     reference measure; here the law of the n flips is a mixture over the
     bias, and for n >= 2 the exact noisy chi-square information exceeds
-    eta times the clean one (see `noisy_bernoulli_joint`).
+    eta times the clean one: the tests show it with the noisy chi-square
+    information integrated by quadrature.
     """
     if not 1.0 < p <= 2.0:
         raise ValueError("contraction constant is only exact for 1 < p <= 2")

@@ -1,4 +1,4 @@
-"""Numerical helpers: adaptive Simpson integration and Brent maximization."""
+"""Numerical integration: adaptive Simpson bisection over row batches."""
 
 from __future__ import annotations
 
@@ -8,81 +8,7 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-__all__ = [
-    "adaptive_simpson",
-    "brent_max",
-]
-
-_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
-_EPS = float(np.finfo(float).eps)
-
-
-def brent_max(f, lo, hi, tol=1e-12):
-    """Brent's maximization of a unimodal scalar function on [lo, hi].
-
-    Each step jumps to the vertex of the parabola through the three best
-    points seen so far.  A golden-section step into the larger side of the
-    bracket replaces it when the vertex falls outside the bracket or the
-    step is not under half the step before last, so the bracket keeps
-    shrinking where the parabola does not help.  Steps are never shorter
-    than tol1 = eps * |x| + tol / 3, and the search stops once both ends
-    of the bracket are within 2 * tol1 of the best point x: the argmax is
-    then within ``tol`` (plus rounding), as for golden section, also when
-    it sits at an end of the bracket.  Neither end is evaluated.  Ties
-    move the best point to the newer one.
-
-    Returns ``(argmax, max, evaluations)``: the largest value evaluated
-    and where it was evaluated.
-    """
-    a, b = float(lo), float(hi)
-    x = w = v = a + _GOLDEN_STEP * (b - a)  # best, second best, previous w
-    fx = fw = fv = f(x)
-    evals = 1
-    d = e = 0.0  # Brent's names: the last step and the one before it
-    while True:
-        m = 0.5 * (a + b)
-        tol1 = _EPS * abs(x) + tol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x, fx, evals
-        golden = True
-        if abs(e) > tol1:
-            # the parabola through (v, fv), (w, fw), (x, fx) has its
-            # vertex at x + p/q whether it opens up or down
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            before, e = e, d
-            if abs(p) < abs(0.5 * q * before) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                golden = False
-                if x + d - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if x < m else -tol1
-        if golden:
-            e = (b - x) if x < m else (a - x)
-            d = _GOLDEN_STEP * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
-        evals += 1
-        if fu >= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
+__all__ = ["adaptive_simpson"]
 
 
 def adaptive_simpson(f, a, b, *, rows=None, atol=1e-9, rtol=1e-8, max_depth=48):

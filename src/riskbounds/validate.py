@@ -62,13 +62,12 @@ def _suite_oracle_agreement(seed: int, rounds: int) -> tuple[bool, str]:
             worst = max(worst, abs(a - b))
     ok = worst <= 1e-10
     if ok:
-        gamma_check = abs(models.bernoulli_hellinger_first_order(8, 2.0).value + 1.0
-                          - (8 + 1) / (2 * 8 + 1) * 4.0 ** 8
-                          / math.comb(16, 8))
-        quad = measures.divergence_from_independence(
-            models.bernoulli_joint(5), DivergenceSpec(DivergenceKind.HELLINGER_P, p=2.0))
-        closed = models.bernoulli_hellinger_first_order(5, 2.0).value
-        gamma_check = max(gamma_check, abs(quad - closed))
+        # 1 + H_2(n) = (n+1)/(2n+1) 4^n / C(2n, n): the Bernoulli chi-square
+        # moment in closed form
+        gamma_check = max(
+            abs(models.bernoulli_hellinger_first_order(n, 2.0).value + 1.0
+                - (n + 1) / (2 * n + 1) * 4.0 ** n / math.comb(2 * n, n))
+            for n in range(1, 51))
         ok = gamma_check <= 1e-6
         return ok, f"max closed-form deviation: {gamma_check:.3e}"
     return ok, f"max measures/brute-force deviation: {worst:.3e}"

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from riskbounds import bounds as B
 from riskbounds import cli, models, oracle
 from riskbounds.errors import EtaOutOfRange, NanValue, RiskboundsError
-from riskbounds.quadrature import brent_max
+
+from quadrature_oracle import brent_max
 
 L2 = B.SmallBallFn(2.0)
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbounds import bounds, cli, models, oracle, validate
-from riskbounds.quadrature import brent_max
+
+from quadrature_oracle import brent_max
 
 
 class TestParsing:
@@ -43,6 +44,14 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             cli.main(["bernoulli", "--n", "0..3"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("text", ["0", "1..2..3", "..5", "1..", "a", "2.5", ""])
+    def test_malformed_range_is_named(self, text, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bernoulli", "--n", text])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: invalid sample-count range {text!r}\n")
 
     def test_config_file_precedence(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -448,7 +457,7 @@ def _values_only(callback):
 
 def grid_and_brent(callback, method, grid, L):
     """The oracle of the root path: the grid maximum, then Brent's method
-    (`quadrature.brent_max`, tol=1e-6) in each searched parameter between
+    (`quadrature_oracle.brent_max`, tol=1e-6) in each searched parameter between
     the grid neighbours of the best point, the other parameters held
     there, as `bounds.optimize_bound` refined before the root path served
     every searched column.  Returns the best bound of every point

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbounds.distributions import (
     DiscreteDistribution,
@@ -13,7 +15,8 @@ from riskbounds.distributions import (
     DivergenceSpec,
     MarkovKernel,
 )
-from riskbounds.models import bernoulli_joint
+from riskbounds.errors import NanValue
+from riskbounds.models import bernoulli_mutual_information
 
 
 class TestDiscreteDistribution:
@@ -69,6 +72,29 @@ class TestMarkovKernel:
         assert np.allclose(MarkovKernel.identity(3).matrix, np.eye(3))
 
 
+# type -> (its valid uniform entries for (rows, columns), its constructor)
+UNIFORM_ENTRIES = {
+    "distribution": (lambda r, c: np.full(c, 1.0 / c),
+                     lambda w: DiscreteDistribution(range(w.size), w)),
+    "joint": (lambda r, c: np.full((r, c), 1.0 / (r * c)), DiscreteJoint),
+    "kernel": (lambda r, c: np.full((r, c), 1.0 / c), MarkovKernel),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNIFORM_ENTRIES))
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 4), columns=st.integers(1, 4), data=st.data())
+def test_a_nan_cell_raises(kind, rows, columns, data):
+    # NaN fails neither the sign nor the mass test: a joint with one NaN
+    # cell read MI 0, which looks like independence
+    entries, build = UNIFORM_ENTRIES[kind]
+    w = entries(rows, columns)
+    build(w.copy())
+    w[tuple(data.draw(st.integers(0, side - 1)) for side in w.shape)] = math.nan
+    with pytest.raises(NanValue):
+        build(w)
+
+
 class TestDivergenceSpec:
     def test_param_required(self):
         with pytest.raises(ValueError):
@@ -111,7 +137,7 @@ def test_divergence_spec_rejects_a_nan_parameter(kind, params):
     pytest.param(lambda: DiscreteJoint([[0.5, 0.2], [0.1, 0.1]]),
                  r"joint mass is 0\.\d+, not 1", id="joint"),
     # the quadrature marginal misses its sum-to-1 check first at n = 562
-    pytest.param(lambda: bernoulli_joint(562).observation_marginal(),
+    pytest.param(lambda: bernoulli_mutual_information(562),
                  r"observation marginal sums to 0\.99999\d+", id="marginal"),
 ])
 def test_mass_errors_name_a_plain_float(build, message):
@@ -119,32 +145,3 @@ def test_mass_errors_name_a_plain_float(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert re.fullmatch(message, str(err.value)), str(err.value)
-
-
-class TestMixedJoint:
-    def test_bernoulli_joint_invariants(self):
-        j = bernoulli_joint(4)
-        # uniform prior: every weight has marginal mass 1/(n+1)
-        assert np.allclose(j.observation_marginal(), 1.0 / 5.0, atol=1e-8)
-
-    def test_bad_density_rejected(self):
-        from riskbounds.distributions import MixedJoint
-
-        with pytest.raises(ValueError):
-            MixedJoint(
-                density=lambda w: 2.0 * np.ones_like(np.atleast_1d(w)),
-                support=(0.0, 1.0),
-                observations=(0,),
-                likelihood=lambda k, w: np.ones(np.broadcast(k, w).shape),
-            )
-
-    def test_bad_likelihood_rejected(self):
-        from riskbounds.distributions import MixedJoint
-
-        with pytest.raises(ValueError):
-            MixedJoint(
-                density=lambda w: np.ones_like(np.atleast_1d(w)),
-                support=(0.0, 1.0),
-                observations=(0, 1),
-                likelihood=lambda k, w: np.full(np.broadcast(k, w).shape, 0.6),
-            )

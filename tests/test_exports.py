@@ -69,15 +69,15 @@ def _package_reads():
 
 
 # each layer's exports that only tests call, each kept as an oracle: the
-# exact noisy joint shows where the single-letter contraction breaks, and
-# the simplified p = 3/2 constant is dominated by the Hellinger bound; the
+# simplified p = 3/2 constant is dominated by the Hellinger bound; the
 # Dobrushin coefficient, the Renyi contraction ratio and its sampled
 # estimate reproduce the paper's claim that Renyi divergences can contract
 # more slowly than the Dobrushin coefficient (acceptance criteria 6 and
-# 10); the one-model Monte-Carlo risk checks the pooled one
+# 10); the one-model Monte-Carlo risk checks the pooled one.  The
+# quadrature oracles of the closed forms live in tests/quadrature_oracle.py
 ORACLES = {
     "bounds": set(),
-    "models": {"noisy_bernoulli_joint", "gaussian_hellinger_closed_form_bound"},
+    "models": {"gaussian_hellinger_closed_form_bound"},
     "measures": set(),
     "quadrature": set(),
     "oracle": {"mc_risk"},
@@ -95,3 +95,16 @@ def test_every_export_is_used_by_the_package(layer):
     assert sorted(unused - ORACLES[layer]) == []
     # an oracle that the package starts to call leaves the list
     assert sorted(ORACLES[layer] - unused) == []
+
+
+def test_only_models_imports_quadrature():
+    # the quadrature layer serves the Bernoulli MI alone
+    importers = set()
+    for path in Path(riskbounds.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]
+                if any("quadrature" in name.split(".") for name in names):
+                    importers.add(path.stem)
+    assert importers == {"models"}

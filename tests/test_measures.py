@@ -14,8 +14,10 @@ from riskbounds.distributions import (
     DivergenceSpec,
     MarkovKernel,
 )
-from riskbounds.errors import AlphaAtMostOne, AlphaOne, NonPositiveAlpha
-from riskbounds.models import bernoulli_joint, bernoulli_sibson_first_order
+from riskbounds.errors import AlphaAtMostOne, AlphaOne, NanValue, NonPositiveAlpha
+from riskbounds.models import bernoulli_ml, bernoulli_sibson_first_order
+
+import quadrature_oracle
 
 
 def random_joint(rng, nx=3, ny=3):
@@ -125,8 +127,6 @@ PARAMETER_CHECKS = {
     "e-gamma-zeta-gamma": (lambda v: measures.e_gamma_zeta(_JOINT, v, 1.0), ValueError),
     "e-gamma-zeta-zeta": (lambda v: measures.e_gamma_zeta(_JOINT, 1.0, v), ValueError),
     "sibson": (lambda v: measures.sibson_mi_discrete(_JOINT, v), AlphaAtMostOne),
-    "sibson-mixed": (lambda v: measures._mixed_sibson_mi(bernoulli_joint(2), v),
-                     AlphaAtMostOne),
 }
 
 
@@ -184,7 +184,7 @@ class TestHockeyStick:
                                 abs_tol=1e-14)
 
     def test_bernoulli_sufficient_statistic_vs_quadrature_oracle(self):
-        # per-weight adaptive quadrature through an independent integrator
+        # the adaptive Simpson oracle against scipy's QUADPACK, weight by weight
         from scipy import integrate
         from scipy.special import comb
 
@@ -198,7 +198,7 @@ class TestHockeyStick:
                                       epsabs=1e-12, epsrel=1e-12)
             total += val
         expected = total - max(0.0, zeta - gamma)
-        got = measures.e_gamma_zeta(bernoulli_joint(n), gamma, zeta)
+        got = quadrature_oracle.e_gamma_zeta(n, gamma, zeta)
         assert math.isclose(got, expected, abs_tol=1e-9)
 
     def test_two_measure_form_validates(self):
@@ -221,7 +221,7 @@ class TestMutualInformation:
     def test_sibson_limit_from_above(self):
         # order -> 1 recovers Shannon dependence for the one-flip model;
         # the gap shrinks linearly in (alpha - 1) and is inside 1e-3 by 1.001
-        mi = measures.mutual_information(bernoulli_joint(1))
+        mi = quadrature_oracle.mutual_information(1)
         gaps = []
         for alpha in (1.01, 1.001):
             gaps.append(abs(bernoulli_sibson_first_order(1, alpha).value - mi))
@@ -285,6 +285,18 @@ class TestDataProcessing:
             assert after <= before + 1e-10, spec.kind
 
 
+@settings(max_examples=50, deadline=None)
+@given(size=st.integers(1, 5), data=st.data())
+def test_a_nan_weight_raises(size, data):
+    # NaN fails both the sign and the support tests, so the p > 0 masks
+    # would drop it: kl_divergence([nan, 1], [.5, .5]) would read log 2
+    pair = [np.full(size, 1.0 / size), np.full(size, 1.0 / size)]
+    side = data.draw(st.integers(0, 1))
+    pair[side][data.draw(st.integers(0, size - 1))] = math.nan
+    with pytest.raises(NanValue):
+        measures.pair_divergence(*pair, data.draw(st.sampled_from(TestDataProcessing.SPECS)))
+
+
 class TestProbabilityBounds:
     """Event-probability inequalities that underpin the risk bounds."""
 
@@ -345,20 +357,17 @@ class TestDispatcher:
         assert measures.divergence_from_independence(j, spec) == \
             measures.sibson_mi_discrete(j, 2.0)
 
-    def test_mixed_kl_equals_mutual_information(self):
-        j = bernoulli_joint(2)
-        kl = measures.divergence_from_independence(
-            j, DivergenceSpec(DivergenceKind.KL))
-        assert math.isclose(kl, measures.mutual_information(j), rel_tol=1e-9)
-
     def test_mixed_max_leakage_matches_closed_sum(self):
-        from riskbounds.models import bernoulli_ml
-
-        got = measures.divergence_from_independence(
-            bernoulli_joint(4), DivergenceSpec(DivergenceKind.MAX_LEAKAGE))
-        assert math.isclose(got, bernoulli_ml(4).exact, abs_tol=1e-8)
+        # the leakage of the bias-and-count joint, maximized over the bias
+        assert math.isclose(quadrature_oracle.max_leakage(4), bernoulli_ml(4).exact,
+                            abs_tol=1e-8)
 
     def test_unknown_joint_type(self):
+        # a joint measure takes a DiscreteJoint only
         with pytest.raises(TypeError):
             measures.divergence_from_independence(
                 object(), DivergenceSpec(DivergenceKind.KL))
+        with pytest.raises(TypeError):
+            measures.mutual_information(np.eye(2) / 2)
+        with pytest.raises(TypeError):
+            measures.e_gamma_zeta(np.eye(2) / 2, 1.0, 1.0)

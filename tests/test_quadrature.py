@@ -1,4 +1,4 @@
-"""Tests for the integration helpers."""
+"""Tests for adaptive Simpson integration and the oracles' Brent maximizer."""
 
 import math
 
@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbounds.errors import QuadratureFailure
-from riskbounds.quadrature import adaptive_simpson, brent_max
+from riskbounds.quadrature import adaptive_simpson
+
+from quadrature_oracle import brent_max
 
 
 def test_polynomial_exact():
