@@ -9,10 +9,16 @@ parameters, rho*, the value, the evaluations and the search path (fixed,
 grid, root, or own for a column with its own bound function).
 Float flags must be finite and seeds non-negative.  Every table sweeps its
 bounds in the calling thread, in n order, and stops at the first n that
-fails.  A --trials table then fills its mc_risk column with one
-`oracle.mc_risks` call over the n before that one: the Philox blocks of
-all of them share one thread pool, and each n's block totals are added
-in block order, so the column is the same as one `oracle.mc_risk` per n.
+fails.  A column with a ``table`` computes its divergence for all the n of
+a table together: the Bernoulli mi column takes its values from one
+`models.bernoulli_mutual_informations` iterator per table, which shares
+its quadrature passes among chunks of consecutive n; the sweep advances
+it once per n, so a failing n is named as itself and at most the rest of
+its chunk is computed past it.  A --trials table then fills its mc_risk
+column with one `oracle.mc_risks` call over the n before the failing one:
+the Philox blocks of all of them share one thread pool, and each n's
+block totals are added in block order, so the column is the same as one
+`oracle.mc_risk` per n.
 Exit code 3 names the first failing n, of a bound or of a simulation.
 """
 
@@ -57,11 +63,13 @@ def _parse_n_range(text: str) -> list[int]:
         for part in text.split(","):
             part = part.strip()
             if ".." in part:
-                lo, hi = part.split("..")
-                values.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, part.split(".."))
+                if lo > hi:
+                    raise ValueError
+                values.extend(range(lo, hi + 1))
             elif part:
                 values.append(int(part))
-    except ValueError:  # a bad int, or more than one '..' in a part
+    except ValueError:  # a bad int, more than one '..' in a part, or lo > hi
         values = []
     if not values or any(v < 1 for v in values):
         raise ValueError(f"invalid sample-count range {text!r}")
@@ -129,7 +137,11 @@ class Column:
     extends a grid at its top while the bound still rises there) and
     ``fixed`` pins those without a flag.
     ``bound(model)`` replaces all of these for a column that computes its
-    own `BoundResult`."""
+    own `BoundResult`.  ``table(models)`` maps the models of a table, in n
+    order, to an iterator of the column's parameter-free divergence at
+    each, ``==`` to ``divergence``'s: a sweep advances it once per n in
+    place of calling ``divergence``, so that the n of a table can share
+    work."""
 
     method: str
     divergence: Callable | None = None
@@ -137,6 +149,7 @@ class Column:
     grid: Callable | None = None
     fixed: dict = field(default_factory=dict)
     bound: Callable | None = None
+    table: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -184,7 +197,9 @@ BERNOULLI = Setting(
     upper=lambda model: models.bernoulli_upper_bound(model.n),
     estimator="posterior-median",
     columns=(
-        Column("mi", lambda model: models.bernoulli_mutual_information(model.n)),
+        Column("mi", lambda model: models.bernoulli_mutual_information(model.n),
+               table=lambda table_models: models.bernoulli_mutual_informations(
+                   [model.n for model in table_models])),
         Column("ml", lambda model: models.bernoulli_ml(model.n).upper),
         Column("sibson",
                lambda model, alpha: models.bernoulli_sibson_first_order(model.n, alpha),
@@ -277,23 +292,32 @@ def _check_bound_parameters(setting: Setting, args) -> None:
                                  f"got {bad[0]:g}")
 
 
-def _column_bound(column: Column, model, L, grid: dict) -> bounds.BoundResult:
+def _column_bound(column: Column, model, L, grid: dict,
+                  divergence: Callable | None = None) -> bounds.BoundResult:
     """``column``'s bound at ``model``, searched over ``grid``, the
-    column's `_column_grid`."""
+    column's `_column_grid`; ``divergence`` stands in for the column's
+    own at ``model``."""
     if column.bound is not None:
         return column.bound(model)
-    return bounds.optimize_bound(functools.partial(column.divergence, model),
-                                 column.method, grid, L)
+    return bounds.optimize_bound(
+        divergence or functools.partial(column.divergence, model),
+        column.method, grid, L)
 
 
-def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
-    """The table row and the sidecar entry of one sample count n."""
+def _estimation_point(setting: Setting, n: int, args,
+                      tables: dict | None = None) -> tuple[dict, dict]:
+    """The table row and the sidecar entry of one sample count n; a column
+    with an iterator in ``tables``, by method, takes its divergence from
+    the iterator's next value."""
     model = setting.model(n, args)
     L = setting.small_ball(model)
     row = dict.fromkeys(_METHOD_ORDER)
     info = {name: {"note": note} for name, note in setting.notes.items()}
     for column in setting.columns:
-        res = _column_bound(column, model, L, _column_grid(column, args))
+        divergence = None
+        if tables and column.method in tables:
+            divergence = functools.partial(next, tables[column.method])
+        res = _column_bound(column, model, L, _column_grid(column, args), divergence)
         row[column.method] = res.value
         # how the column found its bound: its own bound function, or the
         # path of `bounds.optimize_bound`
@@ -528,8 +552,10 @@ def main(argv=None) -> int:
     if setting is None:
         return _sweep(_hide_and_seek_point, n_values, args, "hide-and-seek",
                       HNS_HEADER, HNS_KEYS)
-    return _sweep(functools.partial(_estimation_point, setting), n_values, args,
-                  setting.name, EST_HEADER, EST_KEYS,
+    tables = {column.method: column.table([setting.model(n, args) for n in n_values])
+              for column in setting.columns if column.table is not None}
+    return _sweep(functools.partial(_estimation_point, setting, tables=tables),
+                  n_values, args, setting.name, EST_HEADER, EST_KEYS,
                   functools.partial(_fill_mc, setting) if args.trials else None)
 
 

@@ -53,7 +53,7 @@ class DiscreteDistribution:
     weights: np.ndarray
 
     def __init__(self, outcomes: Sequence, weights):
-        w = _as_weights(weights)
+        w = _as_weights(weights).copy()  # frozen below: never the caller's array
         outcomes = tuple(outcomes)
         if len(outcomes) != w.size:
             raise ValueError("outcomes and weights must have equal length")

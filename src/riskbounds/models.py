@@ -32,6 +32,7 @@ __all__ = [
     "bernoulli_hellinger_first_order",
     "bernoulli_e_gamma_zeta_batch",
     "bernoulli_mutual_information",
+    "bernoulli_mutual_informations",
     "bernoulli_upper_bound",
     "noisy_bernoulli_bound",
     "noisy_bernoulli_upper_bound",
@@ -418,7 +419,8 @@ def _gamma_zeta_pairs(gamma, zeta) -> tuple[list, tuple]:
 def bernoulli_mutual_information(n: int) -> float:
     """Shannon dependence of bias and weight, by adaptive quadrature of the
     weight's binomial likelihood C(n,k) w^k (1-w)^(n-k) over the uniform
-    prior on [0, 1], half the weights at a time.
+    prior on [0, 1], half the weights at a time: the one-n case of
+    `bernoulli_mutual_informations`.
 
     Under the uniform prior, w -> 1 - w maps weight k's integrands, that of
     the marginal P(k) and that of the MI, onto those of weight n - k, and
@@ -428,31 +430,86 @@ def bernoulli_mutual_information(n: int) -> float:
     mirrored weights must sum to 1 within 1e-6.  The MI integrand of weight
     k is lik * (log lik - log P(k)), and 0 where lik = 0; the n+1 MI terms
     are added left to right."""
-    half = n // 2 + 1
-    mirror = np.minimum(np.arange(n + 1), np.arange(n, -1, -1))  # k -> min(k, n-k)
-    log_binom = _log_binom(n, np.arange(half))
+    return next(bernoulli_mutual_informations([n]))
 
-    def likelihood(k, w):
-        return np.exp(log_binom[k] + xlogy(k, w) + xlogy(n - k, 1.0 - w))
 
-    marginal = adaptive_simpson(likelihood, 0.0, 1.0, rows=half)
-    total = float(marginal[mirror].sum())
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"observation marginal sums to {total!r}")
-    # libm's log, not np.log, whose vectorised loop may round the last bit
-    # differently; the pinned values in the tests were made with libm
-    log_px = np.array([math.log(px) for px in marginal.tolist()])
+# the most half rows (weights k <= n/2) that one pass of
+# `bernoulli_mutual_informations` integrates; an n with more is a pass alone
+_MI_ROWS = 256
 
-    def integrand(k, w):
-        lik = likelihood(k, w)
-        with np.errstate(divide="ignore"):
-            log_lik = np.where(lik > 0, np.log(np.where(lik > 0, lik, 1.0)), 0.0)
-        return np.where(lik > 0, lik * (log_lik - log_px[k]), 0.0)
 
-    mi = 0.0
-    for term in adaptive_simpson(integrand, 0.0, 1.0, rows=half)[mirror].tolist():
-        mi += term  # left to right: sum() compensates from Python 3.12
-    return max(0.0, mi)
+def bernoulli_mutual_informations(ns):
+    """`bernoulli_mutual_information` of each n in ``ns``, as an iterator
+    that yields the values in ``ns`` order; each is ``==`` to the one-n
+    value.
+
+    Consecutive n are grouped into chunks of at most `_MI_ROWS` half rows.
+    Each chunk runs one marginal pass over the rows of all its n, checks
+    each n's mirrored marginal in order, and runs one MI pass over the rows
+    of the n before the first that failed; `quadrature.adaptive_simpson`
+    makes each row's integral that of the row alone.  A pass runs about as
+    many bisection levels for many rows as for one, and a level's numpy
+    dispatch costs the same whatever its size, so the n of a chunk share
+    it; the limit bounds the panel arrays, and so the memory, of a pass.
+    A failed check raises its ValueError where that n's value would have
+    been yielded, and a quadrature failure of a pass where the first of its
+    n not yet yielded would have been."""
+    chunk: list[int] = []
+    rows = 0
+    for n in ns:
+        if chunk and rows + n // 2 + 1 > _MI_ROWS:
+            yield from _bernoulli_mi_chunk(chunk)
+            chunk, rows = [], 0
+        chunk.append(n)
+        rows += n // 2 + 1
+    if chunk:
+        yield from _bernoulli_mi_chunk(chunk)
+
+
+def _bernoulli_mi_chunk(ns: list[int]):
+    """The MI of each n of one chunk of `bernoulli_mutual_informations`, in
+    order.  Row r integrates weight k[r] of sample count n[r]; the rows of
+    each n are its weights 0..floor(n/2), from ``starts[i]`` on."""
+    halves = [np.arange(n // 2 + 1) for n in ns]
+    k = np.concatenate(halves)
+    n_minus_k = np.concatenate([n - half for n, half in zip(ns, halves)])
+    log_binom = np.concatenate([_log_binom(n, half) for n, half in zip(ns, halves)])
+    starts = np.cumsum([0] + [half.size for half in halves]).tolist()
+    # n's weight k -> the row of min(k, n-k)
+    mirrors = [start + np.minimum(np.arange(n + 1), np.arange(n, -1, -1))
+               for n, start in zip(ns, starts)]
+
+    def likelihood(r, w):
+        return np.exp(log_binom[r] + xlogy(k[r], w) + xlogy(n_minus_k[r], 1.0 - w))
+
+    marginal = adaptive_simpson(likelihood, 0.0, 1.0, rows=k.size)
+    failure = None
+    passed = 0
+    for mirror in mirrors:
+        total = float(marginal[mirror].sum())
+        if abs(total - 1.0) > 1e-6:
+            failure = ValueError(f"observation marginal sums to {total!r}")
+            break
+        passed += 1
+    if passed:
+        # libm's log, not np.log, whose vectorised loop may round the last
+        # bit differently; the pinned values in the tests were made with libm
+        log_px = np.array([math.log(px) for px in marginal[:starts[passed]].tolist()])
+
+        def integrand(r, w):
+            lik = likelihood(r, w)
+            with np.errstate(divide="ignore"):
+                log_lik = np.where(lik > 0, np.log(np.where(lik > 0, lik, 1.0)), 0.0)
+            return np.where(lik > 0, lik * (log_lik - log_px[r]), 0.0)
+
+        terms = adaptive_simpson(integrand, 0.0, 1.0, rows=starts[passed])
+        for mirror in mirrors[:passed]:
+            mi = 0.0
+            for term in terms[mirror].tolist():
+                mi += term  # left to right: sum() compensates from Python 3.12
+            yield max(0.0, mi)
+    if failure is not None:
+        raise failure
 
 
 def bernoulli_upper_bound(n: int) -> float:

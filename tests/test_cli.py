@@ -45,7 +45,8 @@ class TestParsing:
             cli.main(["bernoulli", "--n", "0..3"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("text", ["0", "1..2..3", "..5", "1..", "a", "2.5", ""])
+    @pytest.mark.parametrize("text", ["0", "1..2..3", "..5", "1..", "a", "2.5", "",
+                                      "5..1,3"])
     def test_malformed_range_is_named(self, text, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["bernoulli", "--n", text])
@@ -136,6 +137,13 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure near n=562: observation marginal sums to 0.9")
         assert "np.float64" not in err
+
+    def test_mi_failure_inside_a_table_names_its_n(self, capsys):
+        # 560 and 561 pass their checks; the table stops at 562, not 563
+        assert cli.main(["bernoulli", "--n", "560..563"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure near n=562: observation marginal sums to 0.9")
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(n):
@@ -697,6 +705,47 @@ def test_json_rows_and_sidecar_match_their_pins_bit_for_bit(name, tmp_path):
     assert out.read_bytes() == (PINNED / f"{name}.json").read_bytes()
     assert (tmp_path / f"{name}.json.params.json").read_bytes() == \
         (PINNED / f"{name}.params.json").read_bytes()
+
+
+_RECORD_KEYS = ("evals", "path", "rho", "vacuous", "value")
+
+
+def _replay(setting, column, model, entry) -> bounds.BoundResult:
+    """The bound of one sidecar entry recomputed from its record alone: the
+    column's one-n kernel, called once at the recorded parameters, then
+    `bounds.bound` (through `bounds.sdpi_bound` for the contraction)."""
+    params = {key: value for key, value in entry.items() if key not in _RECORD_KEYS}
+    L = setting.small_ball(model)
+    if column.bound is not None:  # eta times the clean H_p at the recorded p
+        eta = params.pop("eta")
+        h_p = models.bernoulli_hellinger_first_order(model.n, np.array([params["p"]]))
+        return bounds.sdpi_bound(float(np.ravel(h_p.value)[0]), eta, "hellinger", L,
+                                 **params)
+    divergence = column.divergence(model, **{key: np.array([value])
+                                             for key, value in params.items()})
+    if isinstance(divergence, bounds.FirstOrder):
+        divergence = divergence.value
+    return bounds.bound(column.method, float(np.ravel(divergence)[0]), L, **params)
+
+
+@pytest.mark.parametrize("argv", [["bernoulli"], ["bernoulli", "--optimize"],
+                                  ["gaussian"], ["gaussian", "--optimize"],
+                                  ["noisy-bernoulli"]], ids=" ".join)
+def test_every_sidecar_entry_replays(argv, tmp_path):
+    # the sidecar names enough to rebuild each cell: the mi cells come from
+    # the table's batched quadrature, their replay from the one-n kernel
+    out = tmp_path / "t.csv"
+    assert cli.main(argv + ["--n", "1..20", "--out", str(out)]) == 0
+    points = json.loads((tmp_path / "t.csv.params.json").read_text())["points"]
+    setting = cli.SETTINGS[argv[0]]
+    args = cli.build_parser().parse_args(argv)
+    assert sorted(points, key=int) == [str(n) for n in range(1, 21)]
+    for n, point in points.items():
+        model = setting.model(int(n), args)
+        for column in setting.columns:
+            entry = point[column.method]
+            res = _replay(setting, column, model, entry)
+            assert (res.value, res.rho_star) == (entry["value"], entry["rho"]), (n, column)
 
 
 class TestOtherCommands:

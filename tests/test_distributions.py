@@ -25,6 +25,13 @@ class TestDiscreteDistribution:
         assert len(d) == 2
         assert not d.weights.flags.writeable
 
+    def test_caller_array_is_copied_not_frozen(self):
+        a = np.array([0.25, 0.75])
+        d = DiscreteDistribution([0, 1], a)
+        assert a.flags.writeable
+        a[0] = 0.5
+        assert d.weights.tolist() == [0.25, 0.75]
+
     def test_mass_must_be_one(self):
         with pytest.raises(ValueError):
             DiscreteDistribution([0, 1], [0.5, 0.5 + 1e-9])

@@ -399,6 +399,46 @@ class TestBernoulliMutualInformation:
         half = set(range(n // 2 + 1))
         assert passes == [(n // 2 + 1, half), (n // 2 + 1, half)]
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(1, 300), min_size=2, max_size=12).map(sorted))
+    def test_table_batch_equals_each_n_alone(self, ns):
+        # the chunks share their passes: rows of several n at once, and
+        # chunk bounds wherever the row sums cross _MI_ROWS
+        assume(sum(n // 2 + 1 for n in ns) > models._MI_ROWS)
+        assert list(models.bernoulli_mutual_informations(ns)) == \
+            [models.bernoulli_mutual_information(n) for n in ns]
+
+    def test_table_batch_raises_where_the_failing_n_would_be(self):
+        values = models.bernoulli_mutual_informations([560, 561, 562])
+        assert next(values) == models.bernoulli_mutual_information(560)
+        assert next(values) == models.bernoulli_mutual_information(561)
+        with pytest.raises(ValueError, match=r"observation marginal sums to 0\.99999\d+"):
+            next(values)
+
+    def test_no_pass_exceeds_the_row_limit_unless_one_n_does(self, monkeypatch):
+        passes = []
+
+        def counting(f, a, b, rows=None):
+            passes.append(rows)
+            return adaptive_simpson(f, a, b, rows=rows)
+
+        monkeypatch.setattr(models, "adaptive_simpson", counting)
+        ns = [*range(1, 40), 520, 2, 3, 300, 301]
+        list(models.bernoulli_mutual_informations(ns))
+        # the 419 rows of 1..39 make two chunks, 520 (261 rows) is one
+        # alone, and 2, 3 and 300 (151 rows) share one that 301 cannot join
+        alone = 520 // 2 + 1
+        assert alone > models._MI_ROWS
+        assert all(r <= models._MI_ROWS or r == alone for r in passes)
+        assert sum(passes) == 2 * sum(n // 2 + 1 for n in ns)
+        assert len(passes) == 2 * 5
+        # at the limit: 510 fills a chunk exactly, and 2 (2 rows) and 509
+        # (255 rows) would overfill one by a row
+        assert models._MI_ROWS == 256
+        passes.clear()
+        list(models.bernoulli_mutual_informations([510, 2, 509]))
+        assert passes == [256, 256, 2, 2, 255, 255]
+
     def test_against_closed_form(self):
         # The quadrature errs by up to 6.25e-7 relative (n = 48).  The closed
         # form replaces it once the benchmark reference is rebuilt from an
