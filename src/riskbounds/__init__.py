@@ -34,6 +34,7 @@ from .bounds import (
     bound,
     maximize_rho,
     optimize_bound,
+    optimize_bounds,
     sdpi_bound,
 )
 from .sdpi import (

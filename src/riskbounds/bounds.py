@@ -14,8 +14,12 @@ a method by the same names.
 callback call, grows the grid at its top while the bound still rises
 there, then refines the grid maximum at the root of the first-order
 condition the callback may report with its values (`FirstOrder`), one
-callback call of length 1 per step; where there is no root to refine at,
-the grid maximum stands.
+point per step; where there is no root to refine at, the grid maximum
+stands.  Each of these calls is a round of the search.
+`optimize_bounds` runs the searches of many models (the n of a table) in
+lockstep, each round one callback call for all of them, and gives each
+model what its search alone would give; `optimize_bound` is its
+one-model case.
 
 Vacuous bounds (penalty >= 1 everywhere, or an infinite divergence) are
 reported as value 0, which `BoundResult.vacuous` reads, instead of
@@ -41,6 +45,7 @@ __all__ = [
     "bound",
     "sdpi_bound",
     "optimize_bound",
+    "optimize_bounds",
 ]
 
 
@@ -271,10 +276,20 @@ _ROOT_CAP = 40
 _GROWTHS = 4
 
 
+# the most grid points that the searches of `optimize_bounds` run in
+# lockstep hold in all: the models go in packs of as many as that allows
+# (at least one), one pack after the other.  Each round of a pack then
+# holds at most that many points, or one model's grid, as a growth adds
+# at most a grid and a root step one point; this bounds the search state
+# and the kernels' arrays, and so the memory, of a table of many n.
+_CALL_POINTS = 1024
+
+
 def optimize_bound(callback, method: str, param_grid: dict,
                    L: SmallBallFn) -> BoundResult:
     """Maximize a bound over a parameter grid, then refine the grid maximum
-    at the root of its first-order condition.
+    at the root of its first-order condition: the one-model case of
+    `optimize_bounds`, with ``callback(**params)`` taking no model.
 
     ``callback(**params)`` gets one float64 ndarray per parameter, all of
     one length (``mi`` and ``ml`` have no parameters and get none), and
@@ -306,6 +321,38 @@ def optimize_bound(callback, method: str, param_grid: dict,
     last name varying fastest), so the output is deterministic.  Grid
     values must be finite.
     """
+    result, = optimize_bounds(lambda model, **params: callback(**params),
+                              method, param_grid, [None], [L])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def optimize_bounds(callback, method: str, param_grid: dict, models,
+                    small_balls) -> list:
+    """`optimize_bound` for each of several models over one grid, the
+    searches advanced in lockstep.
+
+    ``models[i]`` (a sequence) has the small-ball function
+    ``small_balls[i]``.  ``callback(model, **params)`` gets the points'
+    model besides one array per parameter, and returns what
+    `optimize_bound`'s callback returns at those points: ``model`` is the
+    model itself where all the points of the call are one model's, else a
+    list of the model of each point.  Each round puts the pending points
+    of every search still running into one callback call, in model order,
+    and hands each search its own slice of the output; the models run in
+    packs of at most `_CALL_POINTS` grid points in all, one pack after the
+    other.  So each search evaluates the same points, in the same order,
+    with the same decisions as it would alone, and the calls of a pack
+    number the rounds of its longest search.  Where a call of several
+    models raises, each of them is called again alone, in order, so that
+    an error goes to the models whose own call raises.
+
+    Returns one entry per model: its `BoundResult`, or the exception that
+    its search raised (from its callback, or a NaN divergence), each as
+    `optimize_bound` alone would return or raise it.  An unknown method,
+    an empty grid or a non-finite grid value raises for all of them.
+    """
     closed = _closed_form(method)
 
     names = sorted(param_grid)
@@ -317,30 +364,97 @@ def optimize_bound(callback, method: str, param_grid: dict,
     for name, grid in grids.items():
         if not np.isfinite(grid).all():
             raise ValueError(f"non-finite value in the grid of {name!r}")
+    sweep = list(itertools.product(*(grids[name].tolist() for name in names)))
 
+    size = max(1, _CALL_POINTS // len(sweep))
+    results: list = []
+    for start in range(0, len(models), size):
+        results += _lockstep(callback, names, models[start:start + size],
+                             [_search(closed, method, names, grids, sweep, L.coefficient)
+                              for L in small_balls[start:start + size]])
+    return results
+
+
+def _lockstep(callback, names, models, searches) -> list:
+    """Run the searches of ``models`` (`_search` generators) to their ends,
+    each round one callback call of the points they wait for; returns the
+    result or the exception of each."""
+    results: list = [None] * len(searches)
+    # model index -> the points its search waits for, in model order
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    while pending:
+        for i, out in _call(callback, names, models, pending, list(pending)):
+            if isinstance(out, Exception):
+                results[i] = out
+            else:
+                try:
+                    pending[i] = searches[i].send(out)
+                    continue
+                except StopIteration as stop:
+                    results[i] = stop.value
+                except Exception as exc:
+                    results[i] = exc
+            del pending[i]
+    return results
+
+
+def _call(callback, names, models, pending, call: list[int]) -> list:
+    """The callback's output at the pending points of the models ``call``,
+    from one callback call, as (model index, output) pairs in model order:
+    the output a `FirstOrder` of lists (parts None where not given), or
+    the exception that the model's call raised.  Where the call raises and
+    holds several models, each model is called again alone."""
+    if len(call) == 1:
+        points, model = pending[call[0]], models[call[0]]
+    else:
+        points = [point for i in call for point in pending[i]]
+        model = [models[i] for i in call for _ in pending[i]]
+    try:
+        out = callback(model, **{name: np.array([point[name] for point in points])
+                                 for name in names})
+        parts = [None if part is None
+                 else np.broadcast_to(np.asarray(part, dtype=float), (len(points),)).tolist()
+                 for part in (out if isinstance(out, FirstOrder) else FirstOrder(out, None))]
+    except Exception as exc:
+        if len(call) == 1:
+            return [(call[0], exc)]
+        return [pair for i in call for pair in _call(callback, names, models, pending, [i])]
+    if len(call) == 1:
+        return [(call[0], FirstOrder(*parts))]
+    pairs, start = [], 0
+    for i in call:
+        stop = start + len(pending[i])
+        pairs.append((i, FirstOrder(*(None if part is None else part[start:stop]
+                                      for part in parts))))
+        start = stop
+    return pairs
+
+
+def _search(closed, method: str, names: list, grids: dict, sweep: list, c: float):
+    """The search of `optimize_bound` for one model under the small-ball
+    slope c, over the parameter tuples ``sweep`` (in sweep order) of the
+    sorted values ``grids``, as a generator: it yields the points of each
+    callback call, is sent the callback's output at them (a `FirstOrder`
+    of lists, parts None where not given), and returns the `BoundResult`."""
     points, found, conditions, slopes = [], [], [], []
 
-    def evaluate(new):
-        """Evaluate the parameter points ``new`` in one callback call, and
-        append them, the bound's (rho*, value) at each, and the condition
-        and its slope there (None where the callback gave none) to the
-        lists above."""
-        out = callback(**{name: np.array([pt[name] for pt in new]) for name in names})
-        first = out if isinstance(out, FirstOrder) else FirstOrder(out, None)
-        value, condition, slope = (
-            [None] * len(new) if part is None
-            else np.broadcast_to(np.asarray(part, dtype=float), (len(new),)).tolist()
-            for part in first)
+    def take(new, out):
+        """Append the parameter points ``new`` of one callback call, the
+        bound's (rho*, value) at each, and the condition and its slope
+        there (None where the callback gave none), from its output ``out``,
+        to the lists above."""
+        value, condition, slope = ([None] * len(new) if part is None else part
+                                   for part in out)
         points.extend(new)
-        found.extend(_radius(closed, v, L.coefficient, pt) for pt, v in zip(new, value))
+        found.extend(_radius(closed, v, c, pt) for pt, v in zip(new, value))
         conditions.extend(condition)
         slopes.extend(slope)
 
     def first_maximum():
         return max(range(len(found)), key=lambda i: found[i][1])
 
-    evaluate([dict(zip(names, values))
-              for values in itertools.product(*(grids[name].tolist() for name in names))])
+    new = [dict(zip(names, values)) for values in sweep]
+    take(new, (yield new))
     searched = [name for name in names if grids[name].size >= 2]
     path = "grid" if searched else "fixed"
     name = _CONDITIONS.get(method)
@@ -356,7 +470,8 @@ def optimize_bound(callback, method: str, param_grid: dict,
                 more = (grid[-1] * (grid[-1] / grid[-2]) ** powers).tolist()
             if not math.isfinite(more[-1]):
                 break
-            evaluate([dict(points[-1], **{name: v}) for v in more])
+            new = [dict(points[-1], **{name: v}) for v in more]
+            take(new, (yield new))
             grid += more
         xs = np.log(grid).tolist()
         bracket = _falling_bracket(xs, conditions, first_maximum())
@@ -364,10 +479,12 @@ def optimize_bound(callback, method: str, param_grid: dict,
             path = "root"
 
             def at(x):
-                evaluate([dict(points[-1], **{name: math.exp(x)})])
+                new = [dict(points[-1], **{name: math.exp(x)})]
+                take(new, (yield new))
                 return conditions[-1], slopes[-1]
 
-            _root_search(at, xs, conditions[:len(xs)], slopes[:len(xs)], bracket)
+            yield from _root_search(at, xs, conditions[:len(xs)], slopes[:len(xs)],
+                                    bracket)
 
     top = first_maximum()
     (rho, value), params = found[top], points[top]
@@ -392,7 +509,8 @@ def _root_search(at, xs, gs, slopes, j):
     """Step to the root of a condition g that falls through 0 between the
     grid points xs[j] and xs[j + 1] (g > 0 at the first, g <= 0 at the
     second); ``at(x)`` evaluates the point x and returns (g, dg/dx), the
-    slope None where the callback gives none.
+    slope None where the callback gives none; ``at`` is a generator, which
+    `_search` steps through the callback.
 
     The first point comes from the grid: the inverse Hermite cubic of the
     bracket's ends and slopes, or without slopes the inverse polynomial
@@ -418,7 +536,7 @@ def _root_search(at, xs, gs, slopes, j):
     for _ in range(_ROOT_CAP):
         if not a < x < b:
             x = 0.5 * (a + b)
-        g, dg = at(x)
+        g, dg = yield from at(x)
         if g == 0.0:
             return
         if g > 0.0:

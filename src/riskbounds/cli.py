@@ -2,15 +2,24 @@
 
 Subcommands: bernoulli, noisy-bernoulli, gaussian, hide-and-seek, validate.
 Each estimation setting is one `Setting` record, from which its flags and
-its rows are built; fixed-parameter and --optimize rows alike go through
-`bounds.optimize_bound`.  One CSV row is emitted per sample count n; a
-JSON sidecar next to --out records per point and column the optimizing
-parameters, rho*, the value, the evaluations and the search path (fixed,
-grid, root, or own for a column with its own bound function).
-Float flags must be finite and seeds non-negative.  Every table sweeps its
-bounds in the calling thread, in n order, and stops at the first n that
-fails.  A column with a ``table`` computes its divergence for all the n of
-a table together: the Bernoulli mi column takes its values from one
+its rows are built; fixed-parameter and --optimize columns alike go
+through `bounds.optimize_bounds`.  One CSV row is emitted per sample count
+n; a JSON sidecar next to --out records per point and column the
+optimizing parameters, rho*, the value, the evaluations and the search
+path (fixed, grid, root, or own for a column with its own bound function).
+Float flags must be finite and seeds non-negative.
+
+Every table sweeps its bounds in the calling thread, stage by stage over
+all its n (`_estimation_table`): the models, then each column in column
+order, then the upper bounds, each stage over the n before the first
+failure found so far.  A searched column runs the searches of all those
+n in lockstep, one kernel call per round (the grid, a growth, a root
+step) for all the n, and a call that raises runs again one n at a time,
+in n order, so that its error goes to its own n.  The failure named is
+thus that of the first failing n, and at that n of the first failing
+column in column order, as a sweep n by n would name it.  A column with a
+``table`` computes its divergence for all the n of a table together: the
+Bernoulli mi column takes its values from one
 `models.bernoulli_mutual_informations` iterator per table, which shares
 its quadrature passes among chunks of consecutive n; the sweep advances
 it once per n, so a failing n is named as itself and at most the rest of
@@ -128,20 +137,21 @@ def _best(named_values: dict[str, float | None], order=_METHOD_ORDER) -> str:
 @dataclass(frozen=True)
 class Column:
     """One bound column: ``divergence(model, **params)`` feeds the `bounds`
-    method ``method``, taking one array per parameter and returning the
-    divergence at each point, +inf where it is infinite, or (the sibson,
-    hellinger and egz columns) a `bounds.FirstOrder` of those values and
-    the condition at whose root `bounds.optimize_bound` refines them;
+    method ``method``, taking one model or, as `bounds.optimize_bounds`
+    calls it, a list of one per point, and one array per parameter, and
+    returning the divergence at each point, +inf where it is infinite, or
+    (the sibson, hellinger and egz columns) a `bounds.FirstOrder` of those
+    values and the condition at whose root the search refines them;
     ``params`` names the flags that fix the parameters, ``grid(args)``
-    gives the values searched under --optimize (`bounds.optimize_bound`
-    extends a grid at its top while the bound still rises there) and
-    ``fixed`` pins those without a flag.
+    gives the values searched under --optimize (the search extends a grid
+    at its top while the bound still rises there) and ``fixed`` pins those
+    without a flag.
     ``bound(model)`` replaces all of these for a column that computes its
     own `BoundResult`.  ``table(models)`` maps the models of a table, in n
     order, to an iterator of the column's parameter-free divergence at
-    each, ``==`` to ``divergence``'s: a sweep advances it once per n in
-    place of calling ``divergence``, so that the n of a table can share
-    work."""
+    each, ``==`` to ``divergence``'s at one model: a sweep advances it once
+    per n in place of calling ``divergence``, so that the n of a table can
+    share work."""
 
     method: str
     divergence: Callable | None = None
@@ -185,8 +195,20 @@ def _ratio_grid(args):
     return {"zeta": [args.zeta], "gamma": args.zeta * RATIO_LADDER}
 
 
+def _n(model):
+    """The sample count of one model, or the list of those of a list of
+    models."""
+    return [m.n for m in model] if isinstance(model, list) else model.n
+
+
+def _each(fn):
+    """The parameter-free divergence ``fn(model)`` as a column's: of one
+    model, or of each of a list of models."""
+    return lambda model: [fn(m) for m in model] if isinstance(model, list) else fn(model)
+
+
 def _bernoulli_hellinger(model, p: np.ndarray) -> bounds.FirstOrder:
-    return models.bernoulli_hellinger_first_order(model.n, p)
+    return models.bernoulli_hellinger_first_order(_n(model), p)
 
 
 BERNOULLI = Setting(
@@ -200,14 +222,14 @@ BERNOULLI = Setting(
         Column("mi", lambda model: models.bernoulli_mutual_information(model.n),
                table=lambda table_models: models.bernoulli_mutual_informations(
                    [model.n for model in table_models])),
-        Column("ml", lambda model: models.bernoulli_ml(model.n).upper),
+        Column("ml", _each(lambda model: models.bernoulli_ml(model.n).upper)),
         Column("sibson",
-               lambda model, alpha: models.bernoulli_sibson_first_order(model.n, alpha),
+               lambda model, alpha: models.bernoulli_sibson_first_order(_n(model), alpha),
                ("alpha",), _alpha_grid("alpha")),
         Column("hellinger", _bernoulli_hellinger, ("p",), _alpha_grid("p")),
         Column("egz",
                lambda model, gamma, zeta:
-                   models.bernoulli_e_gamma_zeta_batch(model.n, gamma, zeta),
+                   models.bernoulli_e_gamma_zeta_batch(_n(model), gamma, zeta),
                ("gamma", "zeta"), _ratio_grid),
     ),
     defaults={"alpha": 2.0, "p": 2.0, "gamma": 3.0, "zeta": 1.5},
@@ -236,7 +258,7 @@ GAUSSIAN = Setting(
     upper=lambda model: models.gaussian_upper_bound(model),
     estimator="posterior-mean",
     columns=(
-        Column("mi", lambda model: models.gaussian_mutual_information(model)),
+        Column("mi", _each(lambda model: models.gaussian_mutual_information(model))),
         Column("sibson",
                lambda model, alpha: models.gaussian_sibson_first_order(model, alpha),
                ("alpha",), _alpha_grid("alpha")),
@@ -304,28 +326,84 @@ def _column_bound(column: Column, model, L, grid: dict,
         column.method, grid, L)
 
 
-def _estimation_point(setting: Setting, n: int, args,
-                      tables: dict | None = None) -> tuple[dict, dict]:
-    """The table row and the sidecar entry of one sample count n; a column
-    with an iterator in ``tables``, by method, takes its divergence from
-    the iterator's next value."""
-    model = setting.model(n, args)
-    L = setting.small_ball(model)
-    row = dict.fromkeys(_METHOD_ORDER)
-    info = {name: {"note": note} for name, note in setting.notes.items()}
+def _column_bounds(column: Column, table_models: list, small_balls: list,
+                   grid: dict) -> list:
+    """``column``'s bound at each model of a table, in n order: the
+    `BoundResult`, or the exception that the model's bound raised.  A
+    searched column runs the searches of all the models in lockstep
+    (`bounds.optimize_bounds`); a column with its own bound function or a
+    ``table`` iterator goes one model at a time and stops at its first
+    exception."""
+    if column.bound is None and column.table is None:
+        return bounds.optimize_bounds(column.divergence, column.method, grid,
+                                      table_models, small_balls)
+    values = column.table(table_models) if column.table is not None else None
+    results = []
+    for model, L in zip(table_models, small_balls):
+        try:
+            results.append(_column_bound(column, model, L, grid,
+                                         values and functools.partial(next, values)))
+        except Exception as exc:
+            results.append(exc)
+            break
+    return results
+
+
+def _estimation_table(setting: Setting, n_values, args) -> tuple[dict, dict, tuple | None]:
+    """The table rows and the sidecar entries of the sample counts
+    ``n_values``, by n, and the first failure as (n, error), or None.
+
+    The sweep goes stage by stage over all the n before the first failure
+    found so far: the models and their small-ball functions, then each
+    column in column order (`_column_bounds`), then the upper bounds.  A
+    later stage runs only the n before the failing one, so the failure
+    named is that of the first failing n, and at that n that of the first
+    failing stage and column, as a sweep n by n would name it."""
+    failure = None
+    table_models, small_balls = [], []
+    for n in n_values:
+        try:
+            model = setting.model(n, args)
+            small_balls.append(setting.small_ball(model))
+        except Exception as exc:
+            failure = n, exc
+            break
+        table_models.append(model)
+    ns = list(n_values[:len(table_models)])
+    rows = [dict.fromkeys(_METHOD_ORDER) for _ in ns]
+    infos = [{name: {"note": note} for name, note in setting.notes.items()} for _ in ns]
     for column in setting.columns:
-        divergence = None
-        if tables and column.method in tables:
-            divergence = functools.partial(next, tables[column.method])
-        res = _column_bound(column, model, L, _column_grid(column, args), divergence)
-        row[column.method] = res.value
-        # how the column found its bound: its own bound function, or the
-        # path of `bounds.optimize_bound`
-        info[column.method] = dict(res.params, rho=res.rho_star, value=res.value,
-                                   vacuous=res.vacuous, evals=res.evaluations,
-                                   path="own" if column.bound else res.path)
-    row.update(n=n, upper=setting.upper(model), mc=None, best=_best(row))
-    return row, info
+        results = _column_bounds(column, table_models[:len(ns)], small_balls[:len(ns)],
+                                 _column_grid(column, args))
+        for i, res in enumerate(results):
+            if isinstance(res, Exception):
+                failure = ns[i], res
+                del ns[i:]
+                break
+            rows[i][column.method] = res.value
+            # how the column found its bound: its own bound function, or the
+            # path of the search
+            infos[i][column.method] = dict(res.params, rho=res.rho_star, value=res.value,
+                                           vacuous=res.vacuous, evals=res.evaluations,
+                                           path="own" if column.bound else res.path)
+    for i, (n, row) in enumerate(zip(ns, rows)):
+        try:
+            upper = setting.upper(table_models[i])
+        except Exception as exc:
+            failure = n, exc
+            del ns[i:]
+            break
+        row.update(n=n, upper=upper, mc=None, best=_best(row))
+    return dict(zip(ns, rows)), dict(zip(ns, infos)), failure
+
+
+def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
+    """The table row and the sidecar entry of one sample count n; a
+    failure raises its error."""
+    rows, infos, failure = _estimation_table(setting, [n], args)
+    if failure is not None:
+        raise failure[1]
+    return rows[n], infos[n]
 
 
 def _fill_mc(setting: Setting, args, rows: dict, infos: dict):
@@ -379,6 +457,21 @@ def _hide_and_seek_point(n: int, args) -> tuple[dict, dict] | None:
     return row, info
 
 
+def _hide_and_seek_table(n_values, args) -> tuple[dict, dict, tuple | None]:
+    """`_hide_and_seek_point` of each n in order, up to the first that
+    raises: the rows and sidecar entries by n, and the failure or None."""
+    rows: dict[int, dict] = {}
+    infos: dict[int, dict] = {}
+    for n in n_values:
+        try:
+            result = _hide_and_seek_point(n, args)
+        except Exception as exc:
+            return rows, infos, (n, exc)
+        if result is not None:
+            rows[n], infos[n] = result
+    return rows, infos, None
+
+
 def _emit(rows, infos, header, keys, args, setting):
     if args.format == "json":
         payload = json.dumps({"setting": setting, "rows": rows}, indent=2,
@@ -398,22 +491,12 @@ def _emit(rows, infos, header, keys, args, setting):
         sys.stdout.write(text)
 
 
-def _sweep(point_fn, n_values, args, setting, header, keys, fill=None):
-    """Run ``point_fn`` on each n in order, stopping at the first that
-    raises; ``fill(args, rows, infos)`` then completes the rows of the n
-    before it and may name an earlier failing n.  Exit code 3 names the
-    first failing n."""
-    rows: dict[int, dict] = {}
-    infos: dict[int, dict] = {}
-    failure = None
-    for n in n_values:
-        try:
-            result = point_fn(n, args)
-        except Exception as exc:
-            failure = n, exc
-            break
-        if result is not None:
-            rows[n], infos[n] = result
+def _finish(table, args, setting, header, keys, fill=None):
+    """Emit ``table``, the rows and sidecar entries by n of the n before
+    the first failing one, with that failure or None; ``fill(args, rows,
+    infos)`` first completes the rows and may name an earlier failing n.
+    Exit code 3 names the first failing n."""
+    rows, infos, failure = table
     if fill is not None and rows:
         failure = fill(args, rows, infos) or failure
     if failure is not None:
@@ -550,13 +633,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.exit(2, f"configuration error: {exc}\n")
     if setting is None:
-        return _sweep(_hide_and_seek_point, n_values, args, "hide-and-seek",
-                      HNS_HEADER, HNS_KEYS)
-    tables = {column.method: column.table([setting.model(n, args) for n in n_values])
-              for column in setting.columns if column.table is not None}
-    return _sweep(functools.partial(_estimation_point, setting, tables=tables),
-                  n_values, args, setting.name, EST_HEADER, EST_KEYS,
-                  functools.partial(_fill_mc, setting) if args.trials else None)
+        return _finish(_hide_and_seek_table(n_values, args), args, "hide-and-seek",
+                       HNS_HEADER, HNS_KEYS)
+    return _finish(_estimation_table(setting, n_values, args), args, setting.name,
+                   EST_HEADER, EST_KEYS,
+                   functools.partial(_fill_mc, setting) if args.trials else None)
 
 
 if __name__ == "__main__":

@@ -145,30 +145,62 @@ def bernoulli_ml(n: int) -> MlValue:
     return MlValue(exact=float(exact), upper=upper)
 
 
-def bernoulli_sibson_first_order(n: int, alpha) -> FirstOrder:
+def bernoulli_sibson_first_order(n, alpha) -> FirstOrder:
     """Sibson's I_alpha = alpha/(alpha-1) log S of bias and weight, S a
     Gamma-ratio sum over weights and its log taken by libm, with the
     condition of the Sibson bound from the same pass (`_bernoulli_pass`).
     An array of R orders is one pass over an (R, n+1) array, each entry
     ``==`` to the call with that order alone; a scalar returns floats.
+    ``n`` is one sample count, or an array of one per order (`_by_n`).
     A non-finite order raises `ValueError`, as the sum has no value there,
     and so does an order at which log Gamma(n alpha + 2) nears the float
     range (alpha above about 1.3e305/n), where the terms cannot be formed."""
+    return _by_n(_bernoulli_sibson, n, alpha)
+
+
+def _bernoulli_sibson(n: int, alpha) -> FirstOrder:
     log_s, a, condition = _bernoulli_pass(n, alpha, hellinger=False)
     return FirstOrder(_float_if_scalar(a / (a - 1.0) * _libm(math.log, np.exp(log_s))),
                       condition)
 
 
-def bernoulli_hellinger_first_order(n: int, p) -> FirstOrder:
+def bernoulli_hellinger_first_order(n, p) -> FirstOrder:
     """H_p = (M - 1)/(p - 1) of bias and weight, M a Gamma-ratio sum, with
-    the condition of the Hellinger bound from the same pass; ``p``
-    broadcasts as ``alpha`` does in `bernoulli_sibson_first_order`.  Where
-    M exceeds the float range (orders above about 100) H_p is +inf, a
-    vacuous bound, while the condition, from log M, stays finite."""
+    the condition of the Hellinger bound from the same pass; ``n`` and
+    ``p`` broadcast as in `bernoulli_sibson_first_order`.  Where M exceeds
+    the float range (orders above about 100) H_p is +inf, a vacuous bound,
+    while the condition, from log M, stays finite."""
+    return _by_n(_bernoulli_hellinger, n, p)
+
+
+def _bernoulli_hellinger(n: int, p) -> FirstOrder:
     log_m, p, condition = _bernoulli_pass(n, p, hellinger=True)
     with np.errstate(over="ignore"):  # M beyond the float range: H_p = +inf
         m = np.exp(log_m)
     return FirstOrder(_float_if_scalar((m - 1.0) / (p - 1.0)), condition)
+
+
+def _by_n(kernel, n, *arrays) -> FirstOrder:
+    """``kernel(n, *arrays)``, a `FirstOrder`, for ``n`` one sample count
+    or an array of one per point that broadcasts against ``arrays``.  The
+    points of each distinct n, in order of first appearance, are one call
+    of the kernel with that n, and each part of its output goes back to
+    those points, so every entry is that of the one-n call.  Per-point n
+    gives float64 arrays of the broadcast shape."""
+    if isinstance(n, int) or np.ndim(n) == 0:
+        return kernel(n, *arrays)
+    ns, *arrays = np.broadcast_arrays(np.asarray(n), *(np.asarray(a, dtype=float)
+                                                      for a in arrays))
+    parts = None
+    for value in dict.fromkeys(ns.ravel().tolist()):
+        at = ns == value
+        out = kernel(value, *(a[at] for a in arrays))
+        if parts is None:
+            parts = [None if part is None else np.empty(ns.shape) for part in out]
+        for whole, part in zip(parts, out):
+            if whole is not None:
+                whole[at] = part
+    return FirstOrder(*parts)
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -286,13 +318,16 @@ def _libm(fn, orders: np.ndarray, *more: np.ndarray):
 # The Newton search for the interval ends in s = logit(w): it starts at
 # +-_LOGIT_EDGE and never leaves that window (an end beyond it stays on it),
 # an end stops once its step is at most _NEWTON_TOL * (1 + |s|), and an end
-# that has not stopped after _NEWTON_CAP steps raises.
+# that has not stopped after _NEWTON_CAP steps raises.  An end whose log
+# ratio at the mode exceeds log t by at most _PEAK_ULPS ulp of
+# log Gamma(n + 2), the largest term of the log ratio, is the mode.
 _LOGIT_EDGE = 40.0
 _NEWTON_TOL = 1e-9
 _NEWTON_CAP = 60
+_PEAK_ULPS = 4.0
 
 
-def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta) -> FirstOrder:
+def bernoulli_e_gamma_zeta_batch(n, gamma, zeta) -> FirstOrder:
     """Hockey-stick dependence of bias and weight at each of R (gamma, zeta)
     pairs, by exact interval algebra, with the first-order condition of the
     E_{gamma,zeta} bound and its slope from the same pass.
@@ -312,7 +347,8 @@ def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta) -> FirstOrder:
     ``gamma`` and ``zeta`` broadcast against each other, and ``value`` is
     a list of R floats.  The ends of pair r are a (2, floor(n/2)+1) block
     of one array, and each end stops on its own, so entry r is ``==`` to
-    the call with that pair alone.
+    the call with that pair alone.  ``n`` is one sample count, or an array
+    of one per pair (`_by_n`).
 
     The condition (see `bounds.FirstOrder`): with P(R_t) the summed
     masses and Q(R_t) the summed lengths over (n+1), g(t) =
@@ -320,6 +356,10 @@ def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta) -> FirstOrder:
     moves at d(end)/d log t = 1/l_k'(end), l_k'(w) = k/w - (n-k)/(1-w);
     an end pinned at 0 or 1 does not move.  A pair with gamma = 0 has
     value 0, g = 0 and slope 0 (R_0 is everything)."""
+    return _by_n(_bernoulli_e_gamma_zeta, n, gamma, zeta)
+
+
+def _bernoulli_e_gamma_zeta(n: int, gamma, zeta) -> FirstOrder:
     if n < 1:
         raise ValueError("n must be at least 1")
     pairs, _ = _gamma_zeta_pairs(gamma, zeta)
@@ -333,16 +373,19 @@ def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta) -> FirstOrder:
         return log_norm + xlogy(k, w) + xlogy(n - k, 1.0 - w)
 
     log_t = np.array([math.log(pairs[r][0] / pairs[r][1]) for r in rows])[:, None]
-    exists = log_ratio(k / n) >= log_t
+    excess = log_ratio(k / n) - log_t  # of the log ratio at the mode
+    exists = excess >= 0.0
     # axis 1 of the (R, 2, floor(n/2)+1) ends: the left end, then the right
     edge = np.array([[0.0], [1.0]])
     need = exists[:, None] & (log_ratio(edge) < log_t[:, None])
+    at_mode = excess <= _PEAK_ULPS * math.ulp(float(gammaln(n + 2.0)))
     ends = np.where(need, np.nan, edge)
     ends[need] = expit(_logit_ends(
         n, np.broadcast_to(k, need.shape)[need],
         np.broadcast_to(log_norm, need.shape)[need],
         np.broadcast_to(log_t[:, None], need.shape)[need],
-        np.broadcast_to(edge == 1.0, need.shape)[need]))
+        np.broadcast_to(edge == 1.0, need.shape)[need],
+        np.broadcast_to(at_mode[:, None], need.shape)[need]))
     left, right = ends[:, 0], ends[:, 1]
 
     g, z = (np.array([pairs[r][i] for r in rows])[:, None] for i in (0, 1))
@@ -369,19 +412,27 @@ def bernoulli_e_gamma_zeta_batch(n: int, gamma, zeta) -> FirstOrder:
     return FirstOrder(values, cond, slope)
 
 
-def _logit_ends(n: int, k, log_norm, log_t, right) -> np.ndarray:
+def _logit_ends(n: int, k, log_norm, log_t, right, at_mode) -> np.ndarray:
     """The s = logit(w) at which the concave log ratio l(s) = log_norm + k*s
     - n*log(1 + e^s) of weight k falls to log_t, left of the mode or,
-    where ``right``, right of it; all arguments are flat arrays of one end
-    each.  Each end moves only inward, from +-_LOGIT_EDGE towards the mode,
-    and never past either, so rounding near a double root (t at the peak)
-    cannot carry it to the other side."""
-    s = np.where(right, _LOGIT_EDGE, -_LOGIT_EDGE)
+    where ``right``, right of it, and the mode itself where ``at_mode``;
+    all arguments are flat arrays of one end each.  Each end moves only
+    inward, from +-_LOGIT_EDGE towards the mode, and never past either, so
+    rounding near a double root (t at the peak) cannot carry it to the
+    other side.
+
+    The caller sets ``at_mode`` where l at the mode reaches log_t only
+    within the rounding of l (_PEAK_ULPS).  Newton would walk there about
+    one logit per step: at a double root, or for k = 0, whose mode is
+    w = 0, where the root lies at s = log((l(mode) - log_t)/n), beyond or
+    near the window's edge.  The sliver left out has p = t q to first
+    order, so it adds nothing to the value."""
     inward = np.where(right, -1.0, 1.0)
     mode = np.clip(logit(k / n), -_LOGIT_EDGE, _LOGIT_EDGE)
+    s = np.where(at_mode, mode, np.where(right, _LOGIT_EDGE, -_LOGIT_EDGE))
     lo = np.where(right, mode, -_LOGIT_EDGE)
     hi = np.where(right, _LOGIT_EDGE, mode)
-    active = np.arange(s.size)
+    active = np.flatnonzero(~at_mode)
     with np.errstate(divide="ignore", invalid="ignore"):  # slope 0 at the mode
         for _ in range(_NEWTON_CAP):
             if active.size == 0:
@@ -572,48 +623,49 @@ def gaussian_mutual_information(model: GaussianModel) -> float:
     return 0.5 * math.log1p(model.snr)
 
 
-def gaussian_sibson_first_order(model: GaussianModel, alpha) -> FirstOrder:
+def gaussian_sibson_first_order(model, alpha) -> FirstOrder:
     """Sibson's I_alpha = 0.5 * log(1 + alpha * n * sigma_W^2 / sigma^2),
     with the condition of the Sibson bound (`_order_condition`),
-    D' = s/(2(1 + alpha s)), both by libm per order; ``alpha`` broadcasts,
-    and a scalar returns floats.  At alpha = +inf, I_alpha = +inf and the
+    D' = s/(2(1 + alpha s)), both by libm per order; ``alpha`` is an array
+    of orders (a scalar returns floats) and ``model`` one model, or one per
+    order (`_each_model`).  At alpha = +inf, I_alpha = +inf and the
     condition is -inf, as in `gaussian_hellinger_first_order`: a falling
     condition with no root to refine toward.  A finite order whose
     alpha * s leaves the float range raises `ValueError`."""
-    s = model.snr
 
-    def value(a):
+    def value(a, s):
         if a < math.inf and a * s == math.inf:
             raise ValueError(f"order {a!r} is too large: alpha * n * sigma_W^2 / sigma^2 "
                              "exceeds the float range")
         return 0.5 * math.log1p(a * s)
 
-    def condition(a):
+    def condition(a, s):
         if a == math.inf:
             return -math.inf
         return _order_condition(a, 0.5 * s / (1.0 + a * s))
 
     orders = _orders(alpha)
-    return FirstOrder(_libm(value, orders), _libm(condition, orders))
+    snrs = _snrs(model, orders)
+    return FirstOrder(_libm(value, orders, snrs), _libm(condition, orders, snrs))
 
 
-def gaussian_hellinger_first_order(model: GaussianModel, p) -> FirstOrder:
+def gaussian_hellinger_first_order(model, p) -> FirstOrder:
     """H_p = (M - 1)/(p - 1), M = sqrt((1+s)^p / (1 + (2-p) p s)) with s
     the n-sample signal-to-noise ratio, and the condition of the Hellinger
     bound (`_order_condition`), both by libm per order: log M =
     (p log(1+s) - log(1 + (2-p) p s))/2, so D' = -log M/(p-1)^2
     + (log(1+s)/2 - (1-p) s/(1 + (2-p) p s))/(p-1).  M diverges where the
     denominator is not positive (p = +inf included): there H_p = +inf and
-    g = -inf, its limit.  ``p`` broadcasts, and a scalar returns floats."""
-    s = model.snr
+    g = -inf, its limit.  ``p`` and ``model`` are as ``alpha`` and
+    ``model`` of `gaussian_sibson_first_order`."""
 
-    def value(p):
+    def value(p, s):
         denom = 1.0 + (2.0 - p) * p * s
         if not denom > 0.0:
             return math.inf
         return (math.sqrt((1.0 + s) ** p / denom) - 1.0) / (p - 1.0)
 
-    def condition(p):
+    def condition(p, s):
         denom = 1.0 + (2.0 - p) * p * s
         if not denom > 0.0:
             return -math.inf
@@ -622,7 +674,28 @@ def gaussian_hellinger_first_order(model: GaussianModel, p) -> FirstOrder:
         return _order_condition(p, -log_m / (p - 1.0) ** 2 + d_log_m / (p - 1.0))
 
     orders = _orders(p)
-    return FirstOrder(_libm(value, orders), _libm(condition, orders))
+    snrs = _snrs(model, orders)
+    return FirstOrder(_libm(value, orders, snrs), _libm(condition, orders, snrs))
+
+
+def _each_model(model, size: int) -> list:
+    """The model of each of ``size`` points, in flat order: ``model``, one
+    `GaussianModel`, stands for all of them, or is a sequence of one per
+    point.  Each point's arithmetic then takes its own model's numbers, so
+    every entry is ``==`` to the call with its model alone."""
+    if isinstance(model, GaussianModel):
+        return [model] * size
+    each = list(model)
+    if len(each) != size:
+        raise ValueError(f"{len(each)} models for {size} points")
+    return each
+
+
+def _snrs(model, orders: np.ndarray) -> np.ndarray:
+    """The n-sample signal-to-noise ratio at each order (`_each_model`)."""
+    if isinstance(model, GaussianModel):
+        return np.full(orders.shape, model.snr)
+    return np.array([m.snr for m in _each_model(model, orders.size)]).reshape(orders.shape)
 
 
 def gaussian_upper_bound(model: GaussianModel) -> float:
@@ -639,7 +712,7 @@ def gaussian_hellinger_closed_form_bound(model: GaussianModel) -> float:
     return 81.0 * math.sqrt(2.0 * math.pi) / 2048.0 * gaussian_upper_bound(model)
 
 
-def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta) -> FirstOrder:
+def gaussian_e_gamma_zeta(model, gamma, zeta) -> FirstOrder:
     """Hockey-stick dependence of the mean and the sample average, from the
     law of a quadratic form in two standard normals, with the first-order
     condition of the E_{gamma,zeta} bound from the same masses.
@@ -655,29 +728,28 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta) -> FirstOrder:
 
     The condition is g(t) = P(R) + t Q(R) - 1 (see `bounds.FirstOrder`),
     without a slope; a pair with gamma = 0 has g = 0 (R is everything
-    there).  ``gamma`` and ``zeta`` broadcast against each other; every
-    entry is ``==`` to the call with that pair alone, and scalars return
+    there).  ``gamma`` and ``zeta`` broadcast against each other, and
+    ``model`` is one model or one per pair (`_each_model`); every entry is
+    ``==`` to the call with that pair and model alone, and scalars return
     floats.
     """
     pairs, shape = _gamma_zeta_pairs(gamma, zeta)
-    if model.n < 1:
-        raise ValueError("n must be at least 1")
-    s2 = model.sigma_sq / model.n
-    sx2 = model.sigma_w_sq + s2
-    if not math.isfinite(sx2):
-        raise ValueError("variances must be finite")
-    sw, sx = math.sqrt(model.sigma_w_sq), math.sqrt(sx2)
+    each = _each_model(model, len(pairs))
+    # each distinct model's numbers, in order of first appearance
+    forms = {id(m): m for m in each}
+    forms = {key: _form_scales(m) for key, m in forms.items()}
 
     # one row per pair with gamma > 0; c uses libm's log, as a scalar call
     # always has.  The P rows come first, then the Q rows.
     live = [i for i, (g, _) in enumerate(pairs) if g != 0.0]
     g, z = np.array([pairs[i] for i in live]).reshape(-1, 2).T
+    scales = [forms[id(each[i])] for i in live]
     c = np.array([s2 * math.log(sx2 / s2) - 2.0 * s2 * math.log(pairs[i][0] / pairs[i][1])
-                  for i in live])
+                  for i, (s2, sx2, *_) in zip(live, scales)])
     upper = g < z
+    _, _, a_p, b_p, a_q, b_q = np.array(scales).reshape(-1, 6).T
     p_mass, q_mass = _form_mass(
-        np.tile(c, 2), np.repeat([sw * s2 / sx, sw * (sw + sx)], len(live)),
-        np.repeat([sw * s2 / sx, sw * s2 / (sw + sx)], len(live)),
+        np.tile(c, 2), np.concatenate([a_p, a_q]), np.concatenate([b_p, b_q]),
         np.tile(upper, 2)).reshape(2, -1)
     values = np.zeros(len(pairs))
     values[live] = np.maximum(0.0, np.where(upper, g * q_mass - z * p_mass,
@@ -689,6 +761,20 @@ def gaussian_e_gamma_zeta(model: GaussianModel, gamma, zeta) -> FirstOrder:
                       _float_if_scalar(cond.reshape(shape)))
 
 
+def _form_scales(model: GaussianModel) -> tuple:
+    """s2 = sigma^2/n, sx2 = sigma_W^2 + s2, and the scales (a, b) of the
+    quadratic form a y1^2 - b y2^2 under P, then those under Q, of
+    ``model``'s `gaussian_e_gamma_zeta`."""
+    if model.n < 1:
+        raise ValueError("n must be at least 1")
+    s2 = model.sigma_sq / model.n
+    sx2 = model.sigma_w_sq + s2
+    if not math.isfinite(sx2):
+        raise ValueError("variances must be finite")
+    sw, sx = math.sqrt(model.sigma_w_sq), math.sqrt(sx2)
+    return s2, sx2, sw * s2 / sx, sw * s2 / sx, sw * (sw + sx), sw * s2 / (sw + sx)
+
+
 # Trapezoid nodes v = k/8 on [0, 41], tabulated by libm (no numpy ufunc to
 # load).  y = 1 at v_c = asinh(sqrt(b/|c|)) <= log1p(2 sqrt(b/|c|)) <= 37.5
 # for |c| >= _FORM_ZERO * b; from there + 3.5 on, y > 33 and the normal
@@ -698,6 +784,9 @@ _FORM_COSH = np.array([math.cosh(v) for v in _FORM_V.tolist()])
 _FORM_SINH = np.array([math.sinh(v) for v in _FORM_V.tolist()])
 _FORM_WEIGHTS = np.where(_FORM_V == 0.0, 1.0, 2.0) / (8.0 * math.sqrt(2.0 * math.pi))
 _FORM_ZERO = 1e-32
+# the most rows of one pass of `_form_mass` (a longer call runs in passes of
+# this many): about 5 kB of arrays per row, so a pass stays near 2.7 MB
+_FORM_ROWS = 512
 
 
 def _form_mass(c, a, b, upper):
@@ -714,7 +803,12 @@ def _form_mass(c, a, b, upper):
     so its mass does not depend on the other rows.  For |c| < _FORM_ZERO b
     (c == 0 included) the mass is that at c = 0, (2/pi) atan(sqrt(b/a)),
     or (2/pi) atan(sqrt(a/b)) for ``upper``, to ~|c|/b log(b/|c|) relative.
+    A call of more than _FORM_ROWS rows runs in passes of that many.
     """
+    if c.size > _FORM_ROWS:
+        return np.concatenate([
+            _form_mass(*(part[start:start + _FORM_ROWS] for part in (c, a, b, upper)))
+            for start in range(0, c.size, _FORM_ROWS)])
     flat = np.abs(c) < _FORM_ZERO * b
     size = np.where(flat, b, np.abs(c))
     scale = np.sqrt(size / b)                # y per unit of sinh v or cosh v

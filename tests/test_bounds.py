@@ -461,6 +461,57 @@ class TestOptimizeBound:
         with pytest.raises(RuntimeError):
             B.optimize_bound(boom, "sibson", {"alpha": [2.0]}, L2)
 
+    def test_lockstep_failure_belongs_to_its_own_model(self):
+        # a round whose call raises runs again one model at a time: the
+        # error goes to the model whose own call raises (or whose value is
+        # NaN), and every other model gets the result of its search alone
+        def divergence(n, alpha):
+            return models.bernoulli_sibson_first_order(n, alpha)
+
+        def callback(model, alpha):
+            # one model for all the points, or a list of one per point
+            each = model if isinstance(model, list) else [model] * alpha.size
+            if "boom" in each:
+                raise ArithmeticError("synthetic blow-up")
+            out = divergence([1 if m == "nan" else m for m in each], alpha)
+            return out._replace(value=np.where([m == "nan" for m in each], math.nan,
+                                               out.value))
+
+        grid = {"alpha": 1.0 + np.geomspace(1e-2, 63.0, 40)}
+        table = [3, "boom", 7, "nan", 50]
+        found = B.optimize_bounds(callback, "sibson", grid, table, [L2] * len(table))
+        assert isinstance(found[1], ArithmeticError) and isinstance(found[3], NanValue)
+        for i in (0, 2, 4):
+            alone = B.optimize_bound(partial(divergence, table[i]), "sibson", grid, L2)
+            assert found[i] == alone and alone.path == "root"
+
+    def test_lockstep_makes_one_call_per_round(self, monkeypatch):
+        # the calls number the rounds of the longest search; with a pack of
+        # one model's grid, each model runs alone
+        calls = []
+
+        def callback(model, p):
+            calls.append(model)
+            return models.bernoulli_hellinger_first_order(model, p)
+
+        grid = {"p": 1.0 + np.geomspace(1e-2, 63.0, 40)}
+        table = [2, 9, 30]
+        alone = []
+        for n in table:
+            calls.clear()
+            alone.append((B.optimize_bound(partial(callback, n), "hellinger", grid, L2),
+                          len(calls)))
+        calls.clear()
+        found = B.optimize_bounds(callback, "hellinger", grid, table, [L2] * 3)
+        assert found == [res for res, _ in alone]
+        # a call of several models gets one per point, of one model that model
+        assert len(calls) == max(count for _, count in alone)
+        assert calls[0] == [2] * 40 + [9] * 40 + [30] * 40 and calls[-1] in table
+        monkeypatch.setattr(B, "_CALL_POINTS", 40)
+        calls.clear()
+        assert B.optimize_bounds(callback, "hellinger", grid, table, [L2] * 3) == found
+        assert len(calls) == sum(count for _, count in alone)
+
     def test_divergence_infinite_treated_as_vacuous(self):
         g = models.GaussianModel(10, 1.0, 1.0)
 

@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskbounds import bounds, cli, models, oracle, validate
@@ -675,6 +675,53 @@ def test_column_on_an_array_equals_its_one_element_calls(name, n, size, data):
         model, **{param: a[i:i + 1] for param, a in arrays.items()}))
         for i in range(size)]
     assert whole == [sum((piece[j] for piece in slices), []) for j in range(len(whole))]
+
+
+_n_set = st.lists(st.integers(1, 1000), min_size=1, max_size=8, unique=True).map(sorted)
+_variance = st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x)
+
+
+def _lockstep_equals_one_search_per_model(argv, ns):
+    """Every column that `_estimation_table` searches in lockstep gives, at
+    each model of the table ``ns``, the `BoundResult` of its search alone."""
+    setting = cli.SETTINGS[argv[0]]
+    args = cli.build_parser().parse_args(argv)
+    table_models = [setting.model(n, args) for n in ns]
+    small_balls = [setting.small_ball(model) for model in table_models]
+    columns = [c for c in setting.columns if c.bound is None and c.table is None]
+    for column in columns:
+        grid = cli._column_grid(column, args)
+        alone = [bounds.optimize_bound(functools.partial(column.divergence, model),
+                                       column.method, grid, L)
+                 for model, L in zip(table_models, small_balls)]
+        assert bounds.optimize_bounds(column.divergence, column.method, grid,
+                                      table_models, small_balls) == alone, column.method
+    return columns
+
+
+@pytest.mark.parametrize("optimize", [[], ["--optimize"]], ids=["fixed", "optimize"])
+@settings(max_examples=15, deadline=None)
+@given(ns=_n_set, sigma_w2=_variance, sigma2=_variance)
+@example(ns=[1000], sigma_w2=100.0, sigma2=1e-4)  # t* = 2.9e4: the ladder grows
+def test_gaussian_lockstep_searches_equal_one_search_per_model(optimize, ns, sigma_w2,
+                                                                sigma2):
+    argv = ["gaussian", *optimize, "--sigma-w2", repr(sigma_w2), "--sigma2", repr(sigma2)]
+    assert len(_lockstep_equals_one_search_per_model(argv, ns)) == 4
+
+
+@pytest.mark.parametrize("optimize", [[], ["--optimize"]], ids=["fixed", "optimize"])
+@settings(max_examples=10, deadline=None)
+@given(ns=_n_set)
+def test_bernoulli_lockstep_searches_equal_one_search_per_model(optimize, ns):
+    # the mi column comes from the table's quadrature iterator, one n at a time
+    assert len(_lockstep_equals_one_search_per_model(["bernoulli", *optimize], ns)) == 4
+
+
+def test_lockstep_grows_the_ladder_where_the_root_lies_past_it():
+    args = cli.build_parser().parse_args(["gaussian", "--optimize", "--sigma-w2", "100",
+                                          "--sigma2", "1e-4"])
+    _, info = cli._estimation_point(cli.GAUSSIAN, 1000, args)
+    assert info["egz"]["path"] == "root" and info["egz"]["gamma"] / info["egz"]["zeta"] > 2.0 ** 12
 
 
 # the CSV each table printed before the array calling convention; a change

@@ -188,6 +188,61 @@ def test_gaussian_kernels_keep_their_infinite_order_limits():
         assert kernel(g, np.array([2.0, math.inf])).condition[1] == -math.inf
 
 
+_variance = st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x)
+_GAUSSIAN_KERNELS = {
+    "sibson": (models.gaussian_sibson_first_order, ("alpha",)),
+    "hellinger": (models.gaussian_hellinger_first_order, ("p",)),
+    "egz": (models.gaussian_e_gamma_zeta, ("gamma", "zeta")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GAUSSIAN_KERNELS))
+@settings(max_examples=30, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(1, 1000), _variance, _variance,
+                                 st.floats(-2.0, math.log10(63.0)),
+                                 st.floats(-2.0, 4.0)),
+                       min_size=1, max_size=24))
+def test_gaussian_kernel_on_a_model_per_point_equals_its_one_model_calls(name, points):
+    # a list of one model per point: each entry is == to the call with that
+    # point's model and parameters alone
+    kernel, params = _GAUSSIAN_KERNELS[name]
+    point_models = [models.GaussianModel(n, w2, s2) for n, w2, s2, _, _ in points]
+    if name == "egz":
+        arrays = [np.array([1.5 * 10.0 ** t for *_, t in points]), np.full(len(points), 1.5)]
+    else:
+        arrays = [np.array([1.0 + 10.0 ** x for *_, x, _ in points])]
+    whole = kernel(point_models, *arrays)
+    for i, model in enumerate(point_models):
+        alone = kernel(model, *(float(a[i]) for a in arrays))
+        assert (whole.value[i], whole.condition[i]) == (alone.value, alone.condition)
+    # one model stands for every point, and a list of it is the same call
+    one = kernel(point_models[0], *arrays)
+    listed = kernel([point_models[0]] * len(points), *arrays)
+    assert (np.asarray(one.value).tolist(), one.condition.tolist()) == \
+        (np.asarray(listed.value).tolist(), listed.condition.tolist())
+
+
+@pytest.mark.parametrize("kernel", [models.bernoulli_sibson_first_order,
+                                    models.bernoulli_hellinger_first_order])
+def test_bernoulli_kernel_on_an_n_per_order_equals_its_one_n_calls(kernel):
+    ns = [3, 50, 3, 1, 200, 50]
+    orders = np.array([1.5, 2.0, 7.0, 40.0, 1.01, 3.0])
+    whole = kernel(ns, orders)
+    for i, n in enumerate(ns):
+        alone = kernel(n, orders[i])
+        assert (whole.value[i], whole.condition[i]) == (alone.value, alone.condition)
+
+
+def test_bernoulli_egz_on_an_n_per_pair_equals_its_one_n_calls():
+    ns = [7, 1, 7, 300, 2]
+    gamma = np.array([1.5, 3.0, 6.0, 12.0, 0.0])
+    whole = models.bernoulli_e_gamma_zeta_batch(ns, gamma, 1.5)
+    for i, n in enumerate(ns):
+        alone = models.bernoulli_e_gamma_zeta_batch(n, gamma[i], 1.5)
+        assert [whole.value[i], whole.condition[i], whole.slope[i]] == \
+            [alone.value[0], alone.condition[0], alone.slope[0]]
+
+
 @pytest.mark.parametrize("n, first_inf", [(48, 186), (100, 157), (200, 137),
                                           (500, 117)])
 def test_bernoulli_hellinger_overflows_to_inf_without_a_warning(n, first_inf):
@@ -648,16 +703,28 @@ class TestBernoulliHockeyStick:
             assert abs(value - exact) <= floor, (ratio, value)
 
     def test_newton_stops_within_its_cap_on_the_ratio_grid(self, monkeypatch):
-        # the ratio ladder of `bernoulli --optimize`, grown once, and the 95
-        # ratios from 1/3200 to 3200 that it replaced stop inside the lowered
-        # cap at these n: the 95 ratios within 18 steps, the ladder within 40
-        # where the peak of weight 0, t = n+1, is a rung that its rounded log
-        # ratio reaches (n = 1, 3, 7, 15, 63 here): that right end's root is
-        # the mode w = 0, and Newton walks to it about one logit per step
-        monkeypatch.setattr(models, "_NEWTON_CAP", 40)
-        ratios = np.concatenate([2.0 ** np.arange(26), np.geomspace(1.0 / 3200.0, 3200.0, 95)])
+        # the lowered cap counts the steps: the ratio ladder of `bernoulli
+        # --optimize`, grown once, stops within 18 at every n to 1000, and so
+        # do the 95 ratios from 1/3200 to 3200 that it replaced.  Where the
+        # peak of weight 0, t = n+1, is a rung that its rounded log ratio
+        # reaches (n = 1, 3, 7, 15, 63, 127, 255), that right end is the mode
+        # w = 0 from the start; Newton walked to it in up to 40 steps before
+        monkeypatch.setattr(models, "_NEWTON_CAP", 18)
+        ladder = 2.0 ** np.arange(26)
+        for n in range(1, 1001):
+            models.bernoulli_e_gamma_zeta_batch(n, ladder, 1.0)
+        ratios = np.geomspace(1.0 / 3200.0, 3200.0, 95)
         for n in [*range(1, 61), 100, 200, 500, 1000]:
-            models.bernoulli_e_gamma_zeta_batch(n, ratios, np.ones(ratios.size))
+            models.bernoulli_e_gamma_zeta_batch(n, ratios, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 15, 63, 127, 255])
+    def test_a_rung_at_the_peak_of_weight_zero_has_no_interval(self, n):
+        # at t = n+1 the superlevel set of weight 0 is the point w = 0: its
+        # right end is the mode, so g = P + t Q - 1 = -1 and the slope is
+        # 2 t dQ/d log t = -4/n, the speed of that end being -1/n
+        out = models.bernoulli_e_gamma_zeta_batch(n, float(n + 1), 1.0)
+        assert out.condition == -1.0
+        assert out.slope == pytest.approx(-4.0 / n, rel=1e-15)
 
     def test_newton_raises_at_its_cap(self, monkeypatch):
         monkeypatch.setattr(models, "_NEWTON_CAP", 3)

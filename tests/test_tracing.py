@@ -18,6 +18,8 @@ TABLES = {
     "bernoulli-optimize": ["bernoulli", "--optimize", "--n", "1,7"],
     "noisy-bernoulli": ["noisy-bernoulli", "--n", "3"],
     "gaussian-optimize": ["gaussian", "--optimize", "--n", "3"],
+    # several n: the searches of each column run in lockstep
+    "gaussian-optimize-table": ["gaussian", "--optimize", "--n", "1,7,50"],
     "bernoulli-trials": ["bernoulli", "--n", "1,7", "--trials", "10000"],
     "gaussian-trials": ["gaussian", "--n", "3", "--trials", "10000"],
 }
