@@ -33,7 +33,6 @@ from .bounds import (
     SmallBallFn,
     bound,
     maximize_rho,
-    optimize_bound,
     optimize_bounds,
     sdpi_bound,
 )

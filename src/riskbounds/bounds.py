@@ -7,19 +7,18 @@ for all but the MI baseline.  Under the linear L(rho) = min(c*rho, 1)
 every sup has a closed form (`maximize_rho`, or the MI baseline's own),
 one per method in `_METHODS`, and one radius path (`_radius`) applies
 the rules they share.  `bound(method, divergence, L, **params)` is the
-one entry point by method name; `sdpi_bound` and `optimize_bound` take
+one entry point by method name; `sdpi_bound` and `optimize_bounds` take
 a method by the same names.
 
-`optimize_bound` searches a bound's parameters over a grid in one
-callback call, grows the grid at its top while the bound still rises
-there, then refines the grid maximum at the root of the first-order
-condition the callback may report with its values (`FirstOrder`), one
-point per step; where there is no root to refine at, the grid maximum
-stands.  Each of these calls is a round of the search.
-`optimize_bounds` runs the searches of many models (the n of a table) in
-lockstep, each round one callback call for all of them, and gives each
-model what its search alone would give; `optimize_bound` is its
-one-model case.
+`optimize_bounds` searches a bound's parameters for each of many models
+(the n of a table, or one model): over a grid in one callback call, then
+growing the grid at its top while the bound still rises there, then
+refining the grid maximum at the root of the first-order condition the
+callback may report with its values (`FirstOrder`), one point per step;
+where there is no root to refine at, the grid maximum stands.  Each of
+these calls is a round of the search, and the searches of all the models
+run in lockstep, each round one callback call for all of them, so that
+each model gets what its search alone would give.
 
 Vacuous bounds (penalty >= 1 everywhere, or an infinite divergence) are
 reported as value 0, which `BoundResult.vacuous` reads, instead of
@@ -44,7 +43,6 @@ __all__ = [
     "maximize_rho",
     "bound",
     "sdpi_bound",
-    "optimize_bound",
     "optimize_bounds",
 ]
 
@@ -75,7 +73,7 @@ class BoundResult:
     method: str
     params: dict = field(default_factory=dict)
     evaluations: int = 1
-    path: str = ""  # how `optimize_bound` searched: fixed, grid or root
+    path: str = ""  # how `optimize_bounds` searched: fixed, grid or root
 
     def __post_init__(self):
         if math.isnan(self.value):
@@ -91,7 +89,7 @@ class BoundResult:
 
 class FirstOrder(NamedTuple):
     """Divergence values with the first-order condition of their bound, as
-    an `optimize_bound` callback may return them.
+    an `optimize_bounds` callback may return them.
 
     ``value`` is the divergence at each point.  ``condition`` is a g with
     the sign of the bound's derivative in x = log of the method's searched
@@ -285,73 +283,60 @@ _GROWTHS = 4
 _CALL_POINTS = 1024
 
 
-def optimize_bound(callback, method: str, param_grid: dict,
-                   L: SmallBallFn) -> BoundResult:
-    """Maximize a bound over a parameter grid, then refine the grid maximum
-    at the root of its first-order condition: the one-model case of
-    `optimize_bounds`, with ``callback(**params)`` taking no model.
-
-    ``callback(**params)`` gets one float64 ndarray per parameter, all of
-    one length (``mi`` and ``ml`` have no parameters and get none), and
-    returns the divergence the method consumes (I_alpha, H_p,
-    E_{gamma,zeta}, maximal leakage, or mutual information) at each
-    point, broadcastable to their number, +inf where it is infinite (a
-    vacuous bound).  It may instead return a `FirstOrder` of those values
-    and the bound's first-order condition.  It must be pure, and the value
-    at a point must not depend on the other points of the call.
-
-    The search has three steps.  The whole grid is one call, in sweep
-    order.  Where the method has a condition (`_CONDITIONS`: ``egz`` in
-    log gamma, ``sibson`` in log alpha, ``hellinger`` in log p), the
-    callback returned a `FirstOrder`, and only that parameter has two or
-    more grid values, all positive, the grid grows while its maximum is
-    the top point and the condition there is > 0: as many points again,
-    at the ratio of the top two, in one call, at most _GROWTHS times and
-    within the float range.  Then the maximum is refined at the root of
-    the condition (``path`` "root") when the condition falls through 0
-    exactly once over the grown grid, from + to -, between the maximum and
-    a neighbour (`_falling_bracket`), in x = log(parameter) inside that
-    bracket (`_root_search`), started from the grid's condition values,
-    one call of length 1 per step.  Otherwise the grid maximum stands:
-    ``path`` "grid", or "fixed" for a grid of one point.  Every point
-    evaluated is a candidate, so the result value dominates all of them,
-    its params are the values the callback got, and ``evaluations`` counts
-    them; only the winner becomes a `BoundResult`.  Ties keep the
-    first-found parameter, and parameters are swept in sorted order (the
-    last name varying fastest), so the output is deterministic.  Grid
-    values must be finite.
-    """
-    result, = optimize_bounds(lambda model, **params: callback(**params),
-                              method, param_grid, [None], [L])
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def optimize_bounds(callback, method: str, param_grid: dict, models,
                     small_balls) -> list:
-    """`optimize_bound` for each of several models over one grid, the
-    searches advanced in lockstep.
+    """Maximize a bound over a parameter grid, then refine the grid maximum
+    at the root of its first-order condition, for each of several models,
+    the searches advanced in lockstep.
 
     ``models[i]`` (a sequence) has the small-ball function
     ``small_balls[i]``.  ``callback(model, **params)`` gets the points'
-    model besides one array per parameter, and returns what
-    `optimize_bound`'s callback returns at those points: ``model`` is the
+    model and one float64 ndarray per parameter, all of one length
+    (``mi`` and ``ml`` have no parameters and get none): ``model`` is the
     model itself where all the points of the call are one model's, else a
-    list of the model of each point.  Each round puts the pending points
-    of every search still running into one callback call, in model order,
-    and hands each search its own slice of the output; the models run in
-    packs of at most `_CALL_POINTS` grid points in all, one pack after the
-    other.  So each search evaluates the same points, in the same order,
-    with the same decisions as it would alone, and the calls of a pack
-    number the rounds of its longest search.  Where a call of several
-    models raises, each of them is called again alone, in order, so that
-    an error goes to the models whose own call raises.
+    list of the model of each point.  It returns the divergence the method
+    consumes (I_alpha, H_p, E_{gamma,zeta}, maximal leakage, or mutual
+    information) at each point, broadcastable to their number, +inf where
+    it is infinite (a vacuous bound).  It may instead return a
+    `FirstOrder` of those values and the bound's first-order condition.
+    It must be pure, and the value at a point must not depend on the
+    other points of the call.
+
+    The search of each model has three steps.  The whole grid is one
+    round, in sweep order.  Where the method has a condition
+    (`_CONDITIONS`: ``egz`` in log gamma, ``sibson`` in log alpha,
+    ``hellinger`` in log p), the callback returned a `FirstOrder`, and
+    only that parameter has two or more grid values, all positive, the
+    grid grows while its maximum is the top point and the condition there
+    is > 0: as many points again, at the ratio of the top two, in one
+    round, at most _GROWTHS times and within the float range.  Then the
+    maximum is refined at the root of the condition (``path`` "root") when
+    the condition falls through 0 exactly once over the grown grid, from +
+    to -, between the maximum and a neighbour (`_falling_bracket`), in
+    x = log(parameter) inside that bracket (`_root_search`), started from
+    the grid's condition values, one round of one point per step.
+    Otherwise the grid maximum stands: ``path`` "grid", or "fixed" for a
+    grid of one point.  Every point evaluated is a candidate, so the
+    result value dominates all of them, its params are the values the
+    callback got, and ``evaluations`` counts them; only the winner becomes
+    a `BoundResult`.  Ties keep the first-found parameter, and parameters
+    are swept in sorted order (the last name varying fastest), so the
+    output is deterministic.  Grid values must be finite.
+
+    Each round puts the pending points of every search still running into
+    one callback call, in model order, and hands each search its own slice
+    of the output; the models run in packs of at most `_CALL_POINTS` grid
+    points in all, one pack after the other.  So each search evaluates the
+    same points, in the same order, with the same decisions as it would
+    alone, and the calls of a pack number the rounds of its longest
+    search.  Where a call of several models raises, each of them is called
+    again alone, in order, so that an error goes to the models whose own
+    call raises.
 
     Returns one entry per model: its `BoundResult`, or the exception that
     its search raised (from its callback, or a NaN divergence), each as
-    `optimize_bound` alone would return or raise it.  An unknown method,
-    an empty grid or a non-finite grid value raises for all of them.
+    the search of that model alone would end.  An unknown method, an empty
+    grid or a non-finite grid value raises for all of them.
     """
     closed = _closed_form(method)
 
@@ -431,7 +416,7 @@ def _call(callback, names, models, pending, call: list[int]) -> list:
 
 
 def _search(closed, method: str, names: list, grids: dict, sweep: list, c: float):
-    """The search of `optimize_bound` for one model under the small-ball
+    """The search of `optimize_bounds` for one model under the small-ball
     slope c, over the parameter tuples ``sweep`` (in sweep order) of the
     sorted values ``grids``, as a generator: it yields the points of each
     callback call, is sent the callback's output at them (a `FirstOrder`

@@ -2,32 +2,29 @@
 
 Subcommands: bernoulli, noisy-bernoulli, gaussian, hide-and-seek, validate.
 Each estimation setting is one `Setting` record, from which its flags and
-its rows are built; fixed-parameter and --optimize columns alike go
-through `bounds.optimize_bounds`.  One CSV row is emitted per sample count
-n; a JSON sidecar next to --out records per point and column the
-optimizing parameters, rho*, the value, the evaluations and the search
-path (fixed, grid, root, or own for a column with its own bound function).
+its rows are built; every bound column, fixed-parameter or searched under
+--optimize, goes through `bounds.optimize_bounds`.  One CSV row is
+emitted per sample count n; a JSON sidecar next to --out records per
+point and column the optimizing parameters, rho*, the value, the
+evaluations and the search path (fixed, grid or root).
 Float flags must be finite and seeds non-negative.
 
 Every table sweeps its bounds in the calling thread, stage by stage over
 all its n (`_estimation_table`): the models, then each column in column
 order, then the upper bounds, each stage over the n before the first
-failure found so far.  A searched column runs the searches of all those
-n in lockstep, one kernel call per round (the grid, a growth, a root
-step) for all the n, and a call that raises runs again one n at a time,
-in n order, so that its error goes to its own n.  The failure named is
-thus that of the first failing n, and at that n of the first failing
-column in column order, as a sweep n by n would name it.  A column with a
-``table`` computes its divergence for all the n of a table together: the
-Bernoulli mi column takes its values from one
-`models.bernoulli_mutual_informations` iterator per table, which shares
-its quadrature passes among chunks of consecutive n; the sweep advances
-it once per n, so a failing n is named as itself and at most the rest of
-its chunk is computed past it.  A --trials table then fills its mc_risk
-column with one `oracle.mc_risks` call over the n before the failing one:
-the Philox blocks of all of them share one thread pool, and each n's
-block totals are added in block order, so the column is the same as one
-`oracle.mc_risk` per n.
+failure found so far.  A column runs the searches of all those n in
+lockstep, one kernel call per round (the grid, a growth, a root step) for
+all the n, and a call that raises runs again one n at a time, in n
+order, so that its error goes to its own n.  The failure named is thus
+that of the first failing n, and at that n of the first failing column in
+column order, as a sweep n by n would name it.  A parameter-free column
+has one round, one call for all the n: the Bernoulli mi column's takes
+its values from one `models.bernoulli_mutual_informations` iterator,
+which shares its quadrature passes among chunks of consecutive n.  A
+--trials table then fills its mc_risk column with one `oracle.mc_risks`
+call over the n before the failing one: the Philox blocks of all of them
+share one thread pool, and each n's block totals are added in block
+order, so the column is the same as one `oracle.mc_risk` per n.
 Exit code 3 names the first failing n, of a bound or of a simulation.
 """
 
@@ -44,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bounds, models, oracle
+from . import bounds, models, oracle, sdpi
 
 _METHOD_ORDER = ("mi", "ml", "sibson", "hellinger", "egz", "sdpi")
 
@@ -136,30 +133,30 @@ def _best(named_values: dict[str, float | None], order=_METHOD_ORDER) -> str:
 
 @dataclass(frozen=True)
 class Column:
-    """One bound column: ``divergence(model, **params)`` feeds the `bounds`
-    method ``method``, taking one model or, as `bounds.optimize_bounds`
-    calls it, a list of one per point, and one array per parameter, and
-    returning the divergence at each point, +inf where it is infinite, or
-    (the sibson, hellinger and egz columns) a `bounds.FirstOrder` of those
-    values and the condition at whose root the search refines them;
-    ``params`` names the flags that fix the parameters, ``grid(args)``
-    gives the values searched under --optimize (the search extends a grid
-    at its top while the bound still rises there) and ``fixed`` pins those
-    without a flag.
-    ``bound(model)`` replaces all of these for a column that computes its
-    own `BoundResult`.  ``table(models)`` maps the models of a table, in n
-    order, to an iterator of the column's parameter-free divergence at
-    each, ``==`` to ``divergence``'s at one model: a sweep advances it once
-    per n in place of calling ``divergence``, so that the n of a table can
-    share work."""
+    """One bound column, ``key`` in the rows and the sidecar:
+    ``divergence(model, **params)`` feeds the `bounds` method ``method``
+    (``key`` where not given), taking one model or, as
+    `bounds.optimize_bounds` calls it, a list of one per point, and one
+    array per parameter, and returning the divergence at each point, +inf
+    where it is infinite, or (the sibson, hellinger and egz columns) a
+    `bounds.FirstOrder` of those values and the condition at whose root
+    the search refines them; ``params`` names the flags that fix the
+    parameters, ``grid(args)`` gives the values searched under --optimize
+    (the search extends a grid at its top while the bound still rises
+    there) and ``fixed`` pins those without a flag.  ``record(model)``
+    adds entries to the column's sidecar record at ``model``."""
 
-    method: str
-    divergence: Callable | None = None
+    key: str
+    divergence: Callable
     params: tuple[str, ...] = ()
     grid: Callable | None = None
     fixed: dict = field(default_factory=dict)
-    bound: Callable | None = None
-    table: Callable | None = None
+    method: str = ""
+    record: Callable | None = None
+
+    def __post_init__(self):
+        if not self.method:
+            object.__setattr__(self, "method", self.key)
 
 
 @dataclass(frozen=True)
@@ -207,8 +204,31 @@ def _each(fn):
     return lambda model: [fn(m) for m in model] if isinstance(model, list) else fn(model)
 
 
+def _bernoulli_mi(model):
+    """The Bernoulli MI of one model, or of each of a list of models from
+    one `models.bernoulli_mutual_informations` iterator."""
+    if isinstance(model, list):
+        return list(models.bernoulli_mutual_informations(_n(model)))
+    return models.bernoulli_mutual_information(model.n)
+
+
 def _bernoulli_hellinger(model, p: np.ndarray) -> bounds.FirstOrder:
     return models.bernoulli_hellinger_first_order(_n(model), p)
+
+
+def _eta(model):
+    """The BSC contraction constant of a noisy model, or of each of a list."""
+    return _each(lambda m: sdpi.eta_operator_convex_bsc(m.lam))(model)
+
+
+def _contracted_hellinger(model, p: np.ndarray) -> np.ndarray:
+    """eta H_p of the clean flips, eta the BSC's contraction constant
+    (`_eta`), as `models.noisy_bernoulli_bound` takes it: 0 where eta = 0,
+    where nothing passes, whatever H_p."""
+    eta = np.asarray(_eta(model))
+    h_p = _bernoulli_hellinger(model, p).value
+    with np.errstate(invalid="ignore"):  # 0 * inf, not taken
+        return np.where(eta > 0.0, eta * h_p, 0.0)
 
 
 BERNOULLI = Setting(
@@ -219,9 +239,7 @@ BERNOULLI = Setting(
     upper=lambda model: models.bernoulli_upper_bound(model.n),
     estimator="posterior-median",
     columns=(
-        Column("mi", lambda model: models.bernoulli_mutual_information(model.n),
-               table=lambda table_models: models.bernoulli_mutual_informations(
-                   [model.n for model in table_models])),
+        Column("mi", _bernoulli_mi),
         Column("ml", _each(lambda model: models.bernoulli_ml(model.n).upper)),
         Column("sibson",
                lambda model, alpha: models.bernoulli_sibson_first_order(_n(model), alpha),
@@ -245,7 +263,9 @@ NOISY_BERNOULLI = Setting(
     columns=(
         # the clean-sample chi-square bound that the contraction refines
         Column("hellinger", _bernoulli_hellinger, fixed={"p": 2.0}),
-        Column("sdpi", bound=lambda model: models.noisy_bernoulli_bound(model, p=2.0)),
+        # the same bound at the divergence contracted through the channel
+        Column("sdpi", _contracted_hellinger, fixed={"p": 2.0}, method="hellinger",
+               record=lambda model: {"eta": _eta(model)}),
     ),
     defaults={"lam": 0.25},
 )
@@ -304,8 +324,6 @@ def _check_bound_parameters(setting: Setting, args) -> None:
     """Raise `ValueError` for a bound parameter that the run would pass
     outside the range its bound function accepts."""
     for column in setting.columns:
-        if column.bound is not None:
-            continue
         for name, values in _column_grid(column, args).items():
             in_range, requirement = _PARAM_RANGES[name]
             bad = [v for v in values if not in_range(v)]
@@ -314,51 +332,16 @@ def _check_bound_parameters(setting: Setting, args) -> None:
                                  f"got {bad[0]:g}")
 
 
-def _column_bound(column: Column, model, L, grid: dict,
-                  divergence: Callable | None = None) -> bounds.BoundResult:
-    """``column``'s bound at ``model``, searched over ``grid``, the
-    column's `_column_grid`; ``divergence`` stands in for the column's
-    own at ``model``."""
-    if column.bound is not None:
-        return column.bound(model)
-    return bounds.optimize_bound(
-        divergence or functools.partial(column.divergence, model),
-        column.method, grid, L)
-
-
-def _column_bounds(column: Column, table_models: list, small_balls: list,
-                   grid: dict) -> list:
-    """``column``'s bound at each model of a table, in n order: the
-    `BoundResult`, or the exception that the model's bound raised.  A
-    searched column runs the searches of all the models in lockstep
-    (`bounds.optimize_bounds`); a column with its own bound function or a
-    ``table`` iterator goes one model at a time and stops at its first
-    exception."""
-    if column.bound is None and column.table is None:
-        return bounds.optimize_bounds(column.divergence, column.method, grid,
-                                      table_models, small_balls)
-    values = column.table(table_models) if column.table is not None else None
-    results = []
-    for model, L in zip(table_models, small_balls):
-        try:
-            results.append(_column_bound(column, model, L, grid,
-                                         values and functools.partial(next, values)))
-        except Exception as exc:
-            results.append(exc)
-            break
-    return results
-
-
 def _estimation_table(setting: Setting, n_values, args) -> tuple[dict, dict, tuple | None]:
     """The table rows and the sidecar entries of the sample counts
     ``n_values``, by n, and the first failure as (n, error), or None.
 
     The sweep goes stage by stage over all the n before the first failure
     found so far: the models and their small-ball functions, then each
-    column in column order (`_column_bounds`), then the upper bounds.  A
-    later stage runs only the n before the failing one, so the failure
-    named is that of the first failing n, and at that n that of the first
-    failing stage and column, as a sweep n by n would name it."""
+    column in column order (`bounds.optimize_bounds`), then the upper
+    bounds.  A later stage runs only the n before the failing one, so the
+    failure named is that of the first failing n, and at that n that of
+    the first failing stage and column, as a sweep n by n would name it."""
     failure = None
     table_models, small_balls = [], []
     for n in n_values:
@@ -373,19 +356,20 @@ def _estimation_table(setting: Setting, n_values, args) -> tuple[dict, dict, tup
     rows = [dict.fromkeys(_METHOD_ORDER) for _ in ns]
     infos = [{name: {"note": note} for name, note in setting.notes.items()} for _ in ns]
     for column in setting.columns:
-        results = _column_bounds(column, table_models[:len(ns)], small_balls[:len(ns)],
-                                 _column_grid(column, args))
+        results = bounds.optimize_bounds(column.divergence, column.method,
+                                         _column_grid(column, args),
+                                         table_models[:len(ns)], small_balls[:len(ns)])
         for i, res in enumerate(results):
             if isinstance(res, Exception):
                 failure = ns[i], res
                 del ns[i:]
                 break
-            rows[i][column.method] = res.value
-            # how the column found its bound: its own bound function, or the
-            # path of the search
-            infos[i][column.method] = dict(res.params, rho=res.rho_star, value=res.value,
-                                           vacuous=res.vacuous, evals=res.evaluations,
-                                           path="own" if column.bound else res.path)
+            rows[i][column.key] = res.value
+            infos[i][column.key] = dict(res.params, rho=res.rho_star, value=res.value,
+                                        vacuous=res.vacuous, evals=res.evaluations,
+                                        path=res.path)
+            if column.record is not None:
+                infos[i][column.key].update(column.record(table_models[i]))
     for i, (n, row) in enumerate(zip(ns, rows)):
         try:
             upper = setting.upper(table_models[i])

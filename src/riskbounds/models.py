@@ -588,7 +588,9 @@ def noisy_bernoulli_bound(model: NoisyBernoulliModel, p: float = 2.0) -> BoundRe
     reference measure; here the law of the n flips is a mixture over the
     bias, and for n >= 2 the exact noisy chi-square information exceeds
     eta times the clean one: the tests show it with the noisy chi-square
-    information integrated by quadrature.
+    information integrated by quadrature.  The CLI's sdpi column searches
+    the same bound, at p = 2, through `bounds.optimize_bounds`; this
+    function is its oracle.
     """
     if not 1.0 < p <= 2.0:
         raise ValueError("contraction constant is only exact for 1 < p <= 2")

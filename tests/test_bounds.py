@@ -416,7 +416,7 @@ class TestOptimizeBound:
     def test_single_point_grid_equals_direct(self):
         i2 = models.bernoulli_sibson_first_order(5, 2.0).value
         direct = B.bound("sibson", i2, L2, alpha=2.0)
-        opt = B.optimize_bound(
+        opt = optimize_one(
             lambda alpha: models.bernoulli_sibson_first_order(5, alpha),
             "sibson", {"alpha": [2.0]}, L2)
         assert math.isclose(opt.value, direct.value, rel_tol=1e-12)
@@ -425,7 +425,7 @@ class TestOptimizeBound:
         grid = 1.0 + np.geomspace(1e-2, 63.0, 40)
         # the values alone: the grid maximum stands
         callback = lambda alpha: models.bernoulli_sibson_first_order(10, alpha).value
-        opt = B.optimize_bound(callback, "sibson", {"alpha": grid}, L2)
+        opt = optimize_one(callback, "sibson", {"alpha": grid}, L2)
         at_two = B.bound("sibson", callback(2.0), L2, alpha=2.0)
         assert opt.value >= at_two.value
         assert opt.evaluations >= len(grid)
@@ -433,9 +433,9 @@ class TestOptimizeBound:
     def test_bernoulli_method_ordering_at_ten_flips(self):
         grid = 1.0 + np.geomspace(1e-2, 63.0, 40)
         gz = np.geomspace(1e-2, 32.0, 48)
-        egz = B.optimize_bound(_per_point(_bernoulli_egz, 10),
-                               "egz", {"gamma": gz, "zeta": gz}, L2)
-        hel = B.optimize_bound(
+        egz = optimize_one(_per_point(_bernoulli_egz, 10),
+                           "egz", {"gamma": gz, "zeta": gz}, L2)
+        hel = optimize_one(
             lambda p: models.bernoulli_hellinger_first_order(10, p).value,
             "hellinger", {"p": grid}, L2)
         mi = B.bound("mi", models.bernoulli_mutual_information(10), L2)
@@ -443,23 +443,23 @@ class TestOptimizeBound:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            B.optimize_bound(lambda alpha: 0.0, "sibson", {"alpha": []}, L2)
+            optimize_one(lambda alpha: 0.0, "sibson", {"alpha": []}, L2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_grid_value_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            B.optimize_bound(lambda alpha: 0.5, "sibson", {"alpha": [2.0, bad]}, L2)
+            optimize_one(lambda alpha: 0.5, "sibson", {"alpha": [2.0, bad]}, L2)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            B.optimize_bound(lambda: 0.0, "bogus", {}, L2)
+            optimize_one(lambda: 0.0, "bogus", {}, L2)
 
     def test_callback_failure_propagates(self):
         def boom(alpha):
             raise RuntimeError("callback exploded")
 
         with pytest.raises(RuntimeError):
-            B.optimize_bound(boom, "sibson", {"alpha": [2.0]}, L2)
+            optimize_one(boom, "sibson", {"alpha": [2.0]}, L2)
 
     def test_lockstep_failure_belongs_to_its_own_model(self):
         # a round whose call raises runs again one model at a time: the
@@ -482,7 +482,7 @@ class TestOptimizeBound:
         found = B.optimize_bounds(callback, "sibson", grid, table, [L2] * len(table))
         assert isinstance(found[1], ArithmeticError) and isinstance(found[3], NanValue)
         for i in (0, 2, 4):
-            alone = B.optimize_bound(partial(divergence, table[i]), "sibson", grid, L2)
+            alone = optimize_one(partial(divergence, table[i]), "sibson", grid, L2)
             assert found[i] == alone and alone.path == "root"
 
     def test_lockstep_makes_one_call_per_round(self, monkeypatch):
@@ -499,7 +499,7 @@ class TestOptimizeBound:
         alone = []
         for n in table:
             calls.clear()
-            alone.append((B.optimize_bound(partial(callback, n), "hellinger", grid, L2),
+            alone.append((optimize_one(partial(callback, n), "hellinger", grid, L2),
                           len(calls)))
         calls.clear()
         found = B.optimize_bounds(callback, "hellinger", grid, table, [L2] * 3)
@@ -518,8 +518,8 @@ class TestOptimizeBound:
         def callback(p):
             return models.gaussian_hellinger_first_order(g, p).value
 
-        opt = B.optimize_bound(callback, "hellinger",
-                               {"p": [1.5, 2.0, 8.0]}, models.gaussian_small_ball(g))
+        opt = optimize_one(callback, "hellinger",
+                           {"p": [1.5, 2.0, 8.0]}, models.gaussian_small_ball(g))
         assert opt.value > 0.0
 
     @pytest.mark.parametrize("vectorized", [False, True])
@@ -531,7 +531,7 @@ class TestOptimizeBound:
         else:
             callback = _per_point(lambda first, p: math.inf, None)
         grid = [1.5, 2.0, 8.0]
-        res = B.optimize_bound(callback, "hellinger", {"p": grid}, L2)
+        res = optimize_one(callback, "hellinger", {"p": grid}, L2)
         # every point is vacuous with one evaluation, and without a
         # condition the first grid point stands
         assert res == B.BoundResult(0.0, 0.0, "hellinger", {"p": 1.5},
@@ -551,11 +551,11 @@ class TestOptimizeBound:
             seen.append(gamma.tolist())
             return models.bernoulli_e_gamma_zeta_batch(50, gamma, zeta)
 
-        res = B.optimize_bound(callback, "egz", {"gamma": [1.0, 2.0], "zeta": [1.0]}, L)
+        res = optimize_one(callback, "egz", {"gamma": [1.0, 2.0], "zeta": [1.0]}, L)
         assert seen[:2] == [[1.0, 2.0], [4.0, 8.0]] and set(map(len, seen[2:])) == {1}
         assert res.path == "root" and 4.0 < res.params["gamma"] < 8.0
         ladder = {"gamma": [1.0, 2.0, 4.0, 8.0], "zeta": [1.0]}
-        assert res == B.optimize_bound(callback, "egz", ladder, L)
+        assert res == optimize_one(callback, "egz", ladder, L)
 
     @pytest.mark.parametrize("grid, evaluations", [
         pytest.param(cli.default_alpha_grid(), (B._GROWTHS + 1) * 40, id="orders"),
@@ -572,7 +572,7 @@ class TestOptimizeBound:
             seen.extend(alpha.tolist())
             return B.FirstOrder(np.zeros(alpha.size), np.ones(alpha.size))
 
-        res = B.optimize_bound(rising, "sibson", {"alpha": grid}, L2)
+        res = optimize_one(rising, "sibson", {"alpha": grid}, L2)
         assert res.path == "grid" and res.evaluations == len(seen) == evaluations
         assert seen == sorted(set(seen)) and math.isfinite(seen[-1])
 
@@ -590,6 +590,16 @@ class TestOptimizeBound:
 def _bernoulli_egz(n, gamma, zeta):
     """The Bernoulli E_{gamma,zeta} at one (gamma, zeta) pair."""
     return models.bernoulli_e_gamma_zeta_batch(n, gamma, zeta).value[0]
+
+
+def optimize_one(callback, method, param_grid, L):
+    """The search of one model by `B.optimize_bounds`, whose
+    ``callback(**params)`` takes no model; a returned exception is raised."""
+    result, = B.optimize_bounds(lambda model, **params: callback(**params), method,
+                                param_grid, [None], [L])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _per_point(kernel, first):
@@ -641,14 +651,14 @@ def test_optimize_bound_dominates_its_grid(setting, n, method, orders, gammas, z
         grid = {"gamma": sorted(gammas), "zeta": sorted(zetas)}
     else:
         grid = {"alpha" if method == "sibson" else "p": sorted(orders)}
-    seen = []  # every point optimize_bound evaluates, on the grid or by a root step
+    seen = []  # every point the search evaluates, on the grid or by a root step
 
     def recorded(**params):
         seen.extend(dict(zip(params, values))
                     for values in zip(*(a.tolist() for a in params.values())))
         return callback(**params)
 
-    res = B.optimize_bound(recorded, method, grid, L)
+    res = optimize_one(recorded, method, grid, L)
     names = sorted(grid)
     points = [dict(zip(names, values))
               for values in itertools.product(*(grid[name] for name in names))]
@@ -659,11 +669,10 @@ def test_optimize_bound_dominates_its_grid(setting, n, method, orders, gammas, z
         assert res.value >= _bound_at(method, callback, params, L)
 
 
-# every column that optimize_bound serves: the searched ones under
-# --optimize, and the fixed ones (mi, ml, the noisy hellinger)
-_COLUMNS = {f"{setting.name}-{column.method}": (setting, column)
-            for setting in cli.SETTINGS.values() for column in setting.columns
-            if column.bound is None}
+# every column of every setting: the searched ones under --optimize, and
+# the fixed ones (mi, ml, the noisy hellinger and sdpi)
+_COLUMNS = {f"{setting.name}-{column.key}": (setting, column)
+            for setting in cli.SETTINGS.values() for column in setting.columns}
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50])
@@ -686,7 +695,8 @@ def test_optimize_bound_is_the_bound_at_its_winner(name, n, monkeypatch):
             super().__post_init__()
 
     monkeypatch.setattr(B, "BoundResult", Counted)
-    res = B.optimize_bound(callback, column.method, cli._column_grid(column, args), L)
+    res, = B.optimize_bounds(column.divergence, column.method,
+                             cli._column_grid(column, args), [model], [L])
     assert len(built) == 1 and built[0] is res
     monkeypatch.undo()
     out = callback(**{key: np.array([value]) for key, value in res.params.items()})
@@ -739,8 +749,8 @@ class TestOptimizerTieBreak:
     def test_first_found_lowest_parameters_win(self):
         # when the divergence scales with zeta the bound depends only on
         # gamma/zeta, so (1, 1) and (2, 2) tie; the sweep must keep (1, 1)
-        res = B.optimize_bound(lambda gamma, zeta: 0.1 * zeta, "egz",
-                               {"gamma": [1.0, 2.0], "zeta": [1.0, 2.0]}, L2)
+        res = optimize_one(lambda gamma, zeta: 0.1 * zeta, "egz",
+                           {"gamma": [1.0, 2.0], "zeta": [1.0, 2.0]}, L2)
         assert res.params == {"gamma": 1.0, "zeta": 1.0}
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from riskbounds import bounds, cli, models, oracle, validate
 
 from quadrature_oracle import brent_max
+from test_bounds import optimize_one
 
 
 class TestParsing:
@@ -386,7 +387,7 @@ class TestOptimizedRuns:
         args = cli.build_parser().parse_args(["bernoulli", "--optimize"])
         row, _ = cli._estimation_point(cli.BERNOULLI, n, args)
         column = next(c for c in cli.BERNOULLI.columns if c.method == "egz")
-        full = bounds.optimize_bound(
+        full = optimize_one(
             functools.partial(column.divergence, cli.BERNOULLI.model(n, args)),
             "egz", {"gamma": OLD_GAMMAS, "zeta": OLD_GAMMAS},
             models.bernoulli_small_ball())
@@ -428,11 +429,11 @@ class TestOptimizedRuns:
             return bounds.FirstOrder([c.value for c in calls],
                                      [c.condition for c in calls])
 
-        scalar = bounds.optimize_bound(per_point, "egz", grid, L)
-        batched = bounds.optimize_bound(functools.partial(column.divergence, model),
-                                        "egz", grid, L)
+        scalar = optimize_one(per_point, "egz", grid, L)
+        batched = optimize_one(functools.partial(column.divergence, model), "egz", grid, L)
         assert batched == scalar and batched.path == "root"
-        assert cli._column_bound(column, model, L, cli._column_grid(column, args)) == scalar
+        assert bounds.optimize_bounds(column.divergence, "egz", cli._column_grid(column, args),
+                                      [model], [L]) == [scalar]
         oracle = grid_and_brent(per_point, "egz", grid, L)
         assert abs(batched.value - oracle.value) <= 1e-14 * oracle.value
         assert batched.evaluations < oracle.evaluations
@@ -467,11 +468,11 @@ def grid_and_brent(callback, method, grid, L):
     """The oracle of the root path: the grid maximum, then Brent's method
     (`quadrature_oracle.brent_max`, tol=1e-6) in each searched parameter between
     the grid neighbours of the best point, the other parameters held
-    there, as `bounds.optimize_bound` refined before the root path served
+    there, as the parameter search refined before the root path served
     every searched column.  Returns the best bound of every point
     evaluated, with ``evaluations`` counting them all."""
     values = _values_only(callback)
-    best = bounds.optimize_bound(values, method, grid, L)  # the grid maximum
+    best = optimize_one(values, method, grid, L)  # the grid maximum
     evals = best.evaluations
     for name in sorted(grid):
         g = np.sort(np.asarray(grid[name], dtype=float))
@@ -482,7 +483,7 @@ def grid_and_brent(callback, method, grid, L):
 
         def h(x, name=name, fixed=fixed):
             nonlocal best, evals
-            found = bounds.optimize_bound(values, method, dict(fixed, **{name: [x]}), L)
+            found = optimize_one(values, method, dict(fixed, **{name: [x]}), L)
             evals += found.evaluations
             if found.value > best.value:
                 best = found
@@ -511,7 +512,7 @@ def test_egz_root_path_matches_grid_and_brent(name, n, sigma_w2, sigma2):
         calls.append(params["gamma"].size)
         return callback(**params)
 
-    res = bounds.optimize_bound(counted, "egz", grid, L)
+    res = optimize_one(counted, "egz", grid, L)
     assert res.value >= grid_and_brent(callback, "egz", grid, L).value * (1.0 - 1e-14)
     gammas = np.asarray(grid["gamma"])
     rises = np.asarray(callback(gamma=gammas, zeta=np.full(gammas.size, grid["zeta"][0]))
@@ -519,7 +520,7 @@ def test_egz_root_path_matches_grid_and_brent(name, n, sigma_w2, sigma2):
     once = bool(rises[0]) and np.count_nonzero(rises[1:] != rises[:-1]) == 1
     assert res.path == ("root" if once else "grid")
     if not once:
-        assert res == bounds.optimize_bound(_values_only(callback), "egz", grid, L)
+        assert res == optimize_one(_values_only(callback), "egz", grid, L)
     # one call for the grid, then one call of length 1 per step
     assert calls[0] == gammas.size and set(calls[1:]) <= {1}
     assert res.evaluations == sum(calls)
@@ -547,9 +548,9 @@ class TestRootFallbacks:
                 return out
             return bounds.FirstOrder(out.value, np.array(signs, dtype=float), out.slope)
 
-        res = bounds.optimize_bound(crafted, "egz", grid, L)
+        res = optimize_one(crafted, "egz", grid, L)
         assert res.path == "grid"
-        assert res == bounds.optimize_bound(_values_only(callback), "egz", grid, L)
+        assert res == optimize_one(_values_only(callback), "egz", grid, L)
         values = callback(gamma=np.asarray(grid["gamma"]), zeta=np.ones(4)).value
         assert res.value == max(bounds.bound("egz", v, L, gamma=x, zeta=1.0).value
                                 for v, x in zip(values, grid["gamma"]))
@@ -572,7 +573,7 @@ def test_bernoulli_root_path_reaches_grid_and_brent(method):
     # path, and its value is at least what grid + Brent finds
     for n in [*range(1, 201), 500]:
         callback, grid, L = _column_search(cli.BERNOULLI, [], n, method)
-        res = bounds.optimize_bound(callback, method, grid, L)
+        res = optimize_one(callback, method, grid, L)
         assert res.path == "root", n
         oracle = grid_and_brent(callback, method, grid, L)
         assert res.value >= oracle.value * (1.0 - 1e-12), (n, res, oracle)
@@ -589,7 +590,7 @@ def test_gaussian_root_path_reaches_grid_and_brent(n, sigma_w2, sigma2):
     for method in ("sibson", "hellinger", "egz"):
         callback, grid, L = _column_search(
             cli.GAUSSIAN, ["--sigma-w2", sigma_w2, "--sigma2", sigma2], n, method)
-        res = bounds.optimize_bound(callback, method, grid, L)
+        res = optimize_one(callback, method, grid, L)
         assert res.path == "root"
         oracle = grid_and_brent(callback, method, grid, L)
         assert res.value >= oracle.value * (1.0 - 1e-12), (method, res, oracle)
@@ -601,7 +602,7 @@ def test_egz_ladder_grows_past_its_top():
     # the root reaches what grid + Brent finds on the grown ladder
     callback, grid, L = _column_search(
         cli.GAUSSIAN, ["--sigma-w2", "100", "--sigma2", "1e-4"], 1000, "egz")
-    res = bounds.optimize_bound(callback, "egz", grid, L)
+    res = optimize_one(callback, "egz", grid, L)
     assert res.path == "root" and res.evaluations > cli.RATIO_LADDER.size
     assert 2.0 ** 14 < res.params["gamma"] / res.params["zeta"] < 2.0 ** 15
     grown = dict(grid, gamma=grid["zeta"][0] * 2.0 ** np.arange(26))
@@ -635,16 +636,16 @@ def test_gaussian_hellinger_root_beside_infinite_moments():
     # the default grid; then the bracket (the last two of ``near``) with an
     # infinite outer neighbour, which the first root step leaves out
     for orders in (grid["p"], near + [3.0]):
-        res = bounds.optimize_bound(callback, "hellinger", {"p": orders}, L)
+        res = optimize_one(callback, "hellinger", {"p": orders}, L)
         assert res.path == "root"
         oracle = grid_and_brent(callback, "hellinger", {"p": orders}, L)
         assert res.value >= oracle.value * (1.0 - 1e-12)
     # a bracket whose falling end is -inf is no bracket: the grid maximum stands
-    res = bounds.optimize_bound(callback, "hellinger", {"p": near[:2] + [3.0]}, L)
+    res = optimize_one(callback, "hellinger", {"p": near[:2] + [3.0]}, L)
     assert res.path == "grid" and res.params == {"p": near[1]}
 
 
-_SEARCHED = {f"{setting.name}-{column.method}": (setting, column)
+_SEARCHED = {f"{setting.name}-{column.key}": (setting, column)
              for setting in cli.SETTINGS.values() for column in setting.columns
              if column.params or column.fixed}
 _order = st.floats(-2.0, math.log10(63.0)).map(lambda x: 1.0 + 10.0 ** x)
@@ -681,22 +682,29 @@ _n_set = st.lists(st.integers(1, 1000), min_size=1, max_size=8, unique=True).map
 _variance = st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x)
 
 
-def _lockstep_equals_one_search_per_model(argv, ns):
-    """Every column that `_estimation_table` searches in lockstep gives, at
-    each model of the table ``ns``, the `BoundResult` of its search alone."""
+def _outcome(result):
+    """A search's `BoundResult`, or its exception as (type, message)."""
+    return (type(result), str(result)) if isinstance(result, Exception) else result
+
+
+def _lockstep_equals_one_search_per_model(argv, ns) -> list:
+    """Every column of the table ``ns`` gives, at each model, what its
+    search alone gives: the same `BoundResult`, or an exception of the same
+    type and message (the Bernoulli mi from n = 562 on).  Returns the
+    column keys."""
     setting = cli.SETTINGS[argv[0]]
     args = cli.build_parser().parse_args(argv)
     table_models = [setting.model(n, args) for n in ns]
     small_balls = [setting.small_ball(model) for model in table_models]
-    columns = [c for c in setting.columns if c.bound is None and c.table is None]
-    for column in columns:
+    for column in setting.columns:
         grid = cli._column_grid(column, args)
-        alone = [bounds.optimize_bound(functools.partial(column.divergence, model),
-                                       column.method, grid, L)
+        alone = [_outcome(bounds.optimize_bounds(column.divergence, column.method, grid,
+                                                 [model], [L])[0])
                  for model, L in zip(table_models, small_balls)]
-        assert bounds.optimize_bounds(column.divergence, column.method, grid,
-                                      table_models, small_balls) == alone, column.method
-    return columns
+        together = bounds.optimize_bounds(column.divergence, column.method, grid,
+                                          table_models, small_balls)
+        assert list(map(_outcome, together)) == alone, column.key
+    return [column.key for column in setting.columns]
 
 
 @pytest.mark.parametrize("optimize", [[], ["--optimize"]], ids=["fixed", "optimize"])
@@ -706,15 +714,25 @@ def _lockstep_equals_one_search_per_model(argv, ns):
 def test_gaussian_lockstep_searches_equal_one_search_per_model(optimize, ns, sigma_w2,
                                                                 sigma2):
     argv = ["gaussian", *optimize, "--sigma-w2", repr(sigma_w2), "--sigma2", repr(sigma2)]
-    assert len(_lockstep_equals_one_search_per_model(argv, ns)) == 4
+    assert _lockstep_equals_one_search_per_model(argv, ns) == ["mi", "sibson", "hellinger",
+                                                                "egz"]
 
 
 @pytest.mark.parametrize("optimize", [[], ["--optimize"]], ids=["fixed", "optimize"])
 @settings(max_examples=10, deadline=None)
 @given(ns=_n_set)
 def test_bernoulli_lockstep_searches_equal_one_search_per_model(optimize, ns):
-    # the mi column comes from the table's quadrature iterator, one n at a time
-    assert len(_lockstep_equals_one_search_per_model(["bernoulli", *optimize], ns)) == 4
+    # the mi column, parameter-free, is one call of the table's quadrature
+    # iterator for all the n; n >= 562 fails its marginal check
+    assert _lockstep_equals_one_search_per_model(["bernoulli", *optimize], ns) == [
+        "mi", "ml", "sibson", "hellinger", "egz"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(ns=_n_set, lam=st.sampled_from(["0", "0.25", "0.5"]))
+def test_noisy_lockstep_searches_equal_one_search_per_model(ns, lam):
+    assert _lockstep_equals_one_search_per_model(["noisy-bernoulli", "--lambda", lam],
+                                                 ns) == ["hellinger", "sdpi"]
 
 
 def test_lockstep_grows_the_ladder_where_the_root_lies_past_it():
@@ -760,14 +778,13 @@ _RECORD_KEYS = ("evals", "path", "rho", "vacuous", "value")
 def _replay(setting, column, model, entry) -> bounds.BoundResult:
     """The bound of one sidecar entry recomputed from its record alone: the
     column's one-n kernel, called once at the recorded parameters, then
-    `bounds.bound` (through `bounds.sdpi_bound` for the contraction)."""
-    params = {key: value for key, value in entry.items() if key not in _RECORD_KEYS}
+    `bounds.bound`.  The entries of the column's ``record`` (the noisy
+    sdpi column's eta) are read from the entry and must be the model's."""
+    record = column.record(model) if column.record is not None else {}
+    assert {key: entry[key] for key in record} == record
+    params = {key: value for key, value in entry.items()
+              if key not in _RECORD_KEYS and key not in record}
     L = setting.small_ball(model)
-    if column.bound is not None:  # eta times the clean H_p at the recorded p
-        eta = params.pop("eta")
-        h_p = models.bernoulli_hellinger_first_order(model.n, np.array([params["p"]]))
-        return bounds.sdpi_bound(float(np.ravel(h_p.value)[0]), eta, "hellinger", L,
-                                 **params)
     divergence = column.divergence(model, **{key: np.array([value])
                                              for key, value in params.items()})
     if isinstance(divergence, bounds.FirstOrder):
@@ -790,7 +807,7 @@ def test_every_sidecar_entry_replays(argv, tmp_path):
     for n, point in points.items():
         model = setting.model(int(n), args)
         for column in setting.columns:
-            entry = point[column.method]
+            entry = point[column.key]
             res = _replay(setting, column, model, entry)
             assert (res.value, res.rho_star) == (entry["value"], entry["rho"]), (n, column)
 
@@ -808,7 +825,33 @@ class TestOtherCommands:
             assert cells[-1] == "sdpi"
         sidecar = json.loads((tmp_path / "noisy.csv.params.json").read_text())
         paths = {name: entry["path"] for name, entry in sidecar["points"]["4"].items()}
-        assert paths == {"hellinger": "fixed", "sdpi": "own"}
+        assert paths == {"hellinger": "fixed", "sdpi": "fixed"}
+
+    @pytest.mark.parametrize("lam", ["0", "0.25", "0.5"])
+    def test_noisy_sdpi_column_is_noisy_bernoulli_bound(self, lam, tmp_path):
+        # the contracted column of the lockstep search is == to its oracle;
+        # at lambda = 0.5 eta is 0, and so is the contracted divergence
+        out = tmp_path / "noisy.json"
+        assert cli.main(["noisy-bernoulli", "--n", "1..60", "--lambda", lam,
+                         "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        points = json.loads((tmp_path / "noisy.json.params.json").read_text())["points"]
+        assert [row["n"] for row in rows] == list(range(1, 61))
+        for row in rows:
+            oracle = models.noisy_bernoulli_bound(
+                models.NoisyBernoulliModel(row["n"], float(lam)))
+            entry = points[str(row["n"])]["sdpi"]
+            assert row["sdpi"] == entry["value"] == oracle.value
+            assert (entry["rho"], entry["eta"]) == (oracle.rho_star, oracle.params["eta"])
+
+    def test_no_contraction_is_zero_whatever_the_divergence(self):
+        # where eta = 0 the contracted divergence is 0, never 0 * H_p: an
+        # order past the float range of the moment makes H_p +inf
+        for model in (models.NoisyBernoulliModel(50, 0.5),
+                      [models.NoisyBernoulliModel(50, 0.5)] * 2):
+            p = np.array([200.0] * (2 if isinstance(model, list) else 1))
+            assert np.all(cli._bernoulli_hellinger(model, p).value == math.inf)
+            assert cli._contracted_hellinger(model, p).tolist() == [0.0] * p.size
 
     @pytest.mark.parametrize("flag", ["--optimize", "--alpha=9", "--p=1.5",
                                       "--gamma=7", "--zeta=2"])

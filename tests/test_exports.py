@@ -73,11 +73,13 @@ def _package_reads():
 # Dobrushin coefficient, the Renyi contraction ratio and its sampled
 # estimate reproduce the paper's claim that Renyi divergences can contract
 # more slowly than the Dobrushin coefficient (acceptance criteria 6 and
-# 10); the one-model Monte-Carlo risk checks the pooled one.  The
-# quadrature oracles of the closed forms live in tests/quadrature_oracle.py
+# 10); the one-model Monte-Carlo risk checks the pooled one; the
+# contraction-refined Hellinger bound of one noisy model is the closed form
+# of criterion 7 and checks the noisy sdpi column.  The quadrature oracles
+# of the closed forms live in tests/quadrature_oracle.py
 ORACLES = {
     "bounds": set(),
-    "models": {"gaussian_hellinger_closed_form_bound"},
+    "models": {"gaussian_hellinger_closed_form_bound", "noisy_bernoulli_bound"},
     "measures": set(),
     "quadrature": set(),
     "oracle": {"mc_risk"},
