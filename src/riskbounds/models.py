@@ -151,14 +151,11 @@ def bernoulli_sibson_first_order(n, alpha) -> FirstOrder:
     condition of the Sibson bound from the same pass (`_bernoulli_pass`).
     An array of R orders is one pass over an (R, n+1) array, each entry
     ``==`` to the call with that order alone; a scalar returns floats.
-    ``n`` is one sample count, or an array of one per order (`_by_n`).
+    ``n`` is one sample count, or an array of one per order, whose rows
+    run in passes over all the n at once (`_over_n`).
     A non-finite order raises `ValueError`, as the sum has no value there,
     and so does an order at which log Gamma(n alpha + 2) nears the float
     range (alpha above about 1.3e305/n), where the terms cannot be formed."""
-    return _by_n(_bernoulli_sibson, n, alpha)
-
-
-def _bernoulli_sibson(n: int, alpha) -> FirstOrder:
     log_s, a, condition = _bernoulli_pass(n, alpha, hellinger=False)
     return FirstOrder(_float_if_scalar(a / (a - 1.0) * _libm(math.log, np.exp(log_s))),
                       condition)
@@ -170,82 +167,257 @@ def bernoulli_hellinger_first_order(n, p) -> FirstOrder:
     ``p`` broadcast as in `bernoulli_sibson_first_order`.  Where M exceeds
     the float range (orders above about 100) H_p is +inf, a vacuous bound,
     while the condition, from log M, stays finite."""
-    return _by_n(_bernoulli_hellinger, n, p)
-
-
-def _bernoulli_hellinger(n: int, p) -> FirstOrder:
     log_m, p, condition = _bernoulli_pass(n, p, hellinger=True)
     with np.errstate(over="ignore"):  # M beyond the float range: H_p = +inf
         m = np.exp(log_m)
     return FirstOrder(_float_if_scalar((m - 1.0) / (p - 1.0)), condition)
 
 
-def _by_n(kernel, n, *arrays) -> FirstOrder:
-    """``kernel(n, *arrays)``, a `FirstOrder`, for ``n`` one sample count
-    or an array of one per point that broadcasts against ``arrays``.  The
-    points of each distinct n, in order of first appearance, are one call
-    of the kernel with that n, and each part of its output goes back to
-    those points, so every entry is that of the one-n call.  Per-point n
-    gives float64 arrays of the broadcast shape."""
+# the most (point, k) entries of one pass of a Bernoulli kernel over points
+# of several n; a longer call runs in passes of about this many, so that a
+# pass's arrays, a few tens of floats per entry, stay near 4 MB at any n,
+# while a pass still holds the points of many n
+_PASS_ENTRIES = 1 << 14
+# the fewest entries of an n's points that run in passes of that n alone:
+# past about this many, gathering the numbers of n to every entry costs
+# more than the call per n that broadcasts them saves
+_ALONE_ENTRIES = 1 << 11
+
+
+def _sample_counts(n):
+    """``n`` as one Python sample count, or as an array of one per point,
+    each checked to be at least 1."""
     if isinstance(n, int) or np.ndim(n) == 0:
-        return kernel(n, *arrays)
-    ns, *arrays = np.broadcast_arrays(np.asarray(n), *(np.asarray(a, dtype=float)
-                                                      for a in arrays))
-    parts = None
-    for value in dict.fromkeys(ns.ravel().tolist()):
-        at = ns == value
-        out = kernel(value, *(a[at] for a in arrays))
-        if parts is None:
-            parts = [None if part is None else np.empty(ns.shape) for part in out]
-        for whole, part in zip(parts, out):
-            if whole is not None:
-                whole[at] = part
-    return FirstOrder(*parts)
+        n = n if isinstance(n, int) else np.asarray(n).item()
+        ok = n >= 1
+    else:
+        n = np.asarray(n)
+        ok = np.all(n >= 1)
+    if not ok:
+        raise ValueError("n must be at least 1")
+    return n
+
+
+def _over_n(kernel, n, width, *arrays):
+    """The outputs of ``kernel(rows, *arrays)``, each with one value per
+    point, where ``rows`` lays out the entries k = 0..width(n)-1 of each
+    point's row.
+
+    For one n, the points are the leading axes of ``arrays`` and the call
+    is one `_Grid`, which broadcasts the rows along a last axis.  For an
+    array of one n per point, of the shape of ``arrays``, the points are
+    grouped by n, in order of the first appearance of each n and in point
+    order within it, and run in the passes of `_passes`: a pass of several
+    n is one `_Flat`, and a pass of one n a `_Grid`, as a call with that n
+    alone.  Each output then comes back as a float64 array of the shape of
+    ``n``, in point order.  The first point of the first n with a failure
+    raises first, as a call per n in that order would."""
+    if not isinstance(n, np.ndarray):
+        return kernel(_Grid(n, width(n)), *arrays)
+    shape, ns, arrays = n.shape, n.ravel(), [a.ravel() for a in arrays]
+    _, first, inverse = np.unique(ns, return_index=True, return_inverse=True)
+    order = np.argsort(first[inverse], kind="stable")
+    ns = ns[order]
+    widths = width(ns)
+    outs = None
+    for start, stop in _passes(ns, widths):
+        points = order[start:stop]
+        rows = (_Grid(int(ns[start]), int(widths[start])) if ns[start] == ns[stop - 1]
+                else _Flat(ns[start:stop], widths[start:stop]))
+        part = kernel(rows, *(a[points] for a in arrays))
+        if outs is None:
+            outs = [np.empty(ns.size) for _ in part]
+        for whole, values in zip(outs, part):
+            whole[points] = values
+    return [whole.reshape(shape) for whole in outs]
+
+
+def _passes(ns: np.ndarray, widths: np.ndarray):
+    """The (start, stop) of each pass over points whose equal n are
+    adjacent: as many whole n as fit in _PASS_ENTRIES entries, except that
+    an n whose points have _ALONE_ENTRIES entries or more runs in passes
+    of its own, of at most _PASS_ENTRIES entries (at least one point)."""
+    bounds = [*np.flatnonzero(np.diff(ns, prepend=0)).tolist(), ns.size]
+    start = size = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        width = int(widths[lo])
+        entries = (hi - lo) * width
+        if size and (size + entries > _PASS_ENTRIES or entries >= _ALONE_ENTRIES):
+            yield start, lo
+            start, size = lo, 0
+        if entries >= _ALONE_ENTRIES:
+            step = max(1, _PASS_ENTRIES // width)
+            yield from ((at, min(at + step, hi)) for at in range(lo, hi, step))
+            start = hi
+        else:
+            size += entries
+    if start < ns.size:
+        yield start, ns.size
+
+
+class _Rows:
+    """The entries of the points of a kernel pass, one row of entries per
+    point; here the rows run along the last axis of an array.  ``each``
+    spreads a value per point over its row's entries, and the reductions
+    take one value per row: the pairwise ``sum`` of numpy, the ``max``, the
+    ``count`` of true entries and, for `math.fsum`, the ``rows`` as lists;
+    ``mirror`` takes each row's entries in reverse."""
+
+    def each(self, values):
+        return np.asarray(values)[..., None]
+
+    def sum(self, *xs):
+        sums = [x.sum(axis=-1) for x in xs]
+        return sums if len(xs) > 1 else sums[0]
+
+    def max(self, x):
+        return x.max(axis=-1)
+
+    def count(self, mask):
+        return mask.sum(axis=-1, dtype=float)
+
+    def mirror(self, x):
+        return x[..., ::-1]
+
+    def rows(self, x) -> list:
+        return x.tolist()
+
+
+_LAST_AXIS = _Rows()
+
+
+class _Grid(_Rows):
+    """The rows of one n: k = 0..width-1 along the last axis, and a table
+    ``fn(n, k)`` of the weights' numbers is taken once for every point."""
+
+    def __init__(self, n, width):
+        self.n = self.entry_n = n
+        self.k = np.arange(float(width))
+
+    def table(self, fn):
+        return fn(self.n, self.k)
+
+    def by_n(self, fn):
+        return fn(self.n)
+
+
+class _Flat(_Rows):
+    """The rows of points of several n, end to end along one axis, the
+    points of each n adjacent (a run).  A table ``fn(n, k)`` is taken once
+    per run, on that n's k = 0..width-1, and gathered to the entries of its
+    points; ``by_n`` likewise.  A run's rows are summed as one (points,
+    width) block, whose row sums are each that of the row alone, and the
+    row maxima and counts, which rounding cannot touch, by ``reduceat``."""
+
+    def __init__(self, ns: np.ndarray, widths: np.ndarray):
+        self.n = ns
+        self._widths = widths
+        self._starts = np.cumsum(widths) - widths
+        first = np.flatnonzero(np.diff(ns, prepend=0))
+        self._run_n = ns[first]
+        counts = np.diff(first, append=ns.size)
+        run_widths = widths[first]
+        self._run_sizes = counts * run_widths
+        self._runs = list(zip(self._starts[first].tolist(), counts.tolist(),
+                              run_widths.tolist()))
+        offset = np.arange(self._starts[-1] + widths[-1]) - self.each(self._starts)
+        self.k = offset.astype(float)
+        self.entry_n = self.each(ns.astype(float))
+        self._mirror_at = self.each(self._starts + widths - 1) - offset
+        table_starts = np.cumsum(run_widths) - run_widths
+        self._table_n = np.repeat(self._run_n, run_widths)
+        self._table_k = np.arange(table_starts[-1] + run_widths[-1]) - np.repeat(
+            table_starts, run_widths)
+        self._table_at = offset + self.each(np.repeat(table_starts, counts))
+
+    def each(self, values):
+        return np.repeat(values, self._widths)
+
+    def table(self, fn):
+        out = fn(self._table_n, self._table_k)
+        if isinstance(out, tuple):
+            return tuple(np.take(part, self._table_at) for part in out)
+        return np.take(out, self._table_at)
+
+    def by_n(self, fn):
+        return np.repeat([fn(n) for n in self._run_n.tolist()], self._run_sizes)
+
+    def sum(self, *xs):
+        x = np.array(xs) if len(xs) > 1 else xs[0]
+        return np.concatenate(
+            [x[..., start:start + count * width].reshape(x.shape[:-1] + (count, width))
+             .sum(axis=-1) for start, count, width in self._runs], axis=-1)
+
+    def max(self, x):
+        return np.maximum.reduceat(x, self._starts)
+
+    def count(self, mask):
+        return np.add.reduceat(mask, self._starts, dtype=float)
+
+    def mirror(self, x):
+        return x[self._mirror_at]
+
+    def rows(self, x) -> list:
+        flat = x.tolist()
+        return [flat[start:start + width]
+                for start, width in zip(self._starts.tolist(), self._widths.tolist())]
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _bernoulli_pass(n: int, order, hellinger: bool):
+def _bernoulli_pass(n, order, hellinger: bool):
     """log S (Sibson) or log M (Hellinger) at each order theta, theta, and
-    the condition of the bound (`_order_condition`).  log S and log M are
-    the logsumexp over k of log C(n,k) + log_beta/theta, or of
-    (theta-1) log(n+1) + theta log C(n,k) + log_beta, where log_beta =
-    log Gamma(k theta + 1) + log Gamma((n-k) theta + 1) - log Gamma(n theta + 2)
-    and the second term is the k-mirror of the first.  D is w log S,
-    w = theta/(theta-1) or 1/(theta-1), so D' = -log S/(theta-1)^2
-    + w d log S, with d log S the softmax mean over k of the terms'
-    theta-derivatives, which take dlog_beta = k psi(k theta + 1)
-    + (n-k) psi((n-k) theta + 1) - n psi(n theta + 2)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    a = _orders(order, finite=True)[..., None]
+    the condition of the bound (`_order_condition`), over the rows
+    k = 0..n of `_over_n` (`_order_sums`)."""
+    n = _sample_counts(n)
+    a = _orders(order, finite=True)
+    if isinstance(n, np.ndarray):
+        n, a = np.broadcast_arrays(n, a)
+    log_sum, condition = _over_n(
+        lambda rows, a: _order_sums(rows, a, hellinger), n, lambda n: n + 1, a)
+    return log_sum, a, condition
+
+
+def _order_sums(rows, a: np.ndarray, hellinger: bool):
+    """log S or log M, and the condition, at the orders ``a``, one per point
+    of ``rows``.  log S and log M are the logsumexp over k of
+    log C(n,k) + log_beta/theta, or of (theta-1) log(n+1) + theta log C(n,k)
+    + log_beta, where log_beta = log Gamma(k theta + 1)
+    + log Gamma((n-k) theta + 1) - log Gamma(n theta + 2) and the second
+    term is the k-mirror of the first.  D is w log S, w = theta/(theta-1)
+    or 1/(theta-1), so D' = -log S/(theta-1)^2 + w d log S, with d log S
+    the softmax mean over k of the terms' theta-derivatives, which take
+    dlog_beta = k psi(k theta + 1) + (n-k) psi((n-k) theta + 1)
+    - n psi(n theta + 2)."""
+    n = rows.n
     with np.errstate(over="ignore"):  # n * a beyond the float range: checked below
         log_top = gammaln(n * a + 2.0)
     # the terms add up to about twice log_top before it is taken off
     too_large = log_top >= _FLOAT_MAX / 2.0
     if too_large.any():
-        raise ValueError(f"order {float(a[too_large][0])!r} is too large for n={n}: "
+        raise ValueError(f"order {float(a[too_large][0])!r} is too large for "
+                         f"n={np.broadcast_to(n, a.shape)[too_large][0]}: "
                          "its Gamma-ratio sum exceeds the float range")
-    k = np.arange(n + 1)
-    lg = gammaln(k * a + 1.0)
-    log_binom = _log_binom(n, k)
+    k, each_a = rows.k, rows.each(a)
+    lg = gammaln(k * each_a + 1.0)
+    log_binom = rows.table(_log_binom)
+    log_n = rows.by_n(lambda n: math.log(n + 1.0))  # libm's, per n
     if hellinger:
-        terms = ((a - 1.0) * math.log(n + 1.0) + a * log_binom + lg + lg[..., ::-1]
-                 - log_top)
+        terms = ((each_a - 1.0) * log_n + each_a * log_binom + lg + rows.mirror(lg)
+                 - rows.each(log_top))
     else:
-        log_beta = lg + lg[..., ::-1] - log_top
-        terms = log_binom + log_beta / a
-    log_sum = _logsumexp(terms)
-    k_psi = k * psi(k * a + 1.0)
-    d_log_beta = k_psi + k_psi[..., ::-1] - n * psi(n * a + 2.0)
-    d_terms = (math.log(n + 1.0) + log_binom + d_log_beta if hellinger
-               else d_log_beta / a - _per_square(log_beta, a))
-    d_log_sum = np.sum(np.exp(terms - log_sum[..., None]) * d_terms, axis=-1)
-    a = a[..., 0]
+        log_beta = lg + rows.mirror(lg) - rows.each(log_top)
+        terms = log_binom + log_beta / each_a
+    log_sum = _logsumexp(terms, rows)
+    k_psi = k * psi(k * each_a + 1.0)
+    d_log_beta = k_psi + rows.mirror(k_psi) - rows.each(n * psi(n * a + 2.0))
+    d_terms = (log_n + log_binom + d_log_beta if hellinger
+               else d_log_beta / each_a - _per_square(log_beta, each_a))
+    d_log_sum = rows.sum(np.exp(terms - rows.each(log_sum)) * d_terms)
     d_prime = (_per_square(-log_sum, a - 1.0)
                + (1.0 if hellinger else a) / (a - 1.0) * d_log_sum)
-    return log_sum, a, _libm(_order_condition, a, d_prime)
+    return log_sum, _libm(_order_condition, a, d_prime)
 
 
 def _order_condition(theta: float, d_prime: float) -> float:
@@ -268,26 +440,25 @@ def _per_square(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(square), x / d / d, x / square)
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis of a float64 array, by the
-    algorithm of `scipy.special.logsumexp` (scipy 1.17) for real input,
-    whose values it reproduces ``==`` without that function's argument
-    handling: the terms equal to the maximum are split out of the sum,
-    the result is log1p(s/m) + log(m) + max for the m largest terms and
-    the sum s of the rest, shifted by the maximum, and a non-finite result
-    falls back to the direct log(sum(exp(a)))."""
-    a_max = np.max(a, axis=-1, keepdims=True)
-    is_max = a == a_max
-    m = np.sum(is_max, axis=-1, keepdims=True, dtype=a.dtype)
+def _logsumexp(a: np.ndarray, rows: _Rows = _LAST_AXIS) -> np.ndarray:
+    """log(sum(exp(a))) over each row of a float64 array, by default its
+    last axis, by the algorithm of `scipy.special.logsumexp` (scipy 1.17)
+    for real input, whose values it reproduces ``==`` without that
+    function's argument handling: the terms equal to the maximum are split
+    out of the sum, the result is log1p(s/m) + log(m) + max for the m
+    largest terms and the sum s of the rest, shifted by the maximum, and a
+    non-finite result falls back to the direct log(sum(exp(a)))."""
+    a_max = rows.max(a)
+    is_max = a == rows.each(a_max)
+    m = rows.count(is_max)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1,
-                   keepdims=True)
+        s = rows.sum(np.exp(np.where(is_max, -np.inf, a) - rows.each(a_max)))
         s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
+        out = np.log1p(s) + np.log(m) + a_max
     finite = np.isfinite(out)
     if not finite.all():
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=-1)))
+            out = np.where(finite, out, np.log(rows.sum(np.exp(a))))
     return out
 
 
@@ -338,8 +509,9 @@ def bernoulli_e_gamma_zeta_batch(n, gamma, zeta) -> FirstOrder:
     values.  The pdf of weight n-k at w is that of weight k at 1-w, so the
     interval of n-k mirrors that of k, with the same mass and length: only
     k = 0..floor(n/2) are computed, each counted twice except k = n/2.  The
-    ends are Newton steps in s = logit(w) (`_logit_ends`), and an end stays
-    at 0 or 1 where the ratio there already reaches t.  The value is
+    ends are Newton steps in s = logit(w) (`_logit_ends`), but the left end
+    of weight 0, whose ratio peaks at w = 0, stays there: for k <= n/2 the
+    ratio is 0 at w = 1, and at w = 0 for k > 0.  The value is
     zeta*H(t) - max(0, zeta - gamma) with H(t) = sum max(0, p - t*q), so
     scaling gamma and zeta scales it.  A quadrature of the same integrals
     serves as its oracle in tests.
@@ -348,75 +520,105 @@ def bernoulli_e_gamma_zeta_batch(n, gamma, zeta) -> FirstOrder:
     a list of R floats.  The ends of pair r are a (2, floor(n/2)+1) block
     of one array, and each end stops on its own, so entry r is ``==`` to
     the call with that pair alone.  ``n`` is one sample count, or an array
-    of one per pair (`_by_n`).
+    of one per pair, broadcast against them; then every part is a float64
+    array of the broadcast shape, from passes over the half rows of all
+    the n at once (`_over_n`), each entry ``==`` to the one-n call.
 
     The condition (see `bounds.FirstOrder`): with P(R_t) the summed
     masses and Q(R_t) the summed lengths over (n+1), g(t) =
     P(R_t) + t Q(R_t) - 1 and dg/d log t = t Q + 2 t dQ/d log t.  An end
     moves at d(end)/d log t = 1/l_k'(end), l_k'(w) = k/w - (n-k)/(1-w);
-    an end pinned at 0 or 1 does not move.  A pair with gamma = 0 has
+    an end pinned at 0 does not move.  A pair with gamma = 0 has
     value 0, g = 0 and slope 0 (R_0 is everything)."""
-    return _by_n(_bernoulli_e_gamma_zeta, n, gamma, zeta)
+    n = _sample_counts(n)
+    one_n = not isinstance(n, np.ndarray)
+    if not one_n:
+        n, gamma, zeta = np.broadcast_arrays(n, np.asarray(gamma, dtype=float),
+                                             np.asarray(zeta, dtype=float))
+    pairs, shape = _gamma_zeta_pairs(gamma, zeta)
+    live = [r for r, (g, _) in enumerate(pairs) if g != 0.0]
+    g, z = (np.array([pairs[r][i] for r in live]) for i in (0, 1))
+    out = (_over_n(_hockey_stick, n if one_n else n.ravel()[live], lambda n: n // 2 + 1,
+                   g, z) if live else [np.zeros(0)] * 3)
+    if len(live) < len(pairs):  # the pairs with gamma = 0 keep their zeros
+        out, parts = [np.zeros(len(pairs)) for _ in range(3)], out
+        for whole, part in zip(out, parts):
+            whole[live] = part
+    if one_n:
+        values = out[0]
+        return FirstOrder(values if isinstance(values, list) else values.tolist(), *out[1:])
+    return FirstOrder(*(np.reshape(part, shape) for part in out))
 
 
-def _bernoulli_e_gamma_zeta(n: int, gamma, zeta) -> FirstOrder:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    pairs, _ = _gamma_zeta_pairs(gamma, zeta)
-    rows = [r for r, (g, _) in enumerate(pairs) if g != 0.0]
-    k = np.arange(n // 2 + 1.0)
-    a_par = k + 1.0
-    b_par = n - k + 1.0
-    log_norm = gammaln(n + 2.0) - gammaln(a_par) - gammaln(b_par)
-
-    def log_ratio(w):
-        return log_norm + xlogy(k, w) + xlogy(n - k, 1.0 - w)
-
-    log_t = np.array([math.log(pairs[r][0] / pairs[r][1]) for r in rows])[:, None]
-    excess = log_ratio(k / n) - log_t  # of the log ratio at the mode
+def _hockey_stick(rows, g: np.ndarray, z: np.ndarray):
+    """The value, condition and slope of `bernoulli_e_gamma_zeta_batch` at
+    the pairs (g, z), gamma > 0, one per point of ``rows`` of the weights
+    k = 0..floor(n/2); the left and right ends of the entries are a
+    leading axis of two."""
+    n, k = rows.entry_n, rows.k
+    log_norm, at_peak = rows.table(_log_ratios)
+    log_t = rows.each([math.log(ratio) for ratio in (g / z).tolist()])
+    excess = at_peak - log_t  # of the log ratio at the mode
     exists = excess >= 0.0
-    # axis 1 of the (R, 2, floor(n/2)+1) ends: the left end, then the right
-    edge = np.array([[0.0], [1.0]])
-    need = exists[:, None] & (log_ratio(edge) < log_t[:, None])
-    at_mode = excess <= _PEAK_ULPS * math.ulp(float(gammaln(n + 2.0)))
-    ends = np.where(need, np.nan, edge)
-    ends[need] = expit(_logit_ends(
-        n, np.broadcast_to(k, need.shape)[need],
-        np.broadcast_to(log_norm, need.shape)[need],
-        np.broadcast_to(log_t[:, None], need.shape)[need],
-        np.broadcast_to(edge == 1.0, need.shape)[need],
-        np.broadcast_to(at_mode[:, None], need.shape)[need]))
-    left, right = ends[:, 0], ends[:, 1]
+    need = np.array([exists & (k > 0.0), exists])  # only weight 0 starts at w = 0
+    at_mode = excess <= rows.by_n(lambda n: _PEAK_ULPS * math.ulp(float(gammaln(n + 2.0))))
+    edges = _EDGES.reshape((2,) + (1,) * exists.ndim)
 
-    g, z = (np.array([pairs[r][i] for r in rows])[:, None] for i in (0, 1))
+    def per_end(x):  # one n stays a scalar
+        return np.broadcast_to(x, need.shape)[need] if isinstance(x, np.ndarray) else x
+
+    ends = np.where(need, np.nan, edges)
+    s, moving = _logit_ends(per_end(n), per_end(k), per_end(log_norm), per_end(log_t),
+                            per_end(edges == 1.0), per_end(at_mode))
+    if moving.size:
+        # name the first point, in the order of the pass, with an end still moving
+        first = (np.flatnonzero(need)[moving] % exists.size).min()
+        raise ArithmeticError(f"Newton interval ends at "
+                              f"n={int(np.broadcast_to(n, exists.shape).flat[first])} "
+                              f"still moving after {_NEWTON_CAP} steps")
+    ends[need] = expit(s)
+    left, right = ends
+    length = right - left
+
+    a_par, b_par = k + 1.0, n - k + 1.0
     mass = betainc(a_par, b_par, right) - betainc(a_par, b_par, left)
     weight = np.where(2.0 * k == n, 1.0, 2.0)
-    contrib = np.where(exists, weight * (z * mass - g * (right - left)), 0.0)
-    values = [0.0] * len(pairs)
-    for r, row in zip(rows, contrib):
-        # the sum is near (n+1)*(zeta - gamma) for small t: a correctly
-        # rounded sum keeps its rounding out of the difference below
-        total = math.fsum(row.tolist()) / (n + 1.0)
-        values[r] = max(0.0, total - max(0.0, pairs[r][1] - pairs[r][0]))
+    contrib = np.where(exists, weight * (rows.each(z) * mass - rows.each(g) * length), 0.0)
+    # the sum is near (n+1)*(zeta - gamma) for small t: a correctly rounded
+    # sum keeps its rounding out of the difference below
+    totals = np.array([math.fsum(row) for row in rows.rows(contrib)]) / (rows.n + 1.0)
+    values = [max(0.0, total - max(0.0, zeta - gamma))
+              for total, gamma, zeta in zip(totals.tolist(), g.tolist(), z.tolist())]
 
     # an end at the mode moves infinitely fast; pinned ends are masked out
     with np.errstate(divide="ignore", invalid="ignore"):
         speed = np.where(need, 1.0 / (k / ends - (n - k) / (1.0 - ends)), 0.0)
     share = np.where(exists, weight / (n + 1.0), 0.0)
-    p_mass, q_mass, q_speed = ((share * part).sum(axis=1)
-                               for part in (mass, right - left, speed[:, 1] - speed[:, 0]))
-    t = g[:, 0] / z[:, 0]
-    cond, slope = np.zeros(len(pairs)), np.zeros(len(pairs))
-    cond[rows] = p_mass + t * q_mass - 1.0
-    slope[rows] = t * (q_mass + 2.0 * q_speed)
-    return FirstOrder(values, cond, slope)
+    p_mass, q_mass, q_speed = rows.sum(share * mass, share * length,
+                                       share * (speed[1] - speed[0]))
+    t = g / z
+    return values, p_mass + t * q_mass - 1.0, t * (q_mass + 2.0 * q_speed)
 
 
-def _logit_ends(n: int, k, log_norm, log_t, right, at_mode) -> np.ndarray:
+def _log_ratios(n, k):
+    """log_norm = log Gamma(n+2) - log Gamma(k+1) - log Gamma(n-k+1), and the
+    log density ratio log_norm + k log w + (n-k) log(1-w) of weight k at its
+    mode w = k/n."""
+    log_norm = gammaln(n + 2.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    return log_norm, log_norm + xlogy(k, k / n) + xlogy(n - k, 1.0 - k / n)
+
+
+# the left and right ends of an interval, along a leading axis
+_EDGES = np.array([0.0, 1.0])
+
+
+def _logit_ends(n, k, log_norm, log_t, right, at_mode):
     """The s = logit(w) at which the concave log ratio l(s) = log_norm + k*s
-    - n*log(1 + e^s) of weight k falls to log_t, left of the mode or,
-    where ``right``, right of it, and the mode itself where ``at_mode``;
-    all arguments are flat arrays of one end each.  Each end moves only
+    - n*log(1 + e^s) of weight k of sample count n falls to log_t, left of
+    the mode or, where ``right``, right of it, and the mode itself where
+    ``at_mode``, and the indices of the ends still moving after
+    _NEWTON_CAP steps; all arguments are flat arrays of one end each, but
+    ``n`` may be one sample count for all of them.  Each end moves only
     inward, from +-_LOGIT_EDGE towards the mode, and never past either, so
     rounding near a double root (t at the peak) cannot carry it to the
     other side.
@@ -427,6 +629,7 @@ def _logit_ends(n: int, k, log_norm, log_t, right, at_mode) -> np.ndarray:
     w = 0, where the root lies at s = log((l(mode) - log_t)/n), beyond or
     near the window's edge.  The sliver left out has p = t q to first
     order, so it adds nothing to the value."""
+    each_n = isinstance(n, np.ndarray)
     inward = np.where(right, -1.0, 1.0)
     mode = np.clip(logit(k / n), -_LOGIT_EDGE, _LOGIT_EDGE)
     s = np.where(at_mode, mode, np.where(right, _LOGIT_EDGE, -_LOGIT_EDGE))
@@ -436,18 +639,15 @@ def _logit_ends(n: int, k, log_norm, log_t, right, at_mode) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # slope 0 at the mode
         for _ in range(_NEWTON_CAP):
             if active.size == 0:
-                return s
-            at, ka = s[active], k[active]
+                break
+            at, ka, na = s[active], k[active], n[active] if each_n else n
             excess = log_t[active] - (log_norm[active] + ka * at
-                                      - n * np.logaddexp(0.0, at))
-            new = np.clip(at + excess / (ka - n * expit(at)), lo[active], hi[active])
+                                      - na * np.logaddexp(0.0, at))
+            new = np.clip(at + excess / (ka - na * expit(at)), lo[active], hi[active])
             moved = inward[active] * (new - at)
             s[active] = np.where(moved > 0.0, new, at)
             active = active[moved > _NEWTON_TOL * (1.0 + np.abs(at))]
-    if active.size:
-        raise ArithmeticError(f"Newton interval ends at n={n} still moving "
-                              f"after {_NEWTON_CAP} steps")
-    return s
+    return s, active
 
 
 def _gamma_zeta_pairs(gamma, zeta) -> tuple[list, tuple]:

@@ -222,23 +222,57 @@ def test_gaussian_kernel_on_a_model_per_point_equals_its_one_model_calls(name, p
         (np.asarray(listed.value).tolist(), listed.condition.tolist())
 
 
+@st.composite
+def _ragged_ns(draw):
+    """Sample counts in 1..300 in no order, with repeats, among them n = 1
+    and an even n: the n of the points of one kernel call."""
+    pool = draw(st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    even = 2 * draw(st.integers(1, 150))
+    ns = draw(st.lists(st.sampled_from([*pool, 1, even]), max_size=10))
+    return draw(st.permutations([*ns, 1, even]))
+
+
+# orders from near 1 to past the first at which the Hellinger moment of
+# n = 48 leaves the float range (p = 186), where H_p is +inf
+_SPREAD_ORDERS = st.one_of(st.floats(1.01, 8.0), st.floats(150.0, 400.0))
+
+
 @pytest.mark.parametrize("kernel", [models.bernoulli_sibson_first_order,
                                     models.bernoulli_hellinger_first_order])
-def test_bernoulli_kernel_on_an_n_per_order_equals_its_one_n_calls(kernel):
-    ns = [3, 50, 3, 1, 200, 50]
-    orders = np.array([1.5, 2.0, 7.0, 40.0, 1.01, 3.0])
-    whole = kernel(ns, orders)
+@settings(max_examples=30, deadline=None)
+@given(points=_ragged_ns().flatmap(lambda ns: st.tuples(
+    st.just(ns), st.lists(_SPREAD_ORDERS, min_size=len(ns), max_size=len(ns)))))
+@example(points=([48, 1, 300, 48, 2], [186.0, 1.01, 400.0, 1.01, 2.0]))
+def test_bernoulli_kernel_on_an_n_per_order_equals_its_one_n_calls(kernel, points):
+    # the flat passes over all the n of a call give each point the value
+    # and condition of the call with that point's n and order alone
+    ns, orders = points
+    whole = kernel(ns, np.array(orders))
     for i, n in enumerate(ns):
         alone = kernel(n, orders[i])
         assert (whole.value[i], whole.condition[i]) == (alone.value, alone.condition)
 
 
-def test_bernoulli_egz_on_an_n_per_pair_equals_its_one_n_calls():
-    ns = [7, 1, 7, 300, 2]
-    gamma = np.array([1.5, 3.0, 6.0, 12.0, 0.0])
-    whole = models.bernoulli_e_gamma_zeta_batch(ns, gamma, 1.5)
+@st.composite
+def _egz_points(draw):
+    """(n, gamma, zeta) points over `_ragged_ns`: ratios t = gamma/zeta from
+    1e-3 to 10^3.5, gamma = 0, and t = n+1 at n in {1, 3, 7, 15}, where t is
+    the peak of the ratio of weight 0, in no order."""
+    points = [(n, *draw(st.one_of(st.floats(-3.0, 3.5).map(lambda x: (1.5 * 10.0 ** x, 1.5)),
+                                  st.just((0.0, 1.5)))))
+              for n in draw(_ragged_ns())]
+    points += [(n, float(n + 1), 1.0)
+               for n in draw(st.lists(st.sampled_from([1, 3, 7, 15]), max_size=3))]
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=_egz_points())
+def test_bernoulli_egz_on_an_n_per_pair_equals_its_one_n_calls(points):
+    ns, gamma, zeta = (list(part) for part in zip(*points))
+    whole = models.bernoulli_e_gamma_zeta_batch(ns, np.array(gamma), np.array(zeta))
     for i, n in enumerate(ns):
-        alone = models.bernoulli_e_gamma_zeta_batch(n, gamma[i], 1.5)
+        alone = models.bernoulli_e_gamma_zeta_batch(n, gamma[i], zeta[i])
         assert [whole.value[i], whole.condition[i], whole.slope[i]] == \
             [alone.value[0], alone.condition[0], alone.slope[0]]
 
@@ -314,6 +348,16 @@ def test_order_beyond_the_float_range_of_its_terms_raises_by_name(name, n):
         _HUGE_ORDER_KERNELS[name](n, 1e307)
     with pytest.raises(ValueError, match=r"order 1e\+307 is too large"):
         _HUGE_ORDER_KERNELS[name](n, np.array([2.0, 1e307]))
+    if name.startswith("bernoulli"):
+        # with an n per order, the message is that of the failing point's
+        # call alone, naming its own n
+        with pytest.raises(ValueError) as alone:
+            _HUGE_ORDER_KERNELS[name](n, 1e307)
+        other = 50 if n == 2 else 2
+        with pytest.raises(ValueError) as mixed:
+            _HUGE_ORDER_KERNELS[name]([other, n], np.array([2.0, 1e307]))
+        assert str(mixed.value) == str(alone.value)
+        assert f"too large for n={n}:" in str(alone.value)
 
 
 # terms drawn from a few values, so that maxima tie, plus the edges of exp
@@ -730,6 +774,26 @@ class TestBernoulliHockeyStick:
         monkeypatch.setattr(models, "_NEWTON_CAP", 3)
         with pytest.raises(ArithmeticError, match="still moving after 3 steps"):
             _egz(50, 3.0, 1.5)
+
+    def test_newton_cap_in_a_call_of_several_n_names_the_first_still_moving(
+            self, monkeypatch):
+        # at 7 steps, t = 2 stops at n = 1, 2, 3 and 8 but not at 12 or 40:
+        # a call with an n per pair names the first n, in order of first
+        # appearance, whose call alone raises, as one call per n would
+        monkeypatch.setattr(models, "_NEWTON_CAP", 7)
+        ns = [8, 3, 40, 2, 12, 40, 1]
+
+        def raises(n):
+            try:
+                _egz(n, 3.0, 1.5)
+            except ArithmeticError:
+                return True
+            return False
+
+        failing = [n for n in dict.fromkeys(ns) if raises(n)]
+        assert failing[0] not in (ns[0], min(failing))
+        with pytest.raises(ArithmeticError, match=f"at n={failing[0]} still moving"):
+            models.bernoulli_e_gamma_zeta_batch(ns, 3.0, 1.5)
 
 
 class TestBernoulliUpperBound:
