@@ -100,8 +100,8 @@ class FirstOrder(NamedTuple):
     t = gamma/zeta, H(t) = P(R_t) - t Q(R_t) and R_t = {dP/dQ >= t}; as
     H'(t) = -Q(R_t), f'(t) = (1 - H) g(t) / (4 c t^2) with
     g(t) = P(R_t) + t Q(R_t) - 1.  For ``sibson`` and ``hellinger`` g is
-    d log f / d log theta of the order theta
-    (`models._order_condition`).
+    d log f / d log theta of the order theta (`models._order_condition`,
+    which gives its slope too).
     """
 
     value: Any
@@ -268,8 +268,8 @@ _CONDITIONS = {"egz": "gamma", "sibson": "alpha", "hellinger": "p"}
 # about _ROOT_TOL^2 relative of it), and after _ROOT_CAP points at most
 _ROOT_TOL = 1e-8
 _ROOT_CAP = 40
-# a grid grows at most _GROWTHS times (the egz ladder to t = 2^64, the 40
-# orders to 1.3e17): a count, as a tiny top spacing would never reach a
+# a grid grows at most _GROWTHS times (the egz ladder to t = 2^64, the
+# order ladder to 2.0e18): a count, as a tiny top spacing would never reach a
 # ceiling
 _GROWTHS = 4
 
@@ -298,9 +298,9 @@ def optimize_bounds(callback, method: str, param_grid: dict, models,
     consumes (I_alpha, H_p, E_{gamma,zeta}, maximal leakage, or mutual
     information) at each point, broadcastable to their number, +inf where
     it is infinite (a vacuous bound).  It may instead return a
-    `FirstOrder` of those values and the bound's first-order condition.
-    It must be pure, and the value at a point must not depend on the
-    other points of the call.
+    `FirstOrder` of those values and the bound's first-order condition,
+    with or without its slope.  It must be pure, and the value at a point
+    must not depend on the other points of the call.
 
     The search of each model has three steps.  The whole grid is one
     round, in sweep order.  Where the method has a condition
@@ -312,9 +312,13 @@ def optimize_bounds(callback, method: str, param_grid: dict, models,
     round, at most _GROWTHS times and within the float range.  Then the
     maximum is refined at the root of the condition (``path`` "root") when
     the condition falls through 0 exactly once over the grown grid, from +
-    to -, between the maximum and a neighbour (`_falling_bracket`), in
+    to - (a -inf end included, as where a divergence becomes infinite),
+    between the maximum and a neighbour (`_falling_bracket`), in
     x = log(parameter) inside that bracket (`_root_search`), started from
-    the grid's condition values, one round of one point per step.
+    the grid's condition values and slopes, one round of one point per
+    step: Newton steps where the callback gives the slope, secant steps
+    where it does not.  A coarse grid therefore costs a few more steps,
+    not a lower value.
     Otherwise the grid maximum stands: ``path`` "grid", or "fixed" for a
     grid of one point.  Every point evaluated is a candidate, so the
     result value dominates all of them, its params are the values the
@@ -397,8 +401,7 @@ def _call(callback, names, models, pending, call: list[int]) -> list:
     try:
         out = callback(model, **{name: np.array([point[name] for point in points])
                                  for name in names})
-        parts = [None if part is None
-                 else np.broadcast_to(np.asarray(part, dtype=float), (len(points),)).tolist()
+        parts = [None if part is None else _floats(part, len(points))
                  for part in (out if isinstance(out, FirstOrder) else FirstOrder(out, None))]
     except Exception as exc:
         if len(call) == 1:
@@ -415,6 +418,15 @@ def _call(callback, names, models, pending, call: list[int]) -> list:
     return pairs
 
 
+def _floats(part, size: int) -> list:
+    """A part of a callback's output as a list of ``size`` floats, a scalar
+    broadcast to all of them."""
+    part = np.asarray(part, dtype=float)
+    if part.shape != (size,):
+        part = np.broadcast_to(part, (size,))
+    return part.tolist()
+
+
 def _search(closed, method: str, names: list, grids: dict, sweep: list, c: float):
     """The search of `optimize_bounds` for one model under the small-ball
     slope c, over the parameter tuples ``sweep`` (in sweep order) of the
@@ -422,21 +434,23 @@ def _search(closed, method: str, names: list, grids: dict, sweep: list, c: float
     callback call, is sent the callback's output at them (a `FirstOrder`
     of lists, parts None where not given), and returns the `BoundResult`."""
     points, found, conditions, slopes = [], [], [], []
+    top = 0  # the first point of the largest value so far
 
     def take(new, out):
         """Append the parameter points ``new`` of one callback call, the
         bound's (rho*, value) at each, and the condition and its slope
         there (None where the callback gave none), from its output ``out``,
-        to the lists above."""
+        to the lists above, and move ``top`` to a larger value."""
+        nonlocal top
         value, condition, slope = ([None] * len(new) if part is None else part
                                    for part in out)
+        for point, v in zip(new, value):
+            found.append(_radius(closed, v, c, point))
+            if found[-1][1] > found[top][1]:
+                top = len(found) - 1
         points.extend(new)
-        found.extend(_radius(closed, v, c, pt) for pt, v in zip(new, value))
         conditions.extend(condition)
         slopes.extend(slope)
-
-    def first_maximum():
-        return max(range(len(found)), key=lambda i: found[i][1])
 
     new = [dict(zip(names, values)) for values in sweep]
     take(new, (yield new))
@@ -449,7 +463,7 @@ def _search(closed, method: str, names: list, grids: dict, sweep: list, c: float
         # points again at its top spacing, at most _GROWTHS times.
         grid = grids[name].tolist()
         powers = np.arange(1.0, len(grid) + 1)
-        while (len(grid) <= _GROWTHS * powers.size and first_maximum() == len(grid) - 1
+        while (len(grid) <= _GROWTHS * powers.size and top == len(grid) - 1
                and conditions[-1] > 0.0):
             with np.errstate(over="ignore"):  # an overflow ends the growth
                 more = (grid[-1] * (grid[-1] / grid[-2]) ** powers).tolist()
@@ -459,7 +473,7 @@ def _search(closed, method: str, names: list, grids: dict, sweep: list, c: float
             take(new, (yield new))
             grid += more
         xs = np.log(grid).tolist()
-        bracket = _falling_bracket(xs, conditions, first_maximum())
+        bracket = _falling_bracket(xs, conditions, top)
         if bracket is not None:
             path = "root"
 
@@ -471,20 +485,21 @@ def _search(closed, method: str, names: list, grids: dict, sweep: list, c: float
             yield from _root_search(at, xs, conditions[:len(xs)], slopes[:len(xs)],
                                     bracket)
 
-    top = first_maximum()
     (rho, value), params = found[top], points[top]
     return BoundResult(value, rho, method, params, len(points), path)
 
 
 def _falling_bracket(xs, gs, top):
     """The j with gs[j] > 0 >= gs[j + 1] when that is the only sign change
-    of the conditions gs at the increasing points xs, gs[j + 1] is finite,
-    and j or j + 1 is ``top``, the grid maximum; else None.  A -inf
-    condition counts as falling; a NaN or +inf one leaves no bracket."""
+    of the conditions gs at the increasing points xs, and j or j + 1 is
+    ``top``, the grid maximum; else None.  A -inf condition (a bound
+    falling without limit, as past the pole of the Gaussian Hellinger
+    moment) counts as falling, and may be the bracket's falling end; a NaN
+    or +inf one leaves no bracket."""
     rises = [g > 0.0 for g in gs]
     changes = [j for j in range(len(gs) - 1) if rises[j] != rises[j + 1]]
     if (len(changes) != 1 or not rises[changes[0]] or top - changes[0] not in (0, 1)
-            or not all(g < math.inf for g in gs) or gs[changes[0] + 1] == -math.inf
+            or not all(g < math.inf for g in gs)
             or not all(lo < hi for lo, hi in zip(xs, xs[1:]))):
         return None
     return changes[0]
@@ -493,31 +508,36 @@ def _falling_bracket(xs, gs, top):
 def _root_search(at, xs, gs, slopes, j):
     """Step to the root of a condition g that falls through 0 between the
     grid points xs[j] and xs[j + 1] (g > 0 at the first, g <= 0 at the
-    second); ``at(x)`` evaluates the point x and returns (g, dg/dx), the
-    slope None where the callback gives none; ``at`` is a generator, which
-    `_search` steps through the callback.
+    second, which may be -inf); ``at(x)`` evaluates the point x and returns
+    (g, dg/dx), the slope None where the callback gives none; ``at`` is a
+    generator, which `_search` steps through the callback.
 
     The first point comes from the grid: the inverse Hermite cubic of the
     bracket's ends and slopes, or without slopes the inverse polynomial
     through the bracket's ends and each finite outer neighbour on which g
-    keeps falling (up to four grid points).  Each later point is a Newton step,
-    or without a usable slope a secant step through the last two points.
-    A point outside the bracket (which every point shrinks) is replaced
-    by the bracket's midpoint.  The search stops at a root, once the next
-    step is at most _ROOT_TOL, or after _ROOT_CAP points.
+    keeps falling (up to four grid points); where the falling end is -inf,
+    the bracket's midpoint.  Each later point is a Newton step, or without
+    a usable slope a secant step through the last two finite points.  A
+    -inf point only shrinks the bracket: no step goes through it, and the
+    midpoint follows.  A point outside the bracket (which every point
+    shrinks) is replaced by the bracket's midpoint.  The search stops at a
+    root, once the next step is at most _ROOT_TOL, or after _ROOT_CAP
+    points.
     """
     a, ga, b, gb = xs[j], gs[j], xs[j + 1], gs[j + 1]
     if gb == 0.0:
         return
-    if slopes[j] is not None:
+    if gb == -math.inf:
+        x = 0.5 * (a + b)
+    elif slopes[j] is not None:
         x = _inverse_hermite(a, ga, slopes[j], b, gb, slopes[j + 1])
     else:
         # the bracket and each finite outer neighbour on which g keeps falling
         lo = j - 1 if j > 0 and gs[j - 1] > ga else j
         hi = j + 2 if j + 2 < len(gs) and -math.inf < gs[j + 2] < gb else j + 1
         x = _inverse_polynomial(xs[lo:hi + 1], gs[lo:hi + 1])
-    # the grid end nearer the first point precedes it in the secant
-    prev, g_prev = (a, ga) if abs(x - a) < abs(x - b) else (b, gb)
+    # the finite grid end nearer the first point precedes it in the secant
+    prev, g_prev = (a, ga) if gb == -math.inf or abs(x - a) < abs(x - b) else (b, gb)
     for _ in range(_ROOT_CAP):
         if not a < x < b:
             x = 0.5 * (a + b)
@@ -528,6 +548,10 @@ def _root_search(at, xs, gs, slopes, j):
             a = x
         else:
             b = x
+        if g == -math.inf:  # no step through it: the midpoint follows
+            if b - a <= _ROOT_TOL:
+                return
+            continue
         if dg is not None and math.isfinite(dg) and dg < 0.0:
             step = -g / dg
         elif g != g_prev:

@@ -6,7 +6,11 @@ its rows are built; every bound column, fixed-parameter or searched under
 --optimize, goes through `bounds.optimize_bounds`.  One CSV row is
 emitted per sample count n; a JSON sidecar next to --out records per
 point and column the optimizing parameters, rho*, the value, the
-evaluations and the search path (fixed, grid or root).
+evaluations and the search path (fixed, grid or root).  Under --optimize
+the Sibson and Hellinger columns of both settings search the orders of
+`ORDER_LADDER`, and the egz columns the ratios of `RATIO_LADDER`; each
+search grows its ladder at the top while the bound still rises there, and
+refines the best rung at the root of the bound's first-order condition.
 Float flags must be finite and seeds non-negative.
 
 Every table sweeps its bounds in the calling thread, stage by stage over
@@ -53,14 +57,12 @@ EST_KEYS = ("n", *_METHOD_ORDER, "upper", "mc", "best")
 HNS_KEYS = ("n", "ml", "nips", "mi", "best")
 
 
-def default_alpha_grid():
-    """Log-spaced orders: 1 + 10^-2 .. 64, 40 points (log in alpha - 1)."""
-    return 1.0 + np.geomspace(1e-2, 63.0, 40)
-
-
 # the ratios t = gamma/zeta that both egz columns search under --optimize:
 # powers of two, so that zeta * t / zeta is t exactly whatever zeta is
 RATIO_LADDER = 2.0 ** np.arange(13)
+# the orders alpha and p that the Sibson and Hellinger columns of both
+# settings search under --optimize: 1 + 2^j, j = -7..6, so 1 + 1/128 .. 65
+ORDER_LADDER = 1.0 + 2.0 ** np.arange(-7, 7)
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -140,7 +142,8 @@ class Column:
     array per parameter, and returning the divergence at each point, +inf
     where it is infinite, or (the sibson, hellinger and egz columns) a
     `bounds.FirstOrder` of those values and the condition at whose root
-    the search refines them; ``params`` names the flags that fix the
+    the search refines them, and its slope in every such column but the
+    Gaussian egz; ``params`` names the flags that fix the
     parameters, ``grid(args)`` gives the values searched under --optimize
     (the search extends a grid at its top while the bound still rises
     there) and ``fixed`` pins those without a flag.  ``record(model)``
@@ -181,8 +184,9 @@ class Setting:
     notes: dict = field(default_factory=dict)
 
 
-def _alpha_grid(name):
-    return lambda args: {name: default_alpha_grid()}
+def _order_grid(name):
+    """The grid of the order ``name`` of both settings: `ORDER_LADDER`."""
+    return lambda args: {name: ORDER_LADDER}
 
 
 def _ratio_grid(args):
@@ -243,8 +247,8 @@ BERNOULLI = Setting(
         Column("ml", _each(lambda model: models.bernoulli_ml(model.n).upper)),
         Column("sibson",
                lambda model, alpha: models.bernoulli_sibson_first_order(_n(model), alpha),
-               ("alpha",), _alpha_grid("alpha")),
-        Column("hellinger", _bernoulli_hellinger, ("p",), _alpha_grid("p")),
+               ("alpha",), _order_grid("alpha")),
+        Column("hellinger", _bernoulli_hellinger, ("p",), _order_grid("p")),
         Column("egz",
                lambda model, gamma, zeta:
                    models.bernoulli_e_gamma_zeta_batch(_n(model), gamma, zeta),
@@ -281,10 +285,10 @@ GAUSSIAN = Setting(
         Column("mi", _each(lambda model: models.gaussian_mutual_information(model))),
         Column("sibson",
                lambda model, alpha: models.gaussian_sibson_first_order(model, alpha),
-               ("alpha",), _alpha_grid("alpha")),
+               ("alpha",), _order_grid("alpha")),
         Column("hellinger",
                lambda model, p: models.gaussian_hellinger_first_order(model, p),
-               ("p",), _alpha_grid("p")),
+               ("p",), _order_grid("p")),
         Column("egz",
                lambda model, gamma, zeta: models.gaussian_e_gamma_zeta(model, gamma, zeta),
                ("gamma", "zeta"), _ratio_grid),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, erf, erfc, expit, gammaln, logit, psi, xlogy
+from scipy.special import betainc, erf, erfc, expit, gammaln, logit, psi, xlogy, zeta
 
 from . import sdpi
 from .bounds import BoundResult, FirstOrder, SmallBallFn, sdpi_bound
@@ -148,7 +148,8 @@ def bernoulli_ml(n: int) -> MlValue:
 def bernoulli_sibson_first_order(n, alpha) -> FirstOrder:
     """Sibson's I_alpha = alpha/(alpha-1) log S of bias and weight, S a
     Gamma-ratio sum over weights and its log taken by libm, with the
-    condition of the Sibson bound from the same pass (`_bernoulli_pass`).
+    condition of the Sibson bound and its slope from the same pass
+    (`_bernoulli_pass`).
     An array of R orders is one pass over an (R, n+1) array, each entry
     ``==`` to the call with that order alone; a scalar returns floats.
     ``n`` is one sample count, or an array of one per order, whose rows
@@ -156,21 +157,21 @@ def bernoulli_sibson_first_order(n, alpha) -> FirstOrder:
     A non-finite order raises `ValueError`, as the sum has no value there,
     and so does an order at which log Gamma(n alpha + 2) nears the float
     range (alpha above about 1.3e305/n), where the terms cannot be formed."""
-    log_s, a, condition = _bernoulli_pass(n, alpha, hellinger=False)
+    log_s, a, condition, slope = _bernoulli_pass(n, alpha, hellinger=False)
     return FirstOrder(_float_if_scalar(a / (a - 1.0) * _libm(math.log, np.exp(log_s))),
-                      condition)
+                      condition, slope)
 
 
 def bernoulli_hellinger_first_order(n, p) -> FirstOrder:
     """H_p = (M - 1)/(p - 1) of bias and weight, M a Gamma-ratio sum, with
-    the condition of the Hellinger bound from the same pass; ``n`` and
-    ``p`` broadcast as in `bernoulli_sibson_first_order`.  Where M exceeds
-    the float range (orders above about 100) H_p is +inf, a vacuous bound,
-    while the condition, from log M, stays finite."""
-    log_m, p, condition = _bernoulli_pass(n, p, hellinger=True)
+    the condition of the Hellinger bound and its slope from the same pass;
+    ``n`` and ``p`` broadcast as in `bernoulli_sibson_first_order`.  Where M
+    exceeds the float range (orders above about 100) H_p is +inf, a vacuous
+    bound, while the condition and its slope, from log M, stay finite."""
+    log_m, p, condition, slope = _bernoulli_pass(n, p, hellinger=True)
     with np.errstate(over="ignore"):  # M beyond the float range: H_p = +inf
         m = np.exp(log_m)
-    return FirstOrder(_float_if_scalar((m - 1.0) / (p - 1.0)), condition)
+    return FirstOrder(_float_if_scalar((m - 1.0) / (p - 1.0)), condition, slope)
 
 
 # the most (point, k) entries of one pass of a Bernoulli kernel over points
@@ -368,31 +369,39 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 def _bernoulli_pass(n, order, hellinger: bool):
     """log S (Sibson) or log M (Hellinger) at each order theta, theta, and
-    the condition of the bound (`_order_condition`), over the rows
-    k = 0..n of `_over_n` (`_order_sums`)."""
+    the condition of the bound and its slope (`_order_condition`), over the
+    rows k = 0..n of `_over_n` (`_order_sums`)."""
     n = _sample_counts(n)
     a = _orders(order, finite=True)
     if isinstance(n, np.ndarray):
         n, a = np.broadcast_arrays(n, a)
-    log_sum, condition = _over_n(
+    log_sum, condition, slope = _over_n(
         lambda rows, a: _order_sums(rows, a, hellinger), n, lambda n: n + 1, a)
-    return log_sum, a, condition
+    return log_sum, a, condition, slope
 
 
 def _order_sums(rows, a: np.ndarray, hellinger: bool):
-    """log S or log M, and the condition, at the orders ``a``, one per point
-    of ``rows``.  log S and log M are the logsumexp over k of
+    """log S or log M, the condition and its slope, at the orders ``a``, one
+    per point of ``rows``.  log S and log M are the logsumexp over k of
     log C(n,k) + log_beta/theta, or of (theta-1) log(n+1) + theta log C(n,k)
     + log_beta, where log_beta = log Gamma(k theta + 1)
     + log Gamma((n-k) theta + 1) - log Gamma(n theta + 2) and the second
     term is the k-mirror of the first.  D is w log S, w = theta/(theta-1)
-    or 1/(theta-1), so D' = -log S/(theta-1)^2 + w d log S, with d log S
-    the softmax mean over k of the terms' theta-derivatives, which take
+    or 1/(theta-1), so D' = -log S/(theta-1)^2 + w (log S)' and
+    D'' = 2 log S/(theta-1)^3 - 2 (log S)'/(theta-1)^2 + w (log S)''.  With
+    pi_k the softmax weights of the terms and d_k, d2_k their first and
+    second theta-derivatives, (log S)' = sum pi_k d_k and (log S)'' =
+    sum pi_k [d2_k + (d_k - (log S)')^2], which does not cancel as
+    E[d^2] - E[d]^2 would.  The derivatives take
     dlog_beta = k psi(k theta + 1) + (n-k) psi((n-k) theta + 1)
-    - n psi(n theta + 2)."""
+    - n psi(n theta + 2) and ddlog_beta, the same with k^2 psi1, (n-k)^2 psi1
+    and n^2 psi1, psi1 = zeta(2, .) the trigamma; for Sibson d2_k =
+    ddlog_beta/theta - 2 dlog_beta/theta^2 + 2 log_beta/theta^3, which is
+    (ddlog_beta - 2 d_k)/theta."""
     n = rows.n
     with np.errstate(over="ignore"):  # n * a beyond the float range: checked below
-        log_top = gammaln(n * a + 2.0)
+        top = n * a + 2.0
+    log_top = gammaln(top)
     # the terms add up to about twice log_top before it is taken off
     too_large = log_top >= _FLOAT_MAX / 2.0
     if too_large.any():
@@ -400,7 +409,8 @@ def _order_sums(rows, a: np.ndarray, hellinger: bool):
                          f"n={np.broadcast_to(n, a.shape)[too_large][0]}: "
                          "its Gamma-ratio sum exceeds the float range")
     k, each_a = rows.k, rows.each(a)
-    lg = gammaln(k * each_a + 1.0)
+    x = k * each_a + 1.0  # the arguments k theta + 1 of each row
+    lg = gammaln(x)
     log_binom = rows.table(_log_binom)
     log_n = rows.by_n(lambda n: math.log(n + 1.0))  # libm's, per n
     if hellinger:
@@ -410,26 +420,44 @@ def _order_sums(rows, a: np.ndarray, hellinger: bool):
         log_beta = lg + rows.mirror(lg) - rows.each(log_top)
         terms = log_binom + log_beta / each_a
     log_sum = _logsumexp(terms, rows)
-    k_psi = k * psi(k * each_a + 1.0)
-    d_log_beta = k_psi + rows.mirror(k_psi) - rows.each(n * psi(n * a + 2.0))
+    k_psi = k * psi(x)
+    d_log_beta = k_psi + rows.mirror(k_psi) - rows.each(n * psi(top))
+    kk_psi1 = k * k * zeta(2.0, x)
+    dd_log_beta = kk_psi1 + rows.mirror(kk_psi1) - rows.each(n * n * zeta(2.0, top))
     d_terms = (log_n + log_binom + d_log_beta if hellinger
                else d_log_beta / each_a - _per_square(log_beta, each_a))
-    d_log_sum = rows.sum(np.exp(terms - rows.each(log_sum)) * d_terms)
-    d_prime = (_per_square(-log_sum, a - 1.0)
-               + (1.0 if hellinger else a) / (a - 1.0) * d_log_sum)
-    return log_sum, _libm(_order_condition, a, d_prime)
+    d2_terms = dd_log_beta if hellinger else (dd_log_beta - 2.0 * d_terms) / each_a
+    weights = np.exp(terms - rows.each(log_sum))
+    d_log_sum = rows.sum(weights * d_terms)
+    dd_log_sum = rows.sum(weights * (d2_terms + (d_terms - rows.each(d_log_sum)) ** 2))
+    w = (1.0 if hellinger else a) / (a - 1.0)
+    d_prime = _per_square(-log_sum, a - 1.0) + w * d_log_sum
+    d_second = (2.0 * (log_sum / (a - 1.0) - d_log_sum) / (a - 1.0) / (a - 1.0)
+                + w * dd_log_sum)
+    return (log_sum, *_libm(_order_condition, a, d_prime, d_second))
 
 
-def _order_condition(theta: float, d_prime: float) -> float:
+def _order_condition(theta: float, d_prime: float, d_second: float) -> tuple[float, float]:
     """g = d log f/d log theta for the Sibson and Hellinger bounds f at the
-    order theta: under a linear L of slope c, log f = log t - (1 + 1/t)
-    log(1+t) - D(theta) - log c with t = (theta-1)/theta and D = I_alpha or
-    log M_p/(p-1), so g = theta [log(1+t)/(theta-1)^2 - D'] (-inf at D' = inf)."""
+    order theta, and its slope dg/d log theta, from D' and D'': under a
+    linear L of slope c, log f = log t - (1 + 1/t) log(1+t) - D(theta)
+    - log c with t = (theta-1)/theta and D = I_alpha or log M_p/(p-1), so
+    g = theta (kappa - D') with kappa = log(1+t)/(theta-1)^2, and
+    dg/d log theta = theta [(kappa - D') + theta (kappa' - D'')] with
+    kappa' = 1/(theta (2 theta - 1) (theta-1)^2) - 2 log(1+t)/(theta-1)^3
+    (both -inf at D' = inf).  The powers of theta - 1 are divisions one at
+    a time where they would leave the float range."""
+    log_ratio = math.log1p((theta - 1.0) / theta)
     try:
-        curvature = math.log1p((theta - 1.0) / theta) / (theta - 1.0) ** 2
+        curvature = log_ratio / (theta - 1.0) ** 2
     except OverflowError:  # (theta - 1)^2 beyond the float range
-        curvature = math.log1p((theta - 1.0) / theta) / (theta - 1.0) / (theta - 1.0)
-    return theta * (curvature - d_prime)
+        curvature = log_ratio / (theta - 1.0) / (theta - 1.0)
+    condition = theta * (curvature - d_prime)
+    if condition == -math.inf:
+        return condition, condition
+    bend = ((1.0 / theta / (2.0 * theta - 1.0) - 2.0 * log_ratio / (theta - 1.0))
+            / (theta - 1.0) / (theta - 1.0))
+    return condition, theta * ((curvature - d_prime) + theta * (bend - d_second))
 
 
 def _per_square(x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -480,10 +508,14 @@ def _float_if_scalar(values: np.ndarray):
 def _libm(fn, orders: np.ndarray, *more: np.ndarray):
     """``fn`` on each order as a Python float (with the entries of ``more``
     at that order after it), so that each value is the libm result of a
-    scalar call; a 0-d array gives a float."""
-    return _float_if_scalar(np.array(
-        [fn(*xs) for xs in zip(*(a.ravel().tolist() for a in (orders, *more)))]
-    ).reshape(orders.shape))
+    scalar call, as an array of the shape of ``orders``; a 0-d array gives
+    a float.  Where ``fn`` returns a tuple of floats, so does this: one
+    array or float per part."""
+    out = np.array([fn(*xs) for xs in zip(*(a.ravel().tolist() for a in (orders, *more)))],
+                   dtype=float)
+    if out.ndim == 2:
+        return tuple(_float_if_scalar(part.reshape(orders.shape)) for part in out.T)
+    return _float_if_scalar(out.reshape(orders.shape))
 
 
 # The Newton search for the interval ends in s = logit(w): it starts at
@@ -535,13 +567,12 @@ def bernoulli_e_gamma_zeta_batch(n, gamma, zeta) -> FirstOrder:
     if not one_n:
         n, gamma, zeta = np.broadcast_arrays(n, np.asarray(gamma, dtype=float),
                                              np.asarray(zeta, dtype=float))
-    pairs, shape = _gamma_zeta_pairs(gamma, zeta)
-    live = [r for r, (g, _) in enumerate(pairs) if g != 0.0]
-    g, z = (np.array([pairs[r][i] for r in live]) for i in (0, 1))
+    gammas, zetas, shape = _gamma_zeta_pairs(gamma, zeta)
+    live = np.flatnonzero(gammas != 0.0)
     out = (_over_n(_hockey_stick, n if one_n else n.ravel()[live], lambda n: n // 2 + 1,
-                   g, z) if live else [np.zeros(0)] * 3)
-    if len(live) < len(pairs):  # the pairs with gamma = 0 keep their zeros
-        out, parts = [np.zeros(len(pairs)) for _ in range(3)], out
+                   gammas[live], zetas[live]) if live.size else [np.zeros(0)] * 3)
+    if live.size < gammas.size:  # the pairs with gamma = 0 keep their zeros
+        out, parts = [np.zeros(gammas.size) for _ in range(3)], out
         for whole, part in zip(out, parts):
             whole[live] = part
     if one_n:
@@ -650,21 +681,27 @@ def _logit_ends(n, k, log_norm, log_t, right, at_mode):
     return s, active
 
 
-def _gamma_zeta_pairs(gamma, zeta) -> tuple[list, tuple]:
-    """The broadcast (gamma, zeta) pairs as Python floats, and their shape;
-    each zeta must be finite and positive, each gamma finite and
+def _gamma_zeta_pairs(gamma, zeta) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The broadcast gammas and zetas as flat float64 arrays, and their
+    shape; each zeta must be finite and positive, each gamma finite and
     non-negative (NaN fails), and where gamma > 0 the ratio gamma/zeta,
-    which both kernels take the log of, a positive finite float."""
+    which both kernels take the log of, a positive finite float.  The first
+    pair, in flat order, that fails a check names its failure."""
     gammas, zetas = np.broadcast_arrays(np.asarray(gamma, dtype=float),
                                         np.asarray(zeta, dtype=float))
-    pairs = list(zip(gammas.ravel().tolist(), zetas.ravel().tolist()))
-    for g, z in pairs:
-        if not (0 < z < math.inf and 0 <= g < math.inf):
+    shape, g, z = gammas.shape, gammas.ravel(), zetas.ravel()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = g / z
+    out_of_range = ~((0.0 < z) & (z < math.inf) & (0.0 <= g) & (g < math.inf))
+    bad = np.flatnonzero(out_of_range | ((g > 0.0) & ~((0.0 < ratio) & (ratio < math.inf))))
+    if bad.size:
+        first = bad[0]
+        if out_of_range[first]:
             raise ValueError("requires finite zeta > 0 and gamma >= 0")
-        if g > 0.0 and not 0.0 < g / z < math.inf:
-            raise ValueError(f"gamma/zeta = {g:g}/{z:g} rounds to {g / z:g}: "
-                             "the ratio must be a positive finite float")
-    return pairs, gammas.shape
+        g, z = float(g[first]), float(z[first])
+        raise ValueError(f"gamma/zeta = {g:g}/{z:g} rounds to {g / z:g}: "
+                         "the ratio must be a positive finite float")
+    return g, z, shape
 
 
 def bernoulli_mutual_information(n: int) -> float:
@@ -827,57 +864,57 @@ def gaussian_mutual_information(model: GaussianModel) -> float:
 
 def gaussian_sibson_first_order(model, alpha) -> FirstOrder:
     """Sibson's I_alpha = 0.5 * log(1 + alpha * n * sigma_W^2 / sigma^2),
-    with the condition of the Sibson bound (`_order_condition`),
-    D' = s/(2(1 + alpha s)), both by libm per order; ``alpha`` is an array
-    of orders (a scalar returns floats) and ``model`` one model, or one per
-    order (`_each_model`).  At alpha = +inf, I_alpha = +inf and the
-    condition is -inf, as in `gaussian_hellinger_first_order`: a falling
-    condition with no root to refine toward.  A finite order whose
-    alpha * s leaves the float range raises `ValueError`."""
+    with the condition of the Sibson bound and its slope
+    (`_order_condition`), D' = s/(2(1 + alpha s)) and D'' =
+    -s^2/(2(1 + alpha s)^2) = -2 D'^2, all by libm per order; ``alpha`` is
+    an array of orders (a scalar returns floats) and ``model`` one model,
+    or one per order (`_each_model`).  At alpha = +inf, I_alpha = +inf and
+    the condition and its slope are -inf, as in
+    `gaussian_hellinger_first_order`: a falling condition with no root to
+    refine toward.  A finite order whose alpha * s leaves the float range
+    raises `ValueError`."""
 
-    def value(a, s):
+    def at(a, s):
         if a < math.inf and a * s == math.inf:
             raise ValueError(f"order {a!r} is too large: alpha * n * sigma_W^2 / sigma^2 "
                              "exceeds the float range")
-        return 0.5 * math.log1p(a * s)
-
-    def condition(a, s):
+        value = 0.5 * math.log1p(a * s)
         if a == math.inf:
-            return -math.inf
-        return _order_condition(a, 0.5 * s / (1.0 + a * s))
+            return value, -math.inf, -math.inf
+        d_prime = 0.5 * s / (1.0 + a * s)
+        return (value, *_order_condition(a, d_prime, -2.0 * d_prime * d_prime))
 
     orders = _orders(alpha)
-    snrs = _snrs(model, orders)
-    return FirstOrder(_libm(value, orders, snrs), _libm(condition, orders, snrs))
+    return FirstOrder(*_libm(at, orders, _snrs(model, orders)))
 
 
 def gaussian_hellinger_first_order(model, p) -> FirstOrder:
-    """H_p = (M - 1)/(p - 1), M = sqrt((1+s)^p / (1 + (2-p) p s)) with s
-    the n-sample signal-to-noise ratio, and the condition of the Hellinger
-    bound (`_order_condition`), both by libm per order: log M =
-    (p log(1+s) - log(1 + (2-p) p s))/2, so D' = -log M/(p-1)^2
-    + (log(1+s)/2 - (1-p) s/(1 + (2-p) p s))/(p-1).  M diverges where the
-    denominator is not positive (p = +inf included): there H_p = +inf and
-    g = -inf, its limit.  ``p`` and ``model`` are as ``alpha`` and
-    ``model`` of `gaussian_sibson_first_order`."""
+    """H_p = (M - 1)/(p - 1), M = sqrt((1+s)^p / d) with d = 1 + (2-p) p s
+    and s the n-sample signal-to-noise ratio, and the condition of the
+    Hellinger bound and its slope (`_order_condition`), all by libm per
+    order: log M = (p log(1+s) - log d)/2, (log M)' = log(1+s)/2
+    - (1-p) s/d and (log M)'' = s/d + 2 (1-p)^2 s^2/d^2, so
+    D' = -log M/(p-1)^2 + (log M)'/(p-1) and D'' = 2 log M/(p-1)^3
+    - 2 (log M)'/(p-1)^2 + (log M)''/(p-1).  M diverges where d is not
+    positive (p = +inf included): there H_p = +inf and g and its slope are
+    -inf, their limits.  ``p`` and ``model`` are as ``alpha`` and ``model``
+    of `gaussian_sibson_first_order`."""
 
-    def value(p, s):
+    def at(p, s):
         denom = 1.0 + (2.0 - p) * p * s
         if not denom > 0.0:
-            return math.inf
-        return (math.sqrt((1.0 + s) ** p / denom) - 1.0) / (p - 1.0)
-
-    def condition(p, s):
-        denom = 1.0 + (2.0 - p) * p * s
-        if not denom > 0.0:
-            return -math.inf
+            return math.inf, -math.inf, -math.inf
+        value = (math.sqrt((1.0 + s) ** p / denom) - 1.0) / (p - 1.0)
         log_m = 0.5 * (p * math.log1p(s) - math.log(denom))
-        d_log_m = 0.5 * math.log1p(s) - (1.0 - p) * s / denom
-        return _order_condition(p, -log_m / (p - 1.0) ** 2 + d_log_m / (p - 1.0))
+        pull = (1.0 - p) * s / denom
+        d_log_m = 0.5 * math.log1p(s) - pull
+        dd_log_m = s / denom + 2.0 * pull * pull
+        d_prime = -log_m / (p - 1.0) ** 2 + d_log_m / (p - 1.0)
+        d_second = (2.0 * (log_m / (p - 1.0) - d_log_m) / (p - 1.0) + dd_log_m) / (p - 1.0)
+        return (value, *_order_condition(p, d_prime, d_second))
 
     orders = _orders(p)
-    snrs = _snrs(model, orders)
-    return FirstOrder(_libm(value, orders, snrs), _libm(condition, orders, snrs))
+    return FirstOrder(*_libm(at, orders, _snrs(model, orders)))
 
 
 def _each_model(model, size: int) -> list:
@@ -935,29 +972,29 @@ def gaussian_e_gamma_zeta(model, gamma, zeta) -> FirstOrder:
     ``==`` to the call with that pair and model alone, and scalars return
     floats.
     """
-    pairs, shape = _gamma_zeta_pairs(gamma, zeta)
-    each = _each_model(model, len(pairs))
+    gammas, zetas, shape = _gamma_zeta_pairs(gamma, zeta)
+    each = _each_model(model, gammas.size)
     # each distinct model's numbers, in order of first appearance
     forms = {id(m): m for m in each}
     forms = {key: _form_scales(m) for key, m in forms.items()}
 
     # one row per pair with gamma > 0; c uses libm's log, as a scalar call
     # always has.  The P rows come first, then the Q rows.
-    live = [i for i, (g, _) in enumerate(pairs) if g != 0.0]
-    g, z = np.array([pairs[i] for i in live]).reshape(-1, 2).T
-    scales = [forms[id(each[i])] for i in live]
-    c = np.array([s2 * math.log(sx2 / s2) - 2.0 * s2 * math.log(pairs[i][0] / pairs[i][1])
-                  for i, (s2, sx2, *_) in zip(live, scales)])
+    live = np.flatnonzero(gammas != 0.0)
+    g, z = gammas[live], zetas[live]
+    scales = [forms[id(each[i])] for i in live.tolist()]
+    c = np.array([s2 * math.log(sx2 / s2) - 2.0 * s2 * math.log(gi / zi)
+                  for gi, zi, (s2, sx2, *_) in zip(g.tolist(), z.tolist(), scales)])
     upper = g < z
     _, _, a_p, b_p, a_q, b_q = np.array(scales).reshape(-1, 6).T
     p_mass, q_mass = _form_mass(
         np.tile(c, 2), np.concatenate([a_p, a_q]), np.concatenate([b_p, b_q]),
         np.tile(upper, 2)).reshape(2, -1)
-    values = np.zeros(len(pairs))
+    values = np.zeros(gammas.size)
     values[live] = np.maximum(0.0, np.where(upper, g * q_mass - z * p_mass,
                                             z * p_mass - g * q_mass))
     t = g / z
-    cond = np.zeros(len(pairs))
+    cond = np.zeros(gammas.size)
     cond[live] = np.where(upper, t * (1.0 - q_mass) - p_mass, p_mass + t * q_mass - 1.0)
     return FirstOrder(_float_if_scalar(values.reshape(shape)),
                       _float_if_scalar(cond.reshape(shape)))

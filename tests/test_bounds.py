@@ -558,7 +558,7 @@ class TestOptimizeBound:
         assert res == optimize_one(callback, "egz", ladder, L)
 
     @pytest.mark.parametrize("grid, evaluations", [
-        pytest.param(cli.default_alpha_grid(), (B._GROWTHS + 1) * 40, id="orders"),
+        pytest.param(cli.ORDER_LADDER, (B._GROWTHS + 1) * cli.ORDER_LADDER.size, id="orders"),
         pytest.param([1.5, 1.5 + 1e-9], (B._GROWTHS + 1) * 2, id="tiny-spacing"),
         pytest.param([2.0, 1e200], 2, id="past-the-float-range"),
     ])
@@ -576,15 +576,35 @@ class TestOptimizeBound:
         assert res.path == "grid" and res.evaluations == len(seen) == evaluations
         assert seen == sorted(set(seen)) and math.isfinite(seen[-1])
 
-    def test_falling_bracket_needs_a_finite_falling_end(self):
+    def test_falling_bracket_may_end_at_minus_infinity(self):
         # a -inf condition (a bound falling without limit) counts as
-        # falling; the bracket's falling end must be finite, and a NaN or
-        # +inf condition anywhere leaves no bracket
+        # falling, also as the bracket's falling end; a NaN or +inf
+        # condition anywhere leaves no bracket
         xs = [0.0, 1.0, 2.0, 3.0]
         assert B._falling_bracket(xs, [1.0, 0.5, -0.5, -math.inf], 1) == 1
-        assert B._falling_bracket(xs, [1.0, 0.5, -math.inf, -math.inf], 1) is None
+        assert B._falling_bracket(xs, [1.0, 0.5, -math.inf, -math.inf], 1) == 1
         assert B._falling_bracket(xs, [1.0, 0.5, -0.5, math.nan], 1) is None
         assert B._falling_bracket(xs, [math.inf, 0.5, -0.5, -1.0], 1) is None
+
+    @pytest.mark.parametrize("with_slope", [True, False])
+    def test_root_search_steps_only_through_finite_points(self, with_slope):
+        # in x = log alpha, g = 1.8 - x below 2.4 and -inf from there: the
+        # bracket [1, 4] ends at -inf, so the search starts at its midpoint
+        # 2.5, where g is -inf, which halves the bracket to [1, 2.5]; from
+        # 1.75 it steps to the root 1.8 through finite points only (Newton
+        # with the slope, else the secant through the grid's finite end)
+        seen = []
+
+        def callback(alpha):
+            x = np.log(alpha)
+            seen.extend(x.tolist())
+            return B.FirstOrder(np.zeros(alpha.size), np.where(x < 2.4, 1.8 - x, -np.inf),
+                                np.full(alpha.size, -1.0) if with_slope else None)
+
+        res = optimize_one(callback, "sibson", {"alpha": np.exp([1.0, 4.0])}, L2)
+        assert res.path == "root"
+        assert [round(x, 12) for x in seen[2:4]] == [2.5, 1.75]
+        assert abs(seen[-1] - 1.8) <= 1e-12 and len(seen) <= 6
 
 
 def _bernoulli_egz(n, gamma, zeta):

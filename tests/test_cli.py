@@ -364,7 +364,7 @@ class TestOptimizedRuns:
         ratios = cli.RATIO_LADDER.size
         assert egz["path"] == "root"
         assert ratios < egz["evals"] <= ratios + 5
-        orders = len(cli.default_alpha_grid())
+        orders = cli.ORDER_LADDER.size
         for method in ("sibson", "hellinger"):
             entry = sidecar["points"]["1"][method]
             assert entry["path"] == "root"
@@ -625,6 +625,45 @@ def test_optimized_gaussian_rows_keep_the_ordering(n, sigma_w2, sigma2):
     assert row["egz"] >= row["sibson"] >= row["hellinger"] >= row["mi"], row
 
 
+# the 40 orders 1 + 10^-2 .. 64 that the Sibson and Hellinger columns
+# searched before `cli.ORDER_LADDER`: the oracle of the ladder's search
+FORTY_ORDERS = 1.0 + np.geomspace(1e-2, 63.0, 40)
+
+
+def _ladder_reaches_the_forty_orders(setting, argv, ns):
+    """Each order column's search of the ladder, at each n of ``ns``, ends
+    on the root path, within 1e-12 relative of the search of the 40 orders
+    and not lower than it by more than 1e-12."""
+    args = cli.build_parser().parse_args([setting.name, "--optimize", *argv])
+    table_models = [setting.model(n, args) for n in ns]
+    small_balls = [setting.small_ball(model) for model in table_models]
+    for key in ("sibson", "hellinger"):
+        column = next(c for c in setting.columns if c.key == key)
+        grid = cli._column_grid(column, args)
+        (name, ladder), = grid.items()
+        assert ladder is cli.ORDER_LADDER
+        found = bounds.optimize_bounds(column.divergence, key, grid, table_models,
+                                       small_balls)
+        oracle = bounds.optimize_bounds(column.divergence, key, {name: FORTY_ORDERS},
+                                        table_models, small_balls)
+        for n, res, old in zip(ns, found, oracle):
+            assert res.path == "root", (key, n, res)
+            assert abs(res.value - old.value) <= 1e-12 * old.value, (key, n, res, old)
+
+
+def test_bernoulli_order_ladder_reaches_the_forty_orders():
+    _ladder_reaches_the_forty_orders(cli.BERNOULLI, [], list(range(1, 201)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 1000), sigma_w2=_wide_variance, sigma2=_wide_variance)
+# the first ladder point past the root lies past the moment's pole, p = 2.265
+@example(n=87, sigma_w2="1.26", sigma2="311")
+def test_gaussian_order_ladder_reaches_the_forty_orders(n, sigma_w2, sigma2):
+    _ladder_reaches_the_forty_orders(
+        cli.GAUSSIAN, ["--sigma-w2", sigma_w2, "--sigma2", sigma2], [n])
+
+
 def test_gaussian_hellinger_root_beside_infinite_moments():
     # at n = 50 the moment is +inf from p = 2.04 on, and the condition -inf
     callback, grid, L = _column_search(cli.GAUSSIAN, [], 50, "hellinger")
@@ -640,9 +679,13 @@ def test_gaussian_hellinger_root_beside_infinite_moments():
         assert res.path == "root"
         oracle = grid_and_brent(callback, "hellinger", {"p": orders}, L)
         assert res.value >= oracle.value * (1.0 - 1e-12)
-    # a bracket whose falling end is -inf is no bracket: the grid maximum stands
-    res = optimize_one(callback, "hellinger", {"p": near[:2] + [3.0]}, L)
-    assert res.path == "grid" and res.params == {"p": near[1]}
+    # a bracket whose falling end is -inf is a bracket too: the root search
+    # halves it at the -inf points and reaches what grid + Brent finds
+    orders = near[:2] + [3.0]
+    res = optimize_one(callback, "hellinger", {"p": orders}, L)
+    assert res.path == "root" and near[1] < res.params["p"] < 3.0
+    oracle = grid_and_brent(callback, "hellinger", {"p": orders}, L)
+    assert res.value >= oracle.value * (1.0 - 1e-12)
 
 
 _SEARCHED = {f"{setting.name}-{column.key}": (setting, column)

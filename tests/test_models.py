@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import integrate
 from scipy.special import betainc, comb, gammaln, logsumexp, ndtr, xlogy
 
-from riskbounds import bounds, models
+from riskbounds import bounds, cli, models
 from riskbounds.quadrature import adaptive_simpson
 
 import quadrature_oracle
@@ -174,6 +174,24 @@ def test_gamma_zeta_ratio_outside_the_float_range_raises(kernel, gamma, zeta):
         _EGZ_KERNELS[kernel](np.array([2.0, gamma]), np.array([1.0, zeta]))
 
 
+@pytest.mark.parametrize("kernel", sorted(_EGZ_KERNELS))
+@pytest.mark.parametrize("first, second, message", [
+    ((1e300, 1e-10), (math.nan, 1.0), "gamma/zeta = 1e+300/1e-10 rounds to inf"),
+    ((2.0, -1.0), (1e-308, 1e308), "requires finite zeta > 0 and gamma >= 0"),
+    ((0.0, 0.0), (1e300, 1e-10), "requires finite zeta > 0 and gamma >= 0"),
+    ((1e-308, 1e308), (-1.0, 1.0), "gamma/zeta = 1e-308/1e+308 rounds to 0"),
+], ids=["ratio-then-nan", "range-then-ratio", "zero-zeta-then-ratio", "ratio-then-range"])
+def test_first_bad_pair_of_a_long_array_names_the_failure(kernel, first, second,
+                                                           message):
+    # the pairs are checked as arrays, and the first bad pair in flat
+    # order names its failure, as a check pair by pair would
+    gamma, zeta = np.full((25, 40), 2.0), np.ones((25, 40))
+    gamma[13, 7], zeta[13, 7] = first
+    gamma[20, 31], zeta[20, 31] = second
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        _EGZ_KERNELS[kernel](gamma, zeta)
+
+
 def test_gaussian_kernels_keep_their_infinite_order_limits():
     g = models.GaussianModel(5, 1.0, 2.0)
     for kernel in (models.gaussian_sibson_first_order,
@@ -186,6 +204,7 @@ def test_gaussian_kernels_keep_their_infinite_order_limits():
                    models.gaussian_hellinger_first_order):
         assert kernel(g, math.inf).condition == -math.inf
         assert kernel(g, np.array([2.0, math.inf])).condition[1] == -math.inf
+        assert kernel(g, math.inf).slope == -math.inf
 
 
 _variance = st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x)
@@ -1204,10 +1223,15 @@ class TestOrderCondition:
         kernel, plain = self._kernels(setting, method, n, 1.0, 2.0)
         orders = 1.0 + np.geomspace(1e-2, 63.0, 40)
         out = kernel(orders)
-        assert isinstance(out, bounds.FirstOrder) and out.slope is None
+        assert isinstance(out, bounds.FirstOrder)
         assert out.value.tolist() == [plain(x) for x in orders.tolist()]
+        # the slope is an array of the orders' shape, each entry == to the
+        # call with that order alone
+        assert out.slope.shape == orders.shape
+        assert out.slope.tolist() == [kernel(x).slope for x in orders.tolist()]
         single = kernel(orders[7])
         assert type(single.value) is float and type(single.condition) is float
+        assert type(single.slope) is float
 
     @settings(max_examples=150, deadline=None)
     @given(setting=st.sampled_from(["bernoulli", "gaussian"]),
@@ -1243,6 +1267,65 @@ class TestOrderCondition:
         assume(all(map(math.isfinite, f)))
         expected = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
         assert abs(g - expected) <= 1e-6 * (1.0 + abs(g)), (g, expected)
+
+
+_wide_variance = st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x)
+# orders on the ladder that the columns search, and between its rungs
+_searched_order = st.one_of(
+    st.sampled_from([x for x in cli.ORDER_LADDER.tolist() if 1.01 <= x <= 64.0]),
+    st.floats(1.01, 64.0))
+
+
+class TestOrderSlope:
+    """The slope dg/d log theta of each order kernel's condition g against
+    a central difference of g in x = log theta."""
+
+    STEP = 1e-5  # the step in x
+
+    @staticmethod
+    def _kernel(name, n, sw2, s2):
+        if name == "bernoulli_sibson":
+            return lambda a: models.bernoulli_sibson_first_order(n, a)
+        if name == "bernoulli_hellinger":
+            return lambda p: models.bernoulli_hellinger_first_order(n, p)
+        g = models.GaussianModel(n, sw2, s2)
+        if name == "gaussian_sibson":
+            return lambda a: models.gaussian_sibson_first_order(g, a)
+        return lambda p: models.gaussian_hellinger_first_order(g, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(["bernoulli_sibson", "bernoulli_hellinger",
+                                 "gaussian_sibson", "gaussian_hellinger"]),
+           n=st.integers(1, 200), sw2=_wide_variance, s2=_wide_variance,
+           theta=_searched_order)
+    def test_slope_matches_the_differences_of_the_condition(self, name, n, sw2, s2,
+                                                            theta):
+        kernel = self._kernel(name, n, sw2, s2)
+        x, h = math.log(theta), self.STEP
+        if name == "gaussian_hellinger":
+            snr = models.GaussianModel(n, sw2, s2).snr
+            pole = 1.0 + math.sqrt(1.0 + 1.0 / snr)
+            assume(theta < pole)
+            # g has a pole there: a step of at most 1/1000 of the distance
+            # keeps the differences' h^2 error near 1e-6 relative
+            h = min(h, (math.log(pole) - x) / 1000.0)
+        out = kernel(np.exp([x - h, x, x + h]))
+        assume(np.all(np.isfinite(out.condition)))
+        expected = (out.condition[2] - out.condition[0]) / (2.0 * h)
+        slope = out.slope[1]
+        assert abs(slope - expected) <= 1e-5 * abs(expected) + 1e-7, (slope, expected)
+
+    @pytest.mark.parametrize("n, sw2, s2", [(50, 1.0, 2.0), (87, 1.26, 311.0)])
+    def test_gaussian_hellinger_slope_is_minus_infinity_past_the_pole(self, n, sw2, s2):
+        # from the pole p* = 1 + sqrt(1 + 1/s) on, the moment diverges and g
+        # and its slope take their limit -inf; just below, both are finite
+        # and g falls ever faster
+        g = models.GaussianModel(n, sw2, s2)
+        pole = 1.0 + math.sqrt(1.0 + 1.0 / g.snr)
+        below = pole * (1.0 - np.array([1e-2, 1e-4, 1e-6]))
+        out = models.gaussian_hellinger_first_order(g, np.concatenate([below, [pole * 1.01]]))
+        assert np.all(np.isfinite(out.slope[:3])) and np.all(np.diff(out.slope[:3]) < 0.0)
+        assert out.condition[3] == out.slope[3] == -math.inf
 
 
 class TestNoisyBernoulli:
