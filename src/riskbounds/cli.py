@@ -13,30 +13,30 @@ search grows its ladder at the top while the bound still rises there, and
 refines the best rung at the root of the bound's first-order condition.
 Float flags must be finite and seeds non-negative.
 
-Every table sweeps its bounds in the calling thread, stage by stage over
-all its n (`_estimation_table`): the models, then each column in column
-order, then the upper bounds, each stage over the n before the first
-failure found so far.  A column runs the searches of all those n in
-lockstep, one kernel call per round (the grid, a growth, a root step) for
-all the n, and a call that raises runs again one n at a time, in n
-order, so that its error goes to its own n.  The failure named is thus
-that of the first failing n, and at that n of the first failing column in
-column order, as a sweep n by n would name it.  A parameter-free column
-has one round, one call for all the n: the Bernoulli mi column's takes
-its values from one `models.bernoulli_mutual_informations` iterator,
-which shares its quadrature passes among chunks of consecutive n.  A
---trials table then fills its mc_risk column with one `oracle.mc_risks`
-call over the n before the failing one: the Philox blocks of all of them
-share one thread pool, and each n's block totals are added in block
-order, so the column is the same as one `oracle.mc_risk` per n.
-Exit code 3 names the first failing n, of a bound or of a simulation.
+Every estimation table is built by `_estimation_table`, stage by stage
+over all its n: the models, then each column in column order, then the
+upper bounds, then under --trials the mc_risk column, each stage over
+the n before the first failure found so far.  A column runs the searches
+of all those n in lockstep, one kernel call per round (the grid, a
+growth, a root step) for all the n, and a call that raises runs again one
+n at a time, in n order, so that its error goes to its own n.  The
+failure named is thus that of the first failing n, and at that n of the
+first failing stage and column, as a sweep n by n would name it.  A
+parameter-free column has one round, one call for all the n: the
+Bernoulli mi column's is one `models.bernoulli_mutual_informations` list,
+which shares its quadrature passes among chunks of consecutive n.  The
+mc_risk column is one `oracle.mc_risks` call over the table's models: the
+Philox blocks of all of them share one thread pool, and each n's block
+totals are added in block order, so the column is the same as one
+`oracle.mc_risk` per n.  Exit code 3 names the first failing n, of a
+bound or of a simulation; exit code 2 a configuration error, an --out
+that cannot be written among them.  `validate` checks these same tables.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import math
 import sys
@@ -210,9 +210,9 @@ def _each(fn):
 
 def _bernoulli_mi(model):
     """The Bernoulli MI of one model, or of each of a list of models from
-    one `models.bernoulli_mutual_informations` iterator."""
+    one `models.bernoulli_mutual_informations` call."""
     if isinstance(model, list):
-        return list(models.bernoulli_mutual_informations(_n(model)))
+        return models.bernoulli_mutual_informations(_n(model))
     return models.bernoulli_mutual_information(model.n)
 
 
@@ -343,9 +343,12 @@ def _estimation_table(setting: Setting, n_values, args) -> tuple[dict, dict, tup
     The sweep goes stage by stage over all the n before the first failure
     found so far: the models and their small-ball functions, then each
     column in column order (`bounds.optimize_bounds`), then the upper
-    bounds.  A later stage runs only the n before the failing one, so the
+    bounds, and under --trials the mc column, from one `oracle.mc_risks`
+    call.  A later stage runs only the n before the failing one, so the
     failure named is that of the first failing n, and at that n that of
-    the first failing stage and column, as a sweep n by n would name it."""
+    the first failing stage and column, as a sweep n by n would name it.
+    A simulation raises where its n's estimate would have come, and one
+    the oracle refuses before any block runs names the first n."""
     failure = None
     table_models, small_balls = [], []
     for n in n_values:
@@ -382,37 +385,20 @@ def _estimation_table(setting: Setting, n_values, args) -> tuple[dict, dict, tup
             del ns[i:]
             break
         row.update(n=n, upper=upper, mc=None, best=_best(row))
+    if args.trials and ns:
+        i = 0
+        try:
+            with contextlib.closing(oracle.mc_risks(table_models[:len(ns)], setting.estimator,
+                                                    args.trials, args.seed)) as risks:
+                for i in range(len(ns)):
+                    risk = next(risks)
+                    rows[i]["mc"] = risk.mean
+                    infos[i]["mc"] = {"mean": risk.mean, "se": risk.std_error,
+                                      "trials": risk.samples}
+        except Exception as exc:
+            failure = ns[i], exc
+            del ns[i:]
     return dict(zip(ns, rows)), dict(zip(ns, infos)), failure
-
-
-def _estimation_point(setting: Setting, n: int, args) -> tuple[dict, dict]:
-    """The table row and the sidecar entry of one sample count n; a
-    failure raises its error."""
-    rows, infos, failure = _estimation_table(setting, [n], args)
-    if failure is not None:
-        raise failure[1]
-    return rows[n], infos[n]
-
-
-def _fill_mc(setting: Setting, args, rows: dict, infos: dict):
-    """Fill the mc cell of each row, and its sidecar entry, from one
-    `oracle.mc_risks` call over the rows' n; returns the first n whose
-    simulation raised, with its error, or None.  An error raised before
-    any block runs (the oracle refusing a model) names the first n."""
-    ns = sorted(rows)
-    n = ns[0]
-    try:
-        with contextlib.closing(oracle.mc_risks(
-                [setting.model(k, args) for k in ns], setting.estimator,
-                args.trials, args.seed)) as risks:
-            for n in ns:
-                risk = next(risks)
-                rows[n]["mc"] = risk.mean
-                infos[n]["mc"] = {"mean": risk.mean, "se": risk.std_error,
-                                  "trials": risk.samples}
-    except Exception as exc:
-        return n, exc
-    return None
 
 
 def _theta_for(rule: str, n: int) -> float:
@@ -429,38 +415,34 @@ def _theta_for(rule: str, n: int) -> float:
     return theta
 
 
-def _hide_and_seek_point(n: int, args) -> tuple[dict, dict] | None:
-    theta = _theta_for(args.theta_rule, n)
-    if not 0.0 <= theta < 0.5:
-        print(f"skipping n={n}: theta={theta:g} outside [0, 1/2)",
-              file=sys.stderr)
-        return None
-    model = models.HideAndSeekModel(d=args.d, m=args.m, b=args.b,
-                                    theta=theta, n=n)
-    hb = models.hide_and_seek_bounds(model)
-    row = dict(n=n, ml=hb.ml, nips=hb.nips, mi=hb.mi)
-    row["best"] = _best(row, ("ml", "nips", "mi"))
-    info = {"theta": theta, "nips_valid": hb.nips_valid,
-            "leakage": models.hide_and_seek_leakage(model)}
-    return row, info
-
-
 def _hide_and_seek_table(n_values, args) -> tuple[dict, dict, tuple | None]:
-    """`_hide_and_seek_point` of each n in order, up to the first that
-    raises: the rows and sidecar entries by n, and the failure or None."""
+    """The rows and sidecar entries by n of each n in order, up to the
+    first that raises, and that failure or None; an n is skipped, with a
+    note, where its theta lies outside [0, 1/2)."""
     rows: dict[int, dict] = {}
     infos: dict[int, dict] = {}
     for n in n_values:
         try:
-            result = _hide_and_seek_point(n, args)
+            theta = _theta_for(args.theta_rule, n)
+            if not 0.0 <= theta < 0.5:
+                print(f"skipping n={n}: theta={theta:g} outside [0, 1/2)",
+                      file=sys.stderr)
+                continue
+            model = models.HideAndSeekModel(d=args.d, m=args.m, b=args.b,
+                                            theta=theta, n=n)
+            hb = models.hide_and_seek_bounds(model)
+            leakage = models.hide_and_seek_leakage(model)
         except Exception as exc:
             return rows, infos, (n, exc)
-        if result is not None:
-            rows[n], infos[n] = result
+        rows[n] = dict(n=n, ml=hb.ml, nips=hb.nips, mi=hb.mi)
+        rows[n]["best"] = _best(rows[n], ("ml", "nips", "mi"))
+        infos[n] = {"theta": theta, "nips_valid": hb.nips_valid, "leakage": leakage}
     return rows, infos, None
 
 
-def _emit(rows, infos, header, keys, args, setting):
+def _emit(rows, infos, header, keys, args, setting) -> int:
+    """Write the table, and next to an --out file its sidecar; an --out
+    that cannot be written prints one line and returns exit code 2."""
     if args.format == "json":
         payload = json.dumps({"setting": setting, "rows": rows}, indent=2,
                              sort_keys=True, default=float)
@@ -469,29 +451,31 @@ def _emit(rows, infos, header, keys, args, setting):
         lines = [header] + [",".join(_fmt(row[key]) for key in keys) for row in rows]
         text = "\n".join(lines) + "\n"
     if args.out and args.out != "-":
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
         sidecar = {"setting": setting, "seed": args.seed,
                    "points": {str(n): infos[n] for n in sorted(infos)}}
-        with open(args.out + ".params.json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True, default=float)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+            with open(args.out + ".params.json", "w") as fh:
+                json.dump(sidecar, fh, indent=2, sort_keys=True, default=float)
+        except OSError as exc:
+            print(f"configuration error: cannot write {exc.filename or args.out}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
+    return 0
 
 
-def _finish(table, args, setting, header, keys, fill=None):
+def _finish(table, args, setting, header, keys):
     """Emit ``table``, the rows and sidecar entries by n of the n before
-    the first failing one, with that failure or None; ``fill(args, rows,
-    infos)`` first completes the rows and may name an earlier failing n.
-    Exit code 3 names the first failing n."""
+    the first failing one, with that failure or None.  Exit code 3 names
+    the first failing n."""
     rows, infos, failure = table
-    if fill is not None and rows:
-        failure = fill(args, rows, infos) or failure
     if failure is not None:
         print(f"numerical failure near n={failure[0]}: {failure[1]}", file=sys.stderr)
         return 3
-    _emit([rows[n] for n in sorted(rows)], infos, header, keys, args, setting)
-    return 0
+    return _emit([rows[n] for n in sorted(rows)], infos, header, keys, args, setting)
 
 
 def _cmd_validate(args) -> int:
@@ -568,6 +552,9 @@ def _apply_config_file(parser, args, argv):
             loaded = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.exit(2, f"configuration error: cannot read {args.config}: {exc}\n")
+    if not isinstance(loaded, dict):
+        parser.exit(2, f"configuration error: {args.config} must hold a JSON object, "
+                       f"got {loaded!r:.40}\n")
     sub = parser._command_parsers[args.command]
     # --help and --config itself are no settings a file could carry
     actions = {action.dest: action for action in sub._actions
@@ -624,8 +611,7 @@ def main(argv=None) -> int:
         return _finish(_hide_and_seek_table(n_values, args), args, "hide-and-seek",
                        HNS_HEADER, HNS_KEYS)
     return _finish(_estimation_table(setting, n_values, args), args, setting.name,
-                   EST_HEADER, EST_KEYS,
-                   functools.partial(_fill_mc, setting) if args.trials else None)
+                   EST_HEADER, EST_KEYS)
 
 
 if __name__ == "__main__":

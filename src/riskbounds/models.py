@@ -10,6 +10,7 @@ are evaluated through log-Gamma to avoid overflow past n ~ 85.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,8 +56,7 @@ class BernoulliUniformModel:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        _check_count(self.n)
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ class NoisyBernoulliModel:
     lam: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        _check_count(self.n)
         if not 0.0 <= self.lam <= 0.5:
             raise ValueError("crossover must lie in [0, 1/2]")
 
@@ -82,10 +81,14 @@ class GaussianModel:
     sigma_sq: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be non-negative")
+        _check_count(self.n, 0)
         if not (self.sigma_w_sq > 0 and self.sigma_sq > 0):
             raise ValueError("variances must be positive")
+        if not (math.isfinite(self.sigma_w_sq) and math.isfinite(self.sigma_sq)):
+            raise ValueError("variances must be finite")
+        if not math.isfinite(self.snr):
+            raise ValueError(f"the SNR n sigma_W^2/sigma^2 must be finite, got {self.snr} "
+                             f"at n={self.n}")
 
     @property
     def snr(self) -> float:
@@ -104,10 +107,11 @@ class HideAndSeekModel:
     n: int
 
     def __post_init__(self):
+        _check_count(self.n)
         if self.d < 2:
             raise ValueError("d must be at least 2")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be at least 1")
+        if self.m < 1:
+            raise ValueError("m must be at least 1")
         if not self.b >= 0:
             raise ValueError("message budget must be non-negative")
         if not 0.0 <= self.theta < 0.5:
@@ -134,8 +138,7 @@ def bernoulli_ml(n: int) -> MlValue:
     ``exact`` is the log of the profile-likelihood sum over Hamming
     weights; ``upper`` is the Stirling relaxation log(2 + sqrt(pi*n/2)).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _sample_counts(n)
     k = np.arange(n + 1)
     log_terms = (
         _log_binom(n, k) + xlogy(k, k / n) + xlogy(n - k, 1.0 - k / n)
@@ -185,18 +188,28 @@ _PASS_ENTRIES = 1 << 14
 _ALONE_ENTRIES = 1 << 11
 
 
+def _check_count(n, least: int = 1) -> None:
+    """Raise `ValueError` naming ``n`` unless it is an integer of at least
+    ``least``."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n}")
+    if n < least:
+        raise ValueError(f"n must be at least {least}")
+
+
 def _sample_counts(n):
-    """``n`` as one Python sample count, or as an array of one per point,
-    each checked to be at least 1."""
-    if isinstance(n, int) or np.ndim(n) == 0:
-        n = n if isinstance(n, int) else np.asarray(n).item()
-        ok = n >= 1
-    else:
-        n = np.asarray(n)
-        ok = np.all(n >= 1)
-    if not ok:
+    """``n`` as one Python sample count, or as an integer array of one per
+    point, each checked by `_check_count`; an array of another dtype is
+    named by its first entry."""
+    counts = np.asarray(n)
+    if counts.ndim == 0:
+        _check_count(n if isinstance(n, numbers.Integral) else counts.item())
+        return int(n)
+    if not np.issubdtype(counts.dtype, np.integer):
+        _check_count(counts.flat[0] if counts.size else n)
+    if not np.all(counts >= 1):
         raise ValueError("n must be at least 1")
-    return n
+    return counts
 
 
 def _over_n(kernel, n, width, *arrays):
@@ -718,7 +731,7 @@ def bernoulli_mutual_information(n: int) -> float:
     mirrored weights must sum to 1 within 1e-6.  The MI integrand of weight
     k is lik * (log lik - log P(k)), and 0 where lik = 0; the n+1 MI terms
     are added left to right."""
-    return next(bernoulli_mutual_informations([n]))
+    return bernoulli_mutual_informations([n])[0]
 
 
 # the most half rows (weights k <= n/2) that one pass of
@@ -726,35 +739,32 @@ def bernoulli_mutual_information(n: int) -> float:
 _MI_ROWS = 256
 
 
-def bernoulli_mutual_informations(ns):
-    """`bernoulli_mutual_information` of each n in ``ns``, as an iterator
-    that yields the values in ``ns`` order; each is ``==`` to the one-n
-    value.
+def bernoulli_mutual_informations(ns) -> list[float]:
+    """`bernoulli_mutual_information` of each n in ``ns``, as a list in
+    ``ns`` order; each is ``==`` to the one-n value.
 
     Consecutive n are grouped into chunks of at most `_MI_ROWS` half rows.
     Each chunk runs one marginal pass over the rows of all its n, checks
     each n's mirrored marginal in order, and runs one MI pass over the rows
-    of the n before the first that failed; `quadrature.adaptive_simpson`
-    makes each row's integral that of the row alone.  A pass runs about as
-    many bisection levels for many rows as for one, and a level's numpy
-    dispatch costs the same whatever its size, so the n of a chunk share
-    it; the limit bounds the panel arrays, and so the memory, of a pass.
-    A failed check raises its ValueError where that n's value would have
-    been yielded, and a quadrature failure of a pass where the first of its
-    n not yet yielded would have been."""
-    chunk: list[int] = []
+    of all its n; `quadrature.adaptive_simpson` makes each row's integral
+    that of the row alone.  A pass runs about as many bisection levels for
+    many rows as for one, and a level's numpy dispatch costs the same
+    whatever its size, so the n of a chunk share it; the limit bounds the
+    panel arrays, and so the memory, of a pass.  Every n is checked as a
+    sample count before any pass runs; the first failed marginal check
+    raises its ValueError."""
+    chunks: list[list[int]] = [[]]
     rows = 0
-    for n in ns:
-        if chunk and rows + n // 2 + 1 > _MI_ROWS:
-            yield from _bernoulli_mi_chunk(chunk)
-            chunk, rows = [], 0
-        chunk.append(n)
+    for n in map(_sample_counts, ns):
+        if chunks[-1] and rows + n // 2 + 1 > _MI_ROWS:
+            chunks.append([])
+            rows = 0
+        chunks[-1].append(n)
         rows += n // 2 + 1
-    if chunk:
-        yield from _bernoulli_mi_chunk(chunk)
+    return [mi for chunk in chunks if chunk for mi in _bernoulli_mi_chunk(chunk)]
 
 
-def _bernoulli_mi_chunk(ns: list[int]):
+def _bernoulli_mi_chunk(ns: list[int]) -> list[float]:
     """The MI of each n of one chunk of `bernoulli_mutual_informations`, in
     order.  Row r integrates weight k[r] of sample count n[r]; the rows of
     each n are its weights 0..floor(n/2), from ``starts[i]`` on."""
@@ -771,39 +781,33 @@ def _bernoulli_mi_chunk(ns: list[int]):
         return np.exp(log_binom[r] + xlogy(k[r], w) + xlogy(n_minus_k[r], 1.0 - w))
 
     marginal = adaptive_simpson(likelihood, 0.0, 1.0, rows=k.size)
-    failure = None
-    passed = 0
     for mirror in mirrors:
         total = float(marginal[mirror].sum())
         if abs(total - 1.0) > 1e-6:
-            failure = ValueError(f"observation marginal sums to {total!r}")
-            break
-        passed += 1
-    if passed:
-        # libm's log, not np.log, whose vectorised loop may round the last
-        # bit differently; the pinned values in the tests were made with libm
-        log_px = np.array([math.log(px) for px in marginal[:starts[passed]].tolist()])
+            raise ValueError(f"observation marginal sums to {total!r}")
+    # libm's log, not np.log, whose vectorised loop may round the last bit
+    # differently; the pinned values in the tests were made with libm
+    log_px = np.array([math.log(px) for px in marginal.tolist()])
 
-        def integrand(r, w):
-            lik = likelihood(r, w)
-            with np.errstate(divide="ignore"):
-                log_lik = np.where(lik > 0, np.log(np.where(lik > 0, lik, 1.0)), 0.0)
-            return np.where(lik > 0, lik * (log_lik - log_px[r]), 0.0)
+    def integrand(r, w):
+        lik = likelihood(r, w)
+        with np.errstate(divide="ignore"):
+            log_lik = np.where(lik > 0, np.log(np.where(lik > 0, lik, 1.0)), 0.0)
+        return np.where(lik > 0, lik * (log_lik - log_px[r]), 0.0)
 
-        terms = adaptive_simpson(integrand, 0.0, 1.0, rows=starts[passed])
-        for mirror in mirrors[:passed]:
-            mi = 0.0
-            for term in terms[mirror].tolist():
-                mi += term  # left to right: sum() compensates from Python 3.12
-            yield max(0.0, mi)
-    if failure is not None:
-        raise failure
+    terms = adaptive_simpson(integrand, 0.0, 1.0, rows=k.size)
+    values = []
+    for mirror in mirrors:
+        mi = 0.0
+        for term in terms[mirror].tolist():
+            mi += term  # left to right: sum() compensates from Python 3.12
+        values.append(max(0.0, mi))
+    return values
 
 
 def bernoulli_upper_bound(n: int) -> float:
     """Sample-mean risk bound 1/sqrt(6n)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _sample_counts(n)
     return 1.0 / math.sqrt(6.0 * n)
 
 

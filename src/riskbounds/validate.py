@@ -73,16 +73,25 @@ def _suite_oracle_agreement(seed: int, rounds: int) -> tuple[bool, str]:
     return ok, f"max measures/brute-force deviation: {worst:.3e}"
 
 
+def _estimation_rows(setting, n_values, argv) -> list[tuple[dict, dict]]:
+    """The rows of the CLI's table of ``setting`` over ``n_values`` under
+    the extra flags ``argv``, and their sidecar entries; a failure raises
+    its error."""
+    args = cli.build_parser().parse_args([setting.name, *argv])
+    rows, infos, failure = cli._estimation_table(setting, list(n_values), args)
+    if failure is not None:
+        raise failure[1]
+    return [(rows[n], infos[n]) for n in n_values]
+
+
 def _suite_sandwich(seed: int, trials: int, n_values) -> tuple[bool, str]:
-    """Every bound column of each setting's default fixed-parameter row."""
+    """Every bound column of each setting's default fixed-parameter table
+    against the mc column that the same table carries under --trials."""
     worst = -math.inf
     for setting in cli.SETTINGS.values():
-        args = cli.build_parser().parse_args([setting.name])
-        rows = [cli._estimation_point(setting, n, args)[0] for n in n_values]
-        risks = oracle.mc_risks([setting.model(n, args) for n in n_values],
-                                setting.estimator, trials, seed)
-        for row, risk in zip(rows, risks, strict=True):
-            limit = risk.mean + 3.0 * risk.std_error
+        for row, info in _estimation_rows(setting, n_values,
+                                          ["--trials", str(trials), "--seed", str(seed)]):
+            limit = row["mc"] + 3.0 * info["mc"]["se"]
             for method in cli._METHOD_ORDER:
                 if row[method] is not None:
                     worst = max(worst, row[method] - limit)
@@ -92,9 +101,7 @@ def _suite_sandwich(seed: int, trials: int, n_values) -> tuple[bool, str]:
 
 def _suite_ordering(n_values) -> tuple[bool, str]:
     worst = -math.inf
-    args = cli.build_parser().parse_args(["bernoulli", "--optimize"])
-    for n in n_values:
-        row, _ = cli._estimation_point(cli.BERNOULLI, n, args)
+    for row, _ in _estimation_rows(cli.BERNOULLI, n_values, ["--optimize"]):
         worst = max(worst, row["sibson"] - row["egz"],
                     row["hellinger"] - row["sibson"], row["mi"] - row["hellinger"],
                     row["egz"] - row["upper"])

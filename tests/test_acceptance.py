@@ -23,6 +23,7 @@ from riskbounds.distributions import (
 )
 
 import quadrature_oracle
+from table_rows import estimation_point
 
 L2 = bounds.SmallBallFn(2.0)
 
@@ -40,7 +41,7 @@ def optimized_bernoulli():
     start = time.monotonic()
     table = {}
     for n in range(1, 51):
-        row, _ = cli._estimation_point(cli.BERNOULLI, n, args)
+        row, _ = estimation_point(cli.BERNOULLI, n, args)
         table[n] = {name: row[name] for name in ("mi", "sibson", "hellinger", "egz")}
     return table, time.monotonic() - start
 

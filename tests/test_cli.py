@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from riskbounds import bounds, cli, models, oracle, validate
 
 from quadrature_oracle import brent_max
+from table_rows import estimation_point
 from test_bounds import optimize_one
 
 
@@ -75,6 +76,49 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             cli.main(["bernoulli", "--config", str(cfg)])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("content", ["3", "null", '"x"', "[1, 2]"])
+    def test_config_that_is_not_an_object_exit_code(self, content, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(content)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bernoulli", "--config", str(cfg)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg} must hold a JSON object, "
+            f"got {json.loads(content)!r}\n")
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out_exit_code(self, where, tmp_path, capsys):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "t.csv"
+        assert cli.main(["bernoulli", "--n", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_failing_table_leaves_its_out_file_alone(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        out.write_text("kept\n")
+        assert cli.main(["bernoulli", "--n", "562", "--out", str(out)]) == 3
+        assert out.read_text() == "kept\n"
+        assert not (tmp_path / "t.csv.params.json").exists()
+        assert cli.main(["bernoulli", "--n", "562", "--out", str(tmp_path / "new.csv")]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gaussian", "--n", "1", "--sigma2", "1e-320"],
+        ["gaussian", "--n", "1..3", "--sigma-w2", "1e308", "--sigma2", "1e-10"],
+    ])
+    def test_infinite_snr_is_a_configuration_error(self, argv, capsys):
+        # the first n's SNR n sigma_W^2/sigma^2 overflows: no order is
+        # blamed for it
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: the SNR n sigma_W^2/sigma^2 must be finite, "
+            "got inf at n=1\n")
 
     def test_bad_model_parameter_exit_code(self):
         with pytest.raises(SystemExit) as err:
@@ -385,7 +429,7 @@ class TestOptimizedRuns:
         # the (gamma, zeta) product grid that --optimize once searched is
         # the oracle of the ratio search
         args = cli.build_parser().parse_args(["bernoulli", "--optimize"])
-        row, _ = cli._estimation_point(cli.BERNOULLI, n, args)
+        row, _ = estimation_point(cli.BERNOULLI, n, args)
         column = next(c for c in cli.BERNOULLI.columns if c.method == "egz")
         full = optimize_one(
             functools.partial(column.divergence, cli.BERNOULLI.model(n, args)),
@@ -400,7 +444,7 @@ class TestOptimizedRuns:
         values = []
         for zeta in ("0.001", "1.5", "100"):
             args = cli.build_parser().parse_args([setting, "--optimize", "--zeta", zeta])
-            row, info = cli._estimation_point(cli.SETTINGS[setting], 10, args)
+            row, info = estimation_point(cli.SETTINGS[setting], 10, args)
             assert info["egz"]["zeta"] == float(zeta) and info["egz"]["path"] == "root"
             values.append(row["egz"])
         assert max(values) - min(values) <= 1e-12 * max(values)
@@ -620,7 +664,7 @@ def test_optimized_gaussian_rows_keep_the_ordering(n, sigma_w2, sigma2):
     # column's root path
     args = cli.build_parser().parse_args(
         ["gaussian", "--optimize", "--sigma-w2", sigma_w2, "--sigma2", sigma2])
-    row, info = cli._estimation_point(cli.GAUSSIAN, n, args)
+    row, info = estimation_point(cli.GAUSSIAN, n, args)
     assert [info[m]["path"] for m in ("sibson", "hellinger", "egz")] == ["root"] * 3
     assert row["egz"] >= row["sibson"] >= row["hellinger"] >= row["mi"], row
 
@@ -781,7 +825,7 @@ def test_noisy_lockstep_searches_equal_one_search_per_model(ns, lam):
 def test_lockstep_grows_the_ladder_where_the_root_lies_past_it():
     args = cli.build_parser().parse_args(["gaussian", "--optimize", "--sigma-w2", "100",
                                           "--sigma2", "1e-4"])
-    _, info = cli._estimation_point(cli.GAUSSIAN, 1000, args)
+    _, info = estimation_point(cli.GAUSSIAN, 1000, args)
     assert info["egz"]["path"] == "root" and info["egz"]["gamma"] / info["egz"]["zeta"] > 2.0 ** 12
 
 

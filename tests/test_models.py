@@ -38,6 +38,57 @@ class TestModelValidation:
             models.HideAndSeekModel(d=8, m=1, b=1.0, theta=0.5, n=1)
 
 
+# a sample count that is not a whole number: every model and every
+# Bernoulli function refuses it by name, instead of a NaN, an IndexError or
+# a number of no model
+_non_integral = st.floats(allow_nan=True, allow_infinity=True).filter(
+    lambda x: not x.is_integer())
+_COUNT_CALLS = {
+    "BernoulliUniformModel": lambda n: models.BernoulliUniformModel(n),
+    "NoisyBernoulliModel": lambda n: models.NoisyBernoulliModel(n, 0.25),
+    "GaussianModel": lambda n: models.GaussianModel(n, 1.0, 2.0),
+    "HideAndSeekModel": lambda n: models.HideAndSeekModel(d=8, m=1, b=1.0, theta=0.1,
+                                                          n=n),
+    "bernoulli_ml": models.bernoulli_ml,
+    "bernoulli_upper_bound": models.bernoulli_upper_bound,
+    "bernoulli_mutual_information": models.bernoulli_mutual_information,
+    "bernoulli_mutual_informations": lambda n: models.bernoulli_mutual_informations([3, n]),
+    "bernoulli_sibson": lambda n: models.bernoulli_sibson_first_order(n, 2.0),
+    "bernoulli_hellinger": lambda n: models.bernoulli_hellinger_first_order(n, 2.0),
+    "bernoulli_e_gamma_zeta_batch": lambda n: models.bernoulli_e_gamma_zeta_batch(
+        n, 3.0, 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_CALLS))
+@settings(max_examples=20, deadline=None)
+@given(n=_non_integral | _non_integral.map(np.float64))
+@example(n=2.5)
+def test_non_integral_sample_count_raises_naming_it(name, n):
+    with pytest.raises(ValueError, match=f"n must be an integer, got {re.escape(str(n))}$"):
+        _COUNT_CALLS[name](n)
+
+
+@pytest.mark.parametrize("name", ["bernoulli_sibson", "bernoulli_hellinger",
+                                  "bernoulli_e_gamma_zeta_batch"])
+@settings(max_examples=20, deadline=None)
+@given(counts=hnp.arrays(float, st.integers(1, 4),
+                         elements=st.integers(1, 60).map(float) | _non_integral))
+def test_sample_count_array_of_floats_raises_naming_its_first_entry(name, counts):
+    # an n per point must be an integer array, whatever its values
+    with pytest.raises(ValueError,
+                       match=f"n must be an integer, got {re.escape(str(counts[0]))}$"):
+        _COUNT_CALLS[name](counts)
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.array(3)])
+def test_integer_sample_counts_of_any_integer_type_run(n):
+    assert models.bernoulli_ml(n) == models.bernoulli_ml(3)
+    assert models.bernoulli_sibson_first_order(n, 2.0) == \
+        models.bernoulli_sibson_first_order(3, 2.0)
+    assert models.bernoulli_mutual_information(n) == models.bernoulli_mutual_information(3)
+
+
 _NAN_CALLS = {
     "sibson_bound": lambda: bounds.bound("sibson", 0.1, bounds.SmallBallFn(2.0),
                                          alpha=math.nan),
@@ -143,6 +194,11 @@ _INFINITE_CALLS = {
         models.GaussianModel(5, math.inf, 2.0), 2.0, 1.5),
     "gaussian_e_gamma_zeta[sigma_sq]": lambda: models.gaussian_e_gamma_zeta(
         models.GaussianModel(5, 1.0, math.inf), 2.0, 1.5),
+    "GaussianModel[sigma_w_sq]": lambda: models.GaussianModel(5, math.inf, 2.0),
+    "GaussianModel[sigma_sq]": lambda: models.GaussianModel(5, 1.0, math.inf),
+    # finite variances whose n-sample SNR n sigma_W^2/sigma^2 overflows
+    "GaussianModel[snr]": lambda: models.GaussianModel(1, 1.0, 1e-320),
+    "GaussianModel[snr of n]": lambda: models.GaussianModel(2, 1e308, 1.0),
 }
 
 
@@ -523,15 +579,26 @@ class TestBernoulliMutualInformation:
         # the chunks share their passes: rows of several n at once, and
         # chunk bounds wherever the row sums cross _MI_ROWS
         assume(sum(n // 2 + 1 for n in ns) > models._MI_ROWS)
-        assert list(models.bernoulli_mutual_informations(ns)) == \
+        assert models.bernoulli_mutual_informations(ns) == \
             [models.bernoulli_mutual_information(n) for n in ns]
 
-    def test_table_batch_raises_where_the_failing_n_would_be(self):
-        values = models.bernoulli_mutual_informations([560, 561, 562])
-        assert next(values) == models.bernoulli_mutual_information(560)
-        assert next(values) == models.bernoulli_mutual_information(561)
+    def test_table_batch_raises_where_the_failing_n_would_be(self, monkeypatch):
+        # each n is a chunk alone (281 or 282 half rows); 560 and 561 pass
+        # their marginal checks and 562 fails its own, whose chunk raises
+        # before its MI pass; a table names the n by calling each n alone
+        # (bounds.optimize_bounds)
+        passes = []
+
+        def counting(f, a, b, rows=None):
+            passes.append(rows)
+            return adaptive_simpson(f, a, b, rows=rows)
+
+        monkeypatch.setattr(models, "adaptive_simpson", counting)
         with pytest.raises(ValueError, match=r"observation marginal sums to 0\.99999\d+"):
-            next(values)
+            models.bernoulli_mutual_informations([560, 561, 562])
+        assert passes == [281, 281, 281, 281, 282]
+        assert models.bernoulli_mutual_informations([560, 561]) == \
+            [models.bernoulli_mutual_information(560), models.bernoulli_mutual_information(561)]
 
     def test_no_pass_exceeds_the_row_limit_unless_one_n_does(self, monkeypatch):
         passes = []
@@ -542,7 +609,7 @@ class TestBernoulliMutualInformation:
 
         monkeypatch.setattr(models, "adaptive_simpson", counting)
         ns = [*range(1, 40), 520, 2, 3, 300, 301]
-        list(models.bernoulli_mutual_informations(ns))
+        models.bernoulli_mutual_informations(ns)
         # the 419 rows of 1..39 make two chunks, 520 (261 rows) is one
         # alone, and 2, 3 and 300 (151 rows) share one that 301 cannot join
         alone = 520 // 2 + 1
@@ -554,7 +621,7 @@ class TestBernoulliMutualInformation:
         # (255 rows) would overfill one by a row
         assert models._MI_ROWS == 256
         passes.clear()
-        list(models.bernoulli_mutual_informations([510, 2, 509]))
+        models.bernoulli_mutual_informations([510, 2, 509])
         assert passes == [256, 256, 2, 2, 255, 255]
 
     def test_against_closed_form(self):

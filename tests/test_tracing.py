@@ -57,3 +57,22 @@ def test_traced_mc_risk_counts_its_trials(monkeypatch):
     summary = tracer.summary()
     assert summary["counts"]["mc_risk.trials"] == 10 ** 4
     assert {"oracle.mc_risk", "oracle.mc_risks"} <= set(summary["functions"])
+
+
+def test_mi_span_covers_its_quadrature(capsys, monkeypatch):
+    # the MI returns its list only after both passes, so the tracer's span
+    # of it holds them, and the time of the MI shows as its own
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["bernoulli", "--n", "1,7,30"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {span[0]: span[1] for span in tracer.spans}
+    parents = [names.get(span[5]) for span in tracer.spans
+               if span[1] == "quadrature.adaptive_simpson"]
+    assert parents and set(parents) == {"models.bernoulli_mutual_informations"}
